@@ -16,13 +16,13 @@ frequencies, so measured and analytic responses can be compared tightly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._textfile import open_text
 from .design import CascadeDesign, transfer_function
 from .errors import AnalysisError, ConfigError
 
@@ -395,31 +395,15 @@ def parity_report(
 
 def write_response_csv(result: ResponseResult, channel: int, path_or_file) -> None:
     """`frequency_hz,magnitude_db` rows for one channel."""
-
-    def _write(f):
-        w = csv.writer(f)
-        w.writerow(["frequency_hz", "magnitude_db"])
-        for fr, db in zip(result.frequencies_hz, result.magnitudes_db[:, channel]):
-            w.writerow([format(fr, ".17g"), format(db, ".17g")])
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="", encoding="utf-8") as f:
-            _write(f)
+    with open_text(path_or_file, "w") as f:
+        f.write("frequency_hz,magnitude_db\r\n")
+        rows = zip(result.frequencies_hz.tolist(), result.magnitudes_db[:, channel].tolist())
+        f.writelines("%.17g,%.17g\r\n" % row for row in rows)
 
 
 def write_impulse_csv(result: ResponseResult, channel: int, path_or_file) -> None:
     """`sample_index,amplitude` rows for one channel."""
-
-    def _write(f):
-        w = csv.writer(f)
-        w.writerow(["sample_index", "amplitude"])
-        for i, v in enumerate(result.impulse_responses[:, channel]):
-            w.writerow([i, format(v, ".17g")])
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="", encoding="utf-8") as f:
-            _write(f)
+    with open_text(path_or_file, "w") as f:
+        f.write("sample_index,amplitude\r\n")
+        amplitudes = result.impulse_responses[:, channel].tolist()
+        f.writelines("%d,%.17g\r\n" % row for row in enumerate(amplitudes))

@@ -20,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
+from ._textfile import open_text
 from .errors import DesignError
 
 __all__ = [
@@ -401,28 +402,19 @@ COEFF_TABLE_HEADER = ("section", "x", "cf_hz", "theta_r", "r", "a0", "c0", "h", 
 
 def write_coeff_table(design: CascadeDesign, path_or_file) -> None:
     """Write the design as a coefficient-table CSV (base section first)."""
-    if hasattr(path_or_file, "write"):
-        _write_coeff_rows(design, path_or_file)
-    else:
-        with open(path_or_file, "w", newline="", encoding="utf-8") as f:
-            _write_coeff_rows(design, f)
-
-
-def _write_coeff_rows(design: CascadeDesign, f) -> None:
-    w = csv.writer(f)
-    w.writerow(COEFF_TABLE_HEADER)
-    for x, s in zip(design.positions, design.sections):
-        w.writerow(
-            [s.section_index]
-            + [format(v, ".17g") for v in (x, s.cf_hz, s.theta_r, s.r, s.a0, s.c0, s.h, s.g)]
-        )
+    with open_text(path_or_file, "w") as f:
+        w = csv.writer(f)
+        w.writerow(COEFF_TABLE_HEADER)
+        for x, s in zip(design.positions, design.sections):
+            w.writerow(
+                [s.section_index]
+                + [format(v, ".17g") for v in (x, s.cf_hz, s.theta_r, s.r, s.a0, s.c0, s.h, s.g)]
+            )
 
 
 def read_coeff_table(path_or_file) -> CascadeDesign:
     """Read a coefficient-table CSV back into a CascadeDesign."""
-    if hasattr(path_or_file, "read"):
-        return _read_coeff_rows(path_or_file)
-    with open(path_or_file, "r", newline="", encoding="utf-8") as f:
+    with open_text(path_or_file, "r") as f:
         return _read_coeff_rows(f)
 
 

@@ -1,8 +1,15 @@
 """Bit-accurate fixed-point emulation of the cascade datapath.
 
-All arithmetic is done on plain Python integers so intermediate products are
-exact at any width; results are rounded once at each architectural register
-write. The datapath mirrors core.step_section:
+Intermediate products are exact at full width and results are rounded once at
+each architectural register write. The scalar path (fixed_step_section) and
+the reference block loop (fixed_process_block_py) compute on Python integers,
+exact at any width. fixed_process_block runs the cascade on int64 lanes over
+the float kernel's wavefront schedule, splitting each multiply-accumulate into
+two limbs at the round shift; it does so only inside an envelope derived from
+the coefficient and state widths (see _int64_exact), where every intermediate
+fits int64, and runs the reference loop elsewhere, for example with a 64-bit
+state. Both give the same raw integers. The datapath mirrors
+core.step_section:
 
     entrance    x_io -> x in state format (one requantize, exact when the
                 state format is at least as fine and wide as the io format)
@@ -29,6 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kernels
+from ._textfile import open_text
 from .design import CascadeDesign, ChannelCoeffs
 from .errors import ConfigError, DesignError, FixedPointError
 
@@ -392,22 +401,33 @@ def quantize_block(samples: Sequence[float] | np.ndarray, fmt: FixedFormat) -> n
     """Vectorized quantize of a float block to raw integers (int64).
 
     Matches quantize() for every element (round-half-even / floor, then the
-    overflow policy).
+    overflow policy). The overflow policy is applied to the rounded doubles,
+    before the cast to int64, so formats up to 64 bits neither overflow the
+    cast nor the modulus. Like quantize(), a value whose scaled form
+    overflows a double is an error.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size and not np.isfinite(x).all():
         raise FixedPointError("samples contain non-finite values")
-    scaled = x * math.ldexp(1.0, fmt.frac_bits)  # exact power-of-two scale
+    with np.errstate(over="ignore"):
+        scaled = x * math.ldexp(1.0, fmt.frac_bits)  # exact power-of-two scale
+    if scaled.size and not np.isfinite(scaled).all():
+        raise FixedPointError(f"samples overflow the {fmt.frac_bits}-bit fraction scale")
     if fmt.rounding == ROUND_TRUNCATE:
         raw = np.floor(scaled)
     else:
         raw = np.round(scaled)  # ties to even, same as round()
-    raw = raw.astype(np.int64)
+    limit = math.ldexp(1.0, fmt.total_bits - 1)  # -raw_min, raw_max + 1
     if fmt.overflow == OVERFLOW_SATURATE:
-        raw = np.clip(raw, fmt.raw_min, fmt.raw_max)
+        top = raw >= limit
+        raw = np.where(top, 0.0, np.maximum(raw, -limit)).astype(np.int64)
+        raw[top] = fmt.raw_max  # not a double above 53 bits
     else:
-        span = 1 << fmt.total_bits
-        raw = ((raw - fmt.raw_min) % span) + fmt.raw_min
+        # fmod is exact, and so are these shifts by 2^total_bits (Sterbenz)
+        raw = np.fmod(raw, 2.0 * limit)
+        raw[raw >= limit] -= 2.0 * limit
+        raw[raw < -limit] += 2.0 * limit
+        raw = raw.astype(np.int64)
     return raw
 
 
@@ -416,31 +436,34 @@ def to_real_block(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
     return raw.astype(np.float64) * math.ldexp(1.0, -fmt.frac_bits)
 
 
-def fixed_process_block(
-    qdesign: QuantizedDesign,
-    state: FixedCascadeState,
-    samples_raw: Sequence[int] | np.ndarray,
-) -> tuple[np.ndarray, FixedRunStats]:
-    """Propagate io-format raw samples through the quantized cascade.
-
-    Returns (raw tap outputs [n_samples x n_sections] in state format,
-    overflow statistics for this call). The datapath is integer-only, so
-    identical raw inputs produce identical raw outputs on any platform.
-    """
-    n_sections = qdesign.n_sections
-    if state.n_sections != n_sections:
+def _checked_inputs(
+    qdesign: QuantizedDesign, state: FixedCascadeState, samples_raw
+) -> list[int]:
+    if state.n_sections != qdesign.n_sections:
         raise ConfigError(
-            f"state has {state.n_sections} sections, design has {n_sections}"
+            f"state has {state.n_sections} sections, design has {qdesign.n_sections}"
         )
-    io_fmt = qdesign.io_format
-    sfmt = qdesign.state_format
-    cfrac = qdesign.coeff_format.frac_bits
-    lo, hi = io_fmt.raw_min, io_fmt.raw_max
-
+    lo, hi = qdesign.io_format.raw_min, qdesign.io_format.raw_max
     xs = [int(v) for v in samples_raw]
     for v in xs:
         if not lo <= v <= hi:
             raise ConfigError(f"input raw {v} does not fit the io format")
+    return xs
+
+
+def fixed_process_block_py(
+    qdesign: QuantizedDesign,
+    state: FixedCascadeState,
+    samples_raw: Sequence[int] | np.ndarray,
+) -> tuple[np.ndarray, FixedRunStats]:
+    """Reference loop: one _step_raw on Python ints per (sample, section).
+
+    Same contract as fixed_process_block, exact at any word length.
+    """
+    xs = _checked_inputs(qdesign, state, samples_raw)
+    n_sections = qdesign.n_sections
+    sfmt = qdesign.state_format
+    cfrac = qdesign.coeff_format.frac_bits
 
     out = np.empty((len(xs), n_sections), dtype=np.int64)
     section_sat = np.zeros(n_sections, dtype=np.int64)
@@ -449,7 +472,7 @@ def fixed_process_block(
     w1 = state.w1_raw
     w2 = state.w2_raw
     coeffs = qdesign.coeffs_raw
-    io_frac = io_fmt.frac_bits
+    io_frac = qdesign.io_format.frac_bits
 
     for t, x_io in enumerate(xs):
         # entrance: io -> state format (exact when state is finer and wider)
@@ -471,6 +494,137 @@ def fixed_process_block(
     return out, FixedRunStats(section_saturations=section_sat, input_saturations=input_sat)
 
 
+# The int64 kernel's exact envelope. Let cb, sb be the coefficient and state
+# widths, cf the coefficient fraction and s = 2 * cf the round shift of every
+# register write. With every coefficient, state, input and output a value of
+# its format, |c| <= 2^(cb-1) and |w|, |x| <= 2^(sb-1). Each line is
+# round(c * D + (x << s)), computed as
+#   each product in D      <= 2^(cb+sb-2)      a0*w1, c0*w2, h*w2', x << cf
+#   D                      <= 2^(cb+sb-1)
+#   c * (D >> s)           <= 2^(2cb+sb-2-s)   high limb
+#   c * (D & (2^s - 1))    <  2^(cb-1+s)       low limb
+#   high limb + x + (low limb >> s) + rounding carry
+# cb + sb <= 63, 2cb + sb - s <= 63 and cb + s <= 62 hold D to 2^62, both
+# limbs to 2^61 and the final sum below 2^62 + 2, so no int64 operation
+# overflows. The default 18/16 coefficient and 32/24 state formats give 50,
+# 36 and 50. Outside the envelope, e.g. a 64-bit state or a small cf with
+# wide words, fixed_process_block runs the Python-int reference loop.
+def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
+    cb = qdesign.coeff_format.total_bits
+    sb = qdesign.state_format.total_bits
+    s = 2 * qdesign.coeff_format.frac_bits
+    if cb + sb > 63 or 2 * cb + sb - s > 63 or cb + s > 62:
+        return False
+    # the bounds assume every register holds a value of its format
+    cfmt, sfmt = qdesign.coeff_format, qdesign.state_format
+    coeffs = [v for q in qdesign.coeffs_raw for v in q]
+    return all(
+        fmt.raw_min <= min(values) and max(values) <= fmt.raw_max
+        for fmt, values in ((cfmt, coeffs), (sfmt, state.w1_raw), (sfmt, state.w2_raw))
+    )
+
+
+def _fixed_block_int64(
+    qdesign: QuantizedDesign, state: FixedCascadeState, xs: list[int]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cascade on int64 lanes over the wavefront schedule.
+
+    Each register write is computed in two limbs split at the round shift s:
+    acc = c * D + (x << s) is hi * 2^s + lo with hi = c * (D >> s) + x and
+    lo = c * (D & (2^s - 1)), so floor(acc / 2^s) = hi + (lo >> s) and the
+    rounding remainder is lo mod 2^s. Within _int64_exact's envelope this is
+    exactly _step_raw. The w1' and w2' lines share r and run as the two
+    columns of one contiguous [m x 2] write. Returns (out, section
+    saturations, input saturations).
+    """
+    n = qdesign.n_sections
+    sfmt = qdesign.state_format
+    cfrac = qdesign.coeff_format.frac_bits
+    s = 2 * cfrac
+    mask = (1 << s) - 1
+    nearest = sfmt.rounding == ROUND_NEAREST_EVEN and s > 0
+    saturate = sfmt.overflow == OVERFLOW_SATURATE
+    rmin, rmax = sfmt.raw_min, sfmt.raw_max
+    span = 1 << sfmt.total_bits
+
+    def write(c, d, sat, x=None):
+        """round(c * d + (x << s)) into the state format, x joining column
+        0 of a pair; d is used up and overflows are counted into sat."""
+        acc = c * (d >> s)
+        if x is not None:
+            acc[:, 0] += x
+        d &= mask
+        d *= c
+        acc += d >> s
+        if nearest:
+            # ties to even: the carry out of rem + parity + 2^(s-1) - 1
+            d &= mask
+            d += acc & 1
+            d += mask >> 1
+            d >>= s
+            acc += d
+        if acc.min() < rmin or acc.max() > rmax:
+            over = (acc < rmin) | (acc > rmax)
+            sat += over.sum(axis=1) if over.ndim == 2 else over
+            if saturate:
+                np.clip(acc, rmin, rmax, out=acc)
+            else:
+                acc &= span - 1
+                acc -= (acc > rmax) * span
+        return acc
+
+    entered = [_requantize(v, qdesign.io_format.frac_bits, sfmt) for v in xs]
+    samples = np.array([x for x, _ in entered], dtype=np.int64)
+    input_sat = sum(sat for _, sat in entered)
+
+    # Lanes are section-reversed, as the wavefront runs. Row k of the [n x 2]
+    # arrays holds section k's w1' and w2' lines: D = p * w + q * w[:, ::-1]
+    # is (a0*w1 - c0*w2, a0*w2 + c0*w1).
+    r, a0, c0, h, g = np.array(qdesign.coeffs_raw, dtype=np.int64)[::-1].T.copy()
+    rr = np.stack([r, r], axis=1)
+    p = np.stack([a0, a0], axis=1)
+    q = np.stack([-c0, c0], axis=1)
+    w = np.array([state.w1_raw, state.w2_raw], dtype=np.int64).T[::-1].copy()
+    sat = np.zeros(n, dtype=np.int64)
+    out = np.empty((len(xs), n), dtype=np.int64)
+
+    for k, x, y in _kernels.wavefront(samples, out):
+        wk = w[k]
+        satk = sat[k]
+        d = p[k] * wk
+        d += q[k] * wk[:, ::-1]
+        wk[:] = write(rr[k], d, satk, x)
+        d = h[k] * wk[:, 1]
+        d += x << cfrac
+        y[:] = write(g[k], d, satk)
+
+    state.w1_raw = w[::-1, 0].tolist()
+    state.w2_raw = w[::-1, 1].tolist()
+    return out, sat[::-1].copy(), input_sat
+
+
+def fixed_process_block(
+    qdesign: QuantizedDesign,
+    state: FixedCascadeState,
+    samples_raw: Sequence[int] | np.ndarray,
+) -> tuple[np.ndarray, FixedRunStats]:
+    """Propagate io-format raw samples through the quantized cascade.
+
+    Returns (raw tap outputs [n_samples x n_sections] in state format,
+    overflow statistics for this call). The datapath is integer-only, so
+    identical raw inputs produce identical raw outputs on any platform.
+    Formats inside the int64 envelope run the wavefront kernel; any other
+    runs fixed_process_block_py. Both give the same raw integers.
+    """
+    xs = _checked_inputs(qdesign, state, samples_raw)
+    if not _int64_exact(qdesign, state):
+        return fixed_process_block_py(qdesign, state, xs)
+    out, section_sat, input_sat = _fixed_block_int64(qdesign, state, xs)
+    state.saturations += section_sat
+    state.samples_processed += len(xs)
+    return out, FixedRunStats(section_saturations=section_sat, input_saturations=input_sat)
+
+
 # ---------------------------------------------------------------------------
 # Quantized coefficient file format: the raw integers are the interchange
 # truth, one row per (section, coefficient).
@@ -482,7 +636,7 @@ QUANTIZED_TABLE_HEADER = ("section", "coeff_name", "raw_int", "total_bits", "fra
 def write_quantized_table(qdesign: QuantizedDesign, path_or_file) -> None:
     import csv
 
-    def _write(f):
+    with open_text(path_or_file, "w") as f:
         w = csv.writer(f)
         w.writerow(QUANTIZED_TABLE_HEADER)
         fmt = qdesign.coeff_format
@@ -490,18 +644,12 @@ def write_quantized_table(qdesign: QuantizedDesign, path_or_file) -> None:
             for name, raw in zip(_COEFF_NAMES, q):
                 w.writerow([i, name, raw, fmt.total_bits, fmt.frac_bits])
 
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="", encoding="utf-8") as f:
-            _write(f)
-
 
 def read_quantized_table(path_or_file) -> tuple[FixedFormat, dict[int, dict[str, int]]]:
     """Read raw coefficient rows; returns (coeff format, {section: {name: raw}})."""
     import csv
 
-    def _read(f):
+    with open_text(path_or_file, "r") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != QUANTIZED_TABLE_HEADER:
@@ -527,11 +675,6 @@ def read_quantized_table(path_or_file) -> tuple[FixedFormat, dict[int, dict[str,
         if fmt is None:
             raise DesignError("quantized table has no data rows")
         return fmt, rows
-
-    if hasattr(path_or_file, "read"):
-        return _read(path_or_file)
-    with open(path_or_file, "r", newline="", encoding="utf-8") as f:
-        return _read(f)
 
 
 def apply_quantized_table(

@@ -3,10 +3,29 @@
 These deliberately avoid the implementation paths they check: the impulse
 response comes from polynomial long division of the transfer function, the
 autocorrelation from a direct O(N^2) sum, and primitivity from GF(2)
-polynomial order.
+polynomial order, and CSV text from the csv module.
 """
 
+import csv
+import io
+
 import numpy as np
+
+
+# doubles whose %.17g text takes each unusual form: signed zero, the smallest
+# subnormal, an exponent, and the largest finite magnitudes
+CSV_EDGE_FLOATS = [-0.0, 5e-324, 1e22, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def csv_text(header, rows) -> str:
+    """What csv.writer writes for the header and rows, with every float as
+    format(v, ".17g")."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 def tf_impulse_response(tf, n: int) -> np.ndarray:

@@ -24,7 +24,12 @@ from carmodel.core import CascadeState, process_block
 from carmodel.design import CascadeDesign, ChannelCoeffs, DesignParams, design_cascade
 from carmodel.errors import AnalysisError, ConfigError
 
-from oracles import circular_autocorrelation_brute, taps_are_primitive
+from oracles import (
+    CSV_EDGE_FLOATS,
+    circular_autocorrelation_brute,
+    csv_text,
+    taps_are_primitive,
+)
 
 
 def cascade_system(design):
@@ -299,6 +304,13 @@ class TestResponseExport:
         f0, db0 = lines[1].split(",")
         assert float(f0) == 0.0
         assert float(db0) == result.magnitudes_db[0, 0]
+        result.magnitudes_db[: len(CSV_EDGE_FLOATS), 1] = CSV_EDGE_FLOATS
+        for channel in (0, 1):
+            path = tmp_path / f"freq_{channel}.csv"
+            write_response_csv(result, channel, path)
+            rows = zip(result.frequencies_hz.tolist(), result.magnitudes_db[:, channel].tolist())
+            expect = csv_text(["frequency_hz", "magnitude_db"], rows)
+            assert path.read_bytes() == expect.encode("utf-8")
 
     def test_impulse_csv(self, fast_design):
         ir = impulse_response(cascade_system(fast_design), 64)
@@ -309,3 +321,10 @@ class TestResponseExport:
         assert lines[0] == "sample_index,amplitude"
         assert len(lines) == 65
         assert float(lines[1].split(",")[1]) == ir[0, 2]
+        rows = enumerate(result.impulse_responses[:, 2].tolist())
+        assert buf.getvalue() == csv_text(["sample_index", "amplitude"], rows)
+        result.impulse_responses[: len(CSV_EDGE_FLOATS), 3] = CSV_EDGE_FLOATS
+        buf = io.StringIO()
+        write_impulse_csv(result, 3, buf)
+        rows = enumerate(result.impulse_responses[:, 3].tolist())
+        assert buf.getvalue() == csv_text(["sample_index", "amplitude"], rows)

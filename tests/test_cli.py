@@ -17,6 +17,8 @@ from carmodel.audio_io import (
 from carmodel.cli import cli_main
 from carmodel.errors import AudioFormatError, ConfigError
 
+from oracles import CSV_EDGE_FLOATS, csv_text
+
 
 def build_wav(
     samples_bytes: bytes,
@@ -124,11 +126,15 @@ class TestReadWav:
 class TestCochleagram:
     def test_csv_round_trip(self, tmp_path, rng):
         m = rng.uniform(-2, 2, (17, 5))
+        m[3] = CSV_EDGE_FLOATS
         p = tmp_path / "c.csv"
         write_cochleagram(m, p, format="csv")
         back, fs = read_cochleagram(p)
         assert fs is None
         assert np.array_equal(back, m)
+        header = ["t"] + [f"y_{k}" for k in range(5)]
+        rows = [[t] + m[t].tolist() for t in range(17)]
+        assert p.read_bytes() == csv_text(header, rows).encode("utf-8")
 
     def test_binary_round_trip_bit_exact(self, tmp_path, rng):
         m = rng.uniform(-2, 2, (64, 9))

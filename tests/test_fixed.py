@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carmodel.core import CascadeState, process_block
@@ -24,6 +24,7 @@ from carmodel.fixed import (
     fixed_add,
     fixed_mul,
     fixed_process_block,
+    fixed_process_block_py,
     fixed_step_section,
     quantize,
     quantize_block,
@@ -48,6 +49,15 @@ def mls_signal(order, amplitude):
 def formats(draw):
     total = draw(st.integers(4, 40))
     frac = draw(st.integers(0, min(20, total - 1)))
+    rounding = draw(st.sampled_from(["round_to_nearest_even", "truncate"]))
+    overflow = draw(st.sampled_from(["saturate", "wrap"]))
+    return FixedFormat(total, frac, rounding, overflow)
+
+
+@st.composite
+def wide_formats(draw):
+    total = draw(st.integers(2, 64))
+    frac = draw(st.integers(0, total - 1))
     rounding = draw(st.sampled_from(["round_to_nearest_even", "truncate"]))
     overflow = draw(st.sampled_from(["saturate", "wrap"]))
     return FixedFormat(total, frac, rounding, overflow)
@@ -108,6 +118,29 @@ class TestQuantize:
         fmt = FixedFormat(frac + 2, frac)
         v = quantize(value, fmt)
         assert abs(to_real(v) - value) <= 2.0 ** (-frac - 1)
+
+    @given(
+        fmt=wide_formats(),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+        near=st.lists(st.floats(-4.0, 4.0), max_size=8),
+    )
+    @example(fmt=FixedFormat(64, 63), values=[1.0], near=[])
+    @example(fmt=FixedFormat(64, 10, overflow="wrap"), values=[1.0], near=[])
+    @settings(max_examples=300, deadline=None)
+    def test_block_matches_scalar(self, fmt, values, near):
+        # near: multiples of the format's range, where saturation and wrap act
+        scale = math.ldexp(1.0, fmt.total_bits - 1 - fmt.frac_bits)
+        limits = [fmt.min_value, fmt.max_value, scale, fmt.min_value - fmt.lsb, 1.0, -1.0]
+        values = values + [v * scale for v in near] + limits
+        try:
+            expect = [quantize(v, fmt).raw for v in values]
+        except OverflowError:  # the scaled value overflows a double
+            with pytest.raises(FixedPointError):
+                quantize_block(values, fmt)
+            return
+        got = quantize_block(values, fmt)
+        assert got.dtype == np.int64
+        assert got.tolist() == expect
 
     def test_to_real_examples(self):
         assert to_real(FixedValue(16384, Q15)) == 0.5
@@ -370,6 +403,24 @@ class TestFixedProcessBlock:
         assert stats.total > 0
         assert np.array_equal(state.saturations, stats.section_saturations)
 
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    def test_overflow_onto_raw_max(self, overflow):
+        # integer formats, one hand-set section: w1 = 3*100 + 83 = 383 is
+        # past raw_max = 127 and both policies land exactly on 127
+        design = design_cascade(DesignParams(48000.0, 1))
+        rows = {0: {"r": 1, "a0": 3, "c0": 0, "h": 0, "g": 1}}
+        state_fmt = FixedFormat(8, 0, overflow=overflow)
+        qd = apply_quantized_table(design, FixedFormat(4, 0), rows, state_fmt, FixedFormat(8, 0))
+        state = FixedCascadeState(1)
+        out, stats = fixed_process_block(qd, state, [100, 83])
+        assert out[:, 0].tolist() == [100, 83]
+        assert state.w1_raw == [127]
+        assert stats.section_saturations.tolist() == [1]
+        ref_state = FixedCascadeState(1)
+        ref_out, _ = fixed_process_block_py(qd, ref_state, [100, 83])
+        assert np.array_equal(out, ref_out)
+        assert ref_state.w1_raw == [127]
+
     def test_snr_monotone_in_word_length(self):
         design = design_cascade(DesignParams(48000.0, 10, x_apex=0.5, damping_zeta=0.2))
         sig = mls_signal(10, 0.25)
@@ -391,6 +442,56 @@ class TestFixedProcessBlock:
             snrs.append(10 * math.log10(float((ref**2).sum() / err)))
         assert all(b >= a for a, b in zip(snrs, snrs[1:]))
         assert snrs[-1] > snrs[0] + 40  # converges toward the float reference
+
+    @given(
+        coeff_frac=st.integers(0, 24),
+        coeff_int=st.integers(3, 5),
+        state_bits=st.integers(6, 64),
+        state_int=st.integers(1, 12),
+        io_bits=st.integers(2, 24),
+        rounding=st.sampled_from(["round_to_nearest_even", "truncate"]),
+        overflow=st.sampled_from(["saturate", "wrap"]),
+        n_sections=st.integers(1, 12),
+        signal=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+        cuts=st.lists(st.integers(1, 15), min_size=1, max_size=6),
+    )
+    # the defaults, a saturating state, and a 64-bit state outside the int64 envelope
+    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, [0.9, -1.0] * 20, [1, 5])
+    @example(10, 2, 12, 2, 16, "round_to_nearest_even", "saturate", 12, [0.9, -1.0] * 20, [3])
+    @example(16, 2, 64, 24, 16, "truncate", "wrap", 5, [0.5, -0.25] * 10, [2, 7])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(
+        self, coeff_frac, coeff_int, state_bits, state_int, io_bits, rounding, overflow,
+        n_sections, signal, cuts,
+    ):
+        coeff_fmt = FixedFormat(coeff_frac + coeff_int, coeff_frac)
+        state_fmt = FixedFormat(state_bits, max(0, state_bits - state_int), rounding, overflow)
+        io_fmt = FixedFormat(io_bits, io_bits - 1)
+        design = design_cascade(DesignParams(48000.0, n_sections, damping_zeta=0.2))
+        qd = quantize_design(design, coeff_fmt, state_fmt, io_fmt)
+        raw_in = quantize_block(signal, io_fmt)
+
+        ref_state = FixedCascadeState(n_sections)
+        ref_out, ref_stats = fixed_process_block_py(qd, ref_state, raw_in)
+        state = FixedCascadeState(n_sections)
+        out, stats = fixed_process_block(qd, state, raw_in)
+        assert np.array_equal(out, ref_out)
+        assert state.w1_raw == ref_state.w1_raw
+        assert state.w2_raw == ref_state.w2_raw
+        assert np.array_equal(stats.section_saturations, ref_stats.section_saturations)
+        assert stats.input_saturations == ref_stats.input_saturations
+
+        # uneven chunks, some shorter than the cascade, carry the state exactly
+        chunked = FixedCascadeState(n_sections)
+        parts, start, i = [], 0, 0
+        while start < len(raw_in):
+            stop = start + cuts[i % len(cuts)]
+            parts.append(fixed_process_block(qd, chunked, raw_in[start:stop])[0])
+            start, i = stop, i + 1
+        assert np.array_equal(np.concatenate(parts), ref_out)
+        assert chunked.w1_raw == ref_state.w1_raw
+        assert chunked.w2_raw == ref_state.w2_raw
+        assert np.array_equal(chunked.saturations, ref_state.saturations)
 
 
 class TestQuantizedTable:
