@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csvfmt import csv_rows
 from ._textfile import open_text
 from .design import CascadeDesign, transfer_function
 from .errors import AnalysisError, ConfigError
@@ -397,13 +398,12 @@ def write_response_csv(result: ResponseResult, channel: int, path_or_file) -> No
     """`frequency_hz,magnitude_db` rows for one channel."""
     with open_text(path_or_file, "w") as f:
         f.write("frequency_hz,magnitude_db\r\n")
-        rows = zip(result.frequencies_hz.tolist(), result.magnitudes_db[:, channel].tolist())
-        f.writelines("%.17g,%.17g\r\n" % row for row in rows)
+        m = np.column_stack((result.frequencies_hz, result.magnitudes_db[:, channel]))
+        f.writelines(csv_rows(m))
 
 
 def write_impulse_csv(result: ResponseResult, channel: int, path_or_file) -> None:
     """`sample_index,amplitude` rows for one channel."""
     with open_text(path_or_file, "w") as f:
         f.write("sample_index,amplitude\r\n")
-        amplitudes = result.impulse_responses[:, channel].tolist()
-        f.writelines("%d,%.17g\r\n" % row for row in enumerate(amplitudes))
+        f.writelines(csv_rows(result.impulse_responses[:, channel : channel + 1], index=True))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfmt import csv_rows
 from .errors import AudioFormatError, ConfigError
 
 __all__ = [
@@ -161,14 +162,11 @@ def write_cochleagram(
     if m.size and not np.isfinite(m).all():
         raise ConfigError("cochleagram contains non-finite values")
     if format == "csv":
-        # The bytes csv.writer gives for these fields, one row per write.
-        # Joining per-value strings keeps peak RSS at the csv.writer level;
-        # one "%d" + ",%.17g" * N format per row was faster but grew it by
-        # about 1.5 MB for 240 x 1224.
+        # The bytes csv.writer gives for these fields, formatted by numpy
+        # about one row at a time.
         with open(path, "w", newline="", encoding="utf-8") as f:
             f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
-            for t in range(m.shape[0]):
-                f.write("%d%s\r\n" % (t, "".join(map(",%.17g".__mod__, m[t].tolist()))))
+            f.writelines(csv_rows(m, index=True))
     elif format == "binary":
         with open(path, "wb") as f:
             f.write(

@@ -107,20 +107,9 @@ def process_sample(design: CascadeDesign, state: CascadeState, x: float) -> np.n
 
 
 def coeff_arrays(design: CascadeDesign) -> tuple[np.ndarray, ...]:
-    """Coefficient vectors (a0, c0, r, h, g) in section order."""
-    n = design.n_sections
-    a0 = np.empty(n)
-    c0 = np.empty(n)
-    r = np.empty(n)
-    h = np.empty(n)
-    g = np.empty(n)
-    for k, s in enumerate(design.sections):
-        a0[k] = s.a0
-        c0[k] = s.c0
-        r[k] = s.r
-        h[k] = s.h
-        g[k] = s.g
-    return a0, c0, r, h, g
+    """Coefficient vectors (a0, c0, r, h, g) in section order; read-only and
+    built once per design."""
+    return design.coeff_arrays
 
 
 def process_block(

@@ -19,6 +19,9 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from ._textfile import open_text
 from .errors import DesignError
@@ -161,6 +164,18 @@ class CascadeDesign:
 
     def cf_hz(self) -> list[float]:
         return [s.cf_hz for s in self.sections]
+
+    @cached_property
+    def coeff_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only float64 vectors (a0, c0, r, h, g) in section order,
+        built on first use: the operands of the float block kernel."""
+        s = self.sections
+        table = np.array(
+            [[c.a0 for c in s], [c.c0 for c in s], [c.r for c in s], [c.h for c in s], [c.g for c in s]],
+            dtype=np.float64,
+        )
+        table.flags.writeable = False
+        return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,12 @@ def quantize(value: float, fmt: FixedFormat) -> FixedValue:
         raise FixedPointError("cannot quantize NaN")
     if math.isinf(value):
         return FixedValue(fmt.raw_max if value > 0 else fmt.raw_min, fmt)
-    scaled = math.ldexp(value, fmt.frac_bits)  # exact: power-of-two scale
+    try:
+        scaled = math.ldexp(value, fmt.frac_bits)  # exact: power-of-two scale
+    except OverflowError:
+        raise FixedPointError(
+            f"{value!r} overflows the {fmt.frac_bits}-bit fraction scale"
+        ) from None
     if fmt.rounding == ROUND_TRUNCATE:
         raw = math.floor(scaled)
     else:

@@ -13,8 +13,14 @@ import numpy as np
 
 
 # doubles whose %.17g text takes each unusual form: signed zero, the smallest
-# subnormal, an exponent, and the largest finite magnitudes
-CSV_EDGE_FLOATS = [-0.0, 5e-324, 1e22, 1.7976931348623157e308, -1.7976931348623157e308]
+# subnormal, an exponent, the largest finite magnitudes, the ends of fixed
+# notation, a 3-digit negative exponent, the smallest normal, and an exact
+# tie at 17 digits
+CSV_EDGE_FLOATS = [
+    -0.0, 5e-324, 1e22, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.0, 1e16, 1e17, 1e-4, 1e-5, 1e-300, 2.2250738585072014e-308,
+    123456789012345.625,
+]
 
 
 def csv_text(header, rows) -> str:

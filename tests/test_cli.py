@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from carmodel._csvfmt import CHUNK_VALUES
 from carmodel.audio_io import (
     AudioBuffer,
     read_cochleagram,
@@ -125,16 +126,22 @@ class TestReadWav:
 
 class TestCochleagram:
     def test_csv_round_trip(self, tmp_path, rng):
-        m = rng.uniform(-2, 2, (17, 5))
-        m[3] = CSV_EDGE_FLOATS
-        p = tmp_path / "c.csv"
-        write_cochleagram(m, p, format="csv")
-        back, fs = read_cochleagram(p)
-        assert fs is None
-        assert np.array_equal(back, m)
-        header = ["t"] + [f"y_{k}" for k in range(5)]
-        rows = [[t] + m[t].tolist() for t in range(17)]
-        assert p.read_bytes() == csv_text(header, rows).encode("utf-8")
+        edges = rng.uniform(-2, 2, (17, len(CSV_EDGE_FLOATS)))
+        edges[3] = CSV_EDGE_FLOATS
+        # wider than one chunk of the formatter; and a row count that is not
+        # a multiple of the rows in a chunk
+        wide = rng.normal(0, 1, (3, CHUNK_VALUES + 5))
+        wide *= 10.0 ** rng.integers(-40, 40, wide.shape)
+        tall = rng.normal(0, 1, (2 * (CHUNK_VALUES // 6) + 3, 5))
+        for m in (edges, wide, tall):
+            p = tmp_path / "c.csv"
+            write_cochleagram(m, p, format="csv")
+            back, fs = read_cochleagram(p)
+            assert fs is None
+            assert np.array_equal(back, m)
+            header = ["t"] + [f"y_{k}" for k in range(m.shape[1])]
+            rows = [[t] + m[t].tolist() for t in range(m.shape[0])]
+            assert p.read_bytes() == csv_text(header, rows).encode("utf-8")
 
     def test_binary_round_trip_bit_exact(self, tmp_path, rng):
         m = rng.uniform(-2, 2, (64, 9))
@@ -162,6 +169,11 @@ class TestCochleagram:
         assert bin_m.shape == (0, 6)
         header = (tmp_path / "e.csv").read_text().splitlines()
         assert header == ["t,y_0,y_1,y_2,y_3,y_4,y_5"]
+        expect = csv_text(["t"] + [f"y_{k}" for k in range(6)], [])
+        assert (tmp_path / "e.csv").read_bytes() == expect.encode("utf-8")
+        write_cochleagram(np.zeros((3, 0)), tmp_path / "n.csv", format="csv")
+        expect = csv_text(["t"], [[0], [1], [2]])
+        assert (tmp_path / "n.csv").read_bytes() == expect.encode("utf-8")
 
     def test_single_cell(self, tmp_path):
         write_cochleagram(np.array([[0.5]]), tmp_path / "s.csv", format="csv")

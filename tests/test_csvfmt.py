@@ -1,0 +1,81 @@
+"""The CSV float formatter against Python's "%.17g", through tests/oracles.py."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from carmodel import _csvfmt
+from carmodel._csvfmt import csv_rows
+from oracles import csv_text
+
+
+def rows_text(m) -> str:
+    return "".join(csv_rows(np.asarray(m, dtype=np.float64)))
+
+
+def expected_text(m) -> str:
+    """csv.writer's rows for m, without the header line."""
+    header = [f"c{k}" for k in range(m.shape[1])]
+    return csv_text(header, m.tolist()).split("\r\n", 1)[1]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+@example(1e16)
+@example(1e17)
+@example(99999999999999999.0)
+@example(1e-4)
+@example(1e-5)
+@example(0.1)
+@example(2.5)
+@example(123456789012345.625)  # an exact tie at 17 digits
+@example(2.2250738585072014e-308)
+@settings(max_examples=1000, deadline=None)
+def test_matches_percent_g(value):
+    m = np.array([[value]])
+    assert rows_text(m) == expected_text(m)
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(17).integers(0, 2**64, 1_050_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:1_000_000].reshape(-1, 40)
+    assert rows_text(values) == expected_text(values)
+
+
+def test_non_finite_values():
+    m = np.array([[np.inf, -np.inf, np.nan, 1.5]])
+    assert rows_text(m) == expected_text(m)
+
+
+def test_python_path_gives_the_same_bytes(monkeypatch, rng):
+    m = rng.normal(0, 1, (50, 30)) * 10.0 ** rng.integers(-300, 300, (50, 30))
+    m[0, :3] = [0.0, -0.0, 123456789012345.625]
+    seen = []
+    python_fields = _csvfmt._python_fields
+
+    def counted(values):
+        seen.extend(values.tolist())
+        return python_fields(values)
+
+    monkeypatch.setattr(_csvfmt, "_python_fields", counted)
+    fast = rows_text(m)
+    assert 0 < len(seen) < 0.05 * m.size  # numpy formats all exponents
+    seen.clear()
+    # at a double's unit roundoff the margin exceeds one half
+    monkeypatch.setattr(_csvfmt, "_REL_MARGIN", 3 * 2.0**-53)
+    assert rows_text(m) == fast == expected_text(m)
+    assert len(seen) == m.size
+
+
+def test_power_table_within_half_ulp():
+    for p, entry in zip(range(_csvfmt._P_MIN, _csvfmt._P_MAX + 1), _csvfmt._POW10):
+        error = abs(Fraction(*entry.as_integer_ratio()) - Fraction(10) ** p)
+        assert error <= Fraction(*np.spacing(entry).as_integer_ratio()) / 2, p

@@ -126,6 +126,7 @@ class TestQuantize:
     )
     @example(fmt=FixedFormat(64, 63), values=[1.0], near=[])
     @example(fmt=FixedFormat(64, 10, overflow="wrap"), values=[1.0], near=[])
+    @example(fmt=FixedFormat(64, 63), values=[1e308], near=[])
     @settings(max_examples=300, deadline=None)
     def test_block_matches_scalar(self, fmt, values, near):
         # near: multiples of the format's range, where saturation and wrap act
@@ -134,7 +135,7 @@ class TestQuantize:
         values = values + [v * scale for v in near] + limits
         try:
             expect = [quantize(v, fmt).raw for v in values]
-        except OverflowError:  # the scaled value overflows a double
+        except FixedPointError:  # the scaled value overflows a double
             with pytest.raises(FixedPointError):
                 quantize_block(values, fmt)
             return
