@@ -5,10 +5,10 @@ analyze (impulse/frequency response CSVs), schedule (hardware timing
 report), compare (float vs fixed parity). Every processing error prints a
 single `error: ...` line on stderr and exits 1; usage problems exit 2.
 
-A config file (--config) holds `key = value` lines whose keys are the long
-option names with dashes replaced by underscores; explicit flags override
-config values. The CARMODEL_LOG environment variable sets log verbosity
-(debug, info, warning, error); it affects logging only, never the outputs.
+A config file (--config) holds `key = value` lines keyed by the long option
+names with dashes replaced by underscores; values parse like their flags (a
+bad one is a usage error) and explicit flags override them. CARMODEL_LOG
+sets log verbosity (debug, info, warning, error), never the outputs.
 """
 
 from __future__ import annotations
@@ -38,49 +38,41 @@ log = logging.getLogger("carmodel")
 
 __all__ = ["cli_main", "main"]
 
+_SHOW_DEFAULT = "default %(default)s"
+
 
 def _parse_h_policy(text: str) -> HPolicy:
     t = text.strip()
     if t in ("proportional", "proportional_to_c0", "c0"):
         return HPolicy.proportional_to_c0()
-    if t.startswith("fraction:"):
-        return HPolicy.fraction_of_bound(float(t.split(":", 1)[1]))
-    if t.startswith("explicit:"):
-        return HPolicy.explicit(float(t.split(":", 1)[1]))
-    raise ConfigError(
-        f"bad h-policy {text!r}; use proportional, fraction:F, or explicit:V"
-    )
+    kind, _, value = t.partition(":")
+    make = {"fraction": HPolicy.fraction_of_bound, "explicit": HPolicy.explicit}.get(kind)
+    try:
+        number = float(value)
+    except ValueError:
+        make = None
+    if make is None:
+        raise ConfigError(f"bad h-policy {text!r}; use proportional, fraction:F, or explicit:V")
+    return make(number)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def _load_config(path: str, command: argparse.ArgumentParser) -> dict[str, str]:
+    """The `key = value` lines of a config file, each naming an optional flag."""
+    known = {a.dest for a in command._actions if a.option_strings and not a.required}
+    known -= {"help", "config"}
     cfg = {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = stripped.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, table: dict[str, tuple]) -> None:
-    """Fill None-valued args from the config file, then built-in defaults."""
-    cfg = _load_config(getattr(args, "config", None))
-    known = set(table)
-    for key in cfg:
+        key = key.strip().replace("-", "_")
         if key not in known:
             raise ConfigError(f"unknown config key: {key}")
-    for key, (conv, default) in table.items():
-        if getattr(args, key, None) is None:
-            raw = cfg.get(key)
-            setattr(args, key, conv(raw) if raw is not None else default)
+        cfg[key] = value.strip()
+    return cfg
 
 
 def _fixed_formats(args) -> tuple[fixed.FixedFormat, fixed.FixedFormat, fixed.FixedFormat]:
@@ -91,33 +83,22 @@ def _fixed_formats(args) -> tuple[fixed.FixedFormat, fixed.FixedFormat, fixed.Fi
     )
 
 
-_FIXED_FORMAT_TABLE = {
-    "coeff_bits": (int, 18),
-    "coeff_frac": (int, 16),
-    "state_bits": (int, 32),
-    "state_frac": (int, 24),
-    "io_bits": (int, 16),
-    "io_frac": (int, 15),
-}
+def _hardware(args, sample_rate_hz: float) -> schedule.HardwareParams:
+    return schedule.HardwareParams(
+        clock_hz=args.clock_hz,
+        cycles_per_section=args.cycles_per_section,
+        sample_rate_hz=sample_rate_hz,
+        max_arrays=args.max_arrays,
+    )
 
 
-def _add_fixed_format_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coeff-bits", type=int)
-    p.add_argument("--coeff-frac", type=int)
-    p.add_argument("--state-bits", type=int)
-    p.add_argument("--state-frac", type=int)
-    p.add_argument("--io-bits", type=int)
-    p.add_argument("--io-frac", type=int)
-
-
-def _load_design_checked(coeffs_path: str, wav: audio_io.AudioBuffer | None) -> CascadeDesign:
+def _load_design_checked(coeffs_path: str, wav: audio_io.AudioBuffer) -> CascadeDesign:
     design = read_coeff_table(coeffs_path)
-    if wav is not None:
-        if abs(wav.sample_rate_hz - design.sample_rate_hz) > 1e-6 * design.sample_rate_hz:
-            raise ConfigError(
-                f"WAV sample rate {wav.sample_rate_hz} Hz differs from design rate "
-                f"{design.sample_rate_hz:.6g} Hz; resampling is not performed"
-            )
+    if abs(wav.sample_rate_hz - design.sample_rate_hz) > 1e-6 * design.sample_rate_hz:
+        raise ConfigError(
+            f"WAV sample rate {wav.sample_rate_hz} Hz differs from design rate "
+            f"{design.sample_rate_hz:.6g} Hz; resampling is not performed"
+        )
     return design
 
 
@@ -127,17 +108,6 @@ def _load_design_checked(coeffs_path: str, wav: audio_io.AudioBuffer | None) -> 
 
 
 def _cmd_design(args) -> int:
-    _resolve(args, {
-        "fs": (float, 48000.0),
-        "sections": (int, 1224),
-        "x_base": (float, 1.0),
-        "x_apex": (float, 0.023),
-        "zeta": (float, 0.1),
-        "h_policy": (str, "proportional"),
-        "r": (float, None),
-        "output": (str, "coeffs.csv"),
-        **_FIXED_FORMAT_TABLE,
-    })
     params = DesignParams(
         sample_rate_hz=args.fs,
         n_sections=args.sections,
@@ -165,16 +135,6 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    _resolve(args, {
-        "format": (str, "csv"),
-        "mode": (str, "float"),
-        "stats": (str, None),
-        "quantized": (str, None),
-        "clock_hz": (float, 142e6),
-        "cycles_per_section": (int, 29),
-        "max_arrays": (int, 12),
-        **_FIXED_FORMAT_TABLE,
-    })
     wav = audio_io.read_wav(args.wav)
     design = _load_design_checked(args.coeffs, wav)
     log.info("run: %d samples through %d sections, mode=%s",
@@ -184,12 +144,7 @@ def _cmd_run(args) -> int:
         state = CascadeState(design.n_sections)
         outputs = process_block(design, state, wav.samples)
     elif args.mode == "pipeline":
-        params = schedule.HardwareParams(
-            clock_hz=args.clock_hz,
-            cycles_per_section=args.cycles_per_section,
-            sample_rate_hz=design.sample_rate_hz,
-            max_arrays=args.max_arrays,
-        )
+        params = _hardware(args, design.sample_rate_hz)
         outputs = schedule.simulate_pipeline(design, params, wav.samples)
     elif args.mode == "fixed":
         coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
@@ -230,17 +185,12 @@ def _default_channels(n_sections: int, count: int = 20) -> list[int]:
 
 
 def _cmd_analyze(args) -> int:
-    _resolve(args, {
-        "method": (str, "mls"),
-        "mls_order": (int, 14),
-        "n_samples": (int, None),
-        "n_fft": (int, None),
-        "channels": (str, None),
-        "out_dir": (str, "analysis_out"),
-    })
     design = read_coeff_table(args.coeffs)
     if args.channels:
-        channels = sorted(set(int(c) for c in args.channels.split(",")))
+        try:
+            channels = sorted(set(int(c) for c in args.channels.split(",")))
+        except ValueError:
+            raise ConfigError(f"channels must be integers: {args.channels!r}") from None
         bad = [c for c in channels if not 0 <= c < design.n_sections]
         if bad:
             raise ConfigError(f"channels out of range: {bad}")
@@ -282,21 +232,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    _resolve(args, {
-        "sections": (int, 1224),
-        "clock_hz": (float, 142e6),
-        "cycles_per_section": (int, 29),
-        "fs": (float, 48000.0),
-        "max_arrays": (int, 12),
-        "csv": (str, None),
-    })
-    params = schedule.HardwareParams(
-        clock_hz=args.clock_hz,
-        cycles_per_section=args.cycles_per_section,
-        sample_rate_hz=args.fs,
-        max_arrays=args.max_arrays,
-    )
-    report = schedule.plan(params, args.sections)
+    report = schedule.plan(_hardware(args, args.fs), args.sections)
     print(schedule.report_text(report))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as f:
@@ -305,10 +241,6 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _resolve(args, {
-        "output": (str, None),
-        **_FIXED_FORMAT_TABLE,
-    })
     wav = audio_io.read_wav(args.wav)
     design = _load_design_checked(args.coeffs, wav)
     coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
@@ -351,7 +283,30 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_size_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fs", type=float, default=schedule.HardwareParams.sample_rate_hz,
+                   help="sample rate in Hz (default %(default)s)")
+    p.add_argument("--sections", type=int, default=1224,
+                   help="number of sections (default %(default)s)")
+
+
+def _add_hardware_flags(p: argparse.ArgumentParser) -> None:
+    hw = schedule.HardwareParams
+    p.add_argument("--clock-hz", type=float, default=hw.clock_hz, help=_SHOW_DEFAULT)
+    p.add_argument("--cycles-per-section", type=int, default=hw.cycles_per_section,
+                   help=_SHOW_DEFAULT)
+    p.add_argument("--max-arrays", type=int, default=hw.max_arrays, help=_SHOW_DEFAULT)
+
+
+def _add_fixed_format_flags(p: argparse.ArgumentParser) -> None:
+    formats = (fixed.DEFAULT_COEFF_FORMAT, fixed.DEFAULT_STATE_FORMAT, fixed.DEFAULT_IO_FORMAT)
+    for word, fmt in zip(("coeff", "state", "io"), formats):
+        p.add_argument(f"--{word}-bits", type=int, default=fmt.total_bits, help=_SHOW_DEFAULT)
+        p.add_argument(f"--{word}-frac", type=int, default=fmt.frac_bits, help=_SHOW_DEFAULT)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="carmodel",
         description="Cochlear filter-cascade design, simulation, and measurement",
@@ -360,15 +315,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="compute a coefficient table")
     p.add_argument("--config")
-    p.add_argument("--fs", type=float, help="sample rate in Hz (default 48000)")
-    p.add_argument("--sections", type=int, help="number of sections (default 1224)")
-    p.add_argument("--x-base", type=float, dest="x_base")
-    p.add_argument("--x-apex", type=float, dest="x_apex")
-    p.add_argument("--zeta", type=float, help="damping factor (default 0.1)")
-    p.add_argument("--h-policy", dest="h_policy",
-                   help="proportional | fraction:F | explicit:V")
+    _add_size_flags(p)
+    p.add_argument("--x-base", type=float, default=DesignParams.x_base, help=_SHOW_DEFAULT)
+    p.add_argument("--x-apex", type=float, default=DesignParams.x_apex, help=_SHOW_DEFAULT)
+    p.add_argument("--zeta", type=float, default=DesignParams.damping_zeta,
+                   help="damping factor (default %(default)s)")
+    p.add_argument("--h-policy", default="proportional",
+                   help="proportional | fraction:F | explicit:V (default %(default)s)")
     p.add_argument("--r", type=float, help="explicit global pole radius")
-    p.add_argument("--output", "-o")
+    p.add_argument("--output", "-o", default="coeffs.csv", help=_SHOW_DEFAULT)
     p.add_argument("--quantize", help="also write a quantized coefficient table here")
     _add_fixed_format_flags(p)
     p.set_defaults(func=_cmd_design)
@@ -378,34 +333,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="coefficient table CSV")
     p.add_argument("--wav", required=True)
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--format", choices=["csv", "binary"])
-    p.add_argument("--mode", choices=["float", "fixed", "pipeline"])
+    p.add_argument("--format", choices=["csv", "binary"], default="csv", help=_SHOW_DEFAULT)
+    p.add_argument("--mode", choices=["float", "fixed", "pipeline"], default="float",
+                   help=_SHOW_DEFAULT)
     p.add_argument("--stats", help="per-section saturation CSV (fixed mode)")
     p.add_argument("--quantized", help="raw quantized coefficient table to use")
-    p.add_argument("--clock-hz", type=float, dest="clock_hz")
-    p.add_argument("--cycles-per-section", type=int, dest="cycles_per_section")
-    p.add_argument("--max-arrays", type=int, dest="max_arrays")
+    _add_hardware_flags(p)
     _add_fixed_format_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("analyze", help="impulse/frequency response measurement")
     p.add_argument("--config")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--method", choices=["impulse", "mls"])
-    p.add_argument("--mls-order", type=int, dest="mls_order")
-    p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--n-fft", type=int, dest="n_fft")
+    p.add_argument("--method", choices=["impulse", "mls"], default="mls", help=_SHOW_DEFAULT)
+    p.add_argument("--mls-order", type=int, default=analysis.MlsConfig.order, help=_SHOW_DEFAULT)
+    p.add_argument("--n-samples", type=int)
+    p.add_argument("--n-fft", type=int)
     p.add_argument("--channels", help="comma-separated tap indices (default: 20 spread)")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir", default="analysis_out", help=_SHOW_DEFAULT)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("schedule", help="hardware timing report")
     p.add_argument("--config")
-    p.add_argument("--sections", type=int)
-    p.add_argument("--clock-hz", type=float, dest="clock_hz")
-    p.add_argument("--cycles-per-section", type=int, dest="cycles_per_section")
-    p.add_argument("--fs", type=float)
-    p.add_argument("--max-arrays", type=int, dest="max_arrays")
+    _add_size_flags(p)
+    _add_hardware_flags(p)
     p.add_argument("--csv", help="also write the report as CSV")
     p.set_defaults(func=_cmd_schedule)
 
@@ -417,23 +368,31 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fixed_format_flags(p)
     p.set_defaults(func=_cmd_compare)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv. With --config, parse it again over the file's values as
+    the subcommand's defaults: argparse converts them by each flag's type,
+    and flags given on the command line override them."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        command = commands[args.command]
+        command.set_defaults(**_load_config(args.config, command))
+        args = parser.parse_args(argv)
+    return args
 
 
 def cli_main(argv=None) -> int:
     level = os.environ.get("CARMODEL_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = _parse_args(argv)
         return args.func(args)
-    except CarModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except SystemExit as exc:  # argparse: --help or a usage error
+        return int(exc.code) if exc.code is not None else 0
+    except (CarModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

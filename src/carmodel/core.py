@@ -106,12 +106,6 @@ def process_sample(design: CascadeDesign, state: CascadeState, x: float) -> np.n
     return y
 
 
-def coeff_arrays(design: CascadeDesign) -> tuple[np.ndarray, ...]:
-    """Coefficient vectors (a0, c0, r, h, g) in section order; read-only and
-    built once per design."""
-    return design.coeff_arrays
-
-
 def process_block(
     design: CascadeDesign, state: CascadeState, samples: Sequence[float] | np.ndarray
 ) -> np.ndarray:
@@ -128,7 +122,7 @@ def process_block(
         raise ConfigError("samples contain non-finite values")
     out = np.empty((x.shape[0], design.n_sections), dtype=np.float64)
     if x.size:
-        a0, c0, r, h, g = coeff_arrays(design)
+        a0, c0, r, h, g = design.coeff_arrays
         cascade_block(x, a0, c0, r, h, g, state.w1, state.w2, out)
     state.samples_processed += x.shape[0]
     return out

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._csvfmt import csv_rows
 from ._textfile import open_text
 from .errors import DesignError
 
@@ -417,14 +418,16 @@ COEFF_TABLE_HEADER = ("section", "x", "cf_hz", "theta_r", "r", "a0", "c0", "h", 
 
 def write_coeff_table(design: CascadeDesign, path_or_file) -> None:
     """Write the design as a coefficient-table CSV (base section first)."""
+    # section_index is a float column: integers below 2^53 print the same
+    # under "%.17g" and "%d". The reshape keeps a design without sections 2-D.
+    m = np.array(
+        [(s.section_index, x, s.cf_hz, s.theta_r, s.r, s.a0, s.c0, s.h, s.g)
+         for x, s in zip(design.positions, design.sections)],
+        dtype=np.float64,
+    ).reshape(-1, len(COEFF_TABLE_HEADER))
     with open_text(path_or_file, "w") as f:
-        w = csv.writer(f)
-        w.writerow(COEFF_TABLE_HEADER)
-        for x, s in zip(design.positions, design.sections):
-            w.writerow(
-                [s.section_index]
-                + [format(v, ".17g") for v in (x, s.cf_hz, s.theta_r, s.r, s.a0, s.c0, s.h, s.g)]
-            )
+        f.write(",".join(COEFF_TABLE_HEADER) + "\r\n")
+        f.writelines(csv_rows(m))
 
 
 def read_coeff_table(path_or_file) -> CascadeDesign:

@@ -127,17 +127,12 @@ def simulate_pipeline(
         raise InfeasibleError(
             f"{report.arrays_needed} arrays needed, only {params.max_arrays} available"
         )
-    state = CascadeState(design.n_sections)
-    ref = process_block(design, state, samples)
-    out = np.zeros_like(ref)
+    out = process_block(design, CascadeState(design.n_sections), samples)
     per_array = report.sections_per_array
-    n = ref.shape[0]
-    for k in range(design.n_sections):
-        delay = k // per_array
-        if delay == 0:
-            out[:, k] = ref[:, k]
-        elif delay < n:
-            out[delay:, k] = ref[: n - delay, k]
+    for a in range(1, report.arrays_needed):
+        cols = slice(a * per_array, (a + 1) * per_array)
+        out[a:, cols] = out[:-a, cols]
+        out[:a, cols] = 0.0
     return out
 
 

@@ -1,12 +1,15 @@
 """File I/O and the command-line front end."""
 
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carmodel
 from carmodel._csvfmt import CHUNK_VALUES
 from carmodel.audio_io import (
     AudioBuffer,
@@ -398,10 +401,66 @@ class TestCliPlumbing:
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("sections = abc\n")
+        rc = cli_main(["design", "--config", str(cfg), "-o", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "argument --sections: invalid int value: 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_required_flag_or_missing_file_in_config_exit_1(self, workspace, capsys):
+        cfg = workspace / "req.conf"
+        cfg.write_text(f"coeffs = {workspace / 'coeffs.csv'}\n")
+        for conf in (cfg, workspace / "absent.conf"):
+            rc = cli_main(["analyze", "--config", str(conf),
+                           "--coeffs", str(workspace / "coeffs.csv")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "\n" not in err.strip()
+
+    def test_flags_override_config_fixed_format_and_hardware(self, tmp_path, capsys):
+        cfg = tmp_path / "fmt.conf"
+        cfg.write_text(f"sections = 3\ncoeff_bits = 20\nquantize = {tmp_path / 'q.csv'}\n")
+        out = tmp_path / "c.csv"
+        assert cli_main(["design", "--config", str(cfg), "-o", str(out)]) == 0
+        assert "quantized coefficients (20/16)" in capsys.readouterr().out
+        args = ["design", "--config", str(cfg), "--coeff-bits", "22", "-o", str(out)]
+        assert cli_main(args) == 0
+        assert "quantized coefficients (22/16)" in capsys.readouterr().out
+
+        cfg = tmp_path / "hw.conf"
+        cfg.write_text("clock_hz = 100e6\nsections = 500\n")
+        assert cli_main(["schedule", "--config", str(cfg)]) == 0
+        assert "sections_per_array: 71" in capsys.readouterr().out
+        assert cli_main(["schedule", "--config", str(cfg), "--clock-hz", "142e6"]) == 0
+        assert "sections_per_array: 102" in capsys.readouterr().out
+
+    def test_help_shows_library_defaults(self, capsys):
+        assert cli_main(["run", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "default 142000000.0" in out
+        assert "default 18" in out
+
+    def test_bad_channels_or_h_policy_exit_1(self, workspace, capsys):
+        coeffs, out = str(workspace / "coeffs.csv"), str(workspace / "o")
+        for argv in (
+            ["analyze", "--coeffs", coeffs, "--channels", "1,x", "--out-dir", out],
+            ["analyze", "--coeffs", coeffs, "--channels", "1,,2", "--out-dir", out],
+            ["design", "--h-policy", "fraction:abc", "-o", out],
+        ):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "\n" not in err.strip()
+
     def test_entry_point_runs(self):
+        # the child imports the same package as the suite, installed or not
+        src = str(Path(carmodel.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "carmodel.cli", "schedule", "--sections", "102"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "arrays_needed: 1" in proc.stdout

@@ -9,7 +9,6 @@ from carmodel._kernels import cascade_block_py
 from carmodel.core import (
     CascadeState,
     SectionState,
-    coeff_arrays,
     process_block,
     process_sample,
     reset,
@@ -177,7 +176,7 @@ class TestProcessBlock:
         xs = rng.uniform(-1, 1, 256)
         state = CascadeState(9)
         out_block = process_block(design, state, xs)
-        a0, c0, r, h, g = coeff_arrays(design)
+        a0, c0, r, h, g = design.coeff_arrays
         w1 = np.zeros(9)
         w2 = np.zeros(9)
         out_py = np.empty((256, 9))

@@ -26,6 +26,7 @@ from carmodel.design import (
 from carmodel.errors import DesignError
 
 from conftest import random_section
+from oracles import csv_text
 
 
 class TestGreenwood:
@@ -370,6 +371,21 @@ class TestCoeffTable:
         # 12+ significant digits survive
         first = lines[1].split(",")
         assert float(first[2]) == d.sections[0].cf_hz
+
+    @pytest.mark.parametrize("n", [1, 37, 1224])
+    def test_bytes_match_csv_writer(self, tmp_path, n):
+        d = design_cascade(DesignParams(44100.0, n, x_apex=0.1, damping_zeta=0.17))
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(d, path)
+        rows = [
+            [s.section_index, x, s.cf_hz, s.theta_r, s.r, s.a0, s.c0, s.h, s.g]
+            for x, s in zip(d.positions, d.sections)
+        ]
+        expect = csv_text(["section", "x", "cf_hz", "theta_r", "r", "a0", "c0", "h", "g"], rows)
+        assert path.read_bytes() == expect.encode("utf-8")
+        buf = io.StringIO()
+        write_coeff_table(d, buf)
+        assert buf.getvalue() == expect
 
     def test_rejects_bad_header(self):
         buf = io.StringIO("a,b,c\n1,2,3\n")

@@ -131,16 +131,18 @@ class TestSimulatePipeline:
         design = design_cascade(DesignParams(48000.0, 8, damping_zeta=0.2))
         params = three_array_params()
         assert plan(params, 8).arrays_needed == 3
-        xs = rng.uniform(-1, 1, 200)
-        out = simulate_pipeline(design, params, xs)
-        ref = process_block(design, CascadeState(8), xs)
-        for k in range(8):
-            delay = k // 3
-            if delay:
-                assert np.all(out[:delay, k] == 0.0)
-                assert np.array_equal(out[delay:, k], ref[:-delay, k])
-            else:
-                assert np.array_equal(out[:, k], ref[:, k])
+        # one sample is shorter than the largest delay
+        for xs in (rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 1)):
+            out = simulate_pipeline(design, params, xs)
+            ref = process_block(design, CascadeState(8), xs)
+            assert out.shape == ref.shape
+            for k in range(8):
+                delay = k // 3
+                if delay:
+                    assert np.all(out[:delay, k] == 0.0)
+                    assert np.array_equal(out[delay:, k], ref[:-delay, k])
+                else:
+                    assert np.array_equal(out[:, k], ref[:, k])
 
     def test_infeasible_rejected(self):
         design = design_cascade(DesignParams(48000.0, 40, damping_zeta=0.2))
