@@ -1,21 +1,43 @@
 """CSV rows of float64 values, every field byte-identical to "%.17g" % v.
 
-Each value is scaled into [1e16, 1e17) in long double, z = |v| * 10^(16-X)
-with X its decimal exponent, and rounded to the 17-digit integer D. The
-table entry 10^(16-X) and the product each round once, so z is within
+Digits. Each value is scaled into [1e16, 1e17) in long double,
+z = |v| * 10^(16-X) with X its decimal exponent, and cut into its integer
+part D and its fraction. X is first taken as floor(log10|v|), which can be
+one off next to a power of ten; the few values whose D falls outside
+[1e16, 1e17) are scaled once more with X moved by one. The table entry
+10^(16-X) and the product each round once, so z is within
 u(2+u) * exact < _REL_MARGIN * z of the exact product, u being the unit
-roundoff of the long double. A value is ambiguous when the fraction of z
-lies within that margin of one half, when z lies within it of 1e16, or when
-D would round up to 1e17. Python formats the ambiguous values (exact ties
-among them) and numpy every other one. Where the long double is no wider
-than a double, the margin is at least one half and every value takes
-Python's path.
+roundoff of the long double.
 
-A field is laid out in fixed byte columns: sign, "0.000", the 17 digits
-each with a possible "." after it, "e+XXX" and the terminator. A table
-indexed by the layout (fixed notation for -4 <= X < 17, or an exponent of
-2 or 3 digits) and the number of significant digits says which bytes the
-field keeps, and one compaction per chunk drops the others.
+Ambiguity. Python formats the ambiguous values (exact ties among them) and
+numpy every other one. The tests run in float64 and int64:
+
+- The fraction z - D is exact in long double; as a double f it is off by at
+  most 2^-54, and f - 0.5 by at most 2^-55 more. The margin m = D * c, with
+  c = _REL_MARGIN * (1 + 2^-40) + 2^-52 / 1e16, rounds twice in float64
+  (D to a double, then the product) and D >= z - 1, so for z >= 1e16 it is
+  at least _REL_MARGIN * z + 2^-53. A value is ambiguous when
+  |f - 0.5| <= m; otherwise the exact product lies on the same side of
+  D + 0.5 as z, and D + (f > 0.5) are its 17 digits.
+- A value is ambiguous when D <= 10^16 or D >= 10^17 - 1. As long as
+  _REL_MARGIN * z < 1 this flags every z < 1e16 + 1 (the exact product may
+  lie below 1e16, X one too large) and every z >= 1e17 - 1/2 (the digits
+  would round up to 10^17), which are the values that the tests
+  z - margin < 1e16 and z + 0.5 >= 1e17 flag in long double; it also flags
+  every D that the rescaling left outside [1e16, 1e17).
+
+Where the long double is no wider than a double, the margin is at least one
+half and every value takes Python's path.
+
+Layout. A field is 48 bytes, six aligned 64-bit words: the sign, "0.000",
+the leading digit and a "."; digits 1-16 as four "d.d.d.d." words, each
+taken whole from a 10 000-entry table of 4-digit groups; then "e+XXX" and
+the terminator. A table indexed by the layout (fixed notation for
+-4 <= X < 17, or an exponent of 2 or 3 digits) and the number of
+significant digits, itself read per group from a 4 x 10 000 table, masks
+the bytes the field keeps. The other bytes become NUL, and one translate per
+chunk deletes them. The bytes that never change ("0.000", the "." after the
+leading digit, the terminators) are written once per csv_rows call.
 
 The arithmetic sticks to float64, int64 and long double ufuncs, with lookup
 tables for the rest: the first call of each new numpy loop in a process
@@ -48,42 +70,61 @@ def _unit_roundoff() -> float:
 _POW10 = np.array([f"1e{p}" for p in range(_P_MIN, _P_MAX + 1)], dtype=np.longdouble)
 _REL_MARGIN = 3.0 * _unit_roundoff()
 
-# The two decimal digits of 0..99; and for pair k (digits 2k+1 and 2k+2 of
-# D) holding p, at 100k + p, the number of digits up to its last nonzero one
-# (0 for p = 0).
-_DIGITS2 = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint8).reshape(100, 2)
-_PAIR_SIG = np.array(
-    [0 if p == 0 else 2 * k + 3 - (p % 10 == 0) for k in range(8) for p in range(100)]
-)
-_PAIR_ROW = np.arange(0, 800, 100)[:, None]
-_NOT_SPACE = np.array([i != ord(" ") for i in range(256)])
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The text "d.d.d.d." of each 4-digit group g = 0..9999 as a 64-bit
+    word; and for group k (digits 4k+1 to 4k+4 of D) holding g, at
+    10000k + g, the number of digits of D up to its last nonzero one in the
+    group (0 for g = 0). Both are built from 100-entry pieces, without
+    10 000-entry int64 temporaries."""
+    pair = np.frombuffer(
+        b"".join(b"%d.%d." % divmod(p, 10) for p in range(100)), dtype=np.uint8
+    ).reshape(100, 4)
+    words = np.empty((100, 100, 8), dtype=np.uint8)
+    words[:, :, :4] = pair[:, None]
+    words[:, :, 4:] = pair[None, :]
+    pair_sig = np.array([0 if p == 0 else 2 - (p % 10 == 0) for p in range(100)], dtype=np.uint8)
+    group_sig = np.where(pair_sig > 0, pair_sig + 2, pair_sig[:, None]).reshape(-1)
+    before = np.arange(1, 17, 4, dtype=np.uint8)[:, None]  # digits before group k
+    sig = np.where(group_sig > 0, group_sig + before, 0)
+    return words.reshape(-1).view(np.uint64), sig.reshape(-1)
+
+
+_GROUP_WORD, _GROUP_SIG = _group_tables()
+_GROUP_ROW = np.arange(0, 40000, 10000)[:, None]
 
 # Byte columns of a field: a "." may follow every digit, and the mask keeps
 # the bytes of the field's layout.
-_SIGN = 0  # "-"
+_SIGN = 0  # "-" or NUL
 _PREFIX = slice(1, 6)  # "0.000" before the digits when -4 <= X < 0
-_DIGIT = slice(6, 39, 2)  # digit j at 6 + 2j, a possible "." after it
-_EXP = slice(39, 44)  # "e+XXX"
-_END = 44  # "," or "\r"
-_LF = 45  # "\n" after the last field of a row
-_WIDTH = 46
+_LEAD = 6  # digit 0, with the "." after it at 7
+_HEAD = np.frombuffer(b"-0.0000.", dtype=np.uint8)  # bytes 0-7
+_DIGIT = slice(6, 40, 2)  # digit j at 6 + 2j, a possible "." after it
+_GROUPS = slice(1, 5)  # the words of digits 1-16
+_EXP = slice(40, 45)  # "e+XXX"
+_END = 45  # "," or "\r"
+_LF = 46  # "\n" after the last field of a row, NUL after the others
+_WIDTH = 48
 
-# Per decimal exponent X (from _X_MIN), its "e+XXX" bytes and its layout: 0-20
-# for fixed notation with X = -4..16, 21 and 22 for e+XX and e+XXX.
+# Per decimal exponent X (from _X_MIN), the word of bytes 40-47 holding its
+# "e+XXX", and the first row of its layout in _KEEP: layouts 0-20 for fixed
+# notation with X = -4..16, 21 and 22 for e+XX and e+XXX.
 _X_MIN = -330
-_EXP_TEXT = np.frombuffer(
-    b"".join(b"e%+04d" % x for x in range(_X_MIN, 330)), dtype=np.uint8
-).reshape(-1, 5)
-_LAYOUT = np.array(
-    [x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100) for x in range(_X_MIN, 330)]
+_EXP_WORD = np.frombuffer(
+    b"".join(b"e%+04d\0\0\0" % x for x in range(_X_MIN, 330)), dtype=np.uint64
+)
+_LAYOUT_ROW = np.array(
+    [18 * (x + 4 if -4 <= x <= 16 else 21 + (abs(x) >= 100)) for x in range(_X_MIN, 330)]
 )
 
 
 def _keep_table() -> np.ndarray:
-    """Which bytes a field writes, apart from the sign and the "\\n", per
-    layout and number of significant digits (after stripping trailing
-    zeros), in row layout * 18 + significant digits."""
+    """0xFF on the bytes a field keeps, per layout and number of
+    significant digits (after stripping trailing zeros), in row
+    layout * 18 + significant digits. The sign and the terminators are
+    always kept: there a field holds NUL where it writes nothing."""
     table = np.zeros((23, 18, _WIDTH), dtype=bool)
+    table[:, :, [_SIGN, _END, _LF]] = True
     for layout in range(23):
         for significant in range(18):
             row = table[layout, significant]
@@ -101,70 +142,73 @@ def _keep_table() -> np.ndarray:
             row[_DIGIT][:shown] = True
             if dot is not None and shown > dot + 1:
                 row[_DIGIT.start + 2 * dot + 1] = True
-            row[_END] = True
-    return table.reshape(-1, _WIDTH)
+    return table.reshape(-1, _WIDTH).view(np.uint8) * np.uint8(0xFF)
 
 
 _KEEP = _keep_table()
+_FALLBACK_KEEP = np.uint8([0xFF] * 24 + [0] * (_END - 24))  # bytes 0 to _END - 1
+_NUL_FOR_SPACE = bytes(range(256)).replace(b" ", b"\0")
 
 
 def _python_fields(values: np.ndarray) -> np.ndarray:
-    """Python's "%.17g" text of each value, space-padded to 24 bytes."""
-    text = b"".join([b"%-24.17g" % f for f in values.tolist()])
+    """Python's "%.17g" text of each value, NUL-padded to 24 bytes."""
+    text = b"".join([b"%-24.17g" % f for f in values.tolist()]).translate(_NUL_FOR_SPACE)
     return np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
 
 
-def _fields(v, row_end, text, keep) -> bytes:
-    """The "%.17g" text of each value of v, each followed by "," or, where
-    row_end is set, by "\\r\\n". text and keep are [len(v) x _WIDTH] scratch,
-    with text's terminators already in place."""
-    n = v.shape[0]
+def _fields(v, tail, text, keep) -> bytes:
+    """The "%.17g" text of each value of v, each followed by its terminator
+    from tail, the 64-bit words of bytes 40-47 with only the terminators
+    set. text and keep are [len(v) x _WIDTH] uint8 scratch, with text's
+    constant bytes (_HEAD but the sign and the leading digit) in place."""
     a = np.abs(v)
     zero = a == 0
     odd = ~np.isfinite(a)  # "inf" and "nan" come from Python
     a[zero | odd] = 2.0  # any value whose z is clear of the edges
-    x = np.log10(a).astype(np.int64)  # X or X + 1
+    x = np.floor(np.log10(a)).astype(np.int64)  # X, or one off
     a = a.astype(np.longdouble)
-    z = a * _POW10.take(16 - x - _P_MIN, mode="clip")
-    x = np.where(z < 1e16, x - 1, x)
-    z = a * _POW10.take(16 - x - _P_MIN, mode="clip")
+    # every index is in range: "clip" only skips take's buffered bounds check
+    z = a * _POW10.take(16 - _P_MIN - x, mode="clip")
     digits = z.astype(np.int64)  # floor: 0 < z < 2^63
-    frac = z - digits
-    margin = z * _REL_MARGIN
+    off = np.subtract(digits, 10**16).view(np.uint64) >= 9 * 10**16
+    if off.any():  # D outside [1e16, 1e17): move X by one and scale again
+        i = np.flatnonzero(off)
+        x[i] -= np.where(digits[i] < 10**16, 1, -1)
+        z[i] = a[i] * _POW10.take(16 - _P_MIN - x[i], mode="clip")
+        digits[i] = z[i].astype(np.int64)
+    frac = (z - digits).astype(np.float64)
+    margin = digits * (_REL_MARGIN * (1 + 2.0**-40) + 2.0**-52 / 1e16)
     ambiguous = abs(frac - 0.5) <= margin
-    ambiguous |= z - margin < 1e16
-    ambiguous |= z + 0.5 >= 1e17  # D would round up to 10^17; the sum is exact
+    # D <= 10^16 or D >= 10^17 - 1
+    ambiguous |= np.subtract(digits, 10**16 + 1).view(np.uint64) > 9 * 10**16 - 3
     ambiguous |= odd
-    digits = np.where(frac > 0.5, digits + 1, digits)
+    digits += frac > 0.5
     digits[zero] = 0
 
-    # digits = lead * 10^16 + pairs[0] * 10^14 + ... + pairs[7]
+    # digits = lead * 10^16 + groups[0] * 10^12 + ... + groups[3]
+    n = v.shape[0]
     lead, rest = np.divmod(digits, 10**16)
-    pairs = np.empty((8, n), dtype=np.int64)
-    for i, scale in enumerate((10**14, 10**12, 10**10, 10**8, 10**6, 10**4, 10**2)):
-        pairs[i], rest = np.divmod(rest, scale)
-    pairs[7] = rest
-    significant = _PAIR_SIG.take(pairs + _PAIR_ROW).max(axis=0)
+    halves = np.empty((2, n), dtype=np.int64)
+    np.divmod(rest, 10**8, out=(halves[0], halves[1]))
+    groups = np.empty((2, 2, n), dtype=np.int64)
+    np.divmod(halves, 10**4, out=(groups[:, 0], groups[:, 1]))
+    groups = groups.reshape(4, n)
+    words = text.view(np.uint64)
+    words[:, _GROUPS] = _GROUP_WORD.take(groups, mode="clip").T
+    np.add(lead, ord("0"), out=text[:, _LEAD], casting="unsafe")
+    np.multiply(np.signbit(v), ord("-"), out=text[:, _SIGN], casting="unsafe")
     x -= _X_MIN
-    _KEEP.take(_LAYOUT.take(x, mode="clip") * 18 + significant, axis=0, out=keep)
-    keep[:, _SIGN] = np.signbit(v)
-    keep[:, _LF] = row_end
+    np.bitwise_or(_EXP_WORD.take(x, mode="clip"), tail, out=words[:, _EXP.start // 8])
+    significant = _GROUP_SIG.take(groups + _GROUP_ROW, mode="clip").max(axis=0)
+    _KEEP.take(_LAYOUT_ROW.take(x, mode="clip") + significant, axis=0, out=keep)
 
-    text[:, _SIGN] = ord("-")
-    text[:, _PREFIX] = np.frombuffer(b"0.000", dtype=np.uint8)
-    text[:, _DIGIT.start] = _DIGITS2[:, 1].take(lead)
-    text[:, _DIGIT.start + 1 : _EXP.start : 2] = ord(".")
-    pair_digits = text[:, 8:40].reshape(n, 8, 4)[:, :, ::2]  # digits 1..16
-    pair_digits[...] = _DIGITS2.take(pairs, axis=0).transpose(1, 0, 2)
-    text[:, _EXP] = _EXP_TEXT.take(x, axis=0, mode="clip")
-
-    if ambiguous.any():
-        slow = np.flatnonzero(ambiguous)
-        padded = _python_fields(v[slow])
-        text[slow, :24] = padded
-        keep[slow, :24] = _NOT_SPACE.take(padded)
-        keep[slow, 24:_END] = False
-    return np.compress(keep.reshape(-1), text.reshape(-1)).tobytes()
+    slow = np.flatnonzero(ambiguous)
+    if slow.size:
+        text[slow, :24] = _python_fields(v[slow])
+        keep[slow, :_END] = _FALLBACK_KEEP
+    np.bitwise_and(words, keep.view(np.uint64), out=keep.view(np.uint64))
+    text[slow, : _LEAD + 2] = _HEAD  # the rest of the fallback's bytes is rewritten per chunk
+    return keep.tobytes().translate(None, b"\0")
 
 
 def csv_rows(m: np.ndarray, index: bool = False):
@@ -174,14 +218,14 @@ def csv_rows(m: np.ndarray, index: bool = False):
     n_rows, n_cols = m.shape
     width = n_cols + index
     rows = max(1, CHUNK_VALUES // width)
-    row_end = np.zeros((rows, width), dtype=bool)
-    row_end[:, -1] = True
     block = np.empty((rows, width), dtype=np.float64)
     text = np.empty((rows * width, _WIDTH), dtype=np.uint8)
-    text[:, _END] = ord(",")
-    text[width - 1 :: width, _END] = ord("\r")
-    text[:, _LF] = ord("\n")
-    keep = np.empty((rows * width, _WIDTH), dtype=bool)
+    text[:, : _LEAD + 2] = _HEAD
+    tail = np.zeros((rows * width, 8), dtype=np.uint8)
+    tail[:, _END - _EXP.start] = ord(",")
+    tail[width - 1 :: width, _END - _EXP.start :] = np.frombuffer(b"\r\n\0", dtype=np.uint8)
+    tail = tail.view(np.uint64).reshape(-1)
+    keep = np.empty((rows * width, _WIDTH), dtype=np.uint8)
     for r0 in range(0, n_rows, rows):
         r = min(rows, n_rows - r0)
         # integers below 2^53 print the same under "%.17g" and "%d"
@@ -189,5 +233,4 @@ def csv_rows(m: np.ndarray, index: bool = False):
             block[:r, 0] = np.arange(r0, r0 + r)
         block[:r, index:] = m[r0 : r0 + r]
         k = r * width
-        chunk = _fields(block[:r].reshape(-1), row_end[:r].reshape(-1), text[:k], keep[:k])
-        yield chunk.decode("ascii")
+        yield _fields(block[:r].reshape(-1), tail[:k], text[:k], keep[:k]).decode("ascii")

@@ -203,13 +203,13 @@ def _cmd_analyze(args) -> int:
 
     if args.method == "mls":
         config = analysis.MlsConfig(order=args.mls_order)
-        n_samples = args.n_samples or config.period
+        n_samples = config.period if args.n_samples is None else args.n_samples
         warmup = analysis.mls_warmup_periods(design, config.period)
         ir = analysis.impulse_response(
             system, n_samples, method="mls", mls_config=config, warmup_periods=warmup
         )
     elif args.method == "impulse":
-        n_samples = args.n_samples or 2048
+        n_samples = 2048 if args.n_samples is None else args.n_samples
         ir = analysis.impulse_response(system, n_samples, method="direct_impulse")
     else:
         raise ConfigError(f"unknown method: {args.method!r}; use impulse or mls")

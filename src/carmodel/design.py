@@ -271,6 +271,8 @@ def zero_coeff(a0: float, c0: float, policy: HPolicy | None = None) -> float:
         h = policy.value * bound
     else:
         h = policy.value
+    if not math.isfinite(h):
+        raise DesignError(f"h={h} is not finite")
     if policy.require_complex_zeros and h >= bound:
         raise DesignError(
             f"h={h} violates the complex-zero bound {bound} for a0={a0}, c0={c0}"
@@ -343,6 +345,9 @@ def design_cascade(params: DesignParams) -> CascadeDesign:
 
 def validate_channel_coeffs(c: ChannelCoeffs, tol: float = 1e-12) -> None:
     """Check the structural invariants of a designed section."""
+    values = (c.cf_hz, c.theta_r, c.r, c.a0, c.c0, c.h, c.g)
+    if not all(map(math.isfinite, values)):
+        raise DesignError(f"section {c.section_index}: non-finite coefficient in {values}")
     if abs(c.a0 * c.a0 + c.c0 * c.c0 - 1.0) > tol:
         raise DesignError(f"section {c.section_index}: a0^2 + c0^2 != 1")
     if not 0.0 < c.theta_r < math.pi:
@@ -454,8 +459,14 @@ def _read_coeff_rows(f) -> CascadeDesign:
             continue
         if len(row) != len(COEFF_TABLE_HEADER):
             raise DesignError(f"coefficient row has {len(row)} fields: {row!r}")
-        idx = int(row[0])
-        x, cf, theta, r, a0, c0, h, g = (float(v) for v in row[1:])
+        try:
+            idx = int(row[0])
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise DesignError(f"coefficient row has a field that is not a number: {row!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise DesignError(f"section {idx}: non-finite field in {row!r}")
+        x, cf, theta, r, a0, c0, h, g = values
         if theta <= 0 or cf <= 0:
             raise DesignError(f"section {idx}: cf_hz and theta_r must be positive")
         row_fs = 2.0 * math.pi * cf / theta

@@ -331,6 +331,29 @@ class TestCliAnalyze:
         peaks = (workspace / "resp2" / "peaks.csv").read_text().splitlines()
         assert len(peaks) == 21  # header + 20 evenly spread channels
 
+    @pytest.mark.parametrize("method", ["impulse", "mls"])
+    def test_zero_samples_rejected(self, workspace, capsys, method):
+        rc = cli_main([
+            "analyze", "--coeffs", str(workspace / "coeffs.csv"), "--method", method,
+            "--mls-order", "10", "--n-samples", "0", "--channels", "0",
+            "--out-dir", str(workspace / "r0"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_samples must be >= 1" in err
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("method, rows", [("impulse", 2048), ("mls", 1023)])
+    def test_omitted_n_samples_uses_default_length(self, workspace, method, rows):
+        out = workspace / method
+        rc = cli_main([
+            "analyze", "--coeffs", str(workspace / "coeffs.csv"), "--method", method,
+            "--mls-order", "10", "--channels", "0", "--out-dir", str(out),
+        ])
+        assert rc == 0
+        lines = (out / "channel_0000_impulse.csv").read_text().splitlines()
+        assert len(lines) == 1 + rows
+
     def test_bad_channels_rejected(self, workspace, capsys):
         rc = cli_main([
             "analyze", "--coeffs", str(workspace / "coeffs.csv"),
@@ -449,6 +472,8 @@ class TestCliPlumbing:
             ["analyze", "--coeffs", coeffs, "--channels", "1,x", "--out-dir", out],
             ["analyze", "--coeffs", coeffs, "--channels", "1,,2", "--out-dir", out],
             ["design", "--h-policy", "fraction:abc", "-o", out],
+            ["design", "--sections", "3", "--h-policy", "explicit:nan", "-o", out],
+            ["design", "--sections", "3", "--h-policy", "explicit:inf", "-o", out],
         ):
             assert cli_main(argv) == 1
             err = capsys.readouterr().err

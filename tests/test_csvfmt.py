@@ -79,3 +79,28 @@ def test_power_table_within_half_ulp():
     for p, entry in zip(range(_csvfmt._P_MIN, _csvfmt._P_MAX + 1), _csvfmt._POW10):
         error = abs(Fraction(*entry.as_integer_ratio()) - Fraction(10) ** p)
         assert error <= Fraction(*np.spacing(entry).as_integer_ratio()) / 2, p
+
+
+def test_group_tables_match_percent_04d():
+    groups = [b"%04d" % g for g in range(10000)]
+    words = np.full((10000, 8), ord("."), dtype=np.uint8)  # each digit followed by a "."
+    words[:, ::2] = np.frombuffer(b"".join(groups), dtype=np.uint8).reshape(-1, 4)
+    assert _csvfmt._GROUP_WORD.tobytes() == words.tobytes()
+    for k in range(4):
+        expect = [0 if g == 0 else 4 * k + 1 + len(text.rstrip(b"0")) for g, text in enumerate(groups)]
+        assert _csvfmt._GROUP_SIG[10000 * k : 10000 * (k + 1)].tolist() == expect, k
+
+
+def test_powers_of_ten_and_their_neighbours(monkeypatch):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below = np.nextafter(powers, 0)
+    values = np.concatenate([powers, below, np.nextafter(powers, np.inf)])
+    m = np.concatenate([values, -values]).reshape(-1, 6)
+    assert rows_text(m) == expected_text(m)
+    # floor(log10|v|) is one too large for most doubles just below a power of
+    # ten; scaled again, they stay on numpy's path
+    seen = []
+    python_fields = _csvfmt._python_fields
+    monkeypatch.setattr(_csvfmt, "_python_fields", lambda v: seen.extend(v) or python_fields(v))
+    assert rows_text(below[:, None]) == expected_text(below[:, None])
+    assert len(seen) < 0.1 * below.size

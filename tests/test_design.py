@@ -152,6 +152,13 @@ class TestZeroCoeff:
         h = zero_coeff(a0, c0, HPolicy.explicit(bound + 0.01, require_complex_zeros=False))
         assert h == bound + 0.01
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_explicit_rejected(self, value):
+        a0, c0 = rotator_coeffs(1.0)
+        for require_complex_zeros in (True, False):
+            with pytest.raises(DesignError, match="not finite"):
+                zero_coeff(a0, c0, HPolicy.explicit(value, require_complex_zeros))
+
 
 class TestDcGain:
     def test_h_zero_gives_unity(self, rng):
@@ -402,6 +409,28 @@ class TestCoeffTable:
         buf2 = io.StringIO("\n".join([rows[0], rows[1], ",".join(cols)]) + "\n")
         with pytest.raises(DesignError, match="sample rate"):
             read_coeff_table(buf2)
+
+    @pytest.mark.parametrize(
+        "column, field, message",
+        [(1, "nan", "non-finite"), (7, "inf", "non-finite"), (8, "-inf", "non-finite"),
+         (0, "x", "not a number"), (0, "1.5", "not a number"), (4, "", "not a number")],
+    )
+    def test_rejects_bad_field(self, column, field, message):
+        buf = io.StringIO()
+        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), buf)
+        rows = buf.getvalue().splitlines()
+        cols = rows[1].split(",")
+        cols[column] = field
+        with pytest.raises(DesignError, match=message):
+            read_coeff_table(io.StringIO("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n"))
+
+    def test_validate_rejects_non_finite_coefficient(self):
+        from carmodel.design import ChannelCoeffs, validate_channel_coeffs
+
+        c = ChannelCoeffs(cf_hz=1, theta_r=math.pi / 3, r=0.9, a0=0.5,
+                          c0=math.sqrt(3) / 2, h=math.nan, g=math.nan, section_index=0)
+        with pytest.raises(DesignError, match="non-finite"):
+            validate_channel_coeffs(c)
 
     def test_rejects_empty(self):
         with pytest.raises(DesignError):
