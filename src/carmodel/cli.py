@@ -83,6 +83,16 @@ def _fixed_formats(args) -> tuple[fixed.FixedFormat, fixed.FixedFormat, fixed.Fi
     )
 
 
+def _run_fixed(
+    qd: fixed.QuantizedDesign, samples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, fixed.FixedRunStats]:
+    """Samples through the fixed datapath from a zero state; returns (raw
+    io-format inputs, real tap outputs, saturation stats)."""
+    raw_in = fixed.quantize_block(samples, qd.io_format)
+    raw_out, stats = fixed.fixed_process_block(qd, fixed.FixedCascadeState(qd.n_sections), raw_in)
+    return raw_in, fixed.to_real_block(raw_out, qd.state_format), stats
+
+
 def _hardware(args, sample_rate_hz: float) -> schedule.HardwareParams:
     return schedule.HardwareParams(
         clock_hz=args.clock_hz,
@@ -124,9 +134,8 @@ def _cmd_design(args) -> int:
         f"down to {design.sections[-1].cf_hz:.2f} Hz -> {args.output}"
     )
     if args.quantize:
-        coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
-        qd = fixed.quantize_design(design, coeff_fmt, state_fmt, io_fmt)
-        fixed.write_quantized_table(qd, args.quantize)
+        coeff_fmt = fixed.FixedFormat(args.coeff_bits, args.coeff_frac)
+        fixed.write_quantized_table(fixed.quantize_design(design, coeff_fmt), args.quantize)
         print(
             f"quantized coefficients ({coeff_fmt.total_bits}/{coeff_fmt.frac_bits}) "
             f"-> {args.quantize}"
@@ -153,10 +162,7 @@ def _cmd_run(args) -> int:
             qd = fixed.apply_quantized_table(design, fmt, rows, state_fmt, io_fmt)
         else:
             qd = fixed.quantize_design(design, coeff_fmt, state_fmt, io_fmt)
-        raw_in = fixed.quantize_block(wav.samples, io_fmt)
-        fstate = fixed.FixedCascadeState(design.n_sections)
-        raw_out, stats = fixed.fixed_process_block(qd, fstate, raw_in)
-        outputs = fixed.to_real_block(raw_out, state_fmt)
+        _, outputs, stats = _run_fixed(qd, wav.samples)
         print(
             f"saturations: {stats.total} "
             f"(input {stats.input_saturations}, "
@@ -243,20 +249,15 @@ def _cmd_schedule(args) -> int:
 def _cmd_compare(args) -> int:
     wav = audio_io.read_wav(args.wav)
     design = _load_design_checked(args.coeffs, wav)
-    coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
-    qd = fixed.quantize_design(design, coeff_fmt, state_fmt, io_fmt)
+    qd = fixed.quantize_design(design, *_fixed_formats(args))
+    raw_in, fixed_real, stats = _run_fixed(qd, wav.samples)
 
-    raw_in = fixed.quantize_block(wav.samples, io_fmt)
-    fstate = fixed.FixedCascadeState(design.n_sections)
-    raw_out, stats = fixed.fixed_process_block(qd, fstate, raw_in)
-    fixed_real = fixed.to_real_block(raw_out, state_fmt)
-
+    # the float reference sees the same io-quantized input, exactly
     reference = fixed.dequantized_design(qd)
-    state = CascadeState(design.n_sections)
-    float_out = process_block(reference, state, fixed.to_real_block(raw_in, io_fmt))
+    float_out = process_block(reference, CascadeState(qd.n_sections), raw_in * qd.io_format.lsb)
 
     report = analysis.parity_report(
-        float_out, fixed_real, saturation_counts=fstate.saturations
+        float_out, fixed_real, saturation_counts=stats.section_saturations
     )
     finite = report.snr_db[np.isfinite(report.snr_db)]
     print(f"channels: {design.n_sections}")
@@ -274,7 +275,7 @@ def _cmd_compare(args) -> int:
                 snr = report.snr_db[ch]
                 f.write(
                     f"{ch},{'inf' if math.isinf(snr) else format(snr, '.6g')},"
-                    f"{int(report.exact[ch])},{int(fstate.saturations[ch])}\n"
+                    f"{int(report.exact[ch])},{int(stats.section_saturations[ch])}\n"
                 )
         print(f"parity report -> {args.output}")
     return 0
@@ -298,9 +299,11 @@ def _add_hardware_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-arrays", type=int, default=hw.max_arrays, help=_SHOW_DEFAULT)
 
 
-def _add_fixed_format_flags(p: argparse.ArgumentParser) -> None:
-    formats = (fixed.DEFAULT_COEFF_FORMAT, fixed.DEFAULT_STATE_FORMAT, fixed.DEFAULT_IO_FORMAT)
-    for word, fmt in zip(("coeff", "state", "io"), formats):
+def _add_fixed_format_flags(p: argparse.ArgumentParser, words=("coeff", "state", "io")) -> None:
+    formats = {"coeff": fixed.DEFAULT_COEFF_FORMAT, "state": fixed.DEFAULT_STATE_FORMAT,
+               "io": fixed.DEFAULT_IO_FORMAT}
+    for word in words:
+        fmt = formats[word]
         p.add_argument(f"--{word}-bits", type=int, default=fmt.total_bits, help=_SHOW_DEFAULT)
         p.add_argument(f"--{word}-frac", type=int, default=fmt.frac_bits, help=_SHOW_DEFAULT)
 
@@ -325,7 +328,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--r", type=float, help="explicit global pole radius")
     p.add_argument("--output", "-o", default="coeffs.csv", help=_SHOW_DEFAULT)
     p.add_argument("--quantize", help="also write a quantized coefficient table here")
-    _add_fixed_format_flags(p)
+    _add_fixed_format_flags(p, words=("coeff",))  # the only format the table stores
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("run", help="process a WAV into a cochleagram")

@@ -467,8 +467,11 @@ def _read_coeff_rows(f) -> CascadeDesign:
         if not all(map(math.isfinite, values)):
             raise DesignError(f"section {idx}: non-finite field in {row!r}")
         x, cf, theta, r, a0, c0, h, g = values
-        if theta <= 0 or cf <= 0:
-            raise DesignError(f"section {idx}: cf_hz and theta_r must be positive")
+        section = ChannelCoeffs(cf_hz=cf, theta_r=theta, r=r, a0=a0, c0=c0, h=h, g=g,
+                                section_index=idx)
+        validate_channel_coeffs(section)
+        if cf <= 0:
+            raise DesignError(f"section {idx}: cf_hz must be positive")
         row_fs = 2.0 * math.pi * cf / theta
         if fs is None:
             fs = row_fs
@@ -477,10 +480,7 @@ def _read_coeff_rows(f) -> CascadeDesign:
                 f"section {idx}: implied sample rate {row_fs} disagrees with {fs}"
             )
         positions.append(x)
-        sections.append(
-            ChannelCoeffs(cf_hz=cf, theta_r=theta, r=r, a0=a0, c0=c0, h=h, g=g,
-                          section_index=idx)
-        )
+        sections.append(section)
     if not sections:
         raise DesignError("coefficient table has no data rows")
     expected = list(range(len(sections)))

@@ -222,7 +222,8 @@ _COEFF_NAMES = ("r", "a0", "c0", "h", "g")
 
 @dataclass(frozen=True)
 class QuantizedDesign:
-    """A cascade design with coefficients frozen to raw integers."""
+    """A cascade design with coefficients frozen to raw integers, each checked
+    on construction to be a value of coeff_format (never clipped)."""
 
     design: CascadeDesign
     coeff_format: FixedFormat
@@ -230,22 +231,19 @@ class QuantizedDesign:
     io_format: FixedFormat
     coeffs_raw: tuple[QuantizedSectionCoeffs, ...]
 
+    def __post_init__(self):
+        fmt = self.coeff_format
+        for i, q in enumerate(self.coeffs_raw):
+            for name, raw in zip(_COEFF_NAMES, q):
+                if not fmt.raw_min <= raw <= fmt.raw_max:
+                    raise DesignError(
+                        f"section {i}: coefficient {name} (raw {raw}) does not fit "
+                        f"{fmt.total_bits}/{fmt.frac_bits} format"
+                    )
+
     @property
     def n_sections(self) -> int:
         return len(self.coeffs_raw)
-
-
-def _quantize_coeff(value: float, fmt: FixedFormat, section: int, name: str) -> int:
-    # coefficients always round to nearest; out of range is a design error,
-    # never silently clipped
-    scaled = math.ldexp(value, fmt.frac_bits)
-    raw = round(scaled)
-    if not fmt.raw_min <= raw <= fmt.raw_max:
-        raise DesignError(
-            f"section {section}: coefficient {name}={value} does not fit "
-            f"{fmt.total_bits}/{fmt.frac_bits} format"
-        )
-    return raw
 
 
 def quantize_design(
@@ -255,23 +253,12 @@ def quantize_design(
     io_format: FixedFormat = DEFAULT_IO_FORMAT,
 ) -> QuantizedDesign:
     """Quantize all section coefficients round-to-nearest into coeff_format."""
-    rows = []
-    for s in design.sections:
-        rows.append(
-            QuantizedSectionCoeffs(
-                *(
-                    _quantize_coeff(v, coeff_format, s.section_index, n)
-                    for v, n in zip((s.r, s.a0, s.c0, s.h, s.g), _COEFF_NAMES)
-                )
-            )
-        )
-    return QuantizedDesign(
-        design=design,
-        coeff_format=coeff_format,
-        state_format=state_format,
-        io_format=io_format,
-        coeffs_raw=tuple(rows),
+    frac = coeff_format.frac_bits
+    rows = tuple(
+        QuantizedSectionCoeffs(*(round(math.ldexp(v, frac)) for v in (s.r, s.a0, s.c0, s.h, s.g)))
+        for s in design.sections
     )
+    return QuantizedDesign(design, coeff_format, state_format, io_format, rows)
 
 
 def dequantized_design(qdesign: QuantizedDesign) -> CascadeDesign:
@@ -309,24 +296,24 @@ class FixedSectionState(NamedTuple):
 
 
 class FixedCascadeState:
-    """Raw integer (w1, w2) pairs plus cumulative overflow counters."""
+    """Raw (w1, w2) pairs as int64 arrays, mutated in place, plus cumulative
+    overflow counters. int64 holds any value of a format up to 64 bits."""
 
     def __init__(self, n_sections: int):
         if n_sections < 1:
             raise ConfigError(f"n_sections must be >= 1, got {n_sections}")
-        self.w1_raw = [0] * n_sections
-        self.w2_raw = [0] * n_sections
+        self.w1_raw = np.zeros(n_sections, dtype=np.int64)
+        self.w2_raw = np.zeros(n_sections, dtype=np.int64)
         self.saturations = np.zeros(n_sections, dtype=np.int64)
         self.samples_processed = 0
 
     @property
     def n_sections(self) -> int:
-        return len(self.w1_raw)
+        return self.w1_raw.shape[0]
 
     def reset(self) -> None:
-        n = self.n_sections
-        self.w1_raw = [0] * n
-        self.w2_raw = [0] * n
+        self.w1_raw[:] = 0
+        self.w2_raw[:] = 0
         self.saturations[:] = 0
         self.samples_processed = 0
 
@@ -443,17 +430,19 @@ def to_real_block(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
 
 def _checked_inputs(
     qdesign: QuantizedDesign, state: FixedCascadeState, samples_raw
-) -> list[int]:
+) -> np.ndarray:
+    """The raw samples as a 1-D int64 array, each a value of the io format."""
     if state.n_sections != qdesign.n_sections:
         raise ConfigError(
             f"state has {state.n_sections} sections, design has {qdesign.n_sections}"
         )
-    lo, hi = qdesign.io_format.raw_min, qdesign.io_format.raw_max
-    xs = [int(v) for v in samples_raw]
-    for v in xs:
-        if not lo <= v <= hi:
-            raise ConfigError(f"input raw {v} does not fit the io format")
-    return xs
+    xs = np.asarray(samples_raw)
+    if xs.ndim != 1 or (xs.size and not np.issubdtype(xs.dtype, np.integer)):
+        raise ConfigError(f"raw samples must be 1-D integers, got {xs.dtype} {xs.shape}")
+    out = (xs < qdesign.io_format.raw_min) | (xs > qdesign.io_format.raw_max)
+    if out.any():
+        raise ConfigError(f"input raw {xs[out][0]} does not fit the io format")
+    return xs.astype(np.int64, copy=False)
 
 
 def fixed_process_block_py(
@@ -465,7 +454,7 @@ def fixed_process_block_py(
 
     Same contract as fixed_process_block, exact at any word length.
     """
-    xs = _checked_inputs(qdesign, state, samples_raw)
+    xs = _checked_inputs(qdesign, state, samples_raw).tolist()
     n_sections = qdesign.n_sections
     sfmt = qdesign.state_format
     cfrac = qdesign.coeff_format.frac_bits
@@ -474,8 +463,8 @@ def fixed_process_block_py(
     section_sat = np.zeros(n_sections, dtype=np.int64)
     input_sat = 0
 
-    w1 = state.w1_raw
-    w2 = state.w2_raw
+    w1 = state.w1_raw.tolist()
+    w2 = state.w2_raw.tolist()
     coeffs = qdesign.coeffs_raw
     io_frac = qdesign.io_format.frac_bits
 
@@ -494,6 +483,8 @@ def fixed_process_block_py(
             out[t, k] = y
             x = y
 
+    state.w1_raw[:] = w1
+    state.w2_raw[:] = w2
     state.saturations += section_sat
     state.samples_processed += len(xs)
     return out, FixedRunStats(section_saturations=section_sat, input_saturations=input_sat)
@@ -514,23 +505,22 @@ def fixed_process_block_py(
 # overflows. The default 18/16 coefficient and 32/24 state formats give 50,
 # 36 and 50. Outside the envelope, e.g. a 64-bit state or a small cf with
 # wide words, fixed_process_block runs the Python-int reference loop.
+# QuantizedDesign and _checked_inputs hold coefficients and inputs to format.
 def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     cb = qdesign.coeff_format.total_bits
     sb = qdesign.state_format.total_bits
     s = 2 * qdesign.coeff_format.frac_bits
     if cb + sb > 63 or 2 * cb + sb - s > 63 or cb + s > 62:
         return False
-    # the bounds assume every register holds a value of its format
-    cfmt, sfmt = qdesign.coeff_format, qdesign.state_format
-    coeffs = [v for q in qdesign.coeffs_raw for v in q]
+    sfmt = qdesign.state_format
     return all(
-        fmt.raw_min <= min(values) and max(values) <= fmt.raw_max
-        for fmt, values in ((cfmt, coeffs), (sfmt, state.w1_raw), (sfmt, state.w2_raw))
+        sfmt.raw_min <= w.min() and w.max() <= sfmt.raw_max
+        for w in (state.w1_raw, state.w2_raw)
     )
 
 
 def _fixed_block_int64(
-    qdesign: QuantizedDesign, state: FixedCascadeState, xs: list[int]
+    qdesign: QuantizedDesign, state: FixedCascadeState, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The cascade on int64 lanes over the wavefront schedule.
 
@@ -578,7 +568,7 @@ def _fixed_block_int64(
                 acc -= (acc > rmax) * span
         return acc
 
-    entered = [_requantize(v, qdesign.io_format.frac_bits, sfmt) for v in xs]
+    entered = [_requantize(v, qdesign.io_format.frac_bits, sfmt) for v in xs.tolist()]
     samples = np.array([x for x, _ in entered], dtype=np.int64)
     input_sat = sum(sat for _, sat in entered)
 
@@ -589,7 +579,7 @@ def _fixed_block_int64(
     rr = np.stack([r, r], axis=1)
     p = np.stack([a0, a0], axis=1)
     q = np.stack([-c0, c0], axis=1)
-    w = np.array([state.w1_raw, state.w2_raw], dtype=np.int64).T[::-1].copy()
+    w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].copy()
     sat = np.zeros(n, dtype=np.int64)
     out = np.empty((len(xs), n), dtype=np.int64)
 
@@ -603,8 +593,8 @@ def _fixed_block_int64(
         d += x << cfrac
         y[:] = write(g[k], d, satk)
 
-    state.w1_raw = w[::-1, 0].tolist()
-    state.w2_raw = w[::-1, 1].tolist()
+    state.w1_raw[:] = w[::-1, 0]
+    state.w2_raw[:] = w[::-1, 1]
     return out, sat[::-1].copy(), input_sat
 
 
@@ -618,11 +608,12 @@ def fixed_process_block(
     Returns (raw tap outputs [n_samples x n_sections] in state format,
     overflow statistics for this call). The datapath is integer-only, so
     identical raw inputs produce identical raw outputs on any platform.
-    Formats inside the int64 envelope run the wavefront kernel; any other
-    runs fixed_process_block_py. Both give the same raw integers.
+    Formats inside the int64 envelope run the wavefront kernel; any other,
+    and an empty block, runs fixed_process_block_py. Both give the same raw
+    integers.
     """
     xs = _checked_inputs(qdesign, state, samples_raw)
-    if not _int64_exact(qdesign, state):
+    if not (xs.size and _int64_exact(qdesign, state)):
         return fixed_process_block_py(qdesign, state, xs)
     out, section_sat, input_sat = _fixed_block_int64(qdesign, state, xs)
     state.saturations += section_sat
@@ -666,9 +657,13 @@ def read_quantized_table(path_or_file) -> tuple[FixedFormat, dict[int, dict[str,
         for row in reader:
             if not row:
                 continue
-            section, name, raw, total, frac = (
-                int(row[0]), row[1].strip(), int(row[2]), int(row[3]), int(row[4]),
-            )
+            try:
+                section, raw, total, frac = (int(row[i]) for i in (0, 2, 3, 4))
+            except (ValueError, IndexError):
+                raise DesignError(
+                    f"quantized-table line {reader.line_num}: bad row {row!r}"
+                ) from None
+            name = row[1].strip()
             row_fmt = FixedFormat(total, frac)
             if fmt is None:
                 fmt = row_fmt
@@ -700,14 +695,5 @@ def apply_quantized_table(
         missing = [n for n in _COEFF_NAMES if n not in row]
         if missing:
             raise DesignError(f"section {i}: missing coefficients {missing}")
-        for name, raw in row.items():
-            if not coeff_format.raw_min <= raw <= coeff_format.raw_max:
-                raise DesignError(f"section {i}: raw {name}={raw} does not fit the format")
         packed.append(QuantizedSectionCoeffs(*(row[n] for n in _COEFF_NAMES)))
-    return QuantizedDesign(
-        design=design,
-        coeff_format=coeff_format,
-        state_format=state_format,
-        io_format=io_format,
-        coeffs_raw=tuple(packed),
-    )
+    return QuantizedDesign(design, coeff_format, state_format, io_format, tuple(packed))

@@ -305,6 +305,55 @@ class TestCliRun:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("row", ["0,r,1.5,18,16", "0,r,x,18,16", "0,r,65208,18"])
+    def test_bad_quantized_row_exits_1(self, workspace, capsys, row):
+        lines = (workspace / "qcoeffs.csv").read_text().splitlines()
+        (workspace / "bad_q.csv").write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+        rc = cli_main([
+            "run", "--coeffs", str(workspace / "coeffs.csv"),
+            "--wav", str(workspace / "in.wav"), "-o", str(workspace / "q.bin"),
+            "--mode", "fixed", "--quantized", str(workspace / "bad_q.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quantized-table line 2:") and "\n" not in err.strip()
+
+    def test_invalid_section_in_coeff_table_exits_1(self, workspace, capsys):
+        lines = (workspace / "coeffs.csv").read_text().splitlines()
+        cols = lines[1].split(",")
+        cols[4] = "1.5"  # r
+        (workspace / "bad.csv").write_text("\n".join([lines[0], ",".join(cols), *lines[2:]]) + "\n")
+        rc = cli_main([
+            "run", "--coeffs", str(workspace / "bad.csv"),
+            "--wav", str(workspace / "in.wav"), "-o", str(workspace / "o.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: section 0: r out of") and "\n" not in err.strip()
+
+    def test_fixed_datapath_called_once(self, workspace, monkeypatch):
+        # perfbench captures these results through the module attributes
+        from carmodel import analysis, fixed
+
+        calls = {}
+        for module, name in ((fixed, "quantize_block"), (fixed, "fixed_process_block"),
+                             (fixed, "to_real_block"), (analysis, "parity_report")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+            calls[name] = 0
+        io_args = ["--coeffs", str(workspace / "coeffs.csv"), "--wav", str(workspace / "in.wav")]
+        for argv, parity_calls in (
+            (["compare", *io_args, "-o", str(workspace / "p.csv")], 1),
+            (["run", *io_args, "-o", str(workspace / "f.csv"), "--mode", "fixed"], 0),
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            assert cli_main(argv) == 0
+            assert calls == {"quantize_block": 1, "fixed_process_block": 1,
+                             "to_real_block": 1, "parity_report": parity_calls}
+
 
 class TestCliAnalyze:
     def test_mls_analysis_outputs(self, workspace):
@@ -459,6 +508,18 @@ class TestCliPlumbing:
         assert "sections_per_array: 71" in capsys.readouterr().out
         assert cli_main(["schedule", "--config", str(cfg), "--clock-hz", "142e6"]) == 0
         assert "sections_per_array: 102" in capsys.readouterr().out
+
+    def test_design_takes_only_the_coefficient_format(self, tmp_path, capsys):
+        assert cli_main(["design", "--state-bits", "20"]) == 2
+        cfg = tmp_path / "fmt.conf"
+        cfg.write_text("state_bits = 20\n")
+        capsys.readouterr()
+        assert cli_main(["design", "--config", str(cfg), "-o", str(tmp_path / "x.csv")]) == 1
+        assert "unknown config key: state_bits" in capsys.readouterr().err
+        assert cli_main(["design", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--coeff-bits" in out and "--coeff-frac" in out
+        assert "--state-" not in out and "--io-" not in out
 
     def test_help_shows_library_defaults(self, capsys):
         assert cli_main(["run", "--help"]) == 0

@@ -424,6 +424,24 @@ class TestCoeffTable:
         with pytest.raises(DesignError, match=message):
             read_coeff_table(io.StringIO("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n"))
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [({4: "1.5"}, r"r out of \(0, 1\]"), ({8: "-2"}, "g must be positive"),
+         ({5: "0.2"}, r"a0\^2 \+ c0\^2 != 1"),
+         # above Nyquist, with cf_hz set so the implied sample rate still agrees
+         ({2: repr(4 * 48000.0 / (2 * math.pi)), 3: "4"}, r"theta_r out of \(0, pi\)")],
+        ids=["r", "g", "a0", "theta_r"],
+    )
+    def test_rejects_invalid_section(self, edits, message):
+        buf = io.StringIO()
+        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), buf)
+        rows = buf.getvalue().splitlines()
+        cols = rows[1].split(",")
+        for column, field in edits.items():
+            cols[column] = field
+        with pytest.raises(DesignError, match=r"section 0: " + message):
+            read_coeff_table(io.StringIO("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n"))
+
     def test_validate_rejects_non_finite_coefficient(self):
         from carmodel.design import ChannelCoeffs, validate_channel_coeffs
 

@@ -19,6 +19,7 @@ from carmodel.fixed import (
     FixedFormat,
     FixedSectionState,
     FixedValue,
+    QuantizedDesign,
     apply_quantized_table,
     dequantized_design,
     fixed_add,
@@ -271,6 +272,18 @@ class TestQuantizeDesign:
         with pytest.raises(DesignError, match=r"section \d+: coefficient"):
             quantize_design(design, coeff_format=tight)
 
+    def test_every_constructor_checks_raw_range(self):
+        design = design_cascade(DesignParams(48000.0, 2))
+        qd = quantize_design(design)
+        fmt = qd.coeff_format
+        rows = list(qd.coeffs_raw)
+        rows[1] = rows[1]._replace(g_raw=fmt.raw_max + 1)
+        with pytest.raises(DesignError, match=r"section 1: coefficient g \(raw"):
+            QuantizedDesign(design, fmt, qd.state_format, qd.io_format, tuple(rows))
+        table = {i: dict(zip(("r", "a0", "c0", "h", "g"), q)) for i, q in enumerate(rows)}
+        with pytest.raises(DesignError, match=r"section 1: coefficient g \(raw"):
+            apply_quantized_table(design, fmt, table)
+
     def test_zero_quantizes_to_zero(self):
         assert quantize(0.0, DEFAULT_COEFF_FORMAT).raw == 0
 
@@ -384,13 +397,36 @@ class TestFixedProcessBlock:
         out1, _ = fixed_process_block(qd, s1, raw_in)
         out2, _ = fixed_process_block(qd, s2, raw_in)
         assert np.array_equal(out1, out2)
-        assert s1.w1_raw == s2.w1_raw
+        assert np.array_equal(s1.w1_raw, s2.w1_raw)
 
     def test_input_out_of_format_rejected(self):
         design = design_cascade(DesignParams(48000.0, 3))
         qd = quantize_design(design)
-        with pytest.raises(ConfigError):
-            fixed_process_block(qd, FixedCascadeState(3), [qd.io_format.raw_max + 1])
+        for run in (fixed_process_block, fixed_process_block_py):
+            for bad in (
+                [qd.io_format.raw_max + 1],
+                [2**70],
+                [0.7, 1.9],  # not integers: rejected, never truncated
+                np.zeros((2, 2), dtype=np.int64),  # not 1-D
+            ):
+                with pytest.raises(ConfigError):
+                    run(qd, FixedCascadeState(3), bad)
+            out, stats = run(qd, FixedCascadeState(3), [])
+            assert out.shape == (0, 3) and stats.total == 0
+
+    def test_state_arrays_updated_and_reset_in_place(self):
+        design = design_cascade(DesignParams(48000.0, 4))
+        qd = quantize_design(design)
+        state = FixedCascadeState(4)
+        w1, w2, sats = state.w1_raw, state.w2_raw, state.saturations
+        assert w1.dtype == w2.dtype == np.int64
+        for run in (fixed_process_block, fixed_process_block_py):
+            run(qd, state, quantize_block(mls_signal(6, 0.5), qd.io_format))
+            assert state.w1_raw is w1 and state.w2_raw is w2
+            assert w1.any() and w2.any() and state.samples_processed
+            state.reset()
+            assert state.w1_raw is w1 and state.w2_raw is w2 and state.saturations is sats
+            assert not (w1.any() or w2.any()) and state.samples_processed == 0
 
     def test_saturation_counted_not_hidden(self):
         # a cramped state format must overflow on resonant buildup and say so
@@ -415,12 +451,12 @@ class TestFixedProcessBlock:
         state = FixedCascadeState(1)
         out, stats = fixed_process_block(qd, state, [100, 83])
         assert out[:, 0].tolist() == [100, 83]
-        assert state.w1_raw == [127]
+        assert state.w1_raw.tolist() == [127]
         assert stats.section_saturations.tolist() == [1]
         ref_state = FixedCascadeState(1)
         ref_out, _ = fixed_process_block_py(qd, ref_state, [100, 83])
         assert np.array_equal(out, ref_out)
-        assert ref_state.w1_raw == [127]
+        assert ref_state.w1_raw.tolist() == [127]
 
     def test_snr_monotone_in_word_length(self):
         design = design_cascade(DesignParams(48000.0, 10, x_apex=0.5, damping_zeta=0.2))
@@ -477,8 +513,8 @@ class TestFixedProcessBlock:
         state = FixedCascadeState(n_sections)
         out, stats = fixed_process_block(qd, state, raw_in)
         assert np.array_equal(out, ref_out)
-        assert state.w1_raw == ref_state.w1_raw
-        assert state.w2_raw == ref_state.w2_raw
+        assert np.array_equal(state.w1_raw, ref_state.w1_raw)
+        assert np.array_equal(state.w2_raw, ref_state.w2_raw)
         assert np.array_equal(stats.section_saturations, ref_stats.section_saturations)
         assert stats.input_saturations == ref_stats.input_saturations
 
@@ -490,8 +526,8 @@ class TestFixedProcessBlock:
             parts.append(fixed_process_block(qd, chunked, raw_in[start:stop])[0])
             start, i = stop, i + 1
         assert np.array_equal(np.concatenate(parts), ref_out)
-        assert chunked.w1_raw == ref_state.w1_raw
-        assert chunked.w2_raw == ref_state.w2_raw
+        assert np.array_equal(chunked.w1_raw, ref_state.w1_raw)
+        assert np.array_equal(chunked.w2_raw, ref_state.w2_raw)
         assert np.array_equal(chunked.saturations, ref_state.saturations)
 
 
