@@ -20,7 +20,15 @@ from .design import (
     transfer_function,
     write_coeff_table,
 )
-from .core import CascadeState, SectionState, process_block, process_sample, reset, step_section
+from .core import (
+    CascadeState,
+    CascadeStream,
+    SectionState,
+    process_block,
+    process_sample,
+    reset,
+    step_section,
+)
 from .errors import (
     AnalysisError,
     AudioFormatError,

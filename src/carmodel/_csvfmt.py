@@ -5,9 +5,9 @@ z = |v| * 10^(16-X) with X its decimal exponent, and cut into its integer
 part D and its fraction. X is first taken as floor(log10|v|), which can be
 one off next to a power of ten; the few values whose D falls outside
 [1e16, 1e17) are scaled once more with X moved by one. The table entry
-10^(16-X) and the product each round once, so z is within
-u(2+u) * exact < _REL_MARGIN * z of the exact product, u being the unit
-roundoff of the long double.
+10^(16-X) and the product each round once, so z = exact * (1 + d) with
+|d| <= u(2+u) = _REL_MARGIN, u being the unit roundoff of the long double,
+and z is within _REL_MARGIN * z / (1 - _REL_MARGIN) of the exact product.
 
 Ambiguity. Python formats the ambiguous values (exact ties among them) and
 numpy every other one. The tests run in float64 and int64:
@@ -16,9 +16,10 @@ numpy every other one. The tests run in float64 and int64:
   most 2^-54, and f - 0.5 by at most 2^-55 more. The margin m = D * c, with
   c = _REL_MARGIN * (1 + 2^-40) + 2^-52 / 1e16, rounds twice in float64
   (D to a double, then the product) and D >= z - 1, so for z >= 1e16 it is
-  at least _REL_MARGIN * z + 2^-53. A value is ambiguous when
-  |f - 0.5| <= m; otherwise the exact product lies on the same side of
-  D + 0.5 as z, and D + (f > 0.5) are its 17 digits.
+  at least _REL_MARGIN * z / (1 - _REL_MARGIN) + 2^-53: the factor
+  1 + 2^-40 covers the two roundings and the division. A value is
+  ambiguous when |f - 0.5| <= m; otherwise the exact product lies on the
+  same side of D + 0.5 as z, and D + (f > 0.5) are its 17 digits.
 - A value is ambiguous when D <= 10^16 or D >= 10^17 - 1. As long as
   _REL_MARGIN * z < 1 this flags every z < 1e16 + 1 (the exact product may
   lie below 1e16, X one too large) and every z >= 1e17 - 1/2 (the digits
@@ -68,7 +69,7 @@ def _unit_roundoff() -> float:
 
 
 _POW10 = np.array([f"1e{p}" for p in range(_P_MIN, _P_MAX + 1)], dtype=np.longdouble)
-_REL_MARGIN = 3.0 * _unit_roundoff()
+_REL_MARGIN = _unit_roundoff() * (2.0 + _unit_roundoff())
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -211,10 +212,10 @@ def _fields(v, tail, text, keep) -> bytes:
     return keep.tobytes().translate(None, b"\0")
 
 
-def csv_rows(m: np.ndarray, index: bool = False):
+def csv_rows(m: np.ndarray, index: bool = False, start: int = 0):
     """Yield the CSV text of the rows of the 2-D float64 matrix m as str
     chunks, each row CRLF-terminated, fields "%.17g", preceded by the row
-    number as "%d" when index is set."""
+    number as "%d", counting from start, when index is set."""
     n_rows, n_cols = m.shape
     width = n_cols + index
     rows = max(1, CHUNK_VALUES // width)
@@ -230,7 +231,7 @@ def csv_rows(m: np.ndarray, index: bool = False):
         r = min(rows, n_rows - r0)
         # integers below 2^53 print the same under "%.17g" and "%d"
         if index:
-            block[:r, 0] = np.arange(r0, r0 + r)
+            block[:r, 0] = np.arange(start + r0, start + r0 + r)
         block[:r, index:] = m[r0 : r0 + r]
         k = r * width
         yield _fields(block[:r].reshape(-1), tail[:k], text[:k], keep[:k]).decode("ascii")

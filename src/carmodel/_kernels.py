@@ -1,14 +1,18 @@
-"""The cascade wavefront schedule and the float block kernel.
+"""The cascade wavefront schedule and the float kernel that runs on it.
 
-wavefront is the section-update schedule of the block kernels, the way the
+Wavefront is the section-update schedule of the block kernels, the way the
 hardware pipeline runs: at tick t every active section k processes sample
 t - k, so one tick is a few elementwise numpy operations over all sections.
-cascade_block runs the float cascade on it and fixed._fixed_block_int64 the
-fixed-point one. Each section of cascade_block performs the same IEEE double
-operations in the same order as core.step_section, with no fused
-multiply-add, so the outputs are bit-identical to the scalar path and to
-cascade_block_py, the reference loop the tests compare against.
+It carries its state from one block of samples to the next and drains only
+when asked. cascade_ticks runs the float cascade on it and
+fixed._fixed_block_int64 the fixed-point one. Each section of cascade_ticks
+performs the same IEEE double operations in the same order as
+core.step_section, with no fused multiply-add, so the outputs are
+bit-identical to the scalar path and to cascade_block_py, the reference loop
+the tests compare against.
 """
+
+import itertools
 
 import numpy as np
 
@@ -33,60 +37,125 @@ def cascade_block_py(samples, a0, c0, r, h, g, w1, w2, out):
             out[t, k] = x
 
 
-def wavefront(samples, out):
-    """Yield the ticks of the cascade wavefront, filling out as they go.
+class Wavefront:
+    """The ticks of one cascade's wavefront, carried across blocks of samples.
 
-    At tick t every active section k works on sample t - k. Each tick yields
-    (lanes, x, y): the active sections are the slice lanes of the
-    section-reversed coefficient, state and work arrays, x holds their
-    inputs and y is the view of out their outputs are written to. x and y
-    are basic slices, so the caller must write every element of y before
-    asking for the next tick.
+    Lanes are the sections in reverse order: lane j is section n-1-j. Each
+    tick yields (lanes, x, y): the active sections are the slice lanes of
+    section-reversed coefficient and state arrays, x holds their inputs and
+    y is where their outputs go. Both are views of one work line of n + 1
+    values: y = line[lo:hi] and x = line[lo+1:hi+1], so each section reads
+    what the section before it wrote on the previous tick, and section 0
+    reads the sample, which sits in line[n]. y overlaps x shifted by one:
+    the caller writes all of y after its last read of x and before asking
+    for the next tick.
 
-    out must be a C-contiguous [n_samples x n_sections] array of the samples'
-    dtype. The outputs of one tick, out[t - k, k], lie on an anti-diagonal of
-    out, a slice of out.reshape(-1) with step n_sections - 1; ascending
-    positions on it run from the last section to the first, hence the
-    section-reversed arrays. Section k's input out[t - k, k - 1] is the
-    element before each output. Section 0's input sits in the last column of
-    the previous row, which is filled with the samples up front and
-    overwritten by section n-1 only after section 0 has read it.
+    After each tick the outputs are copied into rows, a ring of the tap rows
+    not yet handed out. Sample t's row fills along the ticks t..t+n-1, so a
+    row is complete n-1 samples after its sample went in; one tick's outputs
+    lie on an anti-diagonal of the ring, a slice of it with step n-1 (split
+    in two where it wraps). The ring holds the rows in flight plus the rows
+    of the current block, min(samples in, n-1) + block rows, and grows
+    geometrically up to n-1 + block rows, so its copies cost O(n) per tick.
     """
-    n_samples, n = out.shape
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    flat = out.reshape(-1)
-    stride = max(n - 1, 1)  # one section: a single element per tick
-    if n > 1:
-        out[:-1, -1] = samples[1:]
-    for tick in range(n_samples + n - 1):
-        k_lo = max(0, tick - n_samples + 1)
-        k_hi = min(n - 1, tick)
-        first = tick * n - k_hi * (n - 1)  # position of out[tick - k_hi, k_hi]
-        last = first + (k_hi - k_lo) * stride + 1
-        if tick == 0 or n == 1:
-            x = samples[tick : tick + 1]
-        else:
-            x = flat[first - 1 : last - 1 : stride]
-        yield slice(n - 1 - k_hi, n - k_lo), x, flat[first:last:stride]
+
+    def __init__(self, n_sections: int, dtype=np.float64):
+        self.n = n_sections
+        self.line = np.zeros(n_sections + 1, dtype=dtype)
+        self.rows = np.empty((0, n_sections), dtype=dtype)
+        self.first = 0  # ring row of the oldest row not handed out
+        self.pushed = 0  # samples ticked in since the last drain
+        self.done = 0  # rows handed out since the last drain
+
+    def ticks(self, samples):
+        """Yield one tick per sample of samples (1-D, of the line's dtype)."""
+        self._reserve(samples.shape[0])
+        start = self.pushed
+        self.pushed += samples.shape[0]
+        return self._ticks(range(start, self.pushed), samples.tolist())
+
+    def drain(self):
+        """Yield the n-1 ticks that complete every row in flight."""
+        return self._ticks(range(self.pushed, self.pushed + self.n - 1) if self.pushed else ())
+
+    def completed(self) -> np.ndarray:
+        """A copy of the rows completed since the last call, in sample order."""
+        end = max(self.done, self.pushed - self.n + 1)
+        rows = self._held(end - self.done, copy=True)
+        self.first = (self.first + rows.shape[0]) % max(self.rows.shape[0], 1)
+        self.done = end
+        return rows
+
+    def rest(self) -> np.ndarray:
+        """After drain: every row not handed out, and a fresh start. The
+        rows are a view of the ring where they do not wrap; the ring is let
+        go either way, so they stay valid."""
+        rows = self._held(self.pushed - self.done)
+        self.rows = np.empty((0, self.n), dtype=self.rows.dtype)
+        self.first = self.pushed = self.done = 0
+        return rows
+
+    def _held(self, count: int, copy: bool = False) -> np.ndarray:
+        """The count rows from the oldest one not handed out: a view of the
+        ring unless they wrap or copy is set."""
+        a = self.first
+        if a + count <= self.rows.shape[0]:
+            rows = self.rows[a : a + count]
+            return rows.copy() if copy else rows
+        return np.concatenate((self.rows[a:], self.rows[: a + count - self.rows.shape[0]]))
+
+    def _reserve(self, block: int) -> None:
+        held = self.pushed - self.done
+        cap = self.rows.shape[0]
+        if held + block <= cap:
+            return
+        cap = max(held + block, min(2 * cap, self.n - 1 + block))
+        rows = np.empty((cap, self.n), dtype=self.rows.dtype)
+        rows[:held] = self._held(held)
+        self.rows = rows
+        self.first = 0
+
+    def _ticks(self, ticks, samples=()):
+        n = self.n
+        line = self.line
+        flat = self.rows.reshape(-1)
+        cap = self.rows.shape[0]
+        step = max(n - 1, 1)  # one section: a single element per tick
+        end = self.pushed
+        base = self.first - self.done  # sample t's row is ring row (base + t) % cap
+        full = (slice(0, n), line[1:], line[:n])  # a tick of every section
+        for tick, sample in itertools.zip_longest(ticks, samples):
+            lo = n - 1 - tick if tick < n - 1 else 0  # sections up to tick have started
+            # sections from tick - end + 1 on still have samples
+            hi = n if tick < end else n - 1 + end - tick
+            if sample is not None:
+                line[n] = sample
+            lanes = full if hi - lo == n else (slice(lo, hi), line[lo + 1 : hi + 1], line[lo:hi])
+            yield lanes
+            # lane j holds the row of sample tick - n + 1 + j, in column n - 1 - j
+            y = lanes[2]
+            count = hi - lo
+            row = (base + tick - n + 1 + lo) % cap
+            pos = row * n + n - 1 - lo
+            if row + count <= cap:
+                flat[pos : pos + count * step : step] = y
+            else:  # the lanes from m on wrap to the first ring rows
+                m = cap - row
+                flat[pos : pos + m * step : step] = y[:m]
+                pos = n - 1 - lo - m
+                flat[pos : pos + (count - m) * step : step] = y[m:]
 
 
-def cascade_block(samples, a0, c0, r, h, g, w1, w2, out):
-    """Propagate samples through the cascade; same contract as cascade_block_py.
+def cascade_ticks(ticks, a0, c0, r, h, g, w1, w2, scratch):
+    """Run the float cascade over the ticks of a Wavefront.
 
-    out must be a C-contiguous [n_samples x n_sections] array; the ticks
-    come from wavefront. Working memory beyond out is O(n_sections).
+    a0..g, w1 and w2 are section-reversed contiguous arrays, w1 and w2
+    updated in place; scratch is three work arrays of the same length.
     """
-    n = a0.shape[0]
-    a0, c0, r, h, g = (np.ascontiguousarray(v[::-1]) for v in (a0, c0, r, h, g))
-    s1 = np.ascontiguousarray(w1[::-1])
-    s2 = np.ascontiguousarray(w2[::-1])
-    p = np.empty(n)
-    q = np.empty(n)
-    s = np.empty(n)
-    for k, x, y in wavefront(samples, out):
+    p, q, s = scratch
+    for k, x, y in ticks:
         a0k, c0k, rk, hk, gk = a0[k], c0[k], r[k], h[k], g[k]
-        w1k, w2k = s1[k], s2[k]
+        w1k, w2k = w1[k], w2[k]
         pk, qk, sk = p[k], q[k], s[k]
         np.multiply(c0k, w1k, out=qk)  # kept for w2' before w1 is overwritten
         # w1' = r * (a0 * w1 - c0 * w2) + x
@@ -99,9 +168,7 @@ def cascade_block(samples, a0, c0, r, h, g, w1, w2, out):
         np.multiply(a0k, w2k, out=sk)
         np.add(qk, sk, out=qk)
         np.multiply(rk, qk, out=w2k)
-        # y = g * (x + h * w2')
+        # y = g * (x + h * w2'), written after the last read of x
         np.multiply(hk, w2k, out=sk)
         np.add(x, sk, out=sk)
         np.multiply(gk, sk, out=y)
-    w1[:] = s1[::-1]
-    w2[:] = s2[::-1]

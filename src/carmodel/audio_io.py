@@ -15,7 +15,9 @@ are written either as CSV or as a small self-describing binary format:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -150,37 +152,60 @@ def write_wav(path, buffer: AudioBuffer, bits: int = 16) -> None:
 
 
 def write_cochleagram(
-    outputs: np.ndarray,
+    outputs,
     path,
     format: str = "csv",
     sample_rate_hz: float = 0.0,
 ) -> None:
-    """Persist a [n_samples x n_sections] tap matrix as CSV or binary."""
-    m = np.asarray(outputs, dtype=np.float64)
-    if m.ndim != 2:
-        raise ConfigError(f"cochleagram must be 2-D, got shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
-        raise ConfigError("cochleagram contains non-finite values")
-    if format == "csv":
-        # The bytes csv.writer gives for these fields, formatted by numpy
-        # about one row at a time.
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
-            f.writelines(csv_rows(m, index=True))
-    elif format == "binary":
-        with open(path, "wb") as f:
-            f.write(
-                _HEADER.pack(
-                    COCHLEAGRAM_MAGIC,
-                    COCHLEAGRAM_VERSION,
-                    m.shape[1],
-                    m.shape[0],
-                    float(sample_rate_hz),
-                )
-            )
-            f.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-    else:
+    """Persist an [n_samples x n_sections] tap matrix as CSV or binary.
+
+    outputs is the matrix, or an iterable of its row blocks in order, each
+    2-D, written as they come, so a stream's rows need not be held at once.
+    The file is written next to path under a ".part" name and moved onto
+    path when complete: an error, such as a non-finite value, leaves path as
+    it was.
+    """
+    if format not in ("csv", "binary"):
         raise ConfigError(f"unknown cochleagram format: {format!r}")
+    blocks = [outputs] if isinstance(outputs, np.ndarray) else outputs
+    part = f"{os.fspath(path)}.part"
+    try:
+        with (
+            open(part, "w", newline="", encoding="utf-8") if format == "csv" else open(part, "wb")
+        ) as f:
+            if format == "binary":
+                f.seek(_HEADER.size)  # the header, which counts the rows, goes in last
+            n_sections = None
+            n_samples = 0
+            for block in blocks:
+                m = np.asarray(block, dtype=np.float64)
+                if m.ndim != 2 or n_sections not in (None, m.shape[1]):
+                    raise ConfigError(
+                        f"cochleagram blocks must be 2-D and alike, got shape {m.shape}"
+                    )
+                if m.size and not np.isfinite(m).all():
+                    raise ConfigError("cochleagram contains non-finite values")
+                if format == "binary":
+                    f.write(m.astype("<f8", copy=False).tobytes())
+                else:
+                    if n_sections is None:
+                        f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
+                    # The bytes csv.writer gives for these fields, formatted
+                    # by numpy about one row at a time.
+                    f.writelines(csv_rows(m, index=True, start=n_samples))
+                n_sections = m.shape[1]
+                n_samples += m.shape[0]
+            if n_sections is None:
+                raise ConfigError("cochleagram has no row blocks")
+            if format == "binary":
+                f.seek(0)
+                f.write(_HEADER.pack(COCHLEAGRAM_MAGIC, COCHLEAGRAM_VERSION, n_sections,
+                                     n_samples, float(sample_rate_hz)))
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
 
 
 def read_cochleagram(path) -> tuple[np.ndarray, float | None]:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, audio_io, fixed, schedule
-from .core import CascadeState, process_block
+from .core import CascadeState, process_block, stream_rows
 from .design import (
     CascadeDesign,
     DesignParams,
@@ -150,8 +150,7 @@ def _cmd_run(args) -> int:
              wav.samples.size, design.n_sections, args.mode)
 
     if args.mode == "float":
-        state = CascadeState(design.n_sections)
-        outputs = process_block(design, state, wav.samples)
+        outputs = stream_rows(design, CascadeState(design.n_sections), wav.samples)
     elif args.mode == "pipeline":
         params = _hardware(args, design.sample_rate_hz)
         outputs = schedule.simulate_pipeline(design, params, wav.samples)
@@ -179,7 +178,7 @@ def _cmd_run(args) -> int:
     audio_io.write_cochleagram(
         outputs, args.output, format=args.format, sample_rate_hz=design.sample_rate_hz
     )
-    print(f"cochleagram {outputs.shape[0]} x {outputs.shape[1]} -> {args.output}")
+    print(f"cochleagram {wav.samples.size} x {design.n_sections} -> {args.output}")
     return 0
 
 
@@ -204,8 +203,14 @@ def _cmd_analyze(args) -> int:
         channels = _default_channels(design.n_sections)
 
     def system(stim: np.ndarray) -> np.ndarray:
-        state = CascadeState(design.n_sections)
-        return process_block(design, state, stim)[:, channels]
+        # Column-major, the layout numpy gives rows[:, channels]: the FFTs of
+        # the analysis round differently on the other one.
+        out = np.empty((stim.size, len(channels)), order="F")
+        row = 0
+        for rows in stream_rows(design, CascadeState(design.n_sections), stim):
+            out[row : row + rows.shape[0]] = rows[:, channels]
+            row += rows.shape[0]
+        return out
 
     if args.method == "mls":
         config = analysis.MlsConfig(order=args.mls_order)

@@ -21,19 +21,25 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._kernels import cascade_block
+from ._kernels import Wavefront, cascade_ticks
 from .design import CascadeDesign, ChannelCoeffs
 from .errors import ConfigError
 
 __all__ = [
     "SectionState",
     "CascadeState",
+    "CascadeStream",
+    "CHUNK_VALUES",
     "step_section",
     "process_sample",
     "process_block",
+    "stream_rows",
     "reset",
     "settling_samples",
 ]
+
+# Tap values per chunk that stream_rows pushes: 512 KB of float64.
+CHUNK_VALUES = 1 << 16
 
 
 class SectionState(NamedTuple):
@@ -45,7 +51,8 @@ class CascadeState:
     """Per-section (w1, w2) pairs for one cascade instance.
 
     Owned by a single processing context at a time; the arrays are mutated
-    in place by process_sample/process_block.
+    in place by process_sample/process_block, and by a CascadeStream when
+    it flushes.
     """
 
     def __init__(self, n_sections: int):
@@ -106,26 +113,88 @@ def process_sample(design: CascadeDesign, state: CascadeState, x: float) -> np.n
     return y
 
 
+def _checked_samples(samples: Sequence[float] | np.ndarray) -> np.ndarray:
+    x = np.ascontiguousarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ConfigError(f"samples must be one-dimensional, got shape {x.shape}")
+    if x.size and not np.isfinite(x).all():
+        raise ConfigError("samples contain non-finite values")
+    return x
+
+
+class CascadeStream:
+    """The cascade over a sample stream: push samples, get tap rows back.
+
+    Section k processes a sample k ticks after section 0, so each push
+    returns the rows completed so far, n_sections - 1 samples behind the
+    input, and flush runs the ticks that complete the rest. The outputs are
+    bit-identical to process_sample's, however the input is split. The
+    stream reads the state when it is made and writes it back (w1, w2 and
+    samples_processed) at every flush; after a flush it takes new pushes.
+    """
+
+    def __init__(self, design: CascadeDesign, state: CascadeState):
+        _check_state(design, state)
+        self.state = state
+        self._coeffs = tuple(np.ascontiguousarray(v[::-1]) for v in design.coeff_arrays)
+        self._w1 = state.w1[::-1].copy()
+        self._w2 = state.w2[::-1].copy()
+        self._scratch = tuple(np.empty(design.n_sections) for _ in range(3))
+        self._front = Wavefront(design.n_sections)
+
+    def _run(self, ticks) -> None:
+        cascade_ticks(ticks, *self._coeffs, self._w1, self._w2, self._scratch)
+
+    def _tick(self, samples) -> None:
+        self._run(self._front.ticks(_checked_samples(samples)))
+
+    def push(self, samples: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Run one tick per sample; returns the [rows x n_sections] outputs
+        completed by them, a new array."""
+        self._tick(samples)
+        return self._front.completed()
+
+    def flush(self) -> np.ndarray:
+        """Complete every row in flight, write the state back, and return
+        the rows not yet returned."""
+        pushed = self._front.pushed
+        self._run(self._front.drain())
+        self.state.w1[:] = self._w1[::-1]
+        self.state.w2[:] = self._w2[::-1]
+        self.state.samples_processed += pushed
+        return self._front.rest()
+
+
 def process_block(
     design: CascadeDesign, state: CascadeState, samples: Sequence[float] | np.ndarray
 ) -> np.ndarray:
     """Propagate a block of samples; returns [n_samples x n_sections] outputs.
 
     Bit-identical to calling process_sample once per sample; state is carried
-    across calls so long inputs can be streamed in chunks.
+    across calls so long inputs can be processed in blocks. Each call drains
+    the cascade; CascadeStream does not.
     """
-    _check_state(design, state)
-    x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigError(f"samples must be one-dimensional, got shape {x.shape}")
-    if x.size and not np.isfinite(x).all():
-        raise ConfigError("samples contain non-finite values")
-    out = np.empty((x.shape[0], design.n_sections), dtype=np.float64)
-    if x.size:
-        a0, c0, r, h, g = design.coeff_arrays
-        cascade_block(x, a0, c0, r, h, g, state.w1, state.w2, out)
-    state.samples_processed += x.shape[0]
-    return out
+    stream = CascadeStream(design, state)
+    # push's ticks, but the rows stay in the stream, so that the flush
+    # returns the whole block in one buffer, without a copy
+    stream._tick(samples)
+    return stream.flush()
+
+
+def stream_rows(design: CascadeDesign, state: CascadeState, samples: np.ndarray):
+    """Yield the tap rows of samples, in order, as blocks of rows pushed
+    through a CascadeStream in chunks of about CHUNK_VALUES tap values.
+
+    The first chunk is n_sections - 1 samples longer, the rows still in
+    flight, so the stream sizes its buffer once. The last block, from the
+    flush, is always yielded, even when empty.
+    """
+    n = design.n_sections
+    chunk = max(1, CHUNK_VALUES // n)
+    stream = CascadeStream(design, state)
+    for part in np.split(samples, range(n - 1 + chunk, len(samples), chunk)):
+        yield stream.push(part)
+    yield stream.flush()
 
 
 def settling_samples(design: CascadeDesign, tol: float = 1e-9) -> int:

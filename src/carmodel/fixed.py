@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -244,6 +245,23 @@ class QuantizedDesign:
     @property
     def n_sections(self) -> int:
         return len(self.coeffs_raw)
+
+    @cached_property
+    def lane_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only int64 operands of the wavefront kernel, built on first
+        use, in section-reversed lanes: [n x 2] pairs (r, r), (a0, a0) and
+        (-c0, c0), and vectors h and g."""
+        r, a0, c0, h, g = np.array(self.coeffs_raw, dtype=np.int64)[::-1].T
+        arrays = (
+            np.stack([r, r], axis=1),
+            np.stack([a0, a0], axis=1),
+            np.stack([-c0, c0], axis=1),
+            h.copy(),
+            g.copy(),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def quantize_design(
@@ -575,27 +593,25 @@ def _fixed_block_int64(
     # Lanes are section-reversed, as the wavefront runs. Row k of the [n x 2]
     # arrays holds section k's w1' and w2' lines: D = p * w + q * w[:, ::-1]
     # is (a0*w1 - c0*w2, a0*w2 + c0*w1).
-    r, a0, c0, h, g = np.array(qdesign.coeffs_raw, dtype=np.int64)[::-1].T.copy()
-    rr = np.stack([r, r], axis=1)
-    p = np.stack([a0, a0], axis=1)
-    q = np.stack([-c0, c0], axis=1)
+    rr, p, q, h, g = qdesign.lane_arrays
     w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].copy()
     sat = np.zeros(n, dtype=np.int64)
-    out = np.empty((len(xs), n), dtype=np.int64)
+    front = _kernels.Wavefront(n, dtype=np.int64)
 
-    for k, x, y in _kernels.wavefront(samples, out):
-        wk = w[k]
-        satk = sat[k]
-        d = p[k] * wk
-        d += q[k] * wk[:, ::-1]
-        wk[:] = write(rr[k], d, satk, x)
-        d = h[k] * wk[:, 1]
-        d += x << cfrac
-        y[:] = write(g[k], d, satk)
+    for lanes in (front.ticks(samples), front.drain()):
+        for k, x, y in lanes:
+            wk = w[k]
+            satk = sat[k]
+            d = p[k] * wk
+            d += q[k] * wk[:, ::-1]
+            wk[:] = write(rr[k], d, satk, x)
+            d = h[k] * wk[:, 1]
+            d += x << cfrac
+            y[:] = write(g[k], d, satk)
 
     state.w1_raw[:] = w[::-1, 0]
     state.w2_raw[:] = w[::-1, 1]
-    return out, sat[::-1].copy(), input_sat
+    return front.rest(), sat[::-1].copy(), input_sat
 
 
 def fixed_process_block(

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import carmodel
 from carmodel._csvfmt import CHUNK_VALUES
+from carmodel.analysis import mls_warmup_periods
 from carmodel.audio_io import (
     AudioBuffer,
     read_cochleagram,
@@ -19,6 +21,9 @@ from carmodel.audio_io import (
     write_wav,
 )
 from carmodel.cli import cli_main
+from carmodel.core import CHUNK_VALUES as CORE_CHUNK_VALUES
+from carmodel.core import CascadeState, process_block
+from carmodel.design import read_coeff_table
 from carmodel.errors import AudioFormatError, ConfigError
 
 from oracles import CSV_EDGE_FLOATS, csv_text
@@ -187,6 +192,27 @@ class TestCochleagram:
         with pytest.raises(ConfigError):
             write_cochleagram(np.zeros((1, 1)), tmp_path / "x", format="hdf5")
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_row_blocks_write_the_matrix_bytes(self, tmp_path, rng, fmt):
+        m = rng.normal(0, 1, (40, 7))
+        write_cochleagram(m, tmp_path / "whole", format=fmt, sample_rate_hz=8000.0)
+        blocks = iter(np.split(m, [0, 1, 17, 17, 39]))  # empty blocks among them
+        write_cochleagram(blocks, tmp_path / "blocks", format=fmt, sample_rate_hz=8000.0)
+        assert (tmp_path / "blocks").read_bytes() == (tmp_path / "whole").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks", "whole"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_failed_write_leaves_path(self, tmp_path, fmt):
+        p = tmp_path / "c"
+        p.write_bytes(b"before")
+        blocks = (np.full((3, 2), v) for v in (1.0, 2.0, np.inf))
+        with pytest.raises(ConfigError, match="non-finite"):
+            write_cochleagram(blocks, p, format=fmt)
+        with pytest.raises(ConfigError, match="2-D"):
+            write_cochleagram([np.zeros((3, 2)), np.zeros((3, 3))], p, format=fmt)
+        assert p.read_bytes() == b"before"
+        assert [q.name for q in tmp_path.iterdir()] == ["c"]
+
 
 @pytest.fixture()
 def workspace(tmp_path, rng):
@@ -241,6 +267,43 @@ class TestCliRun:
         assert rc == 0
         m, _ = read_cochleagram(workspace / "out.csv")
         assert m.shape == (2400, 24)
+
+    def test_float_mode_streams_the_block_taps(self, workspace, rng):
+        # several chunks of the 24-section cascade: rows, index column and
+        # header come out as from one process_block call
+        x = np.round(rng.uniform(-0.25, 0.25, 3 * (CORE_CHUNK_VALUES // 24)) * 32768) / 32768
+        write_wav(workspace / "long.wav", AudioBuffer(48000, x))
+        design = read_coeff_table(workspace / "coeffs.csv")
+        taps = process_block(design, CascadeState(24), read_wav(workspace / "long.wav").samples)
+        for fmt in ("csv", "binary"):
+            out = workspace / f"long.{fmt}"
+            rc = cli_main(["run", "--coeffs", str(workspace / "coeffs.csv"),
+                           "--wav", str(workspace / "long.wav"), "-o", str(out), "--format", fmt])
+            assert rc == 0
+            write_cochleagram(taps, workspace / "expect", format=fmt, sample_rate_hz=48000.0)
+            assert out.read_bytes() == (workspace / "expect").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_non_finite_taps_leave_output(self, workspace, capsys, fmt):
+        # g = 1e200 from section 3 on overflows the taps once the input
+        # turns nonzero, after two chunks of silence were written
+        lines = (workspace / "coeffs.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for cols in rows[3:]:
+            cols[8] = "1e200"
+        (workspace / "hot.csv").write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
+        x = np.zeros(3 * (CORE_CHUNK_VALUES // 24))
+        x[-100:] = 0.5
+        write_wav(workspace / "late.wav", AudioBuffer(48000, x))
+        out = workspace / "out.keep"
+        out.write_bytes(b"earlier output")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli_main(["run", "--coeffs", str(workspace / "hot.csv"),
+                           "--wav", str(workspace / "late.wav"), "-o", str(out), "--format", fmt])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cochleagram contains non-finite values\n"
+        assert out.read_bytes() == b"earlier output"
+        assert not (workspace / "out.keep.part").exists()
 
     def test_silence_gives_zero_matrix(self, workspace):
         write_wav(workspace / "zero.wav", AudioBuffer(48000, np.zeros(100)))
@@ -410,6 +473,41 @@ class TestCliAnalyze:
         ])
         assert rc == 1
         assert "channels out of range" in capsys.readouterr().err
+
+
+def _traced_peak(argv) -> int:
+    """Peak bytes traced by tracemalloc over one cli_main call."""
+    tracemalloc.start()
+    try:
+        assert cli_main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCliMemory:
+    def test_run_peak_flat_in_input_length(self, tmp_path, rng, capsys):
+        assert cli_main(["design", "--sections", "64", "-o", str(tmp_path / "c.csv")]) == 0
+        peaks = []
+        for n_samples in (4096, 4096, 8192):  # the first run warms caches up
+            x = np.round(rng.uniform(-0.25, 0.25, n_samples) * 32768) / 32768
+            write_wav(tmp_path / "in.wav", AudioBuffer(48000, x))
+            peaks.append(_traced_peak(["run", "--coeffs", str(tmp_path / "c.csv"),
+                                       "--wav", str(tmp_path / "in.wav"),
+                                       "-o", str(tmp_path / "o.bin"), "--format", "binary"]))
+        # holding the taps would add 4096 x 64 doubles (2 MB)
+        assert peaks[2] - peaks[1] < CORE_CHUNK_VALUES * 8
+
+    def test_analyze_peak_below_tap_matrix(self, tmp_path, capsys):
+        assert cli_main(["design", "--sections", "64", "--x-apex", "0.4",
+                         "-o", str(tmp_path / "c.csv")]) == 0
+        argv = ["analyze", "--coeffs", str(tmp_path / "c.csv"), "--mls-order", "12",
+                "--channels", "0,31,63", "--out-dir", str(tmp_path / "a")]
+        _traced_peak(argv)
+        peak = _traced_peak(argv)
+        design = read_coeff_table(tmp_path / "c.csv")
+        stimulus = (mls_warmup_periods(design, 4095) + 1) * 4095
+        assert peak < 0.5 * stimulus * 64 * 8
 
 
 class TestCliScheduleCompare:

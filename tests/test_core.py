@@ -2,12 +2,17 @@
 
 import math
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carmodel._kernels import cascade_block_py
 from carmodel.core import (
     CascadeState,
+    CascadeStream,
     SectionState,
     process_block,
     process_sample,
@@ -277,6 +282,73 @@ class TestProcessBlock:
         assert np.array_equal(
             process_block(fast_design, s1, xs), process_block(fast_design, s2, xs)
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_design(n_sections):
+    return design_cascade(DesignParams(48000.0, n_sections, damping_zeta=0.2))
+
+
+@st.composite
+def stream_runs(draw):
+    """A section count and a sequence of pushes (sizes, empty ones and
+    1-sample ones among them, most shorter than the cascade) and flushes
+    (None)."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 16]))
+    step = st.one_of(st.none(), st.integers(0, 1), st.integers(0, n + 2), st.integers(0, 3 * n))
+    return n, draw(st.lists(step, max_size=12))
+
+
+class TestCascadeStream:
+    @given(stream_runs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_push_flush_equals_reference_loop(self, run, seed):
+        n, steps = run
+        design = _stream_design(n)
+        xs = np.random.default_rng(seed).uniform(-1, 1, sum(s or 0 for s in steps))
+        expect = np.empty((xs.size, n))
+        w1, w2 = np.zeros(n), np.zeros(n)
+        cascade_block_py(xs, *design.coeff_arrays, w1, w2, expect)
+
+        state = CascadeState(n)
+        stream = CascadeStream(design, state)
+        rows, pushed, in_flight = [], 0, 0
+        for size in steps:
+            if size is None:
+                rows.append(stream.flush())
+                in_flight = 0
+                assert state.samples_processed == pushed
+            else:
+                rows.append(stream.push(xs[pushed : pushed + size]))
+                # rows come out n - 1 samples behind the input
+                lag = n - 1
+                assert rows[-1].shape[0] == max(0, in_flight + size - lag) - max(0, in_flight - lag)
+                pushed += size
+                in_flight += size
+        rows.append(stream.flush())
+        got = np.concatenate(rows)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(state.w1, w1)
+        assert np.array_equal(state.w2, w2)
+        assert state.samples_processed == xs.size
+
+    def test_flush_without_pushes(self, fast_design):
+        state = CascadeState(fast_design.n_sections)
+        stream = CascadeStream(fast_design, state)
+        assert stream.flush().shape == (0, fast_design.n_sections)
+        assert stream.push([]).shape == (0, fast_design.n_sections)
+        assert stream.flush().shape == (0, fast_design.n_sections)
+        assert state.samples_processed == 0
+        assert np.all(state.w1 == 0.0)
+
+    def test_checks_like_process_block(self, fast_design):
+        with pytest.raises(ConfigError):
+            CascadeStream(fast_design, CascadeState(fast_design.n_sections + 1))
+        stream = CascadeStream(fast_design, CascadeState(fast_design.n_sections))
+        with pytest.raises(ConfigError):
+            stream.push([0.1, float("inf")])
+        with pytest.raises(ConfigError):
+            stream.push(np.zeros((2, 2)))
 
 
 class TestReset:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,10 +38,29 @@ def expected_text(m) -> str:
 @example(2.5)
 @example(123456789012345.625)  # an exact tie at 17 digits
 @example(2.2250738585072014e-308)
+# scaled, fractions 2.1u-2.9u times z from one half, u the unit roundoff of
+# an 80-bit long double: numpy's path, as the derived margin allows
+@example(127.31140689622409)
+@example(0.0005925057029139637)
+@example(9.816095571139052e24)
+@example(6.865265516443868e-10)
 @settings(max_examples=1000, deadline=None)
 def test_matches_percent_g(value):
     m = np.array([[value]])
     assert rows_text(m) == expected_text(m)
+
+
+@pytest.mark.skipif(_csvfmt._unit_roundoff() != 2.0**-64, reason="needs an 80-bit long double")
+def test_margin_is_the_derived_bound(monkeypatch):
+    assert _csvfmt._REL_MARGIN == 2.0**-64 * (2 + 2.0**-64)
+    near_half = [127.31140689622409, 0.0005925057029139637, 9.816095571139052e24,
+                 6.865265516443868e-10]
+    seen = []
+    python_fields = _csvfmt._python_fields
+    monkeypatch.setattr(_csvfmt, "_python_fields", lambda v: seen.extend(v) or python_fields(v))
+    m = np.array([near_half])
+    assert rows_text(m) == expected_text(m)
+    assert not seen
 
 
 def test_random_bit_patterns():

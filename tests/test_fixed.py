@@ -287,6 +287,18 @@ class TestQuantizeDesign:
     def test_zero_quantizes_to_zero(self):
         assert quantize(0.0, DEFAULT_COEFF_FORMAT).raw == 0
 
+    def test_lane_arrays_built_once_read_only(self):
+        qd = quantize_design(design_cascade(DesignParams(48000.0, 6)))
+        rr, p, q, h, g = qd.lane_arrays
+        assert qd.lane_arrays[0] is rr
+        r, a0, c0, h_raw, g_raw = (list(col)[::-1] for col in zip(*qd.coeffs_raw))
+        assert rr.tolist() == [[v, v] for v in r]
+        assert p.tolist() == [[v, v] for v in a0]
+        assert q.tolist() == [[-v, v] for v in c0]
+        assert (h.tolist(), g.tolist()) == (h_raw, g_raw)
+        for a in (rr, p, q, h, g):
+            assert a.dtype == np.int64 and not a.flags.writeable
+
 
 class TestFixedStepSection:
     def test_zero_in_zero_out(self):
