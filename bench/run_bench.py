@@ -8,7 +8,7 @@ Usage, from the repository root; TREE is a checkout with src/ and perfbench/:
 
 Each call measures the program in TREE and stores its numbers under
 --label, keeping the other labels the file holds. Every entry is the median
-of its repeats, with the repeats themselves, and each label is stamped with
+of its REPEATS repeats, with the repeats themselves, and each label is stamped with
 the Python and numpy versions, nproc and the tree's git revision:
 
 - block_48_process_block_ms, block_48_push_ms: one 48-sample block through
@@ -46,6 +46,8 @@ N_SECTIONS = 1224
 SAMPLE_RATE_HZ = 48000
 RUN_SECONDS = (0.5, 1.0)
 ANALYZE_SEEDS = (801, 802, 803)
+ANALYZE_SECONDS = 5.0  # perfbench's --seconds for each analyze_mls run
+REPEATS = 5  # timed block calls, and run children per input length
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -65,7 +67,7 @@ def _import_program(tree: Path):
     return np, cli, core, design
 
 
-def child_block(tree: Path, repeats: int) -> dict:
+def child_block(tree: Path) -> dict:
     """Per-block ms of process_block and, where it exists, of push."""
     np, _, core, design = _import_program(tree)
     des = design.design_cascade(design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS))
@@ -73,7 +75,7 @@ def child_block(tree: Path, repeats: int) -> dict:
     blocks = [x[i : i + BLOCK_SAMPLES] for i in range(0, x.size, BLOCK_SAMPLES)]
     tracer = Tracer()
     state = core.CascadeState(N_SECTIONS)
-    for i in range(repeats + 1):  # the first call warms up
+    for i in range(REPEATS + 1):  # the first call warms up
         tracer.call("process_block", core.process_block, des, state, blocks[i % len(blocks)])
     result = {"process_block": [1e3 * (e - s) for _, s, e, _, _ in tracer.spans[1:]]}
     if hasattr(core, "CascadeStream"):
@@ -81,7 +83,7 @@ def child_block(tree: Path, repeats: int) -> dict:
         for block in blocks[: -(-N_SECTIONS // BLOCK_SAMPLES) + 1]:  # fill the cascade
             stream.push(block)
         start = len(tracer.spans)
-        for i in range(repeats):
+        for i in range(REPEATS):
             tracer.call("push", stream.push, blocks[i % len(blocks)])
         result["push"] = [1e3 * (e - s) for _, s, e, _, _ in tracer.spans[start:]]
     return result
@@ -121,9 +123,9 @@ def in_child(*args: str) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def measure(tree: Path, repeats: int, perfbench_seconds: float) -> dict:
+def measure(tree: Path) -> dict:
     entries = {}
-    blocks = in_child("--child", "block", "--tree", str(tree), "--repeats", str(repeats))
+    blocks = in_child("--child", "block", "--tree", str(tree))
     for name, times in blocks.items():
         entries[f"block_48_{name}_ms"] = summary(times)
 
@@ -137,7 +139,7 @@ def measure(tree: Path, repeats: int, perfbench_seconds: float) -> dict:
             wav = tmp / f"noise_{seconds}s.wav"
             write_wav(wav, noise_samples(random.Random(9), int(seconds * SAMPLE_RATE_HZ)))
             runs = [in_child("--child", "run", "--tree", str(tree), "--coeffs", str(coeffs),
-                             "--wav", str(wav)) for _ in range(repeats)]
+                             "--wav", str(wav)) for _ in range(REPEATS)]
             entries[f"run_binary_{seconds}s"] = {
                 key: summary([r[key] for r in runs]) for key in runs[0]
             }
@@ -146,7 +148,7 @@ def measure(tree: Path, repeats: int, perfbench_seconds: float) -> dict:
     for seed in ANALYZE_SEEDS:
         out = subprocess.run(
             [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "analyze_mls",
-             "--seed", str(seed), "--seconds", str(perfbench_seconds)],
+             "--seed", str(seed), "--seconds", str(ANALYZE_SECONDS)],
             check=True, capture_output=True, text=True, cwd=tree,
         ).stdout
         metrics = json.loads(out.splitlines()[-1])["metrics"]
@@ -170,8 +172,6 @@ def main() -> int:
     ap.add_argument("--tree", type=Path, default=HERE.parent)
     ap.add_argument("--label", default="after")
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--perfbench-seconds", type=float, default=5.0)
     ap.add_argument("--child", choices=["block", "run"], help=argparse.SUPPRESS)
     ap.add_argument("--coeffs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--wav", type=Path, help=argparse.SUPPRESS)
@@ -179,7 +179,7 @@ def main() -> int:
     tree = args.tree.resolve()
 
     if args.child == "block":
-        print(json.dumps(child_block(tree, args.repeats)))
+        print(json.dumps(child_block(tree)))
         return 0
     if args.child == "run":
         print(json.dumps(child_run(tree, args.coeffs, args.wav)))
@@ -189,7 +189,7 @@ def main() -> int:
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("script", "bench/run_bench.py")
-    entries = measure(tree, args.repeats, args.perfbench_seconds)
+    entries = measure(tree)
     record[args.label] = {"stamp": stamp(tree), **entries}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -18,7 +18,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import shutil
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,56 +158,83 @@ def write_cochleagram(
     path,
     format: str = "csv",
     sample_rate_hz: float = 0.0,
+    n_samples: int | None = None,
 ) -> None:
     """Persist an [n_samples x n_sections] tap matrix as CSV or binary.
 
-    outputs is the matrix, or an iterable of its row blocks in order, each
+    outputs is the matrix, or an iterator of its row blocks in order, each
     2-D, written as they come, so a stream's rows need not be held at once.
-    The file is written next to path under a ".part" name and moved onto
-    path when complete: an error, such as a non-finite value, leaves path as
-    it was.
+    The binary header, written first, counts the rows, so an iterator in
+    that format needs n_samples; when given, it must match the rows written.
+
+    Where path is, through any symlinks, a regular file or nothing yet, the
+    file is written next to it under a ".part" name and moved onto it when
+    complete, with the mode of the file it replaces: an error, such as a
+    non-finite value, leaves it as it was. Anything else, such as a FIFO, a
+    pipe or a device, is written straight through.
     """
     if format not in ("csv", "binary"):
         raise ConfigError(f"unknown cochleagram format: {format!r}")
-    blocks = [outputs] if isinstance(outputs, np.ndarray) else outputs
-    part = f"{os.fspath(path)}.part"
+    if isinstance(outputs, Iterator):
+        blocks = outputs
+        if format == "binary" and n_samples is None:
+            raise ConfigError("a binary cochleagram of row blocks needs n_samples")
+    else:
+        m = np.asarray(outputs, dtype=np.float64)
+        blocks = [m]
+        if n_samples is None and m.ndim == 2:
+            n_samples = m.shape[0]
+    if os.path.exists(path) and not os.path.isfile(path):
+        with _open_cochleagram(path, format) as f:
+            _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
+        return
+    target = os.path.realpath(path)
+    part = f"{target}.part"
     try:
-        with (
-            open(part, "w", newline="", encoding="utf-8") if format == "csv" else open(part, "wb")
-        ) as f:
-            if format == "binary":
-                f.seek(_HEADER.size)  # the header, which counts the rows, goes in last
-            n_sections = None
-            n_samples = 0
-            for block in blocks:
-                m = np.asarray(block, dtype=np.float64)
-                if m.ndim != 2 or n_sections not in (None, m.shape[1]):
-                    raise ConfigError(
-                        f"cochleagram blocks must be 2-D and alike, got shape {m.shape}"
-                    )
-                if m.size and not np.isfinite(m).all():
-                    raise ConfigError("cochleagram contains non-finite values")
-                if format == "binary":
-                    f.write(m.astype("<f8", copy=False).tobytes())
-                else:
-                    if n_sections is None:
-                        f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
-                    # The bytes csv.writer gives for these fields, formatted
-                    # by numpy about one row at a time.
-                    f.writelines(csv_rows(m, index=True, start=n_samples))
-                n_sections = m.shape[1]
-                n_samples += m.shape[0]
-            if n_sections is None:
-                raise ConfigError("cochleagram has no row blocks")
-            if format == "binary":
-                f.seek(0)
-                f.write(_HEADER.pack(COCHLEAGRAM_MAGIC, COCHLEAGRAM_VERSION, n_sections,
-                                     n_samples, float(sample_rate_hz)))
-        os.replace(part, path)
+        with _open_cochleagram(part, format) as f:
+            _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
+        if os.path.exists(target):
+            shutil.copymode(target, part)
+        os.replace(part, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(part)
         raise
+
+
+def _open_cochleagram(path, format: str):
+    if format == "csv":
+        return open(path, "w", newline="", encoding="utf-8")
+    return open(path, "wb")
+
+
+def _write_blocks(f, blocks, format: str, sample_rate_hz: float, n_samples: int | None) -> None:
+    n_sections = None
+    rows = 0
+    for block in blocks:
+        m = np.asarray(block, dtype=np.float64)
+        if m.ndim != 2 or n_sections not in (None, m.shape[1]):
+            raise ConfigError(f"cochleagram blocks must be 2-D and alike, got shape {m.shape}")
+        if m.size and not np.isfinite(m).all():
+            raise ConfigError("cochleagram contains non-finite values")
+        if n_sections is None:
+            if format == "binary":
+                f.write(_HEADER.pack(COCHLEAGRAM_MAGIC, COCHLEAGRAM_VERSION, m.shape[1],
+                                     n_samples, float(sample_rate_hz)))
+            else:
+                f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
+        if format == "binary":
+            f.write(m.astype("<f8", copy=False).tobytes())
+        else:
+            # The bytes csv.writer gives for these fields, formatted by numpy
+            # about one row at a time.
+            f.writelines(csv_rows(m, index=True, start=rows))
+        n_sections = m.shape[1]
+        rows += m.shape[0]
+    if n_sections is None:
+        raise ConfigError("cochleagram has no row blocks")
+    if n_samples is not None and rows != n_samples:
+        raise ConfigError(f"cochleagram has {rows} rows, expected {n_samples}")
 
 
 def read_cochleagram(path) -> tuple[np.ndarray, float | None]:

@@ -176,7 +176,8 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"unknown mode: {args.mode!r}")
 
     audio_io.write_cochleagram(
-        outputs, args.output, format=args.format, sample_rate_hz=design.sample_rate_hz
+        outputs, args.output, format=args.format, sample_rate_hz=design.sample_rate_hz,
+        n_samples=wav.samples.size,
     )
     print(f"cochleagram {wav.samples.size} x {design.n_sections} -> {args.output}")
     return 0

@@ -16,6 +16,7 @@ the vector of all tap outputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -29,7 +30,7 @@ __all__ = [
     "SectionState",
     "CascadeState",
     "CascadeStream",
-    "CHUNK_VALUES",
+    "STREAM_CHUNK_VALUES",
     "step_section",
     "process_sample",
     "process_block",
@@ -38,8 +39,10 @@ __all__ = [
     "settling_samples",
 ]
 
-# Tap values per chunk that stream_rows pushes: 512 KB of float64.
-CHUNK_VALUES = 1 << 16
+# Tap values per chunk that stream_rows pushes: 512 KB of float64. The CSV
+# formatter's _csvfmt.CHUNK_VALUES sizes another buffer, its text of about
+# one row, kept that small because it takes 48 bytes per value.
+STREAM_CHUNK_VALUES = 1 << 16
 
 
 class SectionState(NamedTuple):
@@ -142,23 +145,21 @@ class CascadeStream:
         self._scratch = tuple(np.empty(design.n_sections) for _ in range(3))
         self._front = Wavefront(design.n_sections)
 
-    def _run(self, ticks) -> None:
-        cascade_ticks(ticks, *self._coeffs, self._w1, self._w2, self._scratch)
-
-    def _tick(self, samples) -> None:
-        self._run(self._front.ticks(_checked_samples(samples)))
-
     def push(self, samples: Sequence[float] | np.ndarray) -> np.ndarray:
         """Run one tick per sample; returns the [rows x n_sections] outputs
         completed by them, a new array."""
-        self._tick(samples)
+        ticks = self._front.ticks(_checked_samples(samples))
+        cascade_ticks(ticks, *self._coeffs, self._w1, self._w2, self._scratch)
         return self._front.completed()
 
-    def flush(self) -> np.ndarray:
-        """Complete every row in flight, write the state back, and return
-        the rows not yet returned."""
-        pushed = self._front.pushed
-        self._run(self._front.drain())
+    def flush(self, samples: Sequence[float] | np.ndarray = ()) -> np.ndarray:
+        """Push samples, the last ones before the flush, complete every row
+        in flight, write the state back, and return the rows not yet
+        returned, in one array."""
+        front = self._front
+        ticks = itertools.chain(front.ticks(_checked_samples(samples)), front.drain())
+        pushed = front.pushed
+        cascade_ticks(ticks, *self._coeffs, self._w1, self._w2, self._scratch)
         self.state.w1[:] = self._w1[::-1]
         self.state.w2[:] = self._w2[::-1]
         self.state.samples_processed += pushed
@@ -174,23 +175,21 @@ def process_block(
     across calls so long inputs can be processed in blocks. Each call drains
     the cascade; CascadeStream does not.
     """
-    stream = CascadeStream(design, state)
-    # push's ticks, but the rows stay in the stream, so that the flush
-    # returns the whole block in one buffer, without a copy
-    stream._tick(samples)
-    return stream.flush()
+    # flushed with the samples rather than pushed, so the block comes back
+    # in one buffer, without a copy
+    return CascadeStream(design, state).flush(samples)
 
 
 def stream_rows(design: CascadeDesign, state: CascadeState, samples: np.ndarray):
     """Yield the tap rows of samples, in order, as blocks of rows pushed
-    through a CascadeStream in chunks of about CHUNK_VALUES tap values.
+    through a CascadeStream in chunks of about STREAM_CHUNK_VALUES tap values.
 
     The first chunk is n_sections - 1 samples longer, the rows still in
     flight, so the stream sizes its buffer once. The last block, from the
     flush, is always yielded, even when empty.
     """
     n = design.n_sections
-    chunk = max(1, CHUNK_VALUES // n)
+    chunk = max(1, STREAM_CHUNK_VALUES // n)
     stream = CascadeStream(design, state)
     for part in np.split(samples, range(n - 1 + chunk, len(samples), chunk)):
         yield stream.push(part)

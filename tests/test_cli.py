@@ -1,9 +1,11 @@
 """File I/O and the command-line front end."""
 
 import os
+import stat
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -21,8 +23,7 @@ from carmodel.audio_io import (
     write_wav,
 )
 from carmodel.cli import cli_main
-from carmodel.core import CHUNK_VALUES as CORE_CHUNK_VALUES
-from carmodel.core import CascadeState, process_block
+from carmodel.core import STREAM_CHUNK_VALUES, CascadeState, process_block
 from carmodel.design import read_coeff_table
 from carmodel.errors import AudioFormatError, ConfigError
 
@@ -197,7 +198,8 @@ class TestCochleagram:
         m = rng.normal(0, 1, (40, 7))
         write_cochleagram(m, tmp_path / "whole", format=fmt, sample_rate_hz=8000.0)
         blocks = iter(np.split(m, [0, 1, 17, 17, 39]))  # empty blocks among them
-        write_cochleagram(blocks, tmp_path / "blocks", format=fmt, sample_rate_hz=8000.0)
+        write_cochleagram(blocks, tmp_path / "blocks", format=fmt, sample_rate_hz=8000.0,
+                          n_samples=40)
         assert (tmp_path / "blocks").read_bytes() == (tmp_path / "whole").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks", "whole"]
 
@@ -207,11 +209,56 @@ class TestCochleagram:
         p.write_bytes(b"before")
         blocks = (np.full((3, 2), v) for v in (1.0, 2.0, np.inf))
         with pytest.raises(ConfigError, match="non-finite"):
-            write_cochleagram(blocks, p, format=fmt)
+            write_cochleagram(blocks, p, format=fmt, n_samples=9)
         with pytest.raises(ConfigError, match="2-D"):
-            write_cochleagram([np.zeros((3, 2)), np.zeros((3, 3))], p, format=fmt)
+            write_cochleagram(iter([np.zeros((3, 2)), np.zeros((3, 3))]), p, format=fmt,
+                              n_samples=6)
+        with pytest.raises(ConfigError, match="expected 7"):
+            write_cochleagram(iter([np.zeros((3, 2)), np.zeros((3, 2))]), p, format=fmt,
+                              n_samples=7)
         assert p.read_bytes() == b"before"
         assert [q.name for q in tmp_path.iterdir()] == ["c"]
+
+    def test_binary_row_blocks_need_n_samples(self, tmp_path):
+        with pytest.raises(ConfigError, match="n_samples"):
+            write_cochleagram(iter([np.zeros((3, 2))]), tmp_path / "c", format="binary")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nested_list_is_a_matrix(self, tmp_path):
+        write_cochleagram([[0.5, 1.0], [2.0, 3.0]], tmp_path / "c.csv", format="csv")
+        back, _ = read_cochleagram(tmp_path / "c.csv")
+        assert np.array_equal(back, [[0.5, 1.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_symlink_written_through(self, tmp_path, rng, fmt):
+        m = rng.normal(0, 1, (5, 3))
+        write_cochleagram(m, tmp_path / "expect", format=fmt)
+        target = tmp_path / "target"
+        target.write_bytes(b"before")
+        target.chmod(0o640)
+        (tmp_path / "link").symlink_to(target)
+        write_cochleagram(m, tmp_path / "link", format=fmt)
+        assert (tmp_path / "link").is_symlink()
+        assert target.read_bytes() == (tmp_path / "expect").read_bytes()
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expect", "link", "target"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_fifo_written_through(self, tmp_path, rng, fmt):
+        m = rng.normal(0, 1, (300, 7))
+        write_cochleagram(m, tmp_path / "expect", format=fmt, sample_rate_hz=8000.0)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        # row blocks: the binary header cannot be written last on a pipe
+        write_cochleagram(iter(np.split(m, [100, 200])), fifo, format=fmt,
+                          sample_rate_hz=8000.0, n_samples=300)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        reader.join(timeout=30)
+        assert got == [(tmp_path / "expect").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expect", "fifo"]
 
 
 @pytest.fixture()
@@ -271,7 +318,7 @@ class TestCliRun:
     def test_float_mode_streams_the_block_taps(self, workspace, rng):
         # several chunks of the 24-section cascade: rows, index column and
         # header come out as from one process_block call
-        x = np.round(rng.uniform(-0.25, 0.25, 3 * (CORE_CHUNK_VALUES // 24)) * 32768) / 32768
+        x = np.round(rng.uniform(-0.25, 0.25, 3 * (STREAM_CHUNK_VALUES // 24)) * 32768) / 32768
         write_wav(workspace / "long.wav", AudioBuffer(48000, x))
         design = read_coeff_table(workspace / "coeffs.csv")
         taps = process_block(design, CascadeState(24), read_wav(workspace / "long.wav").samples)
@@ -292,7 +339,7 @@ class TestCliRun:
         for cols in rows[3:]:
             cols[8] = "1e200"
         (workspace / "hot.csv").write_text("\n".join([lines[0], *map(",".join, rows)]) + "\n")
-        x = np.zeros(3 * (CORE_CHUNK_VALUES // 24))
+        x = np.zeros(3 * (STREAM_CHUNK_VALUES // 24))
         x[-100:] = 0.5
         write_wav(workspace / "late.wav", AudioBuffer(48000, x))
         out = workspace / "out.keep"
@@ -304,6 +351,21 @@ class TestCliRun:
         assert capsys.readouterr().err == "error: cochleagram contains non-finite values\n"
         assert out.read_bytes() == b"earlier output"
         assert not (workspace / "out.keep.part").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_output_to_stdout_pipe(self, workspace, fmt):
+        argv = ["run", "--coeffs", str(workspace / "coeffs.csv"),
+                "--wav", str(workspace / "in.wav"), "--format", fmt]
+        assert cli_main([*argv, "-o", str(workspace / "expect")]) == 0
+        src = str(Path(carmodel.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "carmodel.cli", *argv, "-o", "/dev/stdout"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith((workspace / "expect").read_bytes())
 
     def test_silence_gives_zero_matrix(self, workspace):
         write_wav(workspace / "zero.wav", AudioBuffer(48000, np.zeros(100)))
@@ -496,7 +558,7 @@ class TestCliMemory:
                                        "--wav", str(tmp_path / "in.wav"),
                                        "-o", str(tmp_path / "o.bin"), "--format", "binary"]))
         # holding the taps would add 4096 x 64 doubles (2 MB)
-        assert peaks[2] - peaks[1] < CORE_CHUNK_VALUES * 8
+        assert peaks[2] - peaks[1] < STREAM_CHUNK_VALUES * 8
 
     def test_analyze_peak_below_tap_matrix(self, tmp_path, capsys):
         assert cli_main(["design", "--sections", "64", "--x-apex", "0.4",

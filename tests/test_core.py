@@ -300,12 +300,13 @@ def stream_runs(draw):
 
 
 class TestCascadeStream:
-    @given(stream_runs(), st.integers(0, 2**32 - 1))
+    @given(stream_runs(), st.integers(0, 20), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_push_flush_equals_reference_loop(self, run, seed):
+    def test_push_flush_equals_reference_loop(self, run, tail, seed):
         n, steps = run
         design = _stream_design(n)
-        xs = np.random.default_rng(seed).uniform(-1, 1, sum(s or 0 for s in steps))
+        # the last tail samples go in with the final flush
+        xs = np.random.default_rng(seed).uniform(-1, 1, sum(s or 0 for s in steps) + tail)
         expect = np.empty((xs.size, n))
         w1, w2 = np.zeros(n), np.zeros(n)
         cascade_block_py(xs, *design.coeff_arrays, w1, w2, expect)
@@ -325,7 +326,7 @@ class TestCascadeStream:
                 assert rows[-1].shape[0] == max(0, in_flight + size - lag) - max(0, in_flight - lag)
                 pushed += size
                 in_flight += size
-        rows.append(stream.flush())
+        rows.append(stream.flush(xs[pushed:]))
         got = np.concatenate(rows)
         assert np.array_equal(got, expect)
         assert np.array_equal(state.w1, w1)
