@@ -3,8 +3,8 @@ BENCH_<n>.json file.
 
 Usage, from the repository root; TREE is a checkout with src/ and perfbench/:
 
-    python3 bench/run_bench.py --tree TREE --label before --out BENCH_8.json
-    python3 bench/run_bench.py --tree . --label after --out BENCH_8.json
+    python3 bench/run_bench.py --tree TREE --label before --out BENCH_9.json
+    python3 bench/run_bench.py --tree . --label after --out BENCH_9.json
 
 Each call measures the program in TREE and stores its numbers under
 --label, keeping the other labels the file holds. Every entry is the median
@@ -16,6 +16,13 @@ the Python and numpy versions, nproc and the tree's git revision:
   process_block, which drains the cascade on every call, and through
   CascadeStream.push once the stream is full (trees that have it). Timed in
   a child process with perfbench's Tracer.
+- tick_float_64x8200_us, tick_fixed_100x2400_us: microseconds per
+  wavefront tick of each kernel on the size a benchmark workload runs it
+  at, timed in a child process with perfbench's Tracer. The float kernel
+  is CascadeStream.push of 8200 samples through analyze_mls's 64-section
+  design once the stream is full, so every tick is full-width; the fixed
+  kernel is one fixed_process_block call of 2400 samples through
+  compare_fixed's 100-section design, its 99 drain ticks included.
 - run_binary: `carmodel run --format binary` on 0.5 s and 1 s of -12 dBFS
   noise, each in a fresh child process: peak RSS (getrusage), the RSS
   before the run, and the run's wall time.
@@ -40,14 +47,16 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 from tracing import Tracer  # noqa: E402
-from workloads import BLOCK_SAMPLES, noise_samples, write_wav  # noqa: E402
+from workloads import BLOCK_SAMPLES, WORKLOADS, noise_samples, write_wav  # noqa: E402
 
 N_SECTIONS = 1224
 SAMPLE_RATE_HZ = 48000
 RUN_SECONDS = (0.5, 1.0)
 ANALYZE_SEEDS = (801, 802, 803)
 ANALYZE_SECONDS = 5.0  # perfbench's --seconds for each analyze_mls run
-REPEATS = 5  # timed block calls, and run children per input length
+REPEATS = 5  # timed block and tick calls, and run children per input length
+FLOAT_TICK_SIZE = (64, 8200)  # sections, samples: analyze_mls's stream
+FIXED_TICK_SIZE = (100, 2400)  # compare_fixed's fixed_process_block call
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -62,14 +71,14 @@ def summary(values: list[float]) -> dict:
 def _import_program(tree: Path):
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
-    from carmodel import cli, core, design
+    from carmodel import cli, core, design, fixed
 
-    return np, cli, core, design
+    return np, cli, core, design, fixed
 
 
 def child_block(tree: Path) -> dict:
     """Per-block ms of process_block and, where it exists, of push."""
-    np, _, core, design = _import_program(tree)
+    np, _, core, design, _ = _import_program(tree)
     des = design.design_cascade(design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS))
     x = np.array(noise_samples(random.Random(8), 64 * BLOCK_SAMPLES)) / 32768.0
     blocks = [x[i : i + BLOCK_SAMPLES] for i in range(0, x.size, BLOCK_SAMPLES)]
@@ -89,11 +98,41 @@ def child_block(tree: Path) -> dict:
     return result
 
 
+def child_tick(tree: Path) -> dict:
+    """Microseconds per tick of the float and the fixed kernel."""
+    np, _, core, design, fixed = _import_program(tree)
+
+    def timed(name, ticks, fn, *args):
+        tracer = Tracer()
+        for _ in range(REPEATS + 1):  # the first call warms up
+            tracer.call(name, fn, *args)
+        return [1e6 * (e - s) / ticks for _, s, e, _, _ in tracer.spans[1:]]
+
+    n, samples = FLOAT_TICK_SIZE
+    des = design.design_cascade(
+        design.DesignParams(float(SAMPLE_RATE_HZ), **WORKLOADS["analyze_mls"]["design"]))
+    x = np.array(noise_samples(random.Random(10), samples)) / 32768.0
+    stream = core.CascadeStream(des, core.CascadeState(n))
+    stream.push(x[: n - 1])  # fill the cascade: every later tick is full-width
+    result = {f"float_{n}x{samples}": timed("push", samples, stream.push, x)}
+
+    n, samples = FIXED_TICK_SIZE
+    des = design.design_cascade(
+        design.DesignParams(float(SAMPLE_RATE_HZ), **WORKLOADS["compare_fixed"]["design"]))
+    qd = fixed.quantize_design(des)
+    raw = fixed.quantize_block(np.array(noise_samples(random.Random(11), samples)) / 32768.0,
+                               qd.io_format)
+    state = fixed.FixedCascadeState(n)
+    result[f"fixed_{n}x{samples}"] = timed(
+        "fixed_process_block", samples + n - 1, fixed.fixed_process_block, qd, state, raw)
+    return result
+
+
 def child_run(tree: Path, coeffs: Path, wav: Path) -> dict:
     """Peak RSS and wall time of one `carmodel run --format binary`."""
     import resource
 
-    _, cli, _, _ = _import_program(tree)
+    _, cli, _, _, _ = _import_program(tree)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["run", "--coeffs", str(coeffs), "--wav", str(wav),
@@ -128,6 +167,8 @@ def measure(tree: Path) -> dict:
     blocks = in_child("--child", "block", "--tree", str(tree))
     for name, times in blocks.items():
         entries[f"block_48_{name}_ms"] = summary(times)
+    for name, times in in_child("--child", "tick", "--tree", str(tree)).items():
+        entries[f"tick_{name}_us"] = summary(times)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -172,7 +213,7 @@ def main() -> int:
     ap.add_argument("--tree", type=Path, default=HERE.parent)
     ap.add_argument("--label", default="after")
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--child", choices=["block", "run"], help=argparse.SUPPRESS)
+    ap.add_argument("--child", choices=["block", "tick", "run"], help=argparse.SUPPRESS)
     ap.add_argument("--coeffs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--wav", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -180,6 +221,9 @@ def main() -> int:
 
     if args.child == "block":
         print(json.dumps(child_block(tree)))
+        return 0
+    if args.child == "tick":
+        print(json.dumps(child_tick(tree)))
         return 0
     if args.child == "run":
         print(json.dumps(child_run(tree, args.coeffs, args.wav)))

@@ -57,6 +57,12 @@ class Wavefront:
     in two where it wraps). The ring holds the rows in flight plus the rows
     of the current block, min(samples in, n-1) + block rows, and grows
     geometrically up to n-1 + block rows, so its copies cost O(n) per tick.
+
+    Every full-width tick of one ticks() or drain() call yields the same
+    lanes tuple, so a kernel may keep the views it built for the last lanes
+    it saw and build them again only when a different tuple comes: that
+    skips all slicing on the steady-state stretch. The narrower ticks of
+    the fill and the drain each yield a new tuple.
     """
 
     def __init__(self, n_sections: int, dtype=np.float64):
@@ -81,28 +87,29 @@ class Wavefront:
     def completed(self) -> np.ndarray:
         """A copy of the rows completed since the last call, in sample order."""
         end = max(self.done, self.pushed - self.n + 1)
-        rows = self._held(end - self.done, copy=True)
+        rows = np.concatenate(self._held(end - self.done))
         self.first = (self.first + rows.shape[0]) % max(self.rows.shape[0], 1)
         self.done = end
         return rows
 
-    def rest(self) -> np.ndarray:
-        """After drain: every row not handed out, and a fresh start. The
-        rows are a view of the ring where they do not wrap; the ring is let
-        go either way, so they stay valid."""
+    def rest(self) -> tuple[np.ndarray, ...]:
+        """After drain: every row not handed out, in sample order, as one
+        view of the ring or, where they wrap it, two; and a fresh start. A
+        drain after a single ticks() call from the start never wraps. The
+        ring is let go, so the views stay valid."""
         rows = self._held(self.pushed - self.done)
         self.rows = np.empty((0, self.n), dtype=self.rows.dtype)
         self.first = self.pushed = self.done = 0
         return rows
 
-    def _held(self, count: int, copy: bool = False) -> np.ndarray:
-        """The count rows from the oldest one not handed out: a view of the
-        ring unless they wrap or copy is set."""
+    def _held(self, count: int) -> tuple[np.ndarray, ...]:
+        """The count rows from the oldest one not handed out, as one view of
+        the ring or two where they wrap it."""
         a = self.first
-        if a + count <= self.rows.shape[0]:
-            rows = self.rows[a : a + count]
-            return rows.copy() if copy else rows
-        return np.concatenate((self.rows[a:], self.rows[: a + count - self.rows.shape[0]]))
+        cap = self.rows.shape[0]
+        if a + count <= cap:
+            return (self.rows[a : a + count],)
+        return self.rows[a:], self.rows[: a + count - cap]
 
     def _reserve(self, block: int) -> None:
         held = self.pushed - self.done
@@ -111,7 +118,7 @@ class Wavefront:
             return
         cap = max(held + block, min(2 * cap, self.n - 1 + block))
         rows = np.empty((cap, self.n), dtype=self.rows.dtype)
-        rows[:held] = self._held(held)
+        np.concatenate(self._held(held), out=rows[:held])
         self.rows = rows
         self.first = 0
 
@@ -152,23 +159,28 @@ def cascade_ticks(ticks, a0, c0, r, h, g, w1, w2, scratch):
     a0..g, w1 and w2 are section-reversed contiguous arrays, w1 and w2
     updated in place; scratch is three work arrays of the same length.
     """
+    mul, sub, add = np.multiply, np.subtract, np.add
     p, q, s = scratch
-    for k, x, y in ticks:
-        a0k, c0k, rk, hk, gk = a0[k], c0[k], r[k], h[k], g[k]
-        w1k, w2k = w1[k], w2[k]
-        pk, qk, sk = p[k], q[k], s[k]
-        np.multiply(c0k, w1k, out=qk)  # kept for w2' before w1 is overwritten
+    seen = None
+    for lanes in ticks:
+        if lanes is not seen:  # new lanes: slice every operand again
+            seen = lanes
+            k, x, y = lanes
+            a0k, c0k, rk, hk, gk = a0[k], c0[k], r[k], h[k], g[k]
+            w1k, w2k = w1[k], w2[k]
+            pk, qk, sk = p[k], q[k], s[k]
+        mul(c0k, w1k, qk)  # kept for w2' before w1 is overwritten
         # w1' = r * (a0 * w1 - c0 * w2) + x
-        np.multiply(a0k, w1k, out=pk)
-        np.multiply(c0k, w2k, out=sk)
-        np.subtract(pk, sk, out=pk)
-        np.multiply(rk, pk, out=pk)
-        np.add(pk, x, out=w1k)
+        mul(a0k, w1k, pk)
+        mul(c0k, w2k, sk)
+        sub(pk, sk, pk)
+        mul(rk, pk, pk)
+        add(pk, x, w1k)
         # w2' = r * (c0 * w1 + a0 * w2)
-        np.multiply(a0k, w2k, out=sk)
-        np.add(qk, sk, out=qk)
-        np.multiply(rk, qk, out=w2k)
+        mul(a0k, w2k, sk)
+        add(qk, sk, qk)
+        mul(rk, qk, w2k)
         # y = g * (x + h * w2'), written after the last read of x
-        np.multiply(hk, w2k, out=sk)
-        np.add(x, sk, out=sk)
-        np.multiply(gk, sk, out=y)
+        mul(hk, w2k, sk)
+        add(x, sk, sk)
+        mul(gk, sk, y)

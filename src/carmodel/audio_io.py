@@ -224,7 +224,8 @@ def _write_blocks(f, blocks, format: str, sample_rate_hz: float, n_samples: int 
             else:
                 f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
         if format == "binary":
-            f.write(m.astype("<f8", copy=False).tobytes())
+            # the block's own buffer, not a bytes copy of it
+            f.write(np.ascontiguousarray(m, dtype="<f8"))
         else:
             # The bytes csv.writer gives for these fields, formatted by numpy
             # about one row at a time.

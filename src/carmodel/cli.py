@@ -203,12 +203,16 @@ def _cmd_analyze(args) -> int:
     else:
         channels = _default_channels(design.n_sections)
 
+    # The cascade feeds forward, so the taps read depend on no later section.
+    cut = max(channels) + 1
+    head = CascadeDesign(design.sections[:cut], design.sample_rate_hz, design.positions[:cut])
+
     def system(stim: np.ndarray) -> np.ndarray:
         # Column-major, the layout numpy gives rows[:, channels]: the FFTs of
         # the analysis round differently on the other one.
         out = np.empty((stim.size, len(channels)), order="F")
         row = 0
-        for rows in stream_rows(design, CascadeState(design.n_sections), stim):
+        for rows in stream_rows(head, CascadeState(cut), stim):
             out[row : row + rows.shape[0]] = rows[:, channels]
             row += rows.shape[0]
         return out

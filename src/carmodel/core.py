@@ -156,6 +156,11 @@ class CascadeStream:
         """Push samples, the last ones before the flush, complete every row
         in flight, write the state back, and return the rows not yet
         returned, in one array."""
+        parts = self._flush(samples)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _flush(self, samples: Sequence[float] | np.ndarray) -> tuple[np.ndarray, ...]:
+        """flush, with the rows as one or two views of the stream's buffer."""
         front = self._front
         ticks = itertools.chain(front.ticks(_checked_samples(samples)), front.drain())
         pushed = front.pushed
@@ -163,7 +168,7 @@ class CascadeStream:
         self.state.w1[:] = self._w1[::-1]
         self.state.w2[:] = self._w2[::-1]
         self.state.samples_processed += pushed
-        return self._front.rest()
+        return front.rest()
 
 
 def process_block(
@@ -175,8 +180,8 @@ def process_block(
     across calls so long inputs can be processed in blocks. Each call drains
     the cascade; CascadeStream does not.
     """
-    # flushed with the samples rather than pushed, so the block comes back
-    # in one buffer, without a copy
+    # flushed with the samples rather than pushed: the first flush of a
+    # stream never wraps its buffer, so the block comes back without a copy
     return CascadeStream(design, state).flush(samples)
 
 
@@ -185,15 +190,16 @@ def stream_rows(design: CascadeDesign, state: CascadeState, samples: np.ndarray)
     through a CascadeStream in chunks of about STREAM_CHUNK_VALUES tap values.
 
     The first chunk is n_sections - 1 samples longer, the rows still in
-    flight, so the stream sizes its buffer once. The last block, from the
-    flush, is always yielded, even when empty.
+    flight, so the stream sizes its buffer once. The flush's rows come last,
+    as one or two views of that buffer, never copied; at least one block,
+    perhaps empty, is yielded for them.
     """
     n = design.n_sections
     chunk = max(1, STREAM_CHUNK_VALUES // n)
     stream = CascadeStream(design, state)
     for part in np.split(samples, range(n - 1 + chunk, len(samples), chunk)):
         yield stream.push(part)
-    yield stream.flush()
+    yield from stream._flush(())
 
 
 def settling_samples(design: CascadeDesign, tol: float = 1e-9) -> int:

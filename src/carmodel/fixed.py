@@ -30,6 +30,7 @@ coefficients have magnitude below 2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -547,36 +548,46 @@ def _fixed_block_int64(
     lo = c * (D & (2^s - 1)), so floor(acc / 2^s) = hi + (lo >> s) and the
     rounding remainder is lo mod 2^s. Within _int64_exact's envelope this is
     exactly _step_raw. The w1' and w2' lines share r and run as the two
-    columns of one contiguous [m x 2] write. Returns (out, section
-    saturations, input saturations).
+    columns of one contiguous [m x 2] write, computed in place in the state;
+    the y line is computed in place in the wavefront's output lanes. Returns
+    (out, section saturations, input saturations).
     """
     n = qdesign.n_sections
     sfmt = qdesign.state_format
     cfrac = qdesign.coeff_format.frac_bits
-    s = 2 * cfrac
-    mask = (1 << s) - 1
-    nearest = sfmt.rounding == ROUND_NEAREST_EVEN and s > 0
+    nearest = sfmt.rounding == ROUND_NEAREST_EVEN and cfrac > 0
     saturate = sfmt.overflow == OVERFLOW_SATURATE
     rmin, rmax = sfmt.raw_min, sfmt.raw_max
     span = 1 << sfmt.total_bits
+    # int64 scalars as 0-d arrays: a ufunc converts a Python int on every call
+    mask_int = (1 << 2 * cfrac) - 1
+    s, mask, half, one, cf = (
+        np.array(v, dtype=np.int64) for v in (2 * cfrac, mask_int, mask_int >> 1, 1, cfrac)
+    )
+    mul, add, band = np.multiply, np.add, np.bitwise_and
+    rshift, lshift, absolute = np.right_shift, np.left_shift, np.absolute
+    peak = np.maximum.reduce
 
-    def write(c, d, sat, x=None):
-        """round(c * d + (x << s)) into the state format, x joining column
-        0 of a pair; d is used up and overflows are counted into sat."""
-        acc = c * (d >> s)
-        if x is not None:
-            acc[:, 0] += x
-        d &= mask
-        d *= c
-        acc += d >> s
+    def finish(c, d, t, acc, sat):
+        """acc (holding c * (d >> s), plus x) += the low limb c * (d mod 2^s)
+        >> s and the rounding carry; d and t are used up. Then the overflow
+        check: one reduction of |acc| against raw_max, and only where that
+        fires the exact two-sided test, which raw_min itself passes.
+        Overflows are counted into sat."""
+        band(d, mask, d)
+        mul(d, c, d)
+        rshift(d, s, t)
+        add(acc, t, acc)
         if nearest:
             # ties to even: the carry out of rem + parity + 2^(s-1) - 1
-            d &= mask
-            d += acc & 1
-            d += mask >> 1
-            d >>= s
-            acc += d
-        if acc.min() < rmin or acc.max() > rmax:
+            band(d, mask, d)
+            band(acc, one, t)
+            add(d, t, d)
+            add(d, half, d)
+            rshift(d, s, d)
+            add(acc, d, acc)
+        absolute(acc, t)
+        if peak(t, None) > rmax:
             over = (acc < rmin) | (acc > rmax)
             sat += over.sum(axis=1) if over.ndim == 2 else over
             if saturate:
@@ -584,34 +595,53 @@ def _fixed_block_int64(
             else:
                 acc &= span - 1
                 acc -= (acc > rmax) * span
-        return acc
 
     entered = [_requantize(v, qdesign.io_format.frac_bits, sfmt) for v in xs.tolist()]
     samples = np.array([x for x, _ in entered], dtype=np.int64)
     input_sat = sum(sat for _, sat in entered)
 
     # Lanes are section-reversed, as the wavefront runs. Row k of the [n x 2]
-    # arrays holds section k's w1' and w2' lines: D = p * w + q * w[:, ::-1]
+    # arrays holds section k's w1' and w2' lines: D = p * w + q * (w2, w1)
     # is (a0*w1 - c0*w2, a0*w2 + c0*w1).
     rr, p, q, h, g = qdesign.lane_arrays
     w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].copy()
     sat = np.zeros(n, dtype=np.int64)
+    dd, tt = np.empty((n, 2), dtype=np.int64), np.empty((n, 2), dtype=np.int64)
+    dv, tv = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     front = _kernels.Wavefront(n, dtype=np.int64)
 
-    for lanes in (front.ticks(samples), front.drain()):
-        for k, x, y in lanes:
-            wk = w[k]
-            satk = sat[k]
-            d = p[k] * wk
-            d += q[k] * wk[:, ::-1]
-            wk[:] = write(rr[k], d, satk, x)
-            d = h[k] * wk[:, 1]
-            d += x << cfrac
-            y[:] = write(g[k], d, satk)
+    seen = None
+    for lanes in itertools.chain(front.ticks(samples), front.drain()):
+        if lanes is not seen:  # new lanes: slice every operand again
+            seen = lanes
+            k, x, y = lanes
+            rrk, pk, hk, gk, satk = rr[k], p[k], h[k], g[k], sat[k]
+            q0, q1 = q[k, 0], q[k, 1]
+            wk, w1k, w2k = w[k], w[k, 0], w[k, 1]
+            dk, tk, t0, t1 = dd[k], tt[k], tt[k, 0], tt[k, 1]
+            dvk, tvk = dv[k], tv[k]
+        # (w1', w2') = round(r * D + (x << s, 0)), in place in w
+        mul(pk, wk, dk)
+        mul(q0, w2k, t0)
+        mul(q1, w1k, t1)
+        add(dk, tk, dk)
+        rshift(dk, s, tk)
+        mul(rrk, tk, wk)
+        add(w1k, x, w1k)
+        finish(rrk, dk, tk, wk, satk)
+        # y = round(g * (h * w2' + (x << cf))), in place in y after the last
+        # read of x
+        mul(hk, w2k, dvk)
+        lshift(x, cf, tvk)
+        add(dvk, tvk, dvk)
+        rshift(dvk, s, tvk)
+        mul(gk, tvk, y)
+        finish(gk, dvk, tvk, y, satk)
 
     state.w1_raw[:] = w[::-1, 0]
     state.w2_raw[:] = w[::-1, 1]
-    return front.rest(), sat[::-1].copy(), input_sat
+    (out,) = front.rest()
+    return out, sat[::-1].copy(), input_sat
 
 
 def fixed_process_block(

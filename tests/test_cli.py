@@ -528,6 +528,34 @@ class TestCliAnalyze:
         lines = (out / "channel_0000_impulse.csv").read_text().splitlines()
         assert len(lines) == 1 + rows
 
+    @pytest.mark.parametrize("method", ["impulse", "mls"])
+    def test_streams_only_sections_read(self, tmp_path, monkeypatch, capsys, method):
+        # taps 0 and 3 depend on sections 0..3 alone: the files are those of
+        # a run through all 12 sections, byte for byte
+        coeffs = tmp_path / "c.csv"
+        assert cli_main(["design", "--sections", "12", "--zeta", "0.25", "-o", str(coeffs)]) == 0
+        full = read_coeff_table(coeffs)
+        stream_rows = carmodel.cli.stream_rows
+        seen = []
+
+        def spy(design, state, samples):
+            seen.append(design.n_sections)
+            return stream_rows(design, state, samples)
+
+        def whole(design, state, samples):
+            return stream_rows(full, CascadeState(full.n_sections), samples)
+
+        outputs = {}
+        for name, wrapper in (("cut", spy), ("full", whole)):
+            monkeypatch.setattr(carmodel.cli, "stream_rows", wrapper)
+            out = tmp_path / name
+            assert cli_main(["analyze", "--coeffs", str(coeffs), "--method", method,
+                             "--mls-order", "10", "--channels", "0,3",
+                             "--out-dir", str(out)]) == 0
+            outputs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert seen and set(seen) == {4}
+        assert len(outputs["cut"]) == 5 and outputs["cut"] == outputs["full"]
+
     def test_bad_channels_rejected(self, workspace, capsys):
         rc = cli_main([
             "analyze", "--coeffs", str(workspace / "coeffs.csv"),
@@ -559,6 +587,17 @@ class TestCliMemory:
                                        "-o", str(tmp_path / "o.bin"), "--format", "binary"]))
         # holding the taps would add 4096 x 64 doubles (2 MB)
         assert peaks[2] - peaks[1] < STREAM_CHUNK_VALUES * 8
+
+    def test_binary_write_takes_no_copy_of_a_block(self, tmp_path):
+        m = np.ones((512, 512))
+        tracemalloc.start()
+        try:
+            write_cochleagram(iter([m]), tmp_path / "o.bin", format="binary", n_samples=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_cochleagram(tmp_path / "o.bin")[0].tobytes() == m.tobytes()
+        assert peak < m.nbytes / 2
 
     def test_analyze_peak_below_tap_matrix(self, tmp_path, capsys):
         assert cli_main(["design", "--sections", "64", "--x-apex", "0.4",

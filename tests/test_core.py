@@ -1,12 +1,12 @@
 """Float reference cascade: recurrence oracle, propagation, and invariants."""
 
-import math
-
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carmodel._kernels import cascade_block_py
@@ -19,6 +19,7 @@ from carmodel.core import (
     reset,
     settling_samples,
     step_section,
+    stream_rows,
 )
 from carmodel.design import ChannelCoeffs, DesignParams, design_cascade, transfer_function
 from carmodel.errors import ConfigError
@@ -301,6 +302,11 @@ def stream_runs(draw):
 
 class TestCascadeStream:
     @given(stream_runs(), st.integers(0, 20), st.integers(0, 2**32 - 1))
+    # pushes of n - 1, n and n + 1 samples, a long full-width stretch, then
+    # partial pushes and a drain: the kernel's lanes change from full to
+    # narrow and back
+    @example((7, [6, 7, 8, 90, 3, 1, 2]), 0, 1)
+    @example((16, [15, 16, 17, 120, 5, 1, None, 2]), 3, 2)
     @settings(max_examples=200, deadline=None)
     def test_push_flush_equals_reference_loop(self, run, tail, seed):
         n, steps = run
@@ -332,6 +338,30 @@ class TestCascadeStream:
         assert np.array_equal(state.w1, w1)
         assert np.array_equal(state.w2, w2)
         assert state.samples_processed == xs.size
+
+    def test_stream_rows_flush_is_not_copied(self):
+        # 512 sections, 128-sample chunks: the first push is 639 samples, so
+        # the buffer holds 639 rows; after a second push the 511 rows in
+        # flight wrap it, and the flush hands them out as two views of it
+        n = 512
+        design = _stream_design(n)
+        xs = np.random.default_rng(3).uniform(-1, 1, 767)
+        expect = process_block(design, CascadeState(n), xs)
+        tracemalloc.start()
+        try:
+            blocks = stream_rows(design, CascadeState(n), xs)
+            got = [next(blocks), next(blocks)]  # the two pushes
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            flushed = list(blocks)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert [b.shape[0] for b in got + flushed] == [128, 128, 383, 128]
+        assert flushed[0].base is not None and flushed[0].base is flushed[1].base
+        assert np.array_equal(np.concatenate(got + flushed), expect)
+        # a copy of the rows in flight would take (n - 1) * n doubles
+        assert peak < (n - 1) * n * 8 / 4
 
     def test_flush_without_pushes(self, fast_design):
         state = CascadeState(fast_design.n_sections)

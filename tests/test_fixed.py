@@ -363,6 +363,10 @@ def _round_half_even_int(v, shift):
     return base
 
 
+# a deterministic full-scale signal of 130 samples
+LONG_SIGNAL = [((37 * i) % 19 - 9) / 9 for i in range(130)]
+
+
 class TestFixedProcessBlock:
     def test_silence(self):
         design = design_cascade(DesignParams(48000.0, 10))
@@ -470,6 +474,28 @@ class TestFixedProcessBlock:
         assert np.array_equal(out, ref_out)
         assert ref_state.w1_raw.tolist() == [127]
 
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    def test_overflow_onto_raw_min(self, overflow):
+        # the section of test_overflow_onto_raw_max: y = x = -128 and
+        # w1 = 3*(-40) - 8 = -128 are raw_min itself, in range and no event;
+        # one LSB lower is one event, onto raw_min or wrapped to raw_max
+        design = design_cascade(DesignParams(48000.0, 1))
+        rows = {0: {"r": 1, "a0": 3, "c0": 0, "h": 0, "g": 1}}
+        state_fmt = FixedFormat(8, 0, overflow=overflow)
+        qd = apply_quantized_table(design, FixedFormat(4, 0), rows, state_fmt, FixedFormat(8, 0))
+        below = -128 if overflow == "saturate" else 127
+        for xs, w1, events in (([-128], -128, 0), ([-40, -8], -128, 0), ([-40, -9], below, 1)):
+            state = FixedCascadeState(1)
+            out, stats = fixed_process_block(qd, state, xs)
+            assert out[:, 0].tolist() == xs
+            assert state.w1_raw.tolist() == [w1]
+            assert stats.section_saturations.tolist() == [events]
+            ref_state = FixedCascadeState(1)
+            ref_out, ref_stats = fixed_process_block_py(qd, ref_state, xs)
+            assert np.array_equal(out, ref_out)
+            assert ref_state.w1_raw.tolist() == [w1]
+            assert ref_stats.section_saturations.tolist() == [events]
+
     def test_snr_monotone_in_word_length(self):
         design = design_cascade(DesignParams(48000.0, 10, x_apex=0.5, damping_zeta=0.2))
         sig = mls_signal(10, 0.25)
@@ -508,6 +534,10 @@ class TestFixedProcessBlock:
     @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, [0.9, -1.0] * 20, [1, 5])
     @example(10, 2, 12, 2, 16, "round_to_nearest_even", "saturate", 12, [0.9, -1.0] * 20, [3])
     @example(16, 2, 64, 24, 16, "truncate", "wrap", 5, [0.5, -0.25] * 10, [2, 7])
+    # chunks of n - 1, n and n + 1 samples, a long full-width stretch, then
+    # partial chunks: the kernel's lanes change from full to narrow and back
+    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
+    @example(10, 2, 12, 2, 16, "round_to_nearest_even", "wrap", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_loop(
         self, coeff_frac, coeff_int, state_bits, state_int, io_bits, rounding, overflow,
