@@ -14,8 +14,8 @@ the Python and numpy versions, nproc and the tree's git revision:
 - block_48_process_block_ms, block_48_push_ms: one 48-sample block through
   the 1224-section design, state carried from block to block: through
   process_block, which drains the cascade on every call, and through
-  CascadeStream.push once the stream is full (trees that have it). Timed in
-  a child process with perfbench's Tracer.
+  CascadeStream.push once the stream is full. Timed in a child process with
+  perfbench's Tracer.
 - tick_float_64x8200_us, tick_fixed_100x2400_us: microseconds per
   wavefront tick of each kernel on the size a benchmark workload runs it
   at, timed in a child process with perfbench's Tracer. The float kernel
@@ -23,6 +23,11 @@ the Python and numpy versions, nproc and the tree's git revision:
   design once the stream is full, so every tick is full-width; the fixed
   kernel is one fixed_process_block call of 2400 samples through
   compare_fixed's 100-section design, its 99 drain ticks included.
+- Each timing child runs perfbench's reference_task() before every timed
+  call and stores the times as <child>_ref_s. Each block_ and tick_ entry
+  comes a second time as <entry>_nominal: divided by the child's median
+  reference time and multiplied by NOMINAL_REF_S, as perfbench's wall_ref
+  does, so host drift between two labels' runs does not read as speed.
 - run_binary: `carmodel run --format binary` on 0.5 s and 1 s of -12 dBFS
   noise, each in a fresh child process: peak RSS (getrusage), the RSS
   before the run, and the run's wall time.
@@ -46,6 +51,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
+from reference import NOMINAL_REF_S, reference_task  # noqa: E402
 from tracing import Tracer  # noqa: E402
 from workloads import BLOCK_SAMPLES, WORKLOADS, noise_samples, write_wav  # noqa: E402
 
@@ -76,37 +82,48 @@ def _import_program(tree: Path):
     return np, cli, core, design, fixed
 
 
+class Timer:
+    """Seconds of calls timed with perfbench's Tracer, each after one run
+    of perfbench's reference task, whose times measure the host's speed."""
+
+    def __init__(self):
+        self.tracer = Tracer()
+        self.ref_s: list[float] = []
+
+    def call(self, fn, *args) -> float:
+        self.ref_s.append(reference_task())
+        self.tracer.call(fn.__name__, fn, *args)
+        _, s, e, _, _ = self.tracer.spans[-1]
+        return e - s
+
+
 def child_block(tree: Path) -> dict:
-    """Per-block ms of process_block and, where it exists, of push."""
+    """Per-block ms of process_block and of push."""
     np, _, core, design, _ = _import_program(tree)
     des = design.design_cascade(design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS))
     x = np.array(noise_samples(random.Random(8), 64 * BLOCK_SAMPLES)) / 32768.0
     blocks = [x[i : i + BLOCK_SAMPLES] for i in range(0, x.size, BLOCK_SAMPLES)]
-    tracer = Tracer()
+    timer = Timer()
     state = core.CascadeState(N_SECTIONS)
-    for i in range(REPEATS + 1):  # the first call warms up
-        tracer.call("process_block", core.process_block, des, state, blocks[i % len(blocks)])
-    result = {"process_block": [1e3 * (e - s) for _, s, e, _, _ in tracer.spans[1:]]}
-    if hasattr(core, "CascadeStream"):
-        stream = core.CascadeStream(des, core.CascadeState(N_SECTIONS))
-        for block in blocks[: -(-N_SECTIONS // BLOCK_SAMPLES) + 1]:  # fill the cascade
-            stream.push(block)
-        start = len(tracer.spans)
-        for i in range(REPEATS):
-            tracer.call("push", stream.push, blocks[i % len(blocks)])
-        result["push"] = [1e3 * (e - s) for _, s, e, _, _ in tracer.spans[start:]]
-    return result
+    core.process_block(des, state, blocks[0])  # warms up
+    result = {"process_block": [1e3 * timer.call(core.process_block, des, state, blocks[i])
+                                for i in range(1, REPEATS + 1)]}
+    stream = core.CascadeStream(des, core.CascadeState(N_SECTIONS))
+    for block in blocks[: -(-N_SECTIONS // BLOCK_SAMPLES) + 1]:  # fill the cascade
+        stream.push(block)
+    result["push"] = [1e3 * timer.call(stream.push, blocks[i % len(blocks)])
+                      for i in range(REPEATS)]
+    return {"times": result, "ref_s": timer.ref_s}
 
 
 def child_tick(tree: Path) -> dict:
     """Microseconds per tick of the float and the fixed kernel."""
     np, _, core, design, fixed = _import_program(tree)
+    timer = Timer()
 
-    def timed(name, ticks, fn, *args):
-        tracer = Tracer()
-        for _ in range(REPEATS + 1):  # the first call warms up
-            tracer.call(name, fn, *args)
-        return [1e6 * (e - s) / ticks for _, s, e, _, _ in tracer.spans[1:]]
+    def timed(ticks, fn, *args):
+        fn(*args)  # warms up
+        return [1e6 * timer.call(fn, *args) / ticks for _ in range(REPEATS)]
 
     n, samples = FLOAT_TICK_SIZE
     des = design.design_cascade(
@@ -114,7 +131,7 @@ def child_tick(tree: Path) -> dict:
     x = np.array(noise_samples(random.Random(10), samples)) / 32768.0
     stream = core.CascadeStream(des, core.CascadeState(n))
     stream.push(x[: n - 1])  # fill the cascade: every later tick is full-width
-    result = {f"float_{n}x{samples}": timed("push", samples, stream.push, x)}
+    result = {f"float_{n}x{samples}": timed(samples, stream.push, x)}
 
     n, samples = FIXED_TICK_SIZE
     des = design.design_cascade(
@@ -124,8 +141,8 @@ def child_tick(tree: Path) -> dict:
                                qd.io_format)
     state = fixed.FixedCascadeState(n)
     result[f"fixed_{n}x{samples}"] = timed(
-        "fixed_process_block", samples + n - 1, fixed.fixed_process_block, qd, state, raw)
-    return result
+        samples + n - 1, fixed.fixed_process_block, qd, state, raw)
+    return {"times": result, "ref_s": timer.ref_s}
 
 
 def child_run(tree: Path, coeffs: Path, wav: Path) -> dict:
@@ -162,13 +179,22 @@ def in_child(*args: str) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def timing_entries(child: dict, prefix: str, unit: str) -> dict:
+    """A timing child's entries, as measured and at the nominal reference
+    speed, and its reference times."""
+    scale = NOMINAL_REF_S / statistics.median(child["ref_s"])
+    entries = {f"{prefix}_ref_s": summary(child["ref_s"])}
+    for name, times in child["times"].items():
+        entries[f"{prefix}_{name}_{unit}"] = summary(times)
+        entries[f"{prefix}_{name}_{unit}_nominal"] = summary([t * scale for t in times])
+    return entries
+
+
 def measure(tree: Path) -> dict:
-    entries = {}
-    blocks = in_child("--child", "block", "--tree", str(tree))
-    for name, times in blocks.items():
-        entries[f"block_48_{name}_ms"] = summary(times)
-    for name, times in in_child("--child", "tick", "--tree", str(tree)).items():
-        entries[f"tick_{name}_us"] = summary(times)
+    entries = {
+        **timing_entries(in_child("--child", "block", "--tree", str(tree)), "block_48", "ms"),
+        **timing_entries(in_child("--child", "tick", "--tree", str(tree)), "tick", "us"),
+    }
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -3,13 +3,13 @@
 Wavefront is the section-update schedule of the block kernels, the way the
 hardware pipeline runs: at tick t every active section k processes sample
 t - k, so one tick is a few elementwise numpy operations over all sections.
-It carries its state from one block of samples to the next and drains only
-when asked. cascade_ticks runs the float cascade on it and
-fixed._fixed_block_int64 the fixed-point one. Each section of cascade_ticks
-performs the same IEEE double operations in the same order as
-core.step_section, with no fused multiply-add, so the outputs are
-bit-identical to the scalar path and to cascade_block_py, the reference loop
-the tests compare against.
+It carries its state from one block of samples to the next, and push and
+flush (which drains) run a kernel, a function of the ticks, over a block:
+cascade_ticks is the float kernel and fixed._fixed_block_int64 holds the
+fixed-point one. Each section of cascade_ticks performs the same IEEE double
+operations in the same order as core.step_section, with no fused
+multiply-add, so the outputs are bit-identical to the scalar path and to
+cascade_block_py, the reference loop the tests compare against.
 """
 
 import itertools
@@ -40,14 +40,16 @@ def cascade_block_py(samples, a0, c0, r, h, g, w1, w2, out):
 class Wavefront:
     """The ticks of one cascade's wavefront, carried across blocks of samples.
 
-    Lanes are the sections in reverse order: lane j is section n-1-j. Each
-    tick yields (lanes, x, y): the active sections are the slice lanes of
+    push and flush call kernel(ticks) once, with an iterator of the ticks
+    of that call, and the kernel runs every one of them. Lanes are the
+    sections in reverse order: lane j is section n-1-j. Each tick is
+    (lanes, x, y): the active sections are the slice lanes of
     section-reversed coefficient and state arrays, x holds their inputs and
     y is where their outputs go. Both are views of one work line of n + 1
     values: y = line[lo:hi] and x = line[lo+1:hi+1], so each section reads
     what the section before it wrote on the previous tick, and section 0
     reads the sample, which sits in line[n]. y overlaps x shifted by one:
-    the caller writes all of y after its last read of x and before asking
+    the kernel writes all of y after its last read of x and before asking
     for the next tick.
 
     After each tick the outputs are copied into rows, a ring of the tap rows
@@ -58,11 +60,11 @@ class Wavefront:
     of the current block, min(samples in, n-1) + block rows, and grows
     geometrically up to n-1 + block rows, so its copies cost O(n) per tick.
 
-    Every full-width tick of one ticks() or drain() call yields the same
-    lanes tuple, so a kernel may keep the views it built for the last lanes
+    Every full-width tick of one push or flush call is the same lanes
+    tuple, so a kernel may keep the views it built for the last lanes
     it saw and build them again only when a different tuple comes: that
     skips all slicing on the steady-state stretch. The narrower ticks of
-    the fill and the drain each yield a new tuple.
+    the fill and the drain each come as a new tuple.
     """
 
     def __init__(self, n_sections: int, dtype=np.float64):
@@ -70,33 +72,27 @@ class Wavefront:
         self.line = np.zeros(n_sections + 1, dtype=dtype)
         self.rows = np.empty((0, n_sections), dtype=dtype)
         self.first = 0  # ring row of the oldest row not handed out
-        self.pushed = 0  # samples ticked in since the last drain
-        self.done = 0  # rows handed out since the last drain
+        self.pushed = 0  # samples ticked in since the last flush
+        self.done = 0  # rows handed out since the last flush
 
-    def ticks(self, samples):
-        """Yield one tick per sample of samples (1-D, of the line's dtype)."""
-        self._reserve(samples.shape[0])
-        start = self.pushed
-        self.pushed += samples.shape[0]
-        return self._ticks(range(start, self.pushed), samples.tolist())
-
-    def drain(self):
-        """Yield the n-1 ticks that complete every row in flight."""
-        return self._ticks(range(self.pushed, self.pushed + self.n - 1) if self.pushed else ())
-
-    def completed(self) -> np.ndarray:
-        """A copy of the rows completed since the last call, in sample order."""
+    def push(self, samples, kernel) -> np.ndarray:
+        """Run kernel over one tick per sample of samples (1-D, of the
+        line's dtype); returns a copy of the rows those ticks completed, in
+        sample order."""
+        kernel(self._ticks(samples, drain=False))
         end = max(self.done, self.pushed - self.n + 1)
         rows = np.concatenate(self._held(end - self.done))
         self.first = (self.first + rows.shape[0]) % max(self.rows.shape[0], 1)
         self.done = end
         return rows
 
-    def rest(self) -> tuple[np.ndarray, ...]:
-        """After drain: every row not handed out, in sample order, as one
-        view of the ring or, where they wrap it, two; and a fresh start. A
-        drain after a single ticks() call from the start never wraps. The
-        ring is let go, so the views stay valid."""
+    def flush(self, samples, kernel) -> tuple[np.ndarray, ...]:
+        """Run kernel over one tick per sample and the n-1 ticks that
+        complete every row in flight; returns every row not handed out, in
+        sample order, as one view of the ring or, where they wrap it, two;
+        and leaves a fresh start. A flush with no push before it never
+        wraps. The ring is let go, so the views stay valid."""
+        kernel(self._ticks(samples, drain=True))
         rows = self._held(self.pushed - self.done)
         self.rows = np.empty((0, self.n), dtype=self.rows.dtype)
         self.first = self.pushed = self.done = 0
@@ -122,16 +118,22 @@ class Wavefront:
         self.rows = rows
         self.first = 0
 
-    def _ticks(self, ticks, samples=()):
+    def _ticks(self, samples, drain: bool):
+        """One tick per sample and, with drain, the n-1 ticks that complete
+        every row in flight. The kernel runs them all, so the counts are
+        up to date when it returns."""
         n = self.n
+        self._reserve(samples.shape[0])
+        start = self.pushed
+        self.pushed = end = start + samples.shape[0]
         line = self.line
         flat = self.rows.reshape(-1)
         cap = self.rows.shape[0]
         step = max(n - 1, 1)  # one section: a single element per tick
-        end = self.pushed
         base = self.first - self.done  # sample t's row is ring row (base + t) % cap
         full = (slice(0, n), line[1:], line[:n])  # a tick of every section
-        for tick, sample in itertools.zip_longest(ticks, samples):
+        ticks = range(start, end + n - 1 if drain and end else end)
+        for tick, sample in itertools.zip_longest(ticks, samples.tolist()):
             lo = n - 1 - tick if tick < n - 1 else 0  # sections up to tick have started
             # sections from tick - end + 1 on still have samples
             hi = n if tick < end else n - 1 + end - tick
@@ -153,8 +155,8 @@ class Wavefront:
                 flat[pos : pos + (count - m) * step : step] = y[m:]
 
 
-def cascade_ticks(ticks, a0, c0, r, h, g, w1, w2, scratch):
-    """Run the float cascade over the ticks of a Wavefront.
+def cascade_ticks(a0, c0, r, h, g, w1, w2, scratch, ticks):
+    """The float cascade as a Wavefront kernel, once bound to its operands.
 
     a0..g, w1 and w2 are section-reversed contiguous arrays, w1 and w2
     updated in place; scratch is three work arrays of the same length.

@@ -225,10 +225,6 @@ class ResponseResult:
     peak_db: np.ndarray
     flat: np.ndarray                   # bool per channel
 
-    @property
-    def n_channels(self) -> int:
-        return self.impulse_responses.shape[1]
-
 
 def frequency_response_measured(
     impulse_responses: np.ndarray,

@@ -16,7 +16,7 @@ the vector of all tap outputs.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -68,9 +68,6 @@ class CascadeState:
     @property
     def n_sections(self) -> int:
         return self.w1.shape[0]
-
-    def section(self, k: int) -> SectionState:
-        return SectionState(float(self.w1[k]), float(self.w2[k]))
 
 
 def reset(state: CascadeState) -> None:
@@ -139,18 +136,17 @@ class CascadeStream:
     def __init__(self, design: CascadeDesign, state: CascadeState):
         _check_state(design, state)
         self.state = state
-        self._coeffs = tuple(np.ascontiguousarray(v[::-1]) for v in design.coeff_arrays)
         self._w1 = state.w1[::-1].copy()
         self._w2 = state.w2[::-1].copy()
-        self._scratch = tuple(np.empty(design.n_sections) for _ in range(3))
+        coeffs = (np.ascontiguousarray(v[::-1]) for v in design.coeff_arrays)
+        scratch = tuple(np.empty(design.n_sections) for _ in range(3))
+        self._kernel = functools.partial(cascade_ticks, *coeffs, self._w1, self._w2, scratch)
         self._front = Wavefront(design.n_sections)
 
     def push(self, samples: Sequence[float] | np.ndarray) -> np.ndarray:
         """Run one tick per sample; returns the [rows x n_sections] outputs
         completed by them, a new array."""
-        ticks = self._front.ticks(_checked_samples(samples))
-        cascade_ticks(ticks, *self._coeffs, self._w1, self._w2, self._scratch)
-        return self._front.completed()
+        return self._front.push(_checked_samples(samples), self._kernel)
 
     def flush(self, samples: Sequence[float] | np.ndarray = ()) -> np.ndarray:
         """Push samples, the last ones before the flush, complete every row
@@ -161,14 +157,13 @@ class CascadeStream:
 
     def _flush(self, samples: Sequence[float] | np.ndarray) -> tuple[np.ndarray, ...]:
         """flush, with the rows as one or two views of the stream's buffer."""
-        front = self._front
-        ticks = itertools.chain(front.ticks(_checked_samples(samples)), front.drain())
-        pushed = front.pushed
-        cascade_ticks(ticks, *self._coeffs, self._w1, self._w2, self._scratch)
+        x = _checked_samples(samples)
+        pushed = self._front.pushed + x.shape[0]
+        rows = self._front.flush(x, self._kernel)
         self.state.w1[:] = self._w1[::-1]
         self.state.w2[:] = self._w2[::-1]
         self.state.samples_processed += pushed
-        return front.rest()
+        return rows
 
 
 def process_block(

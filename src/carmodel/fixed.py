@@ -30,7 +30,6 @@ coefficients have magnitude below 2).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -420,6 +419,11 @@ def quantize_block(samples: Sequence[float] | np.ndarray, fmt: FixedFormat) -> n
     x = np.asarray(samples, dtype=np.float64)
     if x.size and not np.isfinite(x).all():
         raise FixedPointError("samples contain non-finite values")
+    return _quantize_finite(x, fmt)[0]
+
+
+def _quantize_finite(x: np.ndarray, fmt: FixedFormat) -> tuple[np.ndarray, int]:
+    """quantize_block of finite doubles, and how many of them overflowed."""
     with np.errstate(over="ignore"):
         scaled = x * math.ldexp(1.0, fmt.frac_bits)  # exact power-of-two scale
     if scaled.size and not np.isfinite(scaled).all():
@@ -429,8 +433,9 @@ def quantize_block(samples: Sequence[float] | np.ndarray, fmt: FixedFormat) -> n
     else:
         raw = np.round(scaled)  # ties to even, same as round()
     limit = math.ldexp(1.0, fmt.total_bits - 1)  # -raw_min, raw_max + 1
+    top = raw >= limit
+    overflows = int(np.count_nonzero(top | (raw < -limit)))
     if fmt.overflow == OVERFLOW_SATURATE:
-        top = raw >= limit
         raw = np.where(top, 0.0, np.maximum(raw, -limit)).astype(np.int64)
         raw[top] = fmt.raw_max  # not a double above 53 bits
     else:
@@ -439,7 +444,7 @@ def quantize_block(samples: Sequence[float] | np.ndarray, fmt: FixedFormat) -> n
         raw[raw >= limit] -= 2.0 * limit
         raw[raw < -limit] += 2.0 * limit
         raw = raw.astype(np.int64)
-    return raw
+    return raw, overflows
 
 
 def to_real_block(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
@@ -522,14 +527,17 @@ def fixed_process_block_py(
 # cb + sb <= 63, 2cb + sb - s <= 63 and cb + s <= 62 hold D to 2^62, both
 # limbs to 2^61 and the final sum below 2^62 + 2, so no int64 operation
 # overflows. The default 18/16 coefficient and 32/24 state formats give 50,
-# 36 and 50. Outside the envelope, e.g. a 64-bit state or a small cf with
-# wide words, fixed_process_block runs the Python-int reference loop.
-# QuantizedDesign and _checked_inputs hold coefficients and inputs to format.
+# 36 and 50. The entrance takes io raw values through doubles, exact up to
+# an io width ib of 53 bits, which no PCM input exceeds. Outside the envelope,
+# e.g. a 64-bit state or a small cf with wide words, fixed_process_block runs
+# the Python-int reference loop. QuantizedDesign and _checked_inputs hold
+# coefficients and inputs to format.
 def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     cb = qdesign.coeff_format.total_bits
     sb = qdesign.state_format.total_bits
     s = 2 * qdesign.coeff_format.frac_bits
-    if cb + sb > 63 or 2 * cb + sb - s > 63 or cb + s > 62:
+    ib = qdesign.io_format.total_bits
+    if cb + sb > 63 or 2 * cb + sb - s > 63 or cb + s > 62 or ib > 53:
         return False
     sfmt = qdesign.state_format
     return all(
@@ -549,8 +557,9 @@ def _fixed_block_int64(
     rounding remainder is lo mod 2^s. Within _int64_exact's envelope this is
     exactly _step_raw. The w1' and w2' lines share r and run as the two
     columns of one contiguous [m x 2] write, computed in place in the state;
-    the y line is computed in place in the wavefront's output lanes. Returns
-    (out, section saturations, input saturations).
+    the y line is computed in place in the wavefront's output lanes. The
+    entrance quantizes the io samples' real values into the state format.
+    Returns (out, section saturations, input saturations).
     """
     n = qdesign.n_sections
     sfmt = qdesign.state_format
@@ -596,9 +605,7 @@ def _fixed_block_int64(
                 acc &= span - 1
                 acc -= (acc > rmax) * span
 
-    entered = [_requantize(v, qdesign.io_format.frac_bits, sfmt) for v in xs.tolist()]
-    samples = np.array([x for x, _ in entered], dtype=np.int64)
-    input_sat = sum(sat for _, sat in entered)
+    samples, input_sat = _quantize_finite(xs * qdesign.io_format.lsb, sfmt)
 
     # Lanes are section-reversed, as the wavefront runs. Row k of the [n x 2]
     # arrays holds section k's w1' and w2' lines: D = p * w + q * (w2, w1)
@@ -608,39 +615,39 @@ def _fixed_block_int64(
     sat = np.zeros(n, dtype=np.int64)
     dd, tt = np.empty((n, 2), dtype=np.int64), np.empty((n, 2), dtype=np.int64)
     dv, tv = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    front = _kernels.Wavefront(n, dtype=np.int64)
 
-    seen = None
-    for lanes in itertools.chain(front.ticks(samples), front.drain()):
-        if lanes is not seen:  # new lanes: slice every operand again
-            seen = lanes
-            k, x, y = lanes
-            rrk, pk, hk, gk, satk = rr[k], p[k], h[k], g[k], sat[k]
-            q0, q1 = q[k, 0], q[k, 1]
-            wk, w1k, w2k = w[k], w[k, 0], w[k, 1]
-            dk, tk, t0, t1 = dd[k], tt[k], tt[k, 0], tt[k, 1]
-            dvk, tvk = dv[k], tv[k]
-        # (w1', w2') = round(r * D + (x << s, 0)), in place in w
-        mul(pk, wk, dk)
-        mul(q0, w2k, t0)
-        mul(q1, w1k, t1)
-        add(dk, tk, dk)
-        rshift(dk, s, tk)
-        mul(rrk, tk, wk)
-        add(w1k, x, w1k)
-        finish(rrk, dk, tk, wk, satk)
-        # y = round(g * (h * w2' + (x << cf))), in place in y after the last
-        # read of x
-        mul(hk, w2k, dvk)
-        lshift(x, cf, tvk)
-        add(dvk, tvk, dvk)
-        rshift(dvk, s, tvk)
-        mul(gk, tvk, y)
-        finish(gk, dvk, tvk, y, satk)
+    def kernel(ticks):
+        seen = None
+        for lanes in ticks:
+            if lanes is not seen:  # new lanes: slice every operand again
+                seen = lanes
+                k, x, y = lanes
+                rrk, pk, hk, gk, satk = rr[k], p[k], h[k], g[k], sat[k]
+                q0, q1 = q[k, 0], q[k, 1]
+                wk, w1k, w2k = w[k], w[k, 0], w[k, 1]
+                dk, tk, t0, t1 = dd[k], tt[k], tt[k, 0], tt[k, 1]
+                dvk, tvk = dv[k], tv[k]
+            # (w1', w2') = round(r * D + (x << s, 0)), in place in w
+            mul(pk, wk, dk)
+            mul(q0, w2k, t0)
+            mul(q1, w1k, t1)
+            add(dk, tk, dk)
+            rshift(dk, s, tk)
+            mul(rrk, tk, wk)
+            add(w1k, x, w1k)
+            finish(rrk, dk, tk, wk, satk)
+            # y = round(g * (h * w2' + (x << cf))), in place in y after the
+            # last read of x
+            mul(hk, w2k, dvk)
+            lshift(x, cf, tvk)
+            add(dvk, tvk, dvk)
+            rshift(dvk, s, tvk)
+            mul(gk, tvk, y)
+            finish(gk, dvk, tvk, y, satk)
 
+    (out,) = _kernels.Wavefront(n, dtype=np.int64).flush(samples, kernel)
     state.w1_raw[:] = w[::-1, 0]
     state.w2_raw[:] = w[::-1, 1]
-    (out,) = front.rest()
     return out, sat[::-1].copy(), input_sat
 
 
@@ -654,12 +661,11 @@ def fixed_process_block(
     Returns (raw tap outputs [n_samples x n_sections] in state format,
     overflow statistics for this call). The datapath is integer-only, so
     identical raw inputs produce identical raw outputs on any platform.
-    Formats inside the int64 envelope run the wavefront kernel; any other,
-    and an empty block, runs fixed_process_block_py. Both give the same raw
-    integers.
+    Formats inside the int64 envelope run the wavefront kernel; any other
+    runs fixed_process_block_py. Both give the same raw integers.
     """
     xs = _checked_inputs(qdesign, state, samples_raw)
-    if not (xs.size and _int64_exact(qdesign, state)):
+    if not _int64_exact(qdesign, state):
         return fixed_process_block_py(qdesign, state, xs)
     out, section_sat, input_sat = _fixed_block_int64(qdesign, state, xs)
     state.saturations += section_sat

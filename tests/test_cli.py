@@ -184,6 +184,19 @@ class TestCochleagram:
         expect = csv_text(["t"], [[0], [1], [2]])
         assert (tmp_path / "n.csv").read_bytes() == expect.encode("utf-8")
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda b: b[:10], "truncated cochleagram header"),
+        (lambda b: b[:4] + struct.pack("<H", 2) + b[6:], "unsupported cochleagram version 2"),
+        (lambda b: b[:-1], "payload is 47 bytes, expected 48"),
+        (lambda b: b"x,y_0\r\n0,1\r\n", "bad cochleagram CSV header"),
+        (lambda b: b"t,y_0,y_1\r\n0,1,2\r\n1,2\r\n", "row has 2 fields, expected 3"),
+    ], ids=["truncated_header", "version", "payload_size", "csv_header", "csv_row"])
+    def test_malformed_file_rejected(self, tmp_path, corrupt, message):
+        write_cochleagram(np.zeros((2, 3)), tmp_path / "good.bin", format="binary")
+        (tmp_path / "bad").write_bytes(corrupt((tmp_path / "good.bin").read_bytes()))
+        with pytest.raises(ConfigError, match=message):
+            read_cochleagram(tmp_path / "bad")
+
     def test_single_cell(self, tmp_path):
         write_cochleagram(np.array([[0.5]]), tmp_path / "s.csv", format="csv")
         lines = (tmp_path / "s.csv").read_text().splitlines()
@@ -633,6 +646,13 @@ class TestCliScheduleCompare:
         lines = (workspace / "parity.csv").read_text().splitlines()
         assert lines[0] == "channel,snr_db,exact,saturations"
         assert len(lines) == 25
+
+    def test_compare_empty_wav_exits_1(self, workspace, capsys):
+        write_wav(workspace / "empty.wav", AudioBuffer(48000, np.zeros(0)))
+        rc = cli_main(["compare", "--coeffs", str(workspace / "coeffs.csv"),
+                       "--wav", str(workspace / "empty.wav")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: empty comparison window\n")
 
 
 class TestCliPlumbing:

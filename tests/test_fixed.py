@@ -430,6 +430,17 @@ class TestFixedProcessBlock:
             out, stats = run(qd, FixedCascadeState(3), [])
             assert out.shape == (0, 3) and stats.total == 0
 
+    def test_io_wider_than_a_double_is_exact(self):
+        # 2^62 + 2^38 + 1 is not a double: rounded to one, its entrance into
+        # the 24-bit state fraction would be a tie, taken to the even 2^23
+        # where the exact value rounds up to 2^23 + 1
+        qd = quantize_design(design_cascade(DesignParams(48000.0, 2)),
+                             io_format=FixedFormat(64, 63))
+        xs = [2**62 + 2**38 + 1]
+        out, _ = fixed_process_block(qd, FixedCascadeState(2), xs)
+        ref, _ = fixed_process_block_py(qd, FixedCascadeState(2), xs)
+        assert np.array_equal(out, ref)
+
     def test_state_arrays_updated_and_reset_in_place(self):
         design = design_cascade(DesignParams(48000.0, 4))
         qd = quantize_design(design)
@@ -538,6 +549,14 @@ class TestFixedProcessBlock:
     # partial chunks: the kernel's lanes change from full to narrow and back
     @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
     @example(10, 2, 12, 2, 16, "round_to_nearest_even", "wrap", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
+    # entrances that round: ties (io raw 16 and 48 over a 5-bit shift), and
+    # io values near +1 that round up past a Q1 state's raw_max, under both
+    # overflow policies; and a 64-bit io format, outside the int64 envelope
+    @example(16, 2, 12, 2, 16, "round_to_nearest_even", "saturate", 3,
+             [2**-11, 3 * 2**-11, -(2**-11), -3 * 2**-11] * 3, [5])
+    @example(16, 2, 8, 1, 16, "round_to_nearest_even", "saturate", 3, [1.0, 0.9999, -1.0] * 3, [4])
+    @example(16, 2, 8, 1, 16, "round_to_nearest_even", "wrap", 3, [1.0, 0.9999, -1.0] * 3, [4])
+    @example(16, 2, 32, 8, 64, "round_to_nearest_even", "saturate", 4, [0.5, -0.3, 1.0] * 4, [5])
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_loop(
         self, coeff_frac, coeff_int, state_bits, state_int, io_bits, rounding, overflow,
