@@ -5,6 +5,7 @@ Usage, from the repository root; TREE is a checkout with src/ and perfbench/:
 
     python3 bench/run_bench.py --tree TREE --label before --out BENCH_9.json
     python3 bench/run_bench.py --tree . --label after --out BENCH_9.json
+    python3 bench/run_bench.py --ab PARENT --tree . --out BENCH_11.json
 
 Each call measures the program in TREE and stores its numbers under
 --label, keeping the other labels the file holds. Every entry is the median
@@ -15,10 +16,10 @@ the Python and numpy versions, nproc and the tree's git revision:
   the 1224-section design, state carried from block to block: through
   process_block, which drains the cascade on every call, and through
   CascadeStream.push once the stream is full. Timed in a child process with
-  perfbench's Tracer.
+  perfbench's Tracer, after one call that warms each up.
 - tick_float_64x8200_us, tick_fixed_100x2400_us: microseconds per
   wavefront tick of each kernel on the size a benchmark workload runs it
-  at, timed in a child process with perfbench's Tracer. The float kernel
+  at, timed as the block calls are. The float kernel
   is CascadeStream.push of 8200 samples through analyze_mls's 64-section
   design once the stream is full, so every tick is full-width; the fixed
   kernel is one fixed_process_block call of 2400 samples through
@@ -33,11 +34,23 @@ the Python and numpy versions, nproc and the tree's git revision:
   before the run, and the run's wall time.
 - analyze_mls: TREE's `perfbench/run.py --workload analyze_mls`, one run per
   seed: peak_rss_mb and wall_ref.
+
+--ab PARENT compares two trees in one child process instead, because one
+child per label cannot resolve a 20% change on this kind of host: the
+child imports PARENT's and TREE's carmodel under two package names and
+alternates their calls on the same inputs, PAIRS pairs per entry, the
+first call of each pair switching trees from pair to pair. For the four
+block_ and tick_ calls above it stores the median and quartiles of the
+per-pair ratio TREE / PARENT under "ab"; a ratio below 1 means TREE is
+faster. It also stores run_binary for both trees, as "before" (PARENT) and
+"after" (TREE).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -61,6 +74,7 @@ RUN_SECONDS = (0.5, 1.0)
 ANALYZE_SEEDS = (801, 802, 803)
 ANALYZE_SECONDS = 5.0  # perfbench's --seconds for each analyze_mls run
 REPEATS = 5  # timed block and tick calls, and run children per input length
+PAIRS = 31  # alternating calls of the two trees per --ab entry
 FLOAT_TICK_SIZE = (64, 8200)  # sections, samples: analyze_mls's stream
 FIXED_TICK_SIZE = (100, 2400)  # compare_fixed's fixed_process_block call
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -76,10 +90,9 @@ def summary(values: list[float]) -> dict:
 
 def _import_program(tree: Path):
     sys.path.insert(0, str(tree / "src"))
-    import numpy as np
     from carmodel import cli, core, design, fixed
 
-    return np, cli, core, design, fixed
+    return cli, core, design, fixed
 
 
 class Timer:
@@ -97,59 +110,97 @@ class Timer:
         return e - s
 
 
-def child_block(tree: Path) -> dict:
-    """Per-block ms of process_block and of push."""
-    np, _, core, design, _ = _import_program(tree)
+def timed_calls(core, design, fixed) -> dict:
+    """The block_ and tick_ calls, set up on one tree's modules: name ->
+    (a function of the call's index, wavefront ticks per call, or None
+    where the entry is the time per call)."""
+    import numpy as np
+
     des = design.design_cascade(design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS))
     x = np.array(noise_samples(random.Random(8), 64 * BLOCK_SAMPLES)) / 32768.0
     blocks = [x[i : i + BLOCK_SAMPLES] for i in range(0, x.size, BLOCK_SAMPLES)]
-    timer = Timer()
     state = core.CascadeState(N_SECTIONS)
-    core.process_block(des, state, blocks[0])  # warms up
-    result = {"process_block": [1e3 * timer.call(core.process_block, des, state, blocks[i])
-                                for i in range(1, REPEATS + 1)]}
     stream = core.CascadeStream(des, core.CascadeState(N_SECTIONS))
     for block in blocks[: -(-N_SECTIONS // BLOCK_SAMPLES) + 1]:  # fill the cascade
         stream.push(block)
-    result["push"] = [1e3 * timer.call(stream.push, blocks[i % len(blocks)])
-                      for i in range(REPEATS)]
-    return {"times": result, "ref_s": timer.ref_s}
-
-
-def child_tick(tree: Path) -> dict:
-    """Microseconds per tick of the float and the fixed kernel."""
-    np, _, core, design, fixed = _import_program(tree)
-    timer = Timer()
-
-    def timed(ticks, fn, *args):
-        fn(*args)  # warms up
-        return [1e6 * timer.call(fn, *args) / ticks for _ in range(REPEATS)]
+    calls = {
+        "block_48_process_block": (lambda i: core.process_block(des, state, blocks[i % 64]), None),
+        "block_48_push": (lambda i: stream.push(blocks[i % 64]), None),
+    }
 
     n, samples = FLOAT_TICK_SIZE
-    des = design.design_cascade(
+    des64 = design.design_cascade(
         design.DesignParams(float(SAMPLE_RATE_HZ), **WORKLOADS["analyze_mls"]["design"]))
-    x = np.array(noise_samples(random.Random(10), samples)) / 32768.0
-    stream = core.CascadeStream(des, core.CascadeState(n))
-    stream.push(x[: n - 1])  # fill the cascade: every later tick is full-width
-    result = {f"float_{n}x{samples}": timed(samples, stream.push, x)}
+    x64 = np.array(noise_samples(random.Random(10), samples)) / 32768.0
+    stream64 = core.CascadeStream(des64, core.CascadeState(n))
+    stream64.push(x64[: n - 1])  # fill the cascade: every later tick is full-width
+    calls[f"tick_float_{n}x{samples}"] = (lambda i: stream64.push(x64), samples)
 
     n, samples = FIXED_TICK_SIZE
-    des = design.design_cascade(
+    des100 = design.design_cascade(
         design.DesignParams(float(SAMPLE_RATE_HZ), **WORKLOADS["compare_fixed"]["design"]))
-    qd = fixed.quantize_design(des)
+    qd = fixed.quantize_design(des100)
     raw = fixed.quantize_block(np.array(noise_samples(random.Random(11), samples)) / 32768.0,
                                qd.io_format)
-    state = fixed.FixedCascadeState(n)
-    result[f"fixed_{n}x{samples}"] = timed(
-        samples + n - 1, fixed.fixed_process_block, qd, state, raw)
+    fstate = fixed.FixedCascadeState(n)
+    calls[f"tick_fixed_{n}x{samples}"] = (
+        lambda i: fixed.fixed_process_block(qd, fstate, raw), samples + n - 1)
+    return calls
+
+
+def child_times(tree: Path, prefix: str) -> dict:
+    """ms per call of the block_48 calls, or µs per tick of the tick calls,
+    each after one call that warms it up."""
+    _, core, design, fixed = _import_program(tree)
+    timer = Timer()
+    result = {}
+    for name, (call, ticks) in timed_calls(core, design, fixed).items():
+        if name.startswith(prefix + "_"):
+            call(0)
+            scale = 1e3 if ticks is None else 1e6 / ticks
+            result[name[len(prefix) + 1 :]] = [scale * timer.call(call, i)
+                                               for i in range(1, REPEATS + 1)]
     return {"times": result, "ref_s": timer.ref_s}
+
+
+def _import_as(tree: Path, name: str):
+    """TREE's carmodel package, imported as the package name."""
+    pkg = tree / "src" / "carmodel"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [importlib.import_module(f"{name}.{m}") for m in ("core", "design", "fixed")]
+
+
+def child_ab(parent: Path, tree: Path) -> dict:
+    """Per-pair time ratios TREE / PARENT of each timed call."""
+    both = [timed_calls(*_import_as(parent, "carmodel_parent")),
+            timed_calls(*_import_as(tree, "carmodel_tree"))]
+    tracer = Tracer()
+
+    def seconds(fn, i):
+        tracer.call("ab", fn, i)
+        _, s, e, _, _ = tracer.spans[-1]
+        return e - s
+
+    ratios = {}
+    for name in both[0]:
+        for calls in both:
+            calls[name][0](0)  # warms up
+        ratios[name] = []
+        for i in range(1, PAIRS + 1):
+            order = (0, 1) if i % 2 else (1, 0)
+            t = {side: seconds(both[side][name][0], i) for side in order}
+            ratios[name].append(t[1] / t[0])
+    return ratios
 
 
 def child_run(tree: Path, coeffs: Path, wav: Path) -> dict:
     """Peak RSS and wall time of one `carmodel run --format binary`."""
     import resource
 
-    _, cli, _, _, _ = _import_program(tree)
+    cli, _, _, _ = _import_program(tree)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["run", "--coeffs", str(coeffs), "--wav", str(wav),
@@ -192,10 +243,35 @@ def timing_entries(child: dict, prefix: str, unit: str) -> dict:
 
 def measure(tree: Path) -> dict:
     entries = {
-        **timing_entries(in_child("--child", "block", "--tree", str(tree)), "block_48", "ms"),
+        **timing_entries(in_child("--child", "block_48", "--tree", str(tree)), "block_48", "ms"),
         **timing_entries(in_child("--child", "tick", "--tree", str(tree)), "tick", "us"),
+        **run_binary(tree),
     }
 
+    analyze = []
+    for seed in ANALYZE_SEEDS:
+        out = subprocess.run(
+            [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "analyze_mls",
+             "--seed", str(seed), "--seconds", str(ANALYZE_SECONDS)],
+            check=True, capture_output=True, text=True, cwd=tree,
+        ).stdout
+        metrics = json.loads(out.splitlines()[-1])["metrics"]
+        analyze.append({k: metrics[k]["value"] for k in ("peak_rss_mb", "wall_ref")})
+    entries["analyze_mls"] = {k: summary([a[k] for a in analyze]) for k in analyze[0]}
+    return entries
+
+
+def measure_ab(parent: Path, tree: Path) -> dict:
+    ratios = in_child("--child", "ab", "--tree", str(tree), "--ab", str(parent))
+    entries = {"pairs": PAIRS}
+    for name, values in ratios.items():
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        entries[name] = {"median": median, "quartiles": [q1, q3], "ratios": values}
+    return entries
+
+
+def run_binary(tree: Path) -> dict:
+    entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         coeffs = tmp / "coeffs.csv"
@@ -210,17 +286,6 @@ def measure(tree: Path) -> dict:
             entries[f"run_binary_{seconds}s"] = {
                 key: summary([r[key] for r in runs]) for key in runs[0]
             }
-
-    analyze = []
-    for seed in ANALYZE_SEEDS:
-        out = subprocess.run(
-            [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", "analyze_mls",
-             "--seed", str(seed), "--seconds", str(ANALYZE_SECONDS)],
-            check=True, capture_output=True, text=True, cwd=tree,
-        ).stdout
-        metrics = json.loads(out.splitlines()[-1])["metrics"]
-        analyze.append({k: metrics[k]["value"] for k in ("peak_rss_mb", "wall_ref")})
-    entries["analyze_mls"] = {k: summary([a[k] for a in analyze]) for k in analyze[0]}
     return entries
 
 
@@ -239,28 +304,36 @@ def main() -> int:
     ap.add_argument("--tree", type=Path, default=HERE.parent)
     ap.add_argument("--label", default="after")
     ap.add_argument("--out", type=Path)
-    ap.add_argument("--child", choices=["block", "tick", "run"], help=argparse.SUPPRESS)
+    ap.add_argument("--ab", type=Path, metavar="PARENT",
+                    help="time PARENT and TREE against each other in one process")
+    ap.add_argument("--child", choices=["block_48", "tick", "run", "ab"], help=argparse.SUPPRESS)
     ap.add_argument("--coeffs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--wav", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args()
     tree = args.tree.resolve()
 
-    if args.child == "block":
-        print(json.dumps(child_block(tree)))
-        return 0
-    if args.child == "tick":
-        print(json.dumps(child_tick(tree)))
+    if args.child in ("block_48", "tick"):
+        print(json.dumps(child_times(tree, args.child)))
         return 0
     if args.child == "run":
         print(json.dumps(child_run(tree, args.coeffs, args.wav)))
+        return 0
+    if args.child == "ab":
+        print(json.dumps(child_ab(args.ab.resolve(), tree)))
         return 0
     if args.out is None:
         ap.error("--out is required")
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("script", "bench/run_bench.py")
-    entries = measure(tree)
-    record[args.label] = {"stamp": stamp(tree), **entries}
+    if args.ab:
+        parent = args.ab.resolve()
+        record["ab"] = {"parent": stamp(parent), "tree": stamp(tree),
+                        **measure_ab(parent, tree)}
+        record["before"] = {"stamp": stamp(parent), **run_binary(parent)}
+        record["after"] = {"stamp": stamp(tree), **run_binary(tree)}
+    else:
+        record[args.label] = {"stamp": stamp(tree), **measure(tree)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

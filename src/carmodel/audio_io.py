@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfmt import csv_rows
+from .core import STREAM_CHUNK_VALUES
 from .errors import AudioFormatError, ConfigError
 
 __all__ = [
@@ -215,23 +216,25 @@ def _write_blocks(f, blocks, format: str, sample_rate_hz: float, n_samples: int 
         m = np.asarray(block, dtype=np.float64)
         if m.ndim != 2 or n_sections not in (None, m.shape[1]):
             raise ConfigError(f"cochleagram blocks must be 2-D and alike, got shape {m.shape}")
-        if m.size and not np.isfinite(m).all():
-            raise ConfigError("cochleagram contains non-finite values")
         if n_sections is None:
             if format == "binary":
                 f.write(_HEADER.pack(COCHLEAGRAM_MAGIC, COCHLEAGRAM_VERSION, m.shape[1],
                                      n_samples, float(sample_rate_hz)))
             else:
                 f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
-        if format == "binary":
-            # the block's own buffer, not a bytes copy of it
-            f.write(np.ascontiguousarray(m, dtype="<f8"))
-        else:
-            # The bytes csv.writer gives for these fields, formatted by numpy
-            # about one row at a time.
-            f.writelines(csv_rows(m, index=True, start=rows))
         n_sections = m.shape[1]
-        rows += m.shape[0]
+        # in row slices, so a strided block is never checked or copied whole
+        step = max(1, STREAM_CHUNK_VALUES // max(1, n_sections))
+        for part in (m[i : i + step] for i in range(0, len(m), step)):
+            if not np.isfinite(part).all():
+                raise ConfigError("cochleagram contains non-finite values")
+            if format == "binary":
+                f.write(np.ascontiguousarray(part, dtype="<f8"))
+            else:
+                # The bytes csv.writer gives for these fields, formatted by
+                # numpy about one row at a time.
+                f.writelines(csv_rows(part, index=True, start=rows))
+            rows += len(part)
     if n_sections is None:
         raise ConfigError("cochleagram has no row blocks")
     if n_samples is not None and rows != n_samples:

@@ -139,7 +139,7 @@ class CascadeStream:
         self._w1 = state.w1[::-1].copy()
         self._w2 = state.w2[::-1].copy()
         coeffs = (np.ascontiguousarray(v[::-1]) for v in design.coeff_arrays)
-        scratch = tuple(np.empty(design.n_sections) for _ in range(3))
+        scratch = tuple(np.empty(design.n_sections) for _ in range(2))
         self._kernel = functools.partial(cascade_ticks, *coeffs, self._w1, self._w2, scratch)
         self._front = Wavefront(design.n_sections)
 
@@ -151,12 +151,7 @@ class CascadeStream:
     def flush(self, samples: Sequence[float] | np.ndarray = ()) -> np.ndarray:
         """Push samples, the last ones before the flush, complete every row
         in flight, write the state back, and return the rows not yet
-        returned, in one array."""
-        parts = self._flush(samples)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _flush(self, samples: Sequence[float] | np.ndarray) -> tuple[np.ndarray, ...]:
-        """flush, with the rows as one or two views of the stream's buffer."""
+        returned, as one writable strided view of the stream's buffer."""
         x = _checked_samples(samples)
         pushed = self._front.pushed + x.shape[0]
         rows = self._front.flush(x, self._kernel)
@@ -173,28 +168,28 @@ def process_block(
 
     Bit-identical to calling process_sample once per sample; state is carried
     across calls so long inputs can be processed in blocks. Each call drains
-    the cascade; CascadeStream does not.
+    the cascade; CascadeStream does not. The outputs are a writable strided
+    view of the buffer the block ran in, not a contiguous array.
     """
-    # flushed with the samples rather than pushed: the first flush of a
-    # stream never wraps its buffer, so the block comes back without a copy
     return CascadeStream(design, state).flush(samples)
 
 
 def stream_rows(design: CascadeDesign, state: CascadeState, samples: np.ndarray):
-    """Yield the tap rows of samples, in order, as blocks of rows pushed
-    through a CascadeStream in chunks of about STREAM_CHUNK_VALUES tap values.
+    """Yield the tap rows of samples, in order, as the blocks of rows of a
+    CascadeStream that pushes whole chunks of about STREAM_CHUNK_VALUES tap
+    values and flushes the rest, whose rows come last as one view.
 
     The first chunk is n_sections - 1 samples longer, the rows still in
-    flight, so the stream sizes its buffer once. The flush's rows come last,
-    as one or two views of that buffer, never copied; at least one block,
-    perhaps empty, is yielded for them.
+    flight, so the stream sizes its buffer once; a shorter input is one
+    flush.
     """
     n = design.n_sections
     chunk = max(1, STREAM_CHUNK_VALUES // n)
     stream = CascadeStream(design, state)
-    for part in np.split(samples, range(n - 1 + chunk, len(samples), chunk)):
+    *parts, rest = np.split(samples, range(n - 1 + chunk, len(samples) + 1, chunk))
+    for part in parts:
         yield stream.push(part)
-    yield from stream._flush(())
+    yield stream.flush(rest)
 
 
 def settling_samples(design: CascadeDesign, tol: float = 1e-9) -> int:

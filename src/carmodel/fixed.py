@@ -557,9 +557,9 @@ def _fixed_block_int64(
     rounding remainder is lo mod 2^s. Within _int64_exact's envelope this is
     exactly _step_raw. The w1' and w2' lines share r and run as the two
     columns of one contiguous [m x 2] write, computed in place in the state;
-    the y line is computed in place in the wavefront's output lanes. The
-    entrance quantizes the io samples' real values into the state format.
-    Returns (out, section saturations, input saturations).
+    the y line is computed in place in the wavefront's buffer, and out is a
+    view of it. The entrance quantizes the io samples' real values into the
+    state format. Returns (out, section saturations, input saturations).
     """
     n = qdesign.n_sections
     sfmt = qdesign.state_format
@@ -617,16 +617,17 @@ def _fixed_block_int64(
     dv, tv = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
 
     def kernel(ticks):
-        seen = None
-        for lanes in ticks:
-            if lanes is not seen:  # new lanes: slice every operand again
-                seen = lanes
-                k, x, y = lanes
+        seen, width = None, 0
+        for k, x, y in ticks:
+            if k is not seen:  # new lanes: slice every operand again
+                seen = k
                 rrk, pk, hk, gk, satk = rr[k], p[k], h[k], g[k], sat[k]
                 q0, q1 = q[k, 0], q[k, 1]
                 wk, w1k, w2k = w[k], w[k, 0], w[k, 1]
-                dk, tk, t0, t1 = dd[k], tt[k], tt[k, 0], tt[k, 1]
-                dvk, tvk = dv[k], tv[k]
+                if len(y) != width:
+                    width = len(y)
+                    dk, tk, dvk, tvk = dd[:width], tt[:width], dv[:width], tv[:width]
+                    t0, t1 = tk[:, 0], tk[:, 1]
             # (w1', w2') = round(r * D + (x << s, 0)), in place in w
             mul(pk, wk, dk)
             mul(q0, w2k, t0)
@@ -636,8 +637,7 @@ def _fixed_block_int64(
             mul(rrk, tk, wk)
             add(w1k, x, w1k)
             finish(rrk, dk, tk, wk, satk)
-            # y = round(g * (h * w2' + (x << cf))), in place in y after the
-            # last read of x
+            # y = round(g * (h * w2' + (x << cf))), in place in y
             mul(hk, w2k, dvk)
             lshift(x, cf, tvk)
             add(dvk, tvk, dvk)
@@ -645,7 +645,7 @@ def _fixed_block_int64(
             mul(gk, tvk, y)
             finish(gk, dvk, tvk, y, satk)
 
-    (out,) = _kernels.Wavefront(n, dtype=np.int64).flush(samples, kernel)
+    out = _kernels.Wavefront(n, dtype=np.int64).flush(samples, kernel)
     state.w1_raw[:] = w[::-1, 0]
     state.w2_raw[:] = w[::-1, 1]
     return out, sat[::-1].copy(), input_sat

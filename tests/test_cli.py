@@ -612,6 +612,18 @@ class TestCliMemory:
         assert read_cochleagram(tmp_path / "o.bin")[0].tobytes() == m.tobytes()
         assert peak < m.nbytes / 2
 
+    def test_binary_write_copies_a_strided_block_in_slices(self, tmp_path, rng):
+        # every other column: the writer cannot hand this buffer to the file
+        m = rng.normal(0, 1, (1000, 1024))[:, ::2]
+        tracemalloc.start()
+        try:
+            write_cochleagram(iter([m]), tmp_path / "o.bin", format="binary", n_samples=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_cochleagram(tmp_path / "o.bin")[0].tobytes() == m.tobytes()
+        assert peak < m.nbytes / 4
+
     def test_analyze_peak_below_tap_matrix(self, tmp_path, capsys):
         assert cli_main(["design", "--sections", "64", "--x-apex", "0.4",
                          "-o", str(tmp_path / "c.csv")]) == 0

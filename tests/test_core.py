@@ -284,6 +284,21 @@ class TestProcessBlock:
             process_block(fast_design, s1, xs), process_block(fast_design, s2, xs)
         )
 
+    def test_short_block_takes_a_short_buffer(self):
+        # the row stride is min(samples, n): 48 samples through 1224 sections
+        # take about 0.5 MB, where tick rows of n + 1 values would take 12.5 MB
+        design = _stream_design(1224)
+        xs = np.random.default_rng(4).uniform(-1, 1, 48)
+        expect = process_block(design, CascadeState(1224), xs)  # caches the design's arrays
+        tracemalloc.start()
+        try:
+            got = process_block(design, CascadeState(1224), xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, expect)
+        assert peak < 1 << 20
+
 
 @functools.lru_cache(maxsize=None)
 def _stream_design(n_sections):
@@ -307,6 +322,14 @@ class TestCascadeStream:
     # narrow and back
     @example((7, [6, 7, 8, 90, 3, 1, 2]), 0, 1)
     @example((16, [15, 16, 17, 120, 5, 1, None, 2]), 3, 2)
+    # short pushes on a full cascade: the rows in flight move to the front of
+    # the buffer twice
+    @example((7, [20] + [3] * 11), 2, 3)
+    # the flush moves the rows in flight in overlapping pieces; then pushes
+    # follow the flush
+    @example((16, [20, 3, None, 5, 30, None, 17]), 3, 4)
+    # a first push narrower than the cascade: its buffer grows in the fill
+    @example((16, [5, 5, 5, 40, 2]), 4, 5)
     @settings(max_examples=200, deadline=None)
     def test_push_flush_equals_reference_loop(self, run, tail, seed):
         n, steps = run
@@ -341,8 +364,9 @@ class TestCascadeStream:
 
     def test_stream_rows_flush_is_not_copied(self):
         # 512 sections, 128-sample chunks: the first push is 639 samples, so
-        # the buffer holds 639 rows; after a second push the 511 rows in
-        # flight wrap it, and the flush hands them out as two views of it
+        # the buffer has room for them and their drain; the second push runs
+        # into that room, so the flush moves the 511 rows in flight to the
+        # front, in place, and hands them out as one view of the buffer
         n = 512
         design = _stream_design(n)
         xs = np.random.default_rng(3).uniform(-1, 1, 767)
@@ -357,8 +381,8 @@ class TestCascadeStream:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert [b.shape[0] for b in got + flushed] == [128, 128, 383, 128]
-        assert flushed[0].base is not None and flushed[0].base is flushed[1].base
+        assert [b.shape[0] for b in got + flushed] == [128, 128, 511]
+        assert flushed[0].base is not None
         assert np.array_equal(np.concatenate(got + flushed), expect)
         # a copy of the rows in flight would take (n - 1) * n doubles
         assert peak < (n - 1) * n * 8 / 4

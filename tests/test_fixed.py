@@ -549,6 +549,12 @@ class TestFixedProcessBlock:
     # partial chunks: the kernel's lanes change from full to narrow and back
     @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
     @example(10, 2, 12, 2, 16, "round_to_nearest_even", "wrap", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
+    # whole blocks of 1, n - 1, n and n + 1 samples: row strides of the
+    # sample count and of n, and the edges of the fill and the drain
+    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:1], [1])
+    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:11], [11])
+    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:12], [12])
+    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:13], [13])
     # entrances that round: ties (io raw 16 and 48 over a 5-bit shift), and
     # io values near +1 that round up past a Q1 state's raw_max, under both
     # overflow policies; and a 64-bit io format, outside the int64 envelope
