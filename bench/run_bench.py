@@ -29,9 +29,11 @@ the Python and numpy versions, nproc and the tree's git revision:
   comes a second time as <entry>_nominal: divided by the child's median
   reference time and multiplied by NOMINAL_REF_S, as perfbench's wall_ref
   does, so host drift between two labels' runs does not read as speed.
-- run_binary: `carmodel run --format binary` on 0.5 s and 1 s of -12 dBFS
-  noise, each in a fresh child process: peak RSS (getrusage), the RSS
-  before the run, and the run's wall time.
+- run_binary_<mode>: `carmodel run --format binary --mode <mode>`, for
+  each of float, fixed and pipeline (on the default hardware: 12 arrays at
+  1224 sections), on 0.5 s and 1 s of -12 dBFS noise, each in a fresh
+  child process: peak RSS (getrusage), the RSS before the run, and the
+  run's wall time.
 - analyze_mls: TREE's `perfbench/run.py --workload analyze_mls`, one run per
   seed: peak_rss_mb and wall_ref.
 
@@ -42,8 +44,8 @@ alternates their calls on the same inputs, PAIRS pairs per entry, the
 first call of each pair switching trees from pair to pair. For the four
 block_ and tick_ calls above it stores the median and quartiles of the
 per-pair ratio TREE / PARENT under "ab"; a ratio below 1 means TREE is
-faster. It also stores run_binary for both trees, as "before" (PARENT) and
-"after" (TREE).
+faster. It also stores run_binary_<mode> for both trees, as "before"
+(PARENT) and "after" (TREE).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from workloads import BLOCK_SAMPLES, WORKLOADS, noise_samples, write_wav  # noqa
 N_SECTIONS = 1224
 SAMPLE_RATE_HZ = 48000
 RUN_SECONDS = (0.5, 1.0)
+RUN_MODES = ("float", "fixed", "pipeline")
 ANALYZE_SEEDS = (801, 802, 803)
 ANALYZE_SECONDS = 5.0  # perfbench's --seconds for each analyze_mls run
 REPEATS = 5  # timed block and tick calls, and run children per input length
@@ -196,7 +199,7 @@ def child_ab(parent: Path, tree: Path) -> dict:
     return ratios
 
 
-def child_run(tree: Path, coeffs: Path, wav: Path) -> dict:
+def child_run(tree: Path, coeffs: Path, wav: Path, mode: str) -> dict:
     """Peak RSS and wall time of one `carmodel run --format binary`."""
     import resource
 
@@ -204,7 +207,7 @@ def child_run(tree: Path, coeffs: Path, wav: Path) -> dict:
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["run", "--coeffs", str(coeffs), "--wav", str(wav),
-                "-o", str(Path(tmp) / "out.bin"), "--format", "binary"]
+                "-o", str(Path(tmp) / "out.bin"), "--format", "binary", "--mode", mode]
         tracer = Tracer()
         with open(os.devnull, "w") as devnull:
             saved, sys.stdout = sys.stdout, devnull
@@ -281,11 +284,12 @@ def run_binary(tree: Path) -> dict:
         for seconds in RUN_SECONDS:
             wav = tmp / f"noise_{seconds}s.wav"
             write_wav(wav, noise_samples(random.Random(9), int(seconds * SAMPLE_RATE_HZ)))
-            runs = [in_child("--child", "run", "--tree", str(tree), "--coeffs", str(coeffs),
-                             "--wav", str(wav)) for _ in range(REPEATS)]
-            entries[f"run_binary_{seconds}s"] = {
-                key: summary([r[key] for r in runs]) for key in runs[0]
-            }
+            for mode in RUN_MODES:
+                runs = [in_child("--child", "run", "--tree", str(tree), "--coeffs", str(coeffs),
+                                 "--wav", str(wav), "--mode", mode) for _ in range(REPEATS)]
+                entries[f"run_binary_{mode}_{seconds}s"] = {
+                    key: summary([r[key] for r in runs]) for key in runs[0]
+                }
     return entries
 
 
@@ -309,6 +313,7 @@ def main() -> int:
     ap.add_argument("--child", choices=["block_48", "tick", "run", "ab"], help=argparse.SUPPRESS)
     ap.add_argument("--coeffs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--wav", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--mode", choices=RUN_MODES, help=argparse.SUPPRESS)
     args = ap.parse_args()
     tree = args.tree.resolve()
 
@@ -316,7 +321,7 @@ def main() -> int:
         print(json.dumps(child_times(tree, args.child)))
         return 0
     if args.child == "run":
-        print(json.dumps(child_run(tree, args.coeffs, args.wav)))
+        print(json.dumps(child_run(tree, args.coeffs, args.wav, args.mode)))
         return 0
     if args.child == "ab":
         print(json.dumps(child_ab(args.ab.resolve(), tree)))

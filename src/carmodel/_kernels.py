@@ -5,14 +5,14 @@ hardware pipeline runs: at tick t every active section k processes sample
 t - k, so one tick is a few elementwise numpy operations over all sections.
 It carries its state from one block of samples to the next, and push and
 flush (which drains) run a kernel, a function of the ticks, over a block:
-cascade_ticks is the float kernel and fixed._fixed_block_int64 holds the
-fixed-point one. A kernel writes each tick's outputs straight into the
-wavefront's buffer, where the next section reads them on the next tick, as
-a section's output register feeds the next section in the hardware. Each
-section of cascade_ticks performs the same IEEE double operations in the
-same order as core.step_section, with no fused multiply-add, so the outputs
-are bit-identical to the scalar path and to cascade_block_py, the reference
-loop the tests compare against.
+core.CascadeStream drives cascade_ticks, the float kernel, and
+fixed.FixedStream the fixed-point one. A kernel writes each tick's outputs
+straight into the wavefront's buffer, where the next section reads them on
+the next tick, as a section's output register feeds the next section in
+the hardware. Each section of cascade_ticks performs the same IEEE double
+operations in the same order as core.step_section, with no fused
+multiply-add, so the outputs are bit-identical to the scalar path and to
+cascade_block_py, the reference loop the tests compare against.
 """
 
 import numpy as np

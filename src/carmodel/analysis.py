@@ -371,12 +371,22 @@ def parity_report(
 
     ref_energy = (ref * ref).sum(axis=0)
     err_energy = ((ref - fix) ** 2).sum(axis=0)
-    for ch, e in enumerate(ref_energy):
-        if e == 0.0:
-            raise AnalysisError(f"undefined SNR: reference is all zero in channel {ch}")
     exact = err_energy == 0.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         snr = 10.0 * np.log10(ref_energy / err_energy)
+    # Energies below the smallest normal double lose digits: sum them again
+    # with the reference and the error each scaled exactly by a power of two
+    # (one scale would overflow a saturated error), combined in the log domain.
+    for ch in np.flatnonzero(ref_energy < np.finfo(np.float64).tiny):
+        r, e = ref[:, ch], ref[:, ch] - fix[:, ch]
+        if not r.any():
+            raise AnalysisError(f"undefined SNR: reference is all zero in channel {ch}")
+        exact[ch] = not e.any()
+        if not exact[ch]:
+            (_, r_exp), (_, e_exp) = np.frexp(np.abs(r).max()), np.frexp(np.abs(e).max())
+            r, e = np.ldexp(r, -r_exp), np.ldexp(e, -e_exp)
+            bits = math.log2((r * r).sum() / (e * e).sum()) + 2 * (r_exp - e_exp)
+            snr[ch] = 10.0 * math.log10(2.0) * bits
     finite = np.where(exact, np.inf, snr)
     worst = int(np.argmin(finite))
     return ParityReport(

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, audio_io, fixed, schedule
-from .core import CascadeState, process_block, stream_rows
+from .core import CascadeState, CascadeStream, process_block, stream_rows
 from .design import (
     CascadeDesign,
     DesignParams,
@@ -83,16 +83,6 @@ def _fixed_formats(args) -> tuple[fixed.FixedFormat, fixed.FixedFormat, fixed.Fi
     )
 
 
-def _run_fixed(
-    qd: fixed.QuantizedDesign, samples: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, fixed.FixedRunStats]:
-    """Samples through the fixed datapath from a zero state; returns (raw
-    io-format inputs, real tap outputs, saturation stats)."""
-    raw_in = fixed.quantize_block(samples, qd.io_format)
-    raw_out, stats = fixed.fixed_process_block(qd, fixed.FixedCascadeState(qd.n_sections), raw_in)
-    return raw_in, fixed.to_real_block(raw_out, qd.state_format), stats
-
-
 def _hardware(args, sample_rate_hz: float) -> schedule.HardwareParams:
     return schedule.HardwareParams(
         clock_hz=args.clock_hz,
@@ -150,10 +140,10 @@ def _cmd_run(args) -> int:
              wav.samples.size, design.n_sections, args.mode)
 
     if args.mode == "float":
-        outputs = stream_rows(design, CascadeState(design.n_sections), wav.samples)
+        outputs = stream_rows(CascadeStream(design, CascadeState(design.n_sections)), wav.samples)
     elif args.mode == "pipeline":
-        params = _hardware(args, design.sample_rate_hz)
-        outputs = schedule.simulate_pipeline(design, params, wav.samples)
+        outputs = schedule.simulate_pipeline(design, _hardware(args, design.sample_rate_hz),
+                                             wav.samples)
     elif args.mode == "fixed":
         coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
         if args.quantized:
@@ -161,17 +151,9 @@ def _cmd_run(args) -> int:
             qd = fixed.apply_quantized_table(design, fmt, rows, state_fmt, io_fmt)
         else:
             qd = fixed.quantize_design(design, coeff_fmt, state_fmt, io_fmt)
-        _, outputs, stats = _run_fixed(qd, wav.samples)
-        print(
-            f"saturations: {stats.total} "
-            f"(input {stats.input_saturations}, "
-            f"sections {int(stats.section_saturations.sum())})"
-        )
-        if args.stats:
-            with open(args.stats, "w", encoding="utf-8") as f:
-                f.write("section,saturations\n")
-                for k, c in enumerate(stats.section_saturations):
-                    f.write(f"{k},{int(c)}\n")
+        stream = fixed.FixedStream(qd, fixed.FixedCascadeState(qd.n_sections))
+        raw_in = fixed.quantize_block(wav.samples, qd.io_format)
+        outputs = (fixed.to_real_block(raw, qd.state_format) for raw in stream_rows(stream, raw_in))
     else:
         raise ConfigError(f"unknown mode: {args.mode!r}")
 
@@ -179,6 +161,15 @@ def _cmd_run(args) -> int:
         outputs, args.output, format=args.format, sample_rate_hz=design.sample_rate_hz,
         n_samples=wav.samples.size,
     )
+    if args.mode == "fixed":
+        stats = stream.stats
+        print(f"saturations: {stats.total} (input {stats.input_saturations}, "
+              f"sections {int(stats.section_saturations.sum())})")
+        if args.stats:
+            with open(args.stats, "w", encoding="utf-8") as f:
+                f.write("section,saturations\n")
+                for k, c in enumerate(stats.section_saturations):
+                    f.write(f"{k},{int(c)}\n")
     print(f"cochleagram {wav.samples.size} x {design.n_sections} -> {args.output}")
     return 0
 
@@ -212,7 +203,7 @@ def _cmd_analyze(args) -> int:
         # the analysis round differently on the other one.
         out = np.empty((stim.size, len(channels)), order="F")
         row = 0
-        for rows in stream_rows(head, CascadeState(cut), stim):
+        for rows in stream_rows(CascadeStream(head, CascadeState(cut)), stim):
             out[row : row + rows.shape[0]] = rows[:, channels]
             row += rows.shape[0]
         return out
@@ -238,11 +229,10 @@ def _cmd_analyze(args) -> int:
     for col, section in enumerate(channels):
         analysis.write_response_csv(result, col, out_dir / f"channel_{section:04d}_freq.csv")
         analysis.write_impulse_csv(result, col, out_dir / f"channel_{section:04d}_impulse.csv")
-    peak_hz, peak_db, flat = analysis.peak_trajectory(result)
     with open(out_dir / "peaks.csv", "w", encoding="utf-8") as f:
         f.write("section,peak_hz,peak_db,flat\n")
-        for col, section in enumerate(channels):
-            f.write(f"{section},{peak_hz[col]:.6g},{peak_db[col]:.6g},{int(flat[col])}\n")
+        for section, hz, db, flat in zip(channels, result.peak_hz, result.peak_db, result.flat):
+            f.write(f"{section},{hz:.6g},{db:.6g},{int(flat)}\n")
     print(f"analyzed {len(channels)} channels ({args.method}) -> {out_dir}")
     return 0
 
@@ -260,7 +250,10 @@ def _cmd_compare(args) -> int:
     wav = audio_io.read_wav(args.wav)
     design = _load_design_checked(args.coeffs, wav)
     qd = fixed.quantize_design(design, *_fixed_formats(args))
-    raw_in, fixed_real, stats = _run_fixed(qd, wav.samples)
+    raw_in = fixed.quantize_block(wav.samples, qd.io_format)
+    raw_out, stats = fixed.fixed_process_block(qd, fixed.FixedCascadeState(qd.n_sections), raw_in)
+    fixed_real = fixed.to_real_block(raw_out, qd.state_format)
+    del raw_out  # not held while the float reference runs
 
     # the float reference sees the same io-quantized input, exactly
     reference = fixed.dequantized_design(qd)

@@ -136,6 +136,7 @@ class CascadeStream:
     def __init__(self, design: CascadeDesign, state: CascadeState):
         _check_state(design, state)
         self.state = state
+        self.n_sections = design.n_sections
         self._w1 = state.w1[::-1].copy()
         self._w2 = state.w2[::-1].copy()
         coeffs = (np.ascontiguousarray(v[::-1]) for v in design.coeff_arrays)
@@ -174,18 +175,17 @@ def process_block(
     return CascadeStream(design, state).flush(samples)
 
 
-def stream_rows(design: CascadeDesign, state: CascadeState, samples: np.ndarray):
-    """Yield the tap rows of samples, in order, as the blocks of rows of a
-    CascadeStream that pushes whole chunks of about STREAM_CHUNK_VALUES tap
-    values and flushes the rest, whose rows come last as one view.
+def stream_rows(stream, samples: np.ndarray):
+    """Yield the tap rows of samples through stream (a CascadeStream, or a
+    fixed.FixedStream of raw samples) in order: it pushes whole chunks of
+    about STREAM_CHUNK_VALUES tap values and flushes the rest.
 
     The first chunk is n_sections - 1 samples longer, the rows still in
     flight, so the stream sizes its buffer once; a shorter input is one
     flush.
     """
-    n = design.n_sections
+    n = stream.n_sections
     chunk = max(1, STREAM_CHUNK_VALUES // n)
-    stream = CascadeStream(design, state)
     *parts, rest = np.split(samples, range(n - 1 + chunk, len(samples) + 1, chunk))
     for part in parts:
         yield stream.push(part)

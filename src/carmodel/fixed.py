@@ -3,13 +3,14 @@
 Intermediate products are exact at full width and results are rounded once at
 each architectural register write. The scalar path (fixed_step_section) and
 the reference block loop (fixed_process_block_py) compute on Python integers,
-exact at any width. fixed_process_block runs the cascade on int64 lanes over
-the float kernel's wavefront schedule, splitting each multiply-accumulate into
-two limbs at the round shift; it does so only inside an envelope derived from
-the coefficient and state widths (see _int64_exact), where every intermediate
-fits int64, and runs the reference loop elsewhere, for example with a 64-bit
-state. Both give the same raw integers. The datapath mirrors
-core.step_section:
+exact at any width. FixedStream runs the cascade on int64 lanes over a
+stream of samples, on the float kernel's wavefront schedule, splitting each
+multiply-accumulate into two limbs at the round shift; it does so only inside
+an envelope derived from the coefficient and state widths (see _int64_exact),
+where every intermediate fits int64, and runs the reference loop elsewhere,
+for example with a 64-bit state. Both give the same raw integers, and
+fixed_process_block is one flush of a fresh FixedStream. The datapath
+mirrors core.step_section:
 
     entrance    x_io -> x in state format (one requantize, exact when the
                 state format is at least as fine and wide as the io format)
@@ -60,6 +61,7 @@ __all__ = [
     "quantize_design",
     "dequantized_design",
     "fixed_step_section",
+    "FixedStream",
     "fixed_process_block",
     "quantize_block",
     "to_real_block",
@@ -529,8 +531,8 @@ def fixed_process_block_py(
 # overflows. The default 18/16 coefficient and 32/24 state formats give 50,
 # 36 and 50. The entrance takes io raw values through doubles, exact up to
 # an io width ib of 53 bits, which no PCM input exceeds. Outside the envelope,
-# e.g. a 64-bit state or a small cf with wide words, fixed_process_block runs
-# the Python-int reference loop. QuantizedDesign and _checked_inputs hold
+# e.g. a 64-bit state or a small cf with wide words, FixedStream runs the
+# Python-int reference loop. QuantizedDesign and _checked_inputs hold
 # coefficients and inputs to format.
 def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     cb = qdesign.coeff_format.total_bits
@@ -546,20 +548,18 @@ def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     )
 
 
-def _fixed_block_int64(
-    qdesign: QuantizedDesign, state: FixedCascadeState, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The cascade on int64 lanes over the wavefront schedule.
+def _int64_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
+    """The cascade on int64 lanes as a Wavefront kernel, bound to the
+    section-reversed state pairs w [n x 2] and overflow counts sat, both
+    updated in place, and to scratch of its own.
 
     Each register write is computed in two limbs split at the round shift s:
     acc = c * D + (x << s) is hi * 2^s + lo with hi = c * (D >> s) + x and
     lo = c * (D & (2^s - 1)), so floor(acc / 2^s) = hi + (lo >> s) and the
     rounding remainder is lo mod 2^s. Within _int64_exact's envelope this is
     exactly _step_raw. The w1' and w2' lines share r and run as the two
-    columns of one contiguous [m x 2] write, computed in place in the state;
-    the y line is computed in place in the wavefront's buffer, and out is a
-    view of it. The entrance quantizes the io samples' real values into the
-    state format. Returns (out, section saturations, input saturations).
+    columns of one contiguous [m x 2] write, computed in place in w; the y
+    line is computed in place in the wavefront's buffer.
     """
     n = qdesign.n_sections
     sfmt = qdesign.state_format
@@ -605,14 +605,9 @@ def _fixed_block_int64(
                 acc &= span - 1
                 acc -= (acc > rmax) * span
 
-    samples, input_sat = _quantize_finite(xs * qdesign.io_format.lsb, sfmt)
-
-    # Lanes are section-reversed, as the wavefront runs. Row k of the [n x 2]
-    # arrays holds section k's w1' and w2' lines: D = p * w + q * (w2, w1)
-    # is (a0*w1 - c0*w2, a0*w2 + c0*w1).
+    # Row k of the [n x 2] arrays holds section k's w1' and w2' lines:
+    # D = p * w + q * (w2, w1) is (a0*w1 - c0*w2, a0*w2 + c0*w1).
     rr, p, q, h, g = qdesign.lane_arrays
-    w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].copy()
-    sat = np.zeros(n, dtype=np.int64)
     dd, tt = np.empty((n, 2), dtype=np.int64), np.empty((n, 2), dtype=np.int64)
     dv, tv = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
 
@@ -645,10 +640,59 @@ def _fixed_block_int64(
             mul(gk, tvk, y)
             finish(gk, dvk, tvk, y, satk)
 
-    out = _kernels.Wavefront(n, dtype=np.int64).flush(samples, kernel)
-    state.w1_raw[:] = w[::-1, 0]
-    state.w2_raw[:] = w[::-1, 1]
-    return out, sat[::-1].copy(), input_sat
+    return kernel
+
+
+class FixedStream:
+    """The quantized cascade over a stream of io-format raw samples, as
+    core.CascadeStream is for the float one, with the raw outputs of
+    fixed_process_block_py however the input is split. Each call's entrance
+    quantizes its samples into the state format. Outside _int64_exact's
+    envelope each call runs fixed_process_block_py, with no rows in flight.
+    A flush writes the state back (w1_raw, w2_raw, saturations and
+    samples_processed) and sets stats to the overflow counts since the last.
+    """
+
+    def __init__(self, qdesign: QuantizedDesign, state: FixedCascadeState):
+        _checked_inputs(qdesign, state, ())  # the section count
+        self.qdesign, self.state, self.n_sections = qdesign, state, qdesign.n_sections
+        self.stats: FixedRunStats | None = None
+        self._sat = np.zeros(self.n_sections, dtype=np.int64)
+        self._input_sat = self._pushed = 0
+        self._front = None  # the reference loop writes the state itself
+        if _int64_exact(qdesign, state):
+            self._w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].copy()
+            self._kernel = _int64_kernel(qdesign, self._w, self._sat[::-1])
+            self._front = _kernels.Wavefront(self.n_sections, dtype=np.int64)
+
+    def push(self, samples_raw: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Run one tick per sample; returns the raw rows they completed, a new array."""
+        return self._run(samples_raw, drain=False)
+
+    def flush(self, samples_raw: Sequence[int] | np.ndarray = ()) -> np.ndarray:
+        """Push samples, complete every row in flight, write the state back
+        and return the rows not yet returned, on int64 lanes as a view."""
+        rows = self._run(samples_raw, drain=True)
+        if self._front is not None:
+            self.state.w1_raw[:], self.state.w2_raw[:] = self._w[::-1].T
+            self.state.saturations += self._sat
+            self.state.samples_processed += self._pushed
+        self.stats = FixedRunStats(self._sat.copy(), self._input_sat)
+        self._sat[:] = self._input_sat = self._pushed = 0
+        return rows
+
+    def _run(self, samples_raw, drain: bool) -> np.ndarray:
+        xs = _checked_inputs(self.qdesign, self.state, samples_raw)
+        if self._front is None:
+            rows, stats = fixed_process_block_py(self.qdesign, self.state, xs)
+            self._sat += stats.section_saturations
+            self._input_sat += stats.input_saturations
+            return rows
+        samples, input_sat = _quantize_finite(xs * self.qdesign.io_format.lsb,
+                                              self.qdesign.state_format)
+        self._input_sat += input_sat
+        self._pushed += len(xs)
+        return (self._front.flush if drain else self._front.push)(samples, self._kernel)
 
 
 def fixed_process_block(
@@ -661,16 +705,10 @@ def fixed_process_block(
     Returns (raw tap outputs [n_samples x n_sections] in state format,
     overflow statistics for this call). The datapath is integer-only, so
     identical raw inputs produce identical raw outputs on any platform.
-    Formats inside the int64 envelope run the wavefront kernel; any other
-    runs fixed_process_block_py. Both give the same raw integers.
+    This is one flush of a fresh FixedStream.
     """
-    xs = _checked_inputs(qdesign, state, samples_raw)
-    if not _int64_exact(qdesign, state):
-        return fixed_process_block_py(qdesign, state, xs)
-    out, section_sat, input_sat = _fixed_block_int64(qdesign, state, xs)
-    state.saturations += section_sat
-    state.samples_processed += len(xs)
-    return out, FixedRunStats(section_saturations=section_sat, input_saturations=input_sat)
+    stream = FixedStream(qdesign, state)
+    return stream.flush(samples_raw), stream.stats
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ through the datapath within a sample period; a core plus the sections it
 serves is an array. Several arrays are chained, each adding one sample
 period of pipeline delay. This module derives the core/array arithmetic
 (sections per array, array count, latencies, feasibility) and can simulate
-the resulting tap timing against the float reference cascade.
+the resulting tap timing on a stream of the float reference cascade.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CascadeState, process_block
+from .core import CascadeState, CascadeStream, stream_rows
 from .design import CascadeDesign
 from .errors import InfeasibleError
 
@@ -111,13 +111,12 @@ def plan(params: HardwareParams, n_sections: int) -> ScheduleReport:
     )
 
 
-def simulate_pipeline(
-    design: CascadeDesign, params: HardwareParams, samples
-) -> np.ndarray:
-    """Tap outputs as the array pipeline would emit them.
+def simulate_pipeline(design: CascadeDesign, params: HardwareParams, samples):
+    """Tap outputs as the array pipeline would emit them, in the row blocks
+    of core.stream_rows; an infeasible plan raises before any block.
 
-    Numerically identical to the reference process_block except that every
-    tap served by array k (0-based) is delayed by k whole samples, the
+    Numerically identical to the reference cascade except that every tap
+    served by array a (0-based) is delayed by a whole samples, the
     pipeline-register delay between chained arrays. Sections within an
     array run strictly in index order, one sample at a time (the per-sample
     completion barrier), which is exactly the reference iteration order.
@@ -127,13 +126,22 @@ def simulate_pipeline(
         raise InfeasibleError(
             f"{report.arrays_needed} arrays needed, only {params.max_arrays} available"
         )
-    out = process_block(design, CascadeState(design.n_sections), samples)
-    per_array = report.sections_per_array
-    for a in range(1, report.arrays_needed):
-        cols = slice(a * per_array, (a + 1) * per_array)
-        out[a:, cols] = out[:-a, cols]
-        out[:a, cols] = 0.0
-    return out
+    blocks = stream_rows(CascadeStream(design, CascadeState(design.n_sections)), samples)
+    return _delayed(blocks, report.sections_per_array, report.arrays_needed - 1)
+
+
+def _delayed(blocks, per_array: int, lag: int):
+    """Delay the columns of array a in each block by a rows, in place,
+    carrying the last lag rows of arrays 1 on (zeros before the first)."""
+    held = None
+    for rows in blocks:
+        late = rows[:, per_array:]
+        both = np.concatenate([np.zeros((lag, late.shape[1])) if held is None else held, late])
+        for a in range(1, lag + 1):
+            cols = slice((a - 1) * per_array, a * per_array)
+            late[:, cols] = both[lag - a : lag - a + len(rows), cols]
+        held = both[len(rows) :].copy()
+        yield rows
 
 
 def report_text(report: ScheduleReport) -> str:

@@ -198,7 +198,7 @@ def test_criterion_8_pipeline_equivalence(rng):
     report = plan(params, 8)
     assert report.arrays_needed == 3
     xs = rng.uniform(-1, 1, 256)
-    piped = simulate_pipeline(design, params, xs)
+    piped = np.concatenate(list(simulate_pipeline(design, params, xs)))
     ref = process_block(design, CascadeState(8), xs)
     for k in range(8):
         delay = k // report.sections_per_array

@@ -2,6 +2,7 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +271,31 @@ class TestParityReport:
     def test_zero_reference_rejected(self):
         with pytest.raises(AnalysisError, match="undefined SNR"):
             parity_report(np.zeros((32, 2)), np.ones((32, 2)))
+
+    def test_underflowing_energy_is_not_zero(self, rng):
+        # channels near 1e-162 square to 0 or to subnormals: against zeros
+        # (0 dB) and against a saturated +-128 (about -3282 dB), beside two
+        # channels whose energies are normal
+        ref = rng.uniform(-1, 1, (240, 4))
+        ref[:, 1:3] *= 1e-162
+        fix = ref + rng.normal(0, 1e-3, ref.shape)
+        fix[:, 1] = 0.0
+        fix[:, 2] = np.where(rng.uniform(size=240) < 0.5, -128.0, 128.0)
+        report = parity_report(ref, fix)
+        normal = [0, 3]  # keep the bits of the plain formula
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expect = 10.0 * np.log10((ref * ref).sum(axis=0) / ((ref - fix) ** 2).sum(axis=0))
+        assert np.array_equal(report.snr_db[normal], expect[normal])
+        for ch in (1, 2):
+            energy = sum(Fraction(v) ** 2 for v in ref[:, ch])
+            error = sum((Fraction(r) - Fraction(f)) ** 2 for r, f in zip(ref[:, ch], fix[:, ch]))
+            q = energy / error
+            snr = 10.0 * (math.log10(q.numerator) - math.log10(q.denominator))
+            assert report.snr_db[ch] == pytest.approx(snr, rel=1e-12, abs=1e-12)
+        assert report.snr_db[1] == 0.0
+        assert report.worst_channel == 2 and report.worst_snr_db < -3000
+        assert not report.exact.any()
+        assert parity_report(ref[:, 1:2], ref[:, 1:2].copy()).all_exact
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):

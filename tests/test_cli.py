@@ -23,7 +23,7 @@ from carmodel.audio_io import (
     write_wav,
 )
 from carmodel.cli import cli_main
-from carmodel.core import STREAM_CHUNK_VALUES, CascadeState, process_block
+from carmodel.core import STREAM_CHUNK_VALUES, CascadeState, CascadeStream, process_block
 from carmodel.design import read_coeff_table
 from carmodel.errors import AudioFormatError, ConfigError
 
@@ -483,14 +483,19 @@ class TestCliRun:
             monkeypatch.setattr(module, name, counted)
             calls[name] = 0
         io_args = ["--coeffs", str(workspace / "coeffs.csv"), "--wav", str(workspace / "in.wav")]
-        for argv, parity_calls in (
-            (["compare", *io_args, "-o", str(workspace / "p.csv")], 1),
-            (["run", *io_args, "-o", str(workspace / "f.csv"), "--mode", "fixed"], 0),
+        for argv, expect in (
+            (["compare", *io_args, "-o", str(workspace / "p.csv")],
+             {"quantize_block": 1, "fixed_process_block": 1, "to_real_block": 1,
+              "parity_report": 1}),
+            # run streams: no whole-input block, one conversion per row block,
+            # and the 2400 samples through 24 sections are one block
+            (["run", *io_args, "-o", str(workspace / "f.csv"), "--mode", "fixed"],
+             {"quantize_block": 1, "fixed_process_block": 0, "to_real_block": 1,
+              "parity_report": 0}),
         ):
             calls.update(dict.fromkeys(calls, 0))
             assert cli_main(argv) == 0
-            assert calls == {"quantize_block": 1, "fixed_process_block": 1,
-                             "to_real_block": 1, "parity_report": parity_calls}
+            assert calls == expect
 
 
 class TestCliAnalyze:
@@ -551,12 +556,12 @@ class TestCliAnalyze:
         stream_rows = carmodel.cli.stream_rows
         seen = []
 
-        def spy(design, state, samples):
-            seen.append(design.n_sections)
-            return stream_rows(design, state, samples)
+        def spy(stream, samples):
+            seen.append(stream.n_sections)
+            return stream_rows(stream, samples)
 
-        def whole(design, state, samples):
-            return stream_rows(full, CascadeState(full.n_sections), samples)
+        def whole(stream, samples):
+            return stream_rows(CascadeStream(full, CascadeState(full.n_sections)), samples)
 
         outputs = {}
         for name, wrapper in (("cut", spy), ("full", whole)):
@@ -589,7 +594,13 @@ def _traced_peak(argv) -> int:
 
 
 class TestCliMemory:
-    def test_run_peak_flat_in_input_length(self, tmp_path, rng, capsys):
+    # pipeline: 16 sections per array, so the 64 sections run on 4 arrays
+    @pytest.mark.parametrize("mode", [
+        ["--mode", "float"],
+        ["--mode", "fixed"],
+        ["--mode", "pipeline", "--clock-hz", str(48000 * 29 * 16)],
+    ], ids=["float", "fixed", "pipeline"])
+    def test_run_peak_flat_in_input_length(self, tmp_path, rng, capsys, mode):
         assert cli_main(["design", "--sections", "64", "-o", str(tmp_path / "c.csv")]) == 0
         peaks = []
         for n_samples in (4096, 4096, 8192):  # the first run warms caches up
@@ -597,7 +608,8 @@ class TestCliMemory:
             write_wav(tmp_path / "in.wav", AudioBuffer(48000, x))
             peaks.append(_traced_peak(["run", "--coeffs", str(tmp_path / "c.csv"),
                                        "--wav", str(tmp_path / "in.wav"),
-                                       "-o", str(tmp_path / "o.bin"), "--format", "binary"]))
+                                       "-o", str(tmp_path / "o.bin"), "--format", "binary",
+                                       *mode]))
         # holding the taps would add 4096 x 64 doubles (2 MB)
         assert peaks[2] - peaks[1] < STREAM_CHUNK_VALUES * 8
 
@@ -658,6 +670,18 @@ class TestCliScheduleCompare:
         lines = (workspace / "parity.csv").read_text().splitlines()
         assert lines[0] == "channel,snr_db,exact,saturations"
         assert len(lines) == 25
+
+    def test_compare_short_input_through_full_design(self, tmp_path, rng, capsys):
+        # 240 samples reach the apex channels of the 1224-section design only
+        # as values near 1e-162, whose squares underflow to 0
+        assert cli_main(["design", "-o", str(tmp_path / "c.csv")]) == 0
+        x = np.round(rng.uniform(-0.25, 0.25, 240) * 32768) / 32768
+        write_wav(tmp_path / "in.wav", AudioBuffer(48000, x))
+        rc = cli_main(["compare", "--coeffs", str(tmp_path / "c.csv"),
+                       "--wav", str(tmp_path / "in.wav"), "-o", str(tmp_path / "p.csv")])
+        assert rc == 0, capsys.readouterr().err
+        rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1224 and not any(",nan," in row for row in rows)
 
     def test_compare_empty_wav_exits_1(self, workspace, capsys):
         write_wav(workspace / "empty.wav", AudioBuffer(48000, np.zeros(0)))

@@ -243,39 +243,6 @@ class TestProcessBlock:
         with pytest.raises(ConfigError):
             process_block(fast_design, state, np.zeros((4, 4)))
 
-    def test_import_fallback_without_numba(self, rng):
-        # the package imports and processes blocks when numba cannot be imported
-        import importlib
-        import sys
-
-        import carmodel._kernels as kernels
-        import carmodel.core as core
-
-        had_numba = kernels.HAVE_NUMBA
-        saved = sys.modules.get("numba", ...)
-        try:
-            sys.modules["numba"] = None  # forces ImportError on import
-            importlib.reload(kernels)
-            importlib.reload(core)
-            assert not kernels.HAVE_NUMBA
-            design = design_cascade(DesignParams(48000.0, 5, x_apex=0.6))
-            xs = rng.uniform(-1, 1, 40)
-            sblock = core.CascadeState(5)
-            out_block = core.process_block(design, sblock, xs)
-            sloop = core.CascadeState(5)
-            out_loop = np.vstack([core.process_sample(design, sloop, float(x)) for x in xs])
-            assert np.array_equal(out_block, out_loop)
-            assert np.array_equal(sblock.w1, sloop.w1)
-            assert np.array_equal(sblock.w2, sloop.w2)
-        finally:
-            if saved is ...:
-                sys.modules.pop("numba", None)
-            else:
-                sys.modules["numba"] = saved
-            importlib.reload(kernels)
-            importlib.reload(core)
-        assert kernels.HAVE_NUMBA == had_numba
-
     def test_determinism(self, fast_design, rng):
         xs = rng.uniform(-1, 1, 500)
         s1 = CascadeState(fast_design.n_sections)
@@ -373,7 +340,7 @@ class TestCascadeStream:
         expect = process_block(design, CascadeState(n), xs)
         tracemalloc.start()
         try:
-            blocks = stream_rows(design, CascadeState(n), xs)
+            blocks = stream_rows(CascadeStream(design, CascadeState(n)), xs)
             got = [next(blocks), next(blocks)]  # the two pushes
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()

@@ -18,6 +18,7 @@ from carmodel.fixed import (
     FixedCascadeState,
     FixedFormat,
     FixedSectionState,
+    FixedStream,
     FixedValue,
     QuantizedDesign,
     apply_quantized_table,
@@ -596,6 +597,81 @@ class TestFixedProcessBlock:
         assert np.array_equal(chunked.w1_raw, ref_state.w1_raw)
         assert np.array_equal(chunked.w2_raw, ref_state.w2_raw)
         assert np.array_equal(chunked.saturations, ref_state.saturations)
+
+
+@st.composite
+def fixed_stream_runs(draw):
+    """A section count and a sequence of pushes (sizes, with 0, 1, n - 1,
+    n and n + 1 among them) and flushes (None)."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 12]))
+    edges = st.sampled_from(sorted({0, 1, max(0, n - 1), n, n + 1}))
+    step = st.one_of(st.none(), edges, st.integers(0, 3 * n))
+    return n, draw(st.lists(step, max_size=10))
+
+
+class TestFixedStream:
+    @given(
+        state_fmt=st.tuples(st.integers(6, 64), st.integers(1, 12),
+                            st.sampled_from(["round_to_nearest_even", "truncate"]),
+                            st.sampled_from(["saturate", "wrap"])),
+        run=fixed_stream_runs(),
+        tail=st.integers(0, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a saturating 12-bit state, a wrapping one, and a 64-bit state outside
+    # the int64 envelope, which runs the reference loop on every call
+    @example((12, 2, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1)
+    @example((12, 2, "round_to_nearest_even", "wrap"), (7, [6, 7, 8, 0, 40, 1]), 3, 2)
+    @example((64, 24, "truncate", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3)
+    # full-scale inputs overflow a Q1.7 state at the entrance between flushes
+    @example((8, 1, "round_to_nearest_even", "saturate"), (3, [5, None, 5, None, 4]), 3, 4)
+    @settings(max_examples=100, deadline=None)
+    def test_push_flush_equals_reference_loop(self, state_fmt, run, tail, seed):
+        bits, int_bits, rounding, overflow = state_fmt
+        n, steps = run
+        design = design_cascade(DesignParams(48000.0, n, damping_zeta=0.2))
+        sfmt = FixedFormat(bits, max(0, bits - int_bits), rounding, overflow)
+        qd = quantize_design(design, state_format=sfmt)
+        rng = np.random.default_rng(seed)
+        # the last tail samples go in with the final flush
+        x = rng.uniform(-1, 1, sum(s or 0 for s in steps) + tail)
+        x[::5] = 1.0  # rounds up past raw_max of a state with 1 integer bit
+        raw_in = quantize_block(x, qd.io_format)
+        ref_state = FixedCascadeState(n)
+        expect, ref_stats = fixed_process_block_py(qd, ref_state, raw_in)
+
+        state = FixedCascadeState(n)
+        stream = FixedStream(qd, state)
+        rows, pushed, section_sat, input_sat = [], 0, 0, 0
+        for size in steps:
+            if size is None:
+                rows.append(stream.flush())
+                assert state.samples_processed == pushed
+                section_sat += stream.stats.section_saturations
+                input_sat += stream.stats.input_saturations
+            else:
+                rows.append(stream.push(raw_in[pushed : pushed + size]))
+                pushed += size
+        rows.append(stream.flush(raw_in[pushed:]))
+        section_sat += stream.stats.section_saturations
+        input_sat += stream.stats.input_saturations
+        assert np.array_equal(np.concatenate(rows), expect)
+        assert np.array_equal(state.w1_raw, ref_state.w1_raw)
+        assert np.array_equal(state.w2_raw, ref_state.w2_raw)
+        assert np.array_equal(state.saturations, ref_state.saturations)
+        assert np.array_equal(section_sat, ref_stats.section_saturations)
+        assert input_sat == ref_stats.input_saturations
+        assert state.samples_processed == raw_in.size
+
+    def test_checks_like_fixed_process_block(self):
+        qd = quantize_design(design_cascade(DesignParams(48000.0, 3)))
+        with pytest.raises(ConfigError):
+            FixedStream(qd, FixedCascadeState(4))
+        stream = FixedStream(qd, FixedCascadeState(3))
+        with pytest.raises(ConfigError):
+            stream.push([0, 1 << 15])
+        with pytest.raises(ConfigError):
+            stream.push([0.5])
 
 
 class TestQuantizedTable:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from carmodel import core
 from carmodel.core import CascadeState, process_block
 from carmodel.design import DesignParams, design_cascade
 from carmodel.errors import InfeasibleError
@@ -112,7 +113,7 @@ class TestSimulatePipeline:
     def test_single_array_identical(self, rng):
         design = design_cascade(DesignParams(48000.0, 5, damping_zeta=0.2))
         xs = rng.uniform(-1, 1, 100)
-        out = simulate_pipeline(design, HardwareParams(), xs)
+        out = np.concatenate(list(simulate_pipeline(design, HardwareParams(), xs)))
         ref = process_block(design, CascadeState(5), xs)
         assert np.array_equal(out, ref)
 
@@ -121,7 +122,7 @@ class TestSimulatePipeline:
         params = HardwareParams(clock_hz=48000 * 29 * 3 + 24000, sample_rate_hz=48000)
         imp = np.zeros(64)
         imp[0] = 1.0
-        out = simulate_pipeline(design, params, imp)
+        out = np.concatenate(list(simulate_pipeline(design, params, imp)))
         ref = process_block(design, CascadeState(5), imp)
         assert np.array_equal(out[:, :3], ref[:, :3])
         assert np.all(out[0, 3:] == 0.0)
@@ -133,7 +134,7 @@ class TestSimulatePipeline:
         assert plan(params, 8).arrays_needed == 3
         # one sample is shorter than the largest delay
         for xs in (rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 1)):
-            out = simulate_pipeline(design, params, xs)
+            out = np.concatenate(list(simulate_pipeline(design, params, xs)))
             ref = process_block(design, CascadeState(8), xs)
             assert out.shape == ref.shape
             for k in range(8):
@@ -143,6 +144,26 @@ class TestSimulatePipeline:
                     assert np.array_equal(out[delay:, k], ref[:-delay, k])
                 else:
                     assert np.array_equal(out[:, k], ref[:, k])
+
+    @pytest.mark.parametrize("chunk", [1, 4, 40])
+    def test_delays_carried_across_short_blocks(self, monkeypatch, rng, chunk):
+        # 40 sections on 14 arrays: the last is 13 samples late, and the
+        # stream's blocks are about chunk samples long, shorter or longer
+        monkeypatch.setattr(core, "STREAM_CHUNK_VALUES", 40 * chunk)
+        design = design_cascade(DesignParams(48000.0, 40, damping_zeta=0.2))
+        params = HardwareParams(clock_hz=48000 * 29 * 3 + 24000, sample_rate_hz=48000,
+                                max_arrays=14)
+        xs = rng.uniform(-1, 1, 150)
+        blocks = list(simulate_pipeline(design, params, xs))
+        assert len(blocks) > 2
+        assert (min(b.shape[0] for b in blocks) < 13) == (chunk < 13)
+        out = np.concatenate(blocks)
+        ref = process_block(design, CascadeState(40), xs)
+        assert out.shape == ref.shape
+        for k in range(40):
+            delay = k // 3
+            assert np.all(out[:delay, k] == 0.0)
+            assert np.array_equal(out[delay:, k], ref[: 150 - delay, k])
 
     def test_infeasible_rejected(self):
         design = design_cascade(DesignParams(48000.0, 40, damping_zeta=0.2))
@@ -161,7 +182,7 @@ class TestSimulatePipeline:
         params = HardwareParams()
         imp = np.zeros(16)
         imp[0] = 1.0
-        out = simulate_pipeline(design, params, imp)
+        out = np.concatenate(list(simulate_pipeline(design, params, imp)))
         ref = process_block(design, CascadeState(1224), imp)
         assert np.all(out[:11, -1] == 0.0)
         assert np.array_equal(out[11:, -1], ref[:5, -1])
