@@ -336,7 +336,6 @@ class ParityReport:
     worst_channel: int
     worst_snr_db: float
     window: tuple[int, int]
-    saturation_counts: np.ndarray | None = None
 
     @property
     def all_exact(self) -> bool:
@@ -347,12 +346,12 @@ def parity_report(
     float_outputs: np.ndarray,
     fixed_outputs: np.ndarray,
     window: tuple[int, int] | None = None,
-    saturation_counts: np.ndarray | None = None,
 ) -> ParityReport:
     """SNR per channel: 10*log10(sum(ref^2) / sum((ref - fixed)^2)).
 
-    Channels where the error is exactly zero report +inf and are flagged
-    exact. A zero-energy reference window is an error, not a 0-dB report.
+    Channels where every fixed value equals its float value report +inf
+    and are flagged exact. A zero-energy reference window is an error, not
+    a 0-dB report.
     """
     ref = np.asarray(float_outputs, dtype=np.float64)
     fix = np.asarray(fixed_outputs, dtype=np.float64)
@@ -371,17 +370,17 @@ def parity_report(
 
     ref_energy = (ref * ref).sum(axis=0)
     err_energy = ((ref - fix) ** 2).sum(axis=0)
-    exact = err_energy == 0.0
+    exact = ~(ref != fix).any(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = 10.0 * np.log10(ref_energy / err_energy)
     # Energies below the smallest normal double lose digits: sum them again
     # with the reference and the error each scaled exactly by a power of two
     # (one scale would overflow a saturated error), combined in the log domain.
-    for ch in np.flatnonzero(ref_energy < np.finfo(np.float64).tiny):
+    tiny = np.finfo(np.float64).tiny
+    for ch in np.flatnonzero((ref_energy < tiny) | (~exact & (err_energy < tiny))):
         r, e = ref[:, ch], ref[:, ch] - fix[:, ch]
         if not r.any():
             raise AnalysisError(f"undefined SNR: reference is all zero in channel {ch}")
-        exact[ch] = not e.any()
         if not exact[ch]:
             (_, r_exp), (_, e_exp) = np.frexp(np.abs(r).max()), np.frexp(np.abs(e).max())
             r, e = np.ldexp(r, -r_exp), np.ldexp(e, -e_exp)
@@ -395,8 +394,6 @@ def parity_report(
         worst_channel=worst,
         worst_snr_db=float(finite[worst]),
         window=(start, stop),
-        saturation_counts=None if saturation_counts is None
-        else np.asarray(saturation_counts),
     )
 
 

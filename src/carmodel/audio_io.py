@@ -138,10 +138,8 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(sample_rate_hz=int(sample_rate), samples=samples)
 
 
-def write_wav(path, buffer: AudioBuffer, bits: int = 16) -> None:
-    """Write mono PCM WAV (16-bit only; helper for fixtures and round trips)."""
-    if bits != 16:
-        raise AudioFormatError(f"only 16-bit writing is supported, got {bits}")
+def write_wav(path, buffer: AudioBuffer) -> None:
+    """Write mono 16-bit PCM WAV (a helper for fixtures and round trips)."""
     scaled = np.round(buffer.samples * 32768.0)
     ints = np.clip(scaled, -32768, 32767).astype("<i2")
     payload = ints.tobytes()

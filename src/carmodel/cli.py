@@ -259,9 +259,7 @@ def _cmd_compare(args) -> int:
     reference = fixed.dequantized_design(qd)
     float_out = process_block(reference, CascadeState(qd.n_sections), raw_in * qd.io_format.lsb)
 
-    report = analysis.parity_report(
-        float_out, fixed_real, saturation_counts=stats.section_saturations
-    )
+    report = analysis.parity_report(float_out, fixed_real)
     finite = report.snr_db[np.isfinite(report.snr_db)]
     print(f"channels: {design.n_sections}")
     print(f"window: samples [{report.window[0]}, {report.window[1]})")

@@ -132,15 +132,17 @@ def simulate_pipeline(design: CascadeDesign, params: HardwareParams, samples):
 
 def _delayed(blocks, per_array: int, lag: int):
     """Delay the columns of array a in each block by a rows, in place,
-    carrying the last lag rows of arrays 1 on (zeros before the first)."""
-    held = None
+    carrying the last a rows of each array a (zeros before the first)."""
+    held = {}
     for rows in blocks:
-        late = rows[:, per_array:]
-        both = np.concatenate([np.zeros((lag, late.shape[1])) if held is None else held, late])
+        m = len(rows)
         for a in range(1, lag + 1):
-            cols = slice((a - 1) * per_array, a * per_array)
-            late[:, cols] = both[lag - a : lag - a + len(rows), cols]
-        held = both[len(rows) :].copy()
+            cols = rows[:, a * per_array : (a + 1) * per_array]
+            carry = held[a] if a in held else np.zeros((a, cols.shape[1]))
+            kept = max(m - a, 0)  # rows that stay in this block, shifted down
+            held[a] = np.concatenate([carry[m:], cols[kept:]])
+            cols[a:] = cols[:kept]
+            cols[: m - kept] = carry[:m]
         yield rows
 
 

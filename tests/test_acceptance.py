@@ -179,10 +179,7 @@ def test_criterion_7_fixed_point_parity():
     reference = process_block(
         reference_design, ref_state, to_real_block(raw_in, qdesign.io_format)
     )
-    report = parity_report(
-        reference, to_real_block(raw_out, qdesign.state_format),
-        saturation_counts=stats.section_saturations,
-    )
+    report = parity_report(reference, to_real_block(raw_out, qdesign.state_format))
     assert report.worst_snr_db >= 60.0
     assert report.worst_snr_db == pytest.approx(PINNED_WORST_SNR_DB, abs=0.05)
     print(

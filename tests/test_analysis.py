@@ -297,6 +297,15 @@ class TestParityReport:
         assert not report.exact.any()
         assert parity_report(ref[:, 1:2], ref[:, 1:2].copy()).all_exact
 
+    def test_tiny_error_is_not_exact(self):
+        # the error, about 1e-165 per sample, squares to 0 beside a normal
+        # reference energy; every value differs, so no channel is exact
+        ref = np.full((100, 1), 1e-150)
+        report = parity_report(ref, np.full((100, 1), 1e-150 + 1e-165))
+        assert not report.exact.any()
+        err = 1e-150 - (1e-150 + 1e-165)
+        assert report.snr_db[0] == pytest.approx(10 * math.log10((1e-150 / err) ** 2), rel=1e-12)
+
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             parity_report(np.zeros((32, 2)), np.zeros((32, 3)))

@@ -1,0 +1,40 @@
+"""bench/run_bench.py's A/B summary: pair times to BENCH entries."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "run_bench", Path(__file__).resolve().parents[1] / "bench" / "run_bench.py")
+run_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_bench)
+NOMINAL = run_bench.NOMINAL_REF_S
+
+
+def test_ab_entries_ratio_quartiles_and_nominal_times():
+    # five pairs on a host alternating between nominal and half speed; TREE
+    # takes 0.5 to 0.9 of PARENT's time, which is 10 ms at nominal speed
+    ref_s = [NOMINAL, 2 * NOMINAL, NOMINAL, 2 * NOMINAL, NOMINAL]
+    parent = [0.010 * r / NOMINAL for r in ref_s]
+    tree = [p * q for p, q in zip(parent, (0.5, 0.6, 0.7, 0.8, 0.9))]
+    times = {
+        "block": {"ticks": None, "ref_s": ref_s, "parent": parent, "tree": tree},
+        # 200 ticks in 2 ms at half speed: 5 µs per tick at nominal speed
+        "tick": {"ticks": 200, "ref_s": [2 * NOMINAL] * 3,
+                 "parent": [0.002] * 3, "tree": [0.004] * 3},
+    }
+    entries = run_bench.ab_entries(times)
+    block = entries["block"]
+    # TREE / PARENT: below 1 means TREE is faster
+    assert block["ratios"] == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9])
+    assert block["median"] == pytest.approx(0.7)
+    assert block["quartiles"] == pytest.approx([0.55, 0.85])
+    # each time is scaled by its own pair's reference time, not the median's
+    assert block["parent_ms_nominal"] == pytest.approx(10.0)
+    assert block["tree_ms_nominal"] == pytest.approx(7.0)
+    assert block["ref_s"] == NOMINAL
+    tick = entries["tick"]
+    assert tick["median"] == pytest.approx(2.0)
+    assert tick["parent_us_nominal"] == pytest.approx(5.0)
+    assert tick["tree_us_nominal"] == pytest.approx(10.0)

@@ -1,5 +1,7 @@
 """Hardware timing model: core/array arithmetic and pipeline simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from carmodel.design import DesignParams, design_cascade
 from carmodel.errors import InfeasibleError
 from carmodel.schedule import (
     HardwareParams,
+    _delayed,
     plan,
     report_csv,
     report_text,
@@ -164,6 +167,26 @@ class TestSimulatePipeline:
             delay = k // 3
             assert np.all(out[:delay, k] == 0.0)
             assert np.array_equal(out[delay:, k], ref[: 150 - delay, k])
+
+    def test_delay_shifts_in_place(self):
+        # 1224 columns on 12 arrays of 102, in blocks of 128 rows: a copy of
+        # one block's delayed columns would take 128 x 1122 doubles (1.1 MB)
+        rng = np.random.default_rng(5)
+        blocks = [rng.uniform(-1, 1, (128, 1224)) for _ in range(3)]
+        whole = np.concatenate(blocks)
+        tracemalloc.start()
+        try:
+            delayed = list(_delayed(iter(blocks), 102, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(d is b for d, b in zip(delayed, blocks))
+        out = np.concatenate(delayed)
+        for a in range(12):
+            cols = slice(a * 102, (a + 1) * 102)
+            assert np.all(out[:a, cols] == 0.0)
+            assert np.array_equal(out[a:, cols], whole[: 384 - a, cols])
+        assert peak < 128 * 1122 * 8 / 4
 
     def test_infeasible_rejected(self):
         design = design_cascade(DesignParams(48000.0, 40, damping_zeta=0.2))
