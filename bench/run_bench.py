@@ -14,10 +14,12 @@ per tree cannot resolve a 20% change on a host whose speed drifts by 20-30%.
 Each pair starts with perfbench's reference_task(). The calls, each warmed
 up by one call first:
 
-- block_48_process_block, block_48_push: one 48-sample block through the
-  1224-section design, state carried from block to block: through
-  process_block, which drains the cascade on every call, and through
-  CascadeStream.push once the stream is full.
+- block_48_process_block, block_48_push: 48-sample blocks through the
+  1224-section design, state carried from block to block: one block through
+  process_block, which drains the cascade on every call, and PUSHES
+  consecutive blocks through CascadeStream.push once the stream is full. One
+  push, about 1 ms, is too short to time alone at the level of the host's
+  scheduling noise.
 - tick_float_64x8200, tick_fixed_100x2400: each kernel on the size a
   benchmark workload runs it at. The float kernel is CascadeStream.push of
   8200 samples through analyze_mls's 64-section design once the stream is
@@ -28,7 +30,7 @@ up by one call first:
 For each call, "ab" stores the per-pair ratios TREE / PARENT with their
 median and quartiles; a ratio below 1 means TREE is faster. It also stores
 each tree's median time at the nominal reference speed, parent_<unit>_nominal
-and tree_<unit>_nominal, in ms per call (block_48) or µs per wavefront tick
+and tree_<unit>_nominal, in ms per block (block_48) or µs per wavefront tick
 (tick_): each time times NOMINAL_REF_S over its pair's reference time, as
 perfbench's wall_ref does. ref_s is the median reference time.
 
@@ -68,6 +70,7 @@ RUN_SECONDS = (0.5, 1.0)
 RUN_MODES = ("float", "fixed", "pipeline")
 REPEATS = 5  # run children per mode and input length
 PAIRS = 31  # alternating calls of the two trees per timed call
+PUSHES = 8  # 48-sample pushes per timed call of block_48_push
 SIDES = ("parent", "tree")
 FLOAT_TICK_SIZE = (64, 8200)  # sections, samples: analyze_mls's stream
 FIXED_TICK_SIZE = (100, 2400)  # compare_fixed's fixed_process_block call
@@ -84,8 +87,8 @@ def summary(values: list[float]) -> dict:
 
 def timed_calls(core, design, fixed) -> dict:
     """The block_ and tick_ calls, set up on one tree's modules: name ->
-    (a function of the call's index, wavefront ticks per call, or None
-    where the entry is the time per call)."""
+    (a function of the call's index, the entry's unit, and the blocks or
+    wavefront ticks per call that a time in that unit is per)."""
     import numpy as np
 
     des = design.design_cascade(design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS))
@@ -95,9 +98,15 @@ def timed_calls(core, design, fixed) -> dict:
     stream = core.CascadeStream(des, core.CascadeState(N_SECTIONS))
     for block in blocks[: -(-N_SECTIONS // BLOCK_SAMPLES) + 1]:  # fill the cascade
         stream.push(block)
+
+    def push(i):
+        for j in range(i * PUSHES, (i + 1) * PUSHES):
+            stream.push(blocks[j % 64])
+
     calls = {
-        "block_48_process_block": (lambda i: core.process_block(des, state, blocks[i % 64]), None),
-        "block_48_push": (lambda i: stream.push(blocks[i % 64]), None),
+        "block_48_process_block": (lambda i: core.process_block(des, state, blocks[i % 64]),
+                                   "ms", 1),
+        "block_48_push": (push, "ms", PUSHES),
     }
 
     n, samples = FLOAT_TICK_SIZE
@@ -106,7 +115,7 @@ def timed_calls(core, design, fixed) -> dict:
     x64 = np.array(noise_samples(random.Random(10), samples)) / 32768.0
     stream64 = core.CascadeStream(des64, core.CascadeState(n))
     stream64.push(x64[: n - 1])  # fill the cascade: every later tick is full-width
-    calls[f"tick_float_{n}x{samples}"] = (lambda i: stream64.push(x64), samples)
+    calls[f"tick_float_{n}x{samples}"] = (lambda i: stream64.push(x64), "us", samples)
 
     n, samples = FIXED_TICK_SIZE
     des100 = design.design_cascade(
@@ -116,7 +125,7 @@ def timed_calls(core, design, fixed) -> dict:
                                qd.io_format)
     fstate = fixed.FixedCascadeState(n)
     calls[f"tick_fixed_{n}x{samples}"] = (
-        lambda i: fixed.fixed_process_block(qd, fstate, raw), samples + n - 1)
+        lambda i: fixed.fixed_process_block(qd, fstate, raw), "us", samples + n - 1)
     return calls
 
 
@@ -133,15 +142,15 @@ def _import_as(tree: Path, name: str):
 def child_ab(parent: Path, tree: Path) -> dict:
     """Seconds of each timed call on PARENT and TREE, PAIRS alternating
     pairs, with the reference time taken before each pair and the call's
-    wavefront ticks (None for the block_48 calls)."""
+    unit and count, as timed_calls gives them."""
     both = {side: timed_calls(*_import_as(path, f"carmodel_{side}"))
             for side, path in zip(SIDES, (parent, tree))}
     tracer = Tracer()
     times = {}
-    for name, (_, ticks) in both["parent"].items():
+    for name, (_, unit, per) in both["parent"].items():
         for calls in both.values():
             calls[name][0](0)  # warms up
-        entry = times[name] = {"ticks": ticks, "ref_s": [], "parent": [], "tree": []}
+        entry = times[name] = {"unit": unit, "per": per, "ref_s": [], "parent": [], "tree": []}
         for i in range(1, PAIRS + 1):
             entry["ref_s"].append(reference_task())
             for side in SIDES if i % 2 else SIDES[::-1]:
@@ -190,15 +199,16 @@ def in_child(*args: str) -> dict:
 def ab_entries(times: dict) -> dict:
     """child_ab's times as entries: per call, the per-pair ratios TREE /
     PARENT with their median and quartiles, and each side's median time at
-    the nominal reference speed, in ms per call or µs per tick."""
+    the nominal reference speed, in its unit per block or tick."""
     entries = {}
     for name, t in times.items():
         ratios = [b / a for a, b in zip(t["parent"], t["tree"])]
         q1, median, q3 = statistics.quantiles(ratios, n=4)
-        unit, scale = ("ms", 1e3) if t["ticks"] is None else ("us", 1e6 / t["ticks"])
+        unit = t["unit"]
+        scale = {"ms": 1e3, "us": 1e6}[unit] / t["per"]
         nominal = [scale * NOMINAL_REF_S / ref for ref in t["ref_s"]]
         entries[name] = {"median": median, "quartiles": [q1, q3], "ratios": ratios,
-                         "ref_s": statistics.median(t["ref_s"])}
+                         "ref_s": statistics.median(t["ref_s"]), "per": t["per"]}
         for side in SIDES:
             entries[name][f"{side}_{unit}_nominal"] = statistics.median(
                 [s * k for s, k in zip(t[side], nominal)])

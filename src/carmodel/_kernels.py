@@ -11,8 +11,7 @@ straight into the wavefront's buffer, where the next section reads them on
 the next tick, as a section's output register feeds the next section in
 the hardware. Each section of cascade_ticks performs the same IEEE double
 operations in the same order as core.step_section, with no fused
-multiply-add, so the outputs are bit-identical to the scalar path and to
-cascade_block_py, the reference loop the tests compare against.
+multiply-add, so the outputs are bit-identical to the scalar path.
 """
 
 import numpy as np
@@ -20,23 +19,6 @@ from numpy.lib.stride_tricks import as_strided
 
 # Read by callers that record which backend ran; the kernel is numpy only.
 HAVE_NUMBA = False
-
-
-def cascade_block_py(samples, a0, c0, r, h, g, w1, w2, out):
-    """Reference loop: one scalar section update per (sample, section)."""
-    n_samples = samples.shape[0]
-    n_sections = a0.shape[0]
-    for t in range(n_samples):
-        x = samples[t]
-        for k in range(n_sections):
-            w1k = w1[k]
-            w2k = w2[k]
-            w1n = r[k] * (a0[k] * w1k - c0[k] * w2k) + x
-            w2n = r[k] * (c0[k] * w1k + a0[k] * w2k)
-            x = g[k] * (x + h[k] * w2n)
-            w1[k] = w1n
-            w2[k] = w2n
-            out[t, k] = x
 
 
 class Wavefront:

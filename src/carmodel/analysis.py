@@ -2,12 +2,12 @@
 responses, and float/fixed parity reports.
 
 The MLS path measures a linear system's impulse response by driving it with
-a periodic pseudo-random +-A sequence and circularly cross-correlating one
+a periodic pseudo-random +-1 sequence and circularly cross-correlating one
 steady-state output period with the stimulus. Because the sequence's
-circular autocorrelation takes exactly two values (N*A^2 at zero lag, -A^2
+circular autocorrelation takes exactly two values (N at zero lag, -1
 elsewhere), the correlation can be inverted exactly:
 
-    h[k] = (R_ys[k] + sum_j R_ys[j]) / (A^2 * (N + 1))
+    h[k] = (R_ys[k] + sum_j R_ys[j]) / (N + 1)
 
 which recovers the period-folded impulse response with no bias. The DFT of
 that full period samples the true frequency response exactly at the bin
@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._csvfmt import csv_rows
-from ._textfile import open_text
 from .design import CascadeDesign, transfer_function
 from .errors import AnalysisError, ConfigError
 
@@ -81,77 +80,62 @@ class MlsConfig:
     """Maximum-length-sequence stimulus parameters."""
 
     order: int = 14
-    taps: tuple[int, ...] | None = None
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not 2 <= self.order <= 24:
             raise AnalysisError(f"order must be in [2, 24], got {self.order}")
-        if self.amplitude <= 0:
-            raise AnalysisError(f"amplitude must be positive, got {self.amplitude}")
-        if self.taps is not None:
-            taps = tuple(sorted(set(int(t) for t in self.taps), reverse=True))
-            if not taps or taps[0] != self.order or taps[-1] < 1:
-                raise AnalysisError(
-                    f"taps must include the order and lie in [1, order], got {self.taps}"
-                )
-            object.__setattr__(self, "taps", taps)
 
     @property
     def period(self) -> int:
         return (1 << self.order) - 1
 
-    def resolved_taps(self) -> tuple[int, ...]:
-        return self.taps if self.taps is not None else DEFAULT_MLS_TAPS[self.order]
-
 
 def mls_generate(config: MlsConfig) -> np.ndarray:
-    """One full period of the +-amplitude maximum-length sequence.
+    """One full period of the +-1 maximum-length sequence.
 
-    Fibonacci shift register seeded with all ones; the new bit is the XOR of
-    the bits delayed by each tap position, with bit 1 mapped to +amplitude.
-    The period is verified during generation: the register must first return
-    to the seed after exactly 2^order - 1 steps, otherwise the taps are not
-    a primitive polynomial and a validation error is raised.
+    Fibonacci shift register on DEFAULT_MLS_TAPS[order], seeded with all
+    ones; the new bit is the XOR of the bits delayed by each tap position,
+    with bit 1 mapped to +1. The period is verified during generation: the
+    register must first return to the seed after exactly 2^order - 1 steps,
+    otherwise the taps are not a primitive polynomial and a validation error
+    is raised.
     """
     order = config.order
     n_mask = (1 << order) - 1
     period = config.period
+    taps = DEFAULT_MLS_TAPS[order]
     tap_mask = 0
-    for p in config.resolved_taps():
+    for p in taps:
         tap_mask |= 1 << (p - 1)
     seed = n_mask
     state = seed
-    amp = config.amplitude
     out = np.empty(period, dtype=np.float64)
     returned_at = 0
     for i in range(period):
         fb = bin(state & tap_mask).count("1") & 1
         state = ((state << 1) | fb) & n_mask
-        out[i] = amp if fb else -amp
+        out[i] = 1.0 if fb else -1.0
         if state == seed and returned_at == 0:
             returned_at = i + 1
     if returned_at != period:
         raise AnalysisError(
-            f"taps {config.resolved_taps()} give period {returned_at}, "
+            f"taps {taps} give period {returned_at}, "
             f"need {period}; not a primitive polynomial"
         )
     return out
 
 
-def mls_warmup_periods(
-    design: CascadeDesign, period: int, residual: float = 1e-14
-) -> int:
+def mls_warmup_periods(design: CascadeDesign, period: int) -> int:
     """Warm-up periods needed before the cascade's output is periodic.
 
     The slowest section mode decays as r^n; enough whole periods are run
-    that the leftover transient falls below `residual` relative to the
-    response scale. At least one period is always used.
+    that the leftover transient falls below 1e-14 relative to the response
+    scale. At least one period is always used.
     """
     r_max = max(s.r for s in design.sections)
     if r_max >= 1.0:
         raise AnalysisError("undamped design (r = 1) never reaches a periodic state")
-    need = math.log(residual) / (period * math.log(r_max))
+    need = math.log(1e-14) / (period * math.log(r_max))
     return max(1, int(math.ceil(need)))
 
 
@@ -197,10 +181,9 @@ def impulse_response(
     _check_system_output(out, stim.shape[0])
     y = out[warmup_periods * period :, :]
 
-    amp = config.amplitude
     seq_f = np.fft.rfft(seq)
     corr = np.fft.irfft(np.fft.rfft(y, axis=0) * np.conj(seq_f)[:, None], n=period, axis=0)
-    h = (corr + corr.sum(axis=0, keepdims=True)) / (amp * amp * (period + 1))
+    h = (corr + corr.sum(axis=0, keepdims=True)) / (period + 1)
     return h[:n_samples, :]
 
 
@@ -250,7 +233,7 @@ def frequency_response_measured(
         db = 20.0 * np.log10(mag)
     db = np.maximum(db, DB_FLOOR)
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate_hz)
-    peak_hz, peak_db, flat = _find_peaks(db, freqs, interpolate=True)
+    peak_hz, peak_db, flat = _find_peaks(db, freqs)
     return ResponseResult(
         impulse_responses=ir,
         magnitudes_linear=mag,
@@ -288,9 +271,7 @@ def frequency_response_analytic(
     return out
 
 
-def _find_peaks(
-    db: np.ndarray, freqs: np.ndarray, interpolate: bool, flat_tol_db: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _find_peaks(db: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_ch = db.shape[1]
     peak_hz = np.full(n_ch, np.nan)
     peak_db = np.empty(n_ch)
@@ -299,11 +280,11 @@ def _find_peaks(
     for ch in range(n_ch):
         col = db[:, ch]
         peak_db[ch] = col.max()
-        if col.max() - col.min() < flat_tol_db:
+        if col.max() - col.min() < 1e-9:
             flat[ch] = True
             continue
         p = int(col.argmax())
-        if interpolate and 0 < p < len(col) - 1:
+        if 0 < p < len(col) - 1:
             ym, y0, yp = col[p - 1], col[p], col[p + 1]
             denom = ym - 2.0 * y0 + yp
             if denom != 0.0:
@@ -315,16 +296,14 @@ def _find_peaks(
     return peak_hz, peak_db, flat
 
 
-def peak_trajectory(
-    result: ResponseResult, interpolate: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def peak_trajectory(result: ResponseResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel (peak_hz, peak_db, flat) from a ResponseResult.
 
-    With interpolate=False the raw argmax bin frequency is reported; the
-    parabolic refinement fits the peak bin and its neighbors in dB. Flat
-    channels (no distinguishable peak) carry NaN frequencies.
+    A parabola through the peak bin and its neighbors in dB refines each
+    peak; a peak at either end of the spectrum is reported at its bin.
+    Flat channels (no distinguishable peak) carry NaN frequencies.
     """
-    return _find_peaks(result.magnitudes_db, result.frequencies_hz, interpolate)
+    return _find_peaks(result.magnitudes_db, result.frequencies_hz)
 
 
 @dataclass(frozen=True)
@@ -335,23 +314,19 @@ class ParityReport:
     exact: np.ndarray                  # channels where fixed == float exactly
     worst_channel: int
     worst_snr_db: float
-    window: tuple[int, int]
+    window: tuple[int, int]            # always (0, rows): every row is compared
 
     @property
     def all_exact(self) -> bool:
         return bool(self.exact.all())
 
 
-def parity_report(
-    float_outputs: np.ndarray,
-    fixed_outputs: np.ndarray,
-    window: tuple[int, int] | None = None,
-) -> ParityReport:
-    """SNR per channel: 10*log10(sum(ref^2) / sum((ref - fixed)^2)).
+def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> ParityReport:
+    """SNR per channel over every row: 10*log10(sum(ref^2) / sum((ref - fixed)^2)).
 
     Channels where every fixed value equals its float value report +inf
-    and are flagged exact. A zero-energy reference window is an error, not
-    a 0-dB report.
+    and are flagged exact. No rows, or a zero-energy reference channel, is
+    an error, not a 0-dB report.
     """
     ref = np.asarray(float_outputs, dtype=np.float64)
     fix = np.asarray(fixed_outputs, dtype=np.float64)
@@ -360,11 +335,6 @@ def parity_report(
     if ref.ndim == 1:
         ref = ref[:, None]
         fix = fix[:, None]
-    if window is None:
-        window = (0, ref.shape[0])
-    start, stop = window
-    ref = ref[start:stop]
-    fix = fix[start:stop]
     if ref.shape[0] == 0:
         raise AnalysisError("empty comparison window")
 
@@ -393,20 +363,20 @@ def parity_report(
         exact=exact,
         worst_channel=worst,
         worst_snr_db=float(finite[worst]),
-        window=(start, stop),
+        window=(0, ref.shape[0]),
     )
 
 
-def write_response_csv(result: ResponseResult, channel: int, path_or_file) -> None:
+def write_response_csv(result: ResponseResult, channel: int, path) -> None:
     """`frequency_hz,magnitude_db` rows for one channel."""
-    with open_text(path_or_file, "w") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("frequency_hz,magnitude_db\r\n")
         m = np.column_stack((result.frequencies_hz, result.magnitudes_db[:, channel]))
         f.writelines(csv_rows(m))
 
 
-def write_impulse_csv(result: ResponseResult, channel: int, path_or_file) -> None:
+def write_impulse_csv(result: ResponseResult, channel: int, path) -> None:
     """`sample_index,amplitude` rows for one channel."""
-    with open_text(path_or_file, "w") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("sample_index,amplitude\r\n")
         f.writelines(csv_rows(result.impulse_responses[:, channel : channel + 1], index=True))

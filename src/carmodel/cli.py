@@ -7,8 +7,9 @@ single `error: ...` line on stderr and exits 1; usage problems exit 2.
 
 A config file (--config) holds `key = value` lines keyed by the long option
 names with dashes replaced by underscores; values parse like their flags (a
-bad one is a usage error) and explicit flags override them. CARMODEL_LOG
-sets log verbosity (debug, info, warning, error), never the outputs.
+bad one, or one outside the flag's choices, is a usage error) and explicit
+flags override them. CARMODEL_LOG sets log verbosity (debug, info, warning,
+error; anything else means warning), never the outputs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ log = logging.getLogger("carmodel")
 __all__ = ["cli_main", "main"]
 
 _SHOW_DEFAULT = "default %(default)s"
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _parse_h_policy(text: str) -> HPolicy:
@@ -57,9 +59,10 @@ def _parse_h_policy(text: str) -> HPolicy:
 
 
 def _load_config(path: str, command: argparse.ArgumentParser) -> dict[str, str]:
-    """The `key = value` lines of a config file, each naming an optional flag."""
-    known = {a.dest for a in command._actions if a.option_strings and not a.required}
-    known -= {"help", "config"}
+    """The `key = value` lines of a config file, each naming an optional flag.
+    argparse checks no default against its flag's choices, so this does."""
+    known = {a.dest: a for a in command._actions if a.option_strings and not a.required}
+    del known["help"], known["config"]
     cfg = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
@@ -72,6 +75,10 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict[str, str]:
         if key not in known:
             raise ConfigError(f"unknown config key: {key}")
         cfg[key] = value.strip()
+        choices = known[key].choices
+        if choices is not None and cfg[key] not in choices:
+            command.error(f"{path}:{lineno}: invalid choice for {key}: {cfg[key]!r} "
+                          f"(choose from {', '.join(choices)})")
     return cfg
 
 
@@ -144,7 +151,7 @@ def _cmd_run(args) -> int:
     elif args.mode == "pipeline":
         outputs = schedule.simulate_pipeline(design, _hardware(args, design.sample_rate_hz),
                                              wav.samples)
-    elif args.mode == "fixed":
+    else:  # fixed
         coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
         if args.quantized:
             fmt, rows = fixed.read_quantized_table(args.quantized)
@@ -154,8 +161,6 @@ def _cmd_run(args) -> int:
         stream = fixed.FixedStream(qd, fixed.FixedCascadeState(qd.n_sections))
         raw_in = fixed.quantize_block(wav.samples, qd.io_format)
         outputs = (fixed.to_real_block(raw, qd.state_format) for raw in stream_rows(stream, raw_in))
-    else:
-        raise ConfigError(f"unknown mode: {args.mode!r}")
 
     audio_io.write_cochleagram(
         outputs, args.output, format=args.format, sample_rate_hz=design.sample_rate_hz,
@@ -215,11 +220,9 @@ def _cmd_analyze(args) -> int:
         ir = analysis.impulse_response(
             system, n_samples, method="mls", mls_config=config, warmup_periods=warmup
         )
-    elif args.method == "impulse":
+    else:  # impulse
         n_samples = 2048 if args.n_samples is None else args.n_samples
         ir = analysis.impulse_response(system, n_samples, method="direct_impulse")
-    else:
-        raise ConfigError(f"unknown method: {args.method!r}; use impulse or mls")
 
     result = analysis.frequency_response_measured(
         ir, design.sample_rate_hz, n_fft=args.n_fft
@@ -389,8 +392,8 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def cli_main(argv=None) -> int:
-    level = os.environ.get("CARMODEL_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("CARMODEL_LOG", "warning").lower()
+    logging.basicConfig(level=level.upper() if level in _LOG_LEVELS else logging.WARNING)
     try:
         args = _parse_args(argv)
         return args.func(args)

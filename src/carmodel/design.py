@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from ._csvfmt import csv_rows
-from ._textfile import open_text
 from .errors import DesignError
 
 __all__ = [
@@ -60,15 +59,13 @@ class HPolicy:
     kind is one of:
       * ``proportional_to_c0`` -- h = c0 (default); keeps the zeros a fixed
         ratio above the pole frequency and always leaves them complex.
-      * ``explicit`` -- h = value; validated against the complex-zero bound
-        unless require_complex_zeros is False.
+      * ``explicit`` -- h = value; validated against the complex-zero bound.
       * ``fraction_of_bound`` -- h = fraction * (2 + 2*a0)/c0 with
         0 < fraction < 1, i.e. a stated margin below the bound.
     """
 
     kind: str = "proportional_to_c0"
     value: float | None = None
-    require_complex_zeros: bool = True
 
     _KINDS = ("proportional_to_c0", "explicit", "fraction_of_bound")
 
@@ -91,8 +88,8 @@ class HPolicy:
         return cls("proportional_to_c0")
 
     @classmethod
-    def explicit(cls, value: float, require_complex_zeros: bool = True) -> "HPolicy":
-        return cls("explicit", value, require_complex_zeros)
+    def explicit(cls, value: float) -> "HPolicy":
+        return cls("explicit", value)
 
     @classmethod
     def fraction_of_bound(cls, fraction: float) -> "HPolicy":
@@ -256,9 +253,8 @@ def complex_zero_bound(a0: float, c0: float) -> float:
 def zero_coeff(a0: float, c0: float, policy: HPolicy | None = None) -> float:
     """Zero-placement coefficient h under the given policy.
 
-    Policies that demand complex zeros validate h against the bound
-    (2 + 2*a0)/c0; a violating explicit value is rejected rather than
-    clipped.
+    h is validated against the complex-zero bound (2 + 2*a0)/c0; a
+    violating explicit value is rejected rather than clipped.
     """
     if policy is None:
         policy = HPolicy.proportional_to_c0()
@@ -273,7 +269,7 @@ def zero_coeff(a0: float, c0: float, policy: HPolicy | None = None) -> float:
         h = policy.value
     if not math.isfinite(h):
         raise DesignError(f"h={h} is not finite")
-    if policy.require_complex_zeros and h >= bound:
+    if h >= bound:
         raise DesignError(
             f"h={h} violates the complex-zero bound {bound} for a0={a0}, c0={c0}"
         )
@@ -343,12 +339,12 @@ def design_cascade(params: DesignParams) -> CascadeDesign:
     return design
 
 
-def validate_channel_coeffs(c: ChannelCoeffs, tol: float = 1e-12) -> None:
+def validate_channel_coeffs(c: ChannelCoeffs) -> None:
     """Check the structural invariants of a designed section."""
     values = (c.cf_hz, c.theta_r, c.r, c.a0, c.c0, c.h, c.g)
     if not all(map(math.isfinite, values)):
         raise DesignError(f"section {c.section_index}: non-finite coefficient in {values}")
-    if abs(c.a0 * c.a0 + c.c0 * c.c0 - 1.0) > tol:
+    if abs(c.a0 * c.a0 + c.c0 * c.c0 - 1.0) > 1e-12:
         raise DesignError(f"section {c.section_index}: a0^2 + c0^2 != 1")
     if not 0.0 < c.theta_r < math.pi:
         raise DesignError(f"section {c.section_index}: theta_r out of (0, pi)")
@@ -421,7 +417,7 @@ def poles_zeros(
 COEFF_TABLE_HEADER = ("section", "x", "cf_hz", "theta_r", "r", "a0", "c0", "h", "g")
 
 
-def write_coeff_table(design: CascadeDesign, path_or_file) -> None:
+def write_coeff_table(design: CascadeDesign, path) -> None:
     """Write the design as a coefficient-table CSV (base section first)."""
     # section_index is a float column: integers below 2^53 print the same
     # under "%.17g" and "%d". The reshape keeps a design without sections 2-D.
@@ -430,14 +426,14 @@ def write_coeff_table(design: CascadeDesign, path_or_file) -> None:
          for x, s in zip(design.positions, design.sections)],
         dtype=np.float64,
     ).reshape(-1, len(COEFF_TABLE_HEADER))
-    with open_text(path_or_file, "w") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(COEFF_TABLE_HEADER) + "\r\n")
         f.writelines(csv_rows(m))
 
 
-def read_coeff_table(path_or_file) -> CascadeDesign:
+def read_coeff_table(path) -> CascadeDesign:
     """Read a coefficient-table CSV back into a CascadeDesign."""
-    with open_text(path_or_file, "r") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         return _read_coeff_rows(f)
 
 

@@ -39,7 +39,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from ._textfile import open_text
 from .design import CascadeDesign, ChannelCoeffs
 from .errors import ConfigError, DesignError, FixedPointError
 
@@ -719,10 +718,10 @@ def fixed_process_block(
 QUANTIZED_TABLE_HEADER = ("section", "coeff_name", "raw_int", "total_bits", "frac_bits")
 
 
-def write_quantized_table(qdesign: QuantizedDesign, path_or_file) -> None:
+def write_quantized_table(qdesign: QuantizedDesign, path) -> None:
     import csv
 
-    with open_text(path_or_file, "w") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(QUANTIZED_TABLE_HEADER)
         fmt = qdesign.coeff_format
@@ -731,11 +730,11 @@ def write_quantized_table(qdesign: QuantizedDesign, path_or_file) -> None:
                 w.writerow([i, name, raw, fmt.total_bits, fmt.frac_bits])
 
 
-def read_quantized_table(path_or_file) -> tuple[FixedFormat, dict[int, dict[str, int]]]:
+def read_quantized_table(path) -> tuple[FixedFormat, dict[int, dict[str, int]]]:
     """Read raw coefficient rows; returns (coeff format, {section: {name: raw}})."""
     import csv
 
-    with open_text(path_or_file, "r") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != QUANTIZED_TABLE_HEADER:

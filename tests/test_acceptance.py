@@ -167,7 +167,7 @@ def test_criterion_7_fixed_point_parity():
     t0 = time.time()
     design = design_cascade(DesignParams(48000.0, 100, damping_zeta=0.25))
     qdesign = quantize_design(design)  # default 18/16, 32/24, 16/15 formats
-    stimulus = mls_generate(MlsConfig(order=14, amplitude=10 ** (-12 / 20)))
+    stimulus = 10 ** (-12 / 20) * mls_generate(MlsConfig(order=14))
 
     raw_in = quantize_block(stimulus, qdesign.io_format)
     fixed_state = FixedCascadeState(100)

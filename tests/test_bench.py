@@ -19,10 +19,14 @@ def test_ab_entries_ratio_quartiles_and_nominal_times():
     parent = [0.010 * r / NOMINAL for r in ref_s]
     tree = [p * q for p, q in zip(parent, (0.5, 0.6, 0.7, 0.8, 0.9))]
     times = {
-        "block": {"ticks": None, "ref_s": ref_s, "parent": parent, "tree": tree},
+        "block": {"unit": "ms", "per": 1, "ref_s": ref_s, "parent": parent, "tree": tree},
         # 200 ticks in 2 ms at half speed: 5 µs per tick at nominal speed
-        "tick": {"ticks": 200, "ref_s": [2 * NOMINAL] * 3,
+        "tick": {"unit": "us", "per": 200, "ref_s": [2 * NOMINAL] * 3,
                  "parent": [0.002] * 3, "tree": [0.004] * 3},
+        # block_48_push times PUSHES pushes per call: 8 ms at nominal speed
+        # is 1 ms per push, the unit of the real-time bar
+        "push": {"unit": "ms", "per": run_bench.PUSHES, "ref_s": [NOMINAL, 2 * NOMINAL],
+                 "parent": [0.008, 0.016], "tree": [0.004, 0.008]},
     }
     entries = run_bench.ab_entries(times)
     block = entries["block"]
@@ -38,3 +42,7 @@ def test_ab_entries_ratio_quartiles_and_nominal_times():
     assert tick["median"] == pytest.approx(2.0)
     assert tick["parent_us_nominal"] == pytest.approx(5.0)
     assert tick["tree_us_nominal"] == pytest.approx(10.0)
+    push = entries["push"]
+    assert run_bench.PUSHES == push["per"] == 8
+    assert push["parent_ms_nominal"] == pytest.approx(1.0)
+    assert push["tree_ms_nominal"] == pytest.approx(0.5)

@@ -30,6 +30,14 @@ from carmodel.errors import AudioFormatError, ConfigError
 from oracles import CSV_EDGE_FLOATS, csv_text
 
 
+def _child_env(**env) -> dict:
+    """The environment of a child that imports the same package as the
+    suite, installed or not."""
+    src = str(Path(carmodel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
 def build_wav(
     samples_bytes: bytes,
     channels: int = 1,
@@ -371,11 +379,9 @@ class TestCliRun:
         argv = ["run", "--coeffs", str(workspace / "coeffs.csv"),
                 "--wav", str(workspace / "in.wav"), "--format", fmt]
         assert cli_main([*argv, "-o", str(workspace / "expect")]) == 0
-        src = str(Path(carmodel.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "carmodel.cli", *argv, "-o", "/dev/stdout"],
-            capture_output=True, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith((workspace / "expect").read_bytes())
@@ -736,6 +742,16 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert "argument --sections: invalid int value: 'abc'" in err
         assert "Traceback" not in err
+        # argparse checks no default against its flag's choices
+        for command, key in (("run", "mode"), ("run", "format"), ("analyze", "method")):
+            cfg.write_text(f"{key} = foo\n")
+            argv = [command, "--config", str(cfg), "--coeffs", str(tmp_path / "absent.csv")]
+            if command == "run":
+                argv += ["--wav", str(tmp_path / "absent.wav"), "-o", str(tmp_path / "out")]
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: carmodel {command} ")
+            assert f"invalid choice for {key}: 'foo'" in err
 
     def test_required_flag_or_missing_file_in_config_exit_1(self, workspace, capsys):
         cfg = workspace / "req.conf"
@@ -796,12 +812,23 @@ class TestCliPlumbing:
             assert err.startswith("error: ") and "\n" not in err.strip()
 
     def test_entry_point_runs(self):
-        # the child imports the same package as the suite, installed or not
-        src = str(Path(carmodel.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "carmodel.cli", "schedule", "--sections", "102"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0
         assert "arrays_needed: 1" in proc.stdout
+
+    def test_unknown_log_level_means_warning(self):
+        # in a child: under pytest's log capture basicConfig does nothing
+        def schedule(level):
+            return subprocess.run(
+                [sys.executable, "-m", "carmodel.cli", "schedule", "--sections", "4"],
+                capture_output=True, text=True, env=_child_env(CARMODEL_LOG=level),
+            )
+
+        expect = schedule("warning")
+        assert expect.returncode == 0 and "arrays_needed" in expect.stdout
+        for level in ("basic_format", "critical", "Error"):
+            proc = schedule(level)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, expect.stdout, ""), level

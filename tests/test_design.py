@@ -1,6 +1,5 @@
 """Coefficient design: place map, rotator/zero/gain solves, analytic views."""
 
-import io
 import math
 
 import numpy as np
@@ -146,18 +145,11 @@ class TestZeroCoeff:
         with pytest.raises(DesignError):
             zero_coeff(a0, c0, HPolicy.explicit(bound + 0.01))
 
-    def test_explicit_above_bound_allowed_when_real_ok(self):
-        a0, c0 = rotator_coeffs(2.7035)
-        bound = complex_zero_bound(a0, c0)
-        h = zero_coeff(a0, c0, HPolicy.explicit(bound + 0.01, require_complex_zeros=False))
-        assert h == bound + 0.01
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_explicit_rejected(self, value):
         a0, c0 = rotator_coeffs(1.0)
-        for require_complex_zeros in (True, False):
-            with pytest.raises(DesignError, match="not finite"):
-                zero_coeff(a0, c0, HPolicy.explicit(value, require_complex_zeros))
+        with pytest.raises(DesignError, match="not finite"):
+            zero_coeff(a0, c0, HPolicy.explicit(value))
 
 
 class TestDcGain:
@@ -357,12 +349,11 @@ class TestPolesZeros:
 
 
 class TestCoeffTable:
-    def test_round_trip_bit_exact(self):
+    def test_round_trip_bit_exact(self, tmp_path):
         d = design_cascade(DesignParams(44100.0, 37, x_apex=0.1, damping_zeta=0.17))
-        buf = io.StringIO()
-        write_coeff_table(d, buf)
-        buf.seek(0)
-        d2 = read_coeff_table(buf)
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(d, path)
+        d2 = read_coeff_table(path)
         assert d2.sample_rate_hz == pytest.approx(d.sample_rate_hz, rel=1e-12)
         assert d2.positions == d.positions
         for a, b in zip(d.sections, d2.sections):
@@ -390,39 +381,37 @@ class TestCoeffTable:
         ]
         expect = csv_text(["section", "x", "cf_hz", "theta_r", "r", "a0", "c0", "h", "g"], rows)
         assert path.read_bytes() == expect.encode("utf-8")
-        buf = io.StringIO()
-        write_coeff_table(d, buf)
-        assert buf.getvalue() == expect
 
-    def test_rejects_bad_header(self):
-        buf = io.StringIO("a,b,c\n1,2,3\n")
+    def test_rejects_bad_header(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DesignError):
-            read_coeff_table(buf)
+            read_coeff_table(path)
 
-    def test_rejects_inconsistent_rate(self):
-        d = design_cascade(DesignParams(48000.0, 2))
-        buf = io.StringIO()
-        write_coeff_table(d, buf)
-        rows = buf.getvalue().splitlines()
+    def test_rejects_inconsistent_rate(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), path)
+        rows = path.read_text().splitlines()
         cols = rows[2].split(",")
         cols[3] = format(float(cols[3]) * 1.5, ".17g")  # corrupt theta_r
-        buf2 = io.StringIO("\n".join([rows[0], rows[1], ",".join(cols)]) + "\n")
+        path.write_text("\n".join([rows[0], rows[1], ",".join(cols)]) + "\n")
         with pytest.raises(DesignError, match="sample rate"):
-            read_coeff_table(buf2)
+            read_coeff_table(path)
 
     @pytest.mark.parametrize(
         "column, field, message",
         [(1, "nan", "non-finite"), (7, "inf", "non-finite"), (8, "-inf", "non-finite"),
          (0, "x", "not a number"), (0, "1.5", "not a number"), (4, "", "not a number")],
     )
-    def test_rejects_bad_field(self, column, field, message):
-        buf = io.StringIO()
-        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), buf)
-        rows = buf.getvalue().splitlines()
+    def test_rejects_bad_field(self, tmp_path, column, field, message):
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), path)
+        rows = path.read_text().splitlines()
         cols = rows[1].split(",")
         cols[column] = field
+        path.write_text("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n")
         with pytest.raises(DesignError, match=message):
-            read_coeff_table(io.StringIO("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n"))
+            read_coeff_table(path)
 
     @pytest.mark.parametrize(
         "edits, message",
@@ -432,15 +421,16 @@ class TestCoeffTable:
          ({2: repr(4 * 48000.0 / (2 * math.pi)), 3: "4"}, r"theta_r out of \(0, pi\)")],
         ids=["r", "g", "a0", "theta_r"],
     )
-    def test_rejects_invalid_section(self, edits, message):
-        buf = io.StringIO()
-        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), buf)
-        rows = buf.getvalue().splitlines()
+    def test_rejects_invalid_section(self, tmp_path, edits, message):
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), path)
+        rows = path.read_text().splitlines()
         cols = rows[1].split(",")
         for column, field in edits.items():
             cols[column] = field
+        path.write_text("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n")
         with pytest.raises(DesignError, match=r"section 0: " + message):
-            read_coeff_table(io.StringIO("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n"))
+            read_coeff_table(path)
 
     def test_validate_rejects_non_finite_coefficient(self):
         from carmodel.design import ChannelCoeffs, validate_channel_coeffs
@@ -450,6 +440,8 @@ class TestCoeffTable:
         with pytest.raises(DesignError, match="non-finite"):
             validate_channel_coeffs(c)
 
-    def test_rejects_empty(self):
+    def test_rejects_empty(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("section,x,cf_hz,theta_r,r,a0,c0,h,g\n")
         with pytest.raises(DesignError):
-            read_coeff_table(io.StringIO("section,x,cf_hz,theta_r,r,a0,c0,h,g\n"))
+            read_coeff_table(path)

@@ -1,6 +1,5 @@
 """Fixed-point arithmetic and the quantized cascade datapath."""
 
-import io
 import math
 
 import numpy as np
@@ -43,7 +42,7 @@ Q15 = FixedFormat(16, 15)
 def mls_signal(order, amplitude):
     from carmodel.analysis import MlsConfig, mls_generate
 
-    return mls_generate(MlsConfig(order=order, amplitude=amplitude))
+    return amplitude * mls_generate(MlsConfig(order=order))
 
 
 # strategy: formats small enough to exercise overflow often
@@ -675,31 +674,31 @@ class TestFixedStream:
 
 
 class TestQuantizedTable:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         design = design_cascade(DesignParams(48000.0, 7))
         qd = quantize_design(design)
-        buf = io.StringIO()
-        write_quantized_table(qd, buf)
-        buf.seek(0)
-        fmt, rows = read_quantized_table(buf)
+        path = tmp_path / "quantized.csv"
+        write_quantized_table(qd, path)
+        fmt, rows = read_quantized_table(path)
         assert fmt == qd.coeff_format
         rebuilt = apply_quantized_table(design, fmt, rows)
         assert rebuilt.coeffs_raw == qd.coeffs_raw
 
-    def test_header(self):
+    def test_header(self, tmp_path):
         design = design_cascade(DesignParams(48000.0, 2))
         qd = quantize_design(design)
-        buf = io.StringIO()
-        write_quantized_table(qd, buf)
-        assert buf.getvalue().splitlines()[0] == "section,coeff_name,raw_int,total_bits,frac_bits"
+        path = tmp_path / "quantized.csv"
+        write_quantized_table(qd, path)
+        assert path.read_text().splitlines()[0] == "section,coeff_name,raw_int,total_bits,frac_bits"
 
-    def test_missing_section_rejected(self):
+    def test_missing_section_rejected(self, tmp_path):
         design = design_cascade(DesignParams(48000.0, 3))
         qd = quantize_design(design)
-        buf = io.StringIO()
-        write_quantized_table(qd, buf)
-        rows_text = [l for l in buf.getvalue().splitlines() if not l.startswith("2,")]
-        fmt, rows = read_quantized_table(io.StringIO("\n".join(rows_text) + "\n"))
+        path = tmp_path / "quantized.csv"
+        write_quantized_table(qd, path)
+        rows_text = [l for l in path.read_text().splitlines() if not l.startswith("2,")]
+        path.write_text("\n".join(rows_text) + "\n")
+        fmt, rows = read_quantized_table(path)
         with pytest.raises(DesignError):
             apply_quantized_table(design, fmt, rows)
 
