@@ -26,7 +26,6 @@ from .core import (
     SectionState,
     process_block,
     process_sample,
-    reset,
     step_section,
 )
 from .errors import (
@@ -43,8 +42,6 @@ from .fixed import (
     FixedFormat,
     FixedValue,
     QuantizedDesign,
-    fixed_add,
-    fixed_mul,
     fixed_process_block,
     fixed_step_section,
     quantize,

@@ -199,8 +199,7 @@ class ResponseResult:
     """Impulse responses, their spectra, and per-channel peak locations."""
 
     impulse_responses: np.ndarray      # [n_samples x channels]
-    magnitudes_linear: np.ndarray      # [bins x channels]
-    magnitudes_db: np.ndarray          # clamped at DB_FLOOR
+    magnitudes_db: np.ndarray          # [bins x channels], clamped at DB_FLOOR
     frequencies_hz: np.ndarray
     sample_rate_hz: float
     n_fft: int
@@ -227,16 +226,15 @@ def frequency_response_measured(
         n_fft = n
     if n_fft < n:
         raise ConfigError(f"n_fft={n_fft} shorter than impulse response ({n})")
-    spectrum = np.fft.rfft(ir, n=n_fft, axis=0)
-    mag = np.abs(spectrum)
+    db = np.abs(np.fft.rfft(ir, n=n_fft, axis=0))  # to dB in place: |X| is not kept
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag)
-    db = np.maximum(db, DB_FLOOR)
+        np.log10(db, out=db)
+    db *= 20.0
+    np.maximum(db, DB_FLOOR, out=db)
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate_hz)
     peak_hz, peak_db, flat = _find_peaks(db, freqs)
     return ResponseResult(
         impulse_responses=ir,
-        magnitudes_linear=mag,
         magnitudes_db=db,
         frequencies_hz=freqs,
         sample_rate_hz=float(sample_rate_hz),
@@ -263,10 +261,7 @@ def frequency_response_analytic(
     out = np.empty((freqs.shape[0], design.n_sections), dtype=np.complex128)
     acc = np.ones_like(z)
     for k, s in enumerate(design.sections):
-        tf = transfer_function(s)
-        num = (tf.b0 * z + tf.b1) * z + tf.b2
-        den = (z + tf.a1_den) * z + tf.a2_den
-        acc = acc * (num / den)
+        acc = acc * transfer_function(s).evaluate(z)
         out[:, k] = acc
     return out
 
@@ -315,10 +310,6 @@ class ParityReport:
     worst_channel: int
     worst_snr_db: float
     window: tuple[int, int]            # always (0, rows): every row is compared
-
-    @property
-    def all_exact(self) -> bool:
-        return bool(self.exact.all())
 
 
 def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> ParityReport:

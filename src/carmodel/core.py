@@ -35,7 +35,6 @@ __all__ = [
     "process_sample",
     "process_block",
     "stream_rows",
-    "reset",
     "settling_samples",
 ]
 
@@ -68,13 +67,6 @@ class CascadeState:
     @property
     def n_sections(self) -> int:
         return self.w1.shape[0]
-
-
-def reset(state: CascadeState) -> None:
-    """Zero all internal variables and the sample counter."""
-    state.w1[:] = 0.0
-    state.w2[:] = 0.0
-    state.samples_processed = 0
 
 
 def step_section(

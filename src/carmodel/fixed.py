@@ -55,8 +55,6 @@ __all__ = [
     "DEFAULT_COEFF_FORMAT",
     "quantize",
     "to_real",
-    "fixed_mul",
-    "fixed_add",
     "quantize_design",
     "dequantized_design",
     "fixed_step_section",
@@ -106,14 +104,6 @@ class FixedFormat:
         return (1 << (self.total_bits - 1)) - 1
 
     @property
-    def min_value(self) -> float:
-        return math.ldexp(self.raw_min, -self.frac_bits)
-
-    @property
-    def max_value(self) -> float:
-        return math.ldexp(self.raw_max, -self.frac_bits)
-
-    @property
     def lsb(self) -> float:
         return math.ldexp(1.0, -self.frac_bits)
 
@@ -133,9 +123,6 @@ class FixedValue:
             raise FixedPointError(
                 f"raw value {self.raw} does not fit {self.format.total_bits}-bit format"
             )
-
-    def to_real(self) -> float:
-        return math.ldexp(self.raw, -self.format.frac_bits)
 
 
 def _round_shift(value: int, shift: int, rounding: str) -> int:
@@ -193,22 +180,7 @@ def quantize(value: float, fmt: FixedFormat) -> FixedValue:
 
 def to_real(v: FixedValue) -> float:
     """Real value raw / 2^frac_bits (exact while raw fits a double)."""
-    return v.to_real()
-
-
-def fixed_mul(a: FixedValue, b: FixedValue, out_format: FixedFormat) -> FixedValue:
-    """Full-precision integer product, rounded once into out_format."""
-    product = a.raw * b.raw
-    raw, _ = _requantize(product, a.format.frac_bits + b.format.frac_bits, out_format)
-    return FixedValue(raw, out_format)
-
-
-def fixed_add(a: FixedValue, b: FixedValue, out_format: FixedFormat) -> FixedValue:
-    """Exact sum after alignment to the finer operand, rounded once."""
-    frac = max(a.format.frac_bits, b.format.frac_bits)
-    total = (a.raw << (frac - a.format.frac_bits)) + (b.raw << (frac - b.format.frac_bits))
-    raw, _ = _requantize(total, frac, out_format)
-    return FixedValue(raw, out_format)
+    return math.ldexp(v.raw, -v.format.frac_bits)
 
 
 class QuantizedSectionCoeffs(NamedTuple):
@@ -329,12 +301,6 @@ class FixedCascadeState:
     @property
     def n_sections(self) -> int:
         return self.w1_raw.shape[0]
-
-    def reset(self) -> None:
-        self.w1_raw[:] = 0
-        self.w2_raw[:] = 0
-        self.saturations[:] = 0
-        self.samples_processed = 0
 
 
 @dataclass(frozen=True)
@@ -760,7 +726,11 @@ def read_quantized_table(path) -> tuple[FixedFormat, dict[int, dict[str, int]]]:
                 raise DesignError(f"section {section}: inconsistent coefficient format")
             if name not in _COEFF_NAMES:
                 raise DesignError(f"section {section}: unknown coefficient {name!r}")
-            rows.setdefault(section, {})[name] = raw
+            coeffs = rows.setdefault(section, {})
+            if name in coeffs:
+                raise DesignError(f"quantized-table line {reader.line_num}: "
+                                  f"section {section} coefficient {name} repeated")
+            coeffs[name] = raw
         if fmt is None:
             raise DesignError("quantized table has no data rows")
         return fmt, rows

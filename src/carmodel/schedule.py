@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -168,17 +168,6 @@ def report_csv(report: ScheduleReport) -> str:
 
     buf = io.StringIO()
     w = csv.writer(buf)
-    fields = [
-        "n_sections",
-        "section_latency_s",
-        "sections_per_array",
-        "arrays_needed",
-        "total_sections_capacity",
-        "end_to_end_latency_s",
-        "sample_period_s",
-        "feasible",
-        "slack_cycles_per_sample",
-    ]
-    w.writerow(fields)
-    w.writerow([getattr(report, f) for f in fields])
+    w.writerow([f.name for f in fields(report)])
+    w.writerow(astuple(report))
     return buf.getvalue()

@@ -412,6 +412,17 @@ class TestCliRun:
         assert stats[0] == "section,saturations"
         assert len(stats) == 25
 
+    def test_wav_clips_at_io_entrance_counted(self, workspace, capsys):
+        # 8388607 and 8388606 round up past the 16/15 io format's raw_max
+        ints = (8388607, -8388608, 8388606, 100)
+        payload = b"".join(struct.pack("<i", v)[:3] for v in ints)
+        (workspace / "loud.wav").write_bytes(build_wav(payload, bits=24))
+        io_args = ["--coeffs", str(workspace / "coeffs.csv"), "--wav", str(workspace / "loud.wav")]
+        assert cli_main(["run", *io_args, "-o", str(workspace / "l.csv"), "--mode", "fixed"]) == 0
+        assert "saturations: 2 (input 2, sections 0)\n" in capsys.readouterr().out
+        assert cli_main(["compare", *io_args]) == 0
+        assert "saturations: 2\n" in capsys.readouterr().out
+
     def test_pipeline_mode(self, workspace):
         rc = cli_main([
             "run", "--coeffs", str(workspace / "coeffs.csv"),
@@ -490,13 +501,15 @@ class TestCliRun:
             calls[name] = 0
         io_args = ["--coeffs", str(workspace / "coeffs.csv"), "--wav", str(workspace / "in.wav")]
         for argv, expect in (
+            # the WAV entrance quantizes in cli._wav_raw, which counts clips,
+            # not through quantize_block
             (["compare", *io_args, "-o", str(workspace / "p.csv")],
-             {"quantize_block": 1, "fixed_process_block": 1, "to_real_block": 1,
+             {"quantize_block": 0, "fixed_process_block": 1, "to_real_block": 1,
               "parity_report": 1}),
             # run streams: no whole-input block, one conversion per row block,
             # and the 2400 samples through 24 sections are one block
             (["run", *io_args, "-o", str(workspace / "f.csv"), "--mode", "fixed"],
-             {"quantize_block": 1, "fixed_process_block": 0, "to_real_block": 1,
+             {"quantize_block": 0, "fixed_process_block": 0, "to_real_block": 1,
               "parity_report": 0}),
         ):
             calls.update(dict.fromkeys(calls, 0))

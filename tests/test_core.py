@@ -15,7 +15,6 @@ from carmodel.core import (
     SectionState,
     process_block,
     process_sample,
-    reset,
     settling_samples,
     step_section,
     stream_rows,
@@ -355,37 +354,6 @@ class TestCascadeStream:
             stream.push([0.1, float("inf")])
         with pytest.raises(ConfigError):
             stream.push(np.zeros((2, 2)))
-
-
-class TestReset:
-    def test_reset_zeroes_everything(self, fast_design, rng):
-        state = CascadeState(fast_design.n_sections)
-        process_block(fast_design, state, rng.uniform(-1, 1, 100))
-        assert state.samples_processed == 100
-        reset(state)
-        assert state.samples_processed == 0
-        assert np.all(state.w1 == 0.0)
-        assert np.all(state.w2 == 0.0)
-        out = process_block(fast_design, state, np.zeros(16))
-        assert np.all(out == 0.0)
-
-    def test_reset_idempotent(self, fast_design):
-        state = CascadeState(fast_design.n_sections)
-        reset(state)
-        w1_copy = state.w1.copy()
-        reset(state)
-        assert np.array_equal(state.w1, w1_copy)
-
-    def test_impulse_after_reset_matches_fresh(self, fast_design, rng):
-        imp = np.zeros(128)
-        imp[0] = 1.0
-        used = CascadeState(fast_design.n_sections)
-        process_block(fast_design, used, rng.uniform(-1, 1, 200))
-        reset(used)
-        fresh = CascadeState(fast_design.n_sections)
-        assert np.array_equal(
-            process_block(fast_design, used, imp), process_block(fast_design, fresh, imp)
-        )
 
 
 class TestCascadeComposition:

@@ -22,8 +22,6 @@ from carmodel.fixed import (
     QuantizedDesign,
     apply_quantized_table,
     dequantized_design,
-    fixed_add,
-    fixed_mul,
     fixed_process_block,
     fixed_process_block_py,
     fixed_step_section,
@@ -35,6 +33,7 @@ from carmodel.fixed import (
     to_real_block,
     write_quantized_table,
 )
+from carmodel.fixed import _requantize
 
 Q15 = FixedFormat(16, 15)
 
@@ -68,8 +67,8 @@ class TestFormat:
     def test_range(self):
         assert Q15.raw_min == -32768
         assert Q15.raw_max == 32767
-        assert Q15.min_value == -1.0
-        assert Q15.max_value == pytest.approx(1.0 - 2**-15)
+        assert Q15.raw_min * Q15.lsb == -1.0
+        assert Q15.raw_max * Q15.lsb == pytest.approx(1.0 - 2**-15)
 
     @pytest.mark.parametrize("total,frac", [(1, 0), (65, 10), (8, 8), (8, -1)])
     def test_invalid(self, total, frac):
@@ -132,7 +131,8 @@ class TestQuantize:
     def test_block_matches_scalar(self, fmt, values, near):
         # near: multiples of the format's range, where saturation and wrap act
         scale = math.ldexp(1.0, fmt.total_bits - 1 - fmt.frac_bits)
-        limits = [fmt.min_value, fmt.max_value, scale, fmt.min_value - fmt.lsb, 1.0, -1.0]
+        lo, hi = fmt.raw_min * fmt.lsb, fmt.raw_max * fmt.lsb
+        limits = [lo, hi, scale, lo - fmt.lsb, 1.0, -1.0]
         values = values + [v * scale for v in near] + limits
         try:
             expect = [quantize(v, fmt).raw for v in values]
@@ -150,28 +150,23 @@ class TestQuantize:
 
 
 class TestFixedOps:
+    # _requantize rounds a full-width product or sum once into a format and
+    # flags an overflow, which the oracle below ignores and these pin
     def test_mul_exact(self):
-        half = quantize(0.5, Q15)
-        assert to_real(fixed_mul(half, half, Q15)) == 0.25
+        half = quantize(0.5, Q15).raw
+        assert _requantize(half * half, 30, Q15) == (quantize(0.25, Q15).raw, False)
 
     def test_mul_minus_one_squared_saturates(self):
-        m1 = quantize(-1.0, Q15)
-        out = fixed_mul(m1, m1, Q15)
-        assert out.raw == 32767
-
-    def test_add_exact(self):
-        q = quantize(0.25, Q15)
-        assert to_real(fixed_add(q, q, Q15)) == 0.5
+        m1 = quantize(-1.0, Q15).raw
+        assert _requantize(m1 * m1, 30, Q15) == (32767, True)
 
     def test_add_saturates(self):
-        mx = FixedValue(Q15.raw_max, Q15)
-        assert fixed_add(mx, mx, Q15).raw == Q15.raw_max
+        assert _requantize(Q15.raw_max + Q15.raw_max, 15, Q15) == (Q15.raw_max, True)
 
     def test_add_identity_bit_exact(self, rng):
-        zero = FixedValue(0, Q15)
-        for raw in rng.integers(Q15.raw_min, Q15.raw_max + 1, 100):
-            v = FixedValue(int(raw), Q15)
-            assert fixed_add(v, zero, Q15).raw == v.raw
+        # adding zero at the operand's own fraction changes nothing
+        for raw in map(int, rng.integers(Q15.raw_min, Q15.raw_max + 1, 100)):
+            assert _requantize(raw + 0, 15, Q15) == (raw, False)
 
     @given(
         a_raw=st.integers(-(1 << 17), (1 << 17) - 1),
@@ -182,9 +177,8 @@ class TestFixedOps:
     )
     @settings(max_examples=300, deadline=None)
     def test_mul_matches_integer_oracle(self, a_raw, b_raw, a_frac, b_frac, out):
-        a = FixedValue(a_raw, FixedFormat(18, a_frac))
-        b = FixedValue(b_raw, FixedFormat(18, b_frac))
-        got = fixed_mul(a, b, out)
+        # a full-width product rounded once, as every register write is
+        got, _ = _requantize(a_raw * b_raw, a_frac + b_frac, out)
         # oracle: exact rational arithmetic via Fraction
         from fractions import Fraction
 
@@ -195,36 +189,13 @@ class TestFixedOps:
         else:
             ideal = _round_half_even(scaled)
         expect = _overflow_oracle(ideal, out)
-        assert got.raw == expect
-
-    @given(
-        a_raw=st.integers(-(1 << 20), (1 << 20) - 1),
-        b_raw=st.integers(-(1 << 20), (1 << 20) - 1),
-        a_frac=st.integers(0, 20),
-        b_frac=st.integers(0, 20),
-        out=formats(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_add_matches_integer_oracle(self, a_raw, b_raw, a_frac, b_frac, out):
-        a = FixedValue(a_raw, FixedFormat(22, a_frac))
-        b = FixedValue(b_raw, FixedFormat(22, b_frac))
-        got = fixed_add(a, b, out)
-        from fractions import Fraction
-
-        exact = Fraction(a_raw, 1 << a_frac) + Fraction(b_raw, 1 << b_frac)
-        scaled = exact * (1 << out.frac_bits)
-        if out.rounding == "truncate":
-            ideal = scaled.numerator // scaled.denominator
-        else:
-            ideal = _round_half_even(scaled)
-        expect = _overflow_oracle(ideal, out)
-        assert got.raw == expect
+        assert got == expect
 
     def test_mul_error_within_one_lsb(self, rng):
         for _ in range(200):
             a = quantize(float(rng.uniform(-0.99, 0.99)), Q15)
             b = quantize(float(rng.uniform(-0.99, 0.99)), Q15)
-            out = fixed_mul(a, b, Q15)
+            out = FixedValue(_requantize(a.raw * b.raw, 30, Q15)[0], Q15)
             assert abs(to_real(out) - to_real(a) * to_real(b)) <= Q15.lsb
 
 
@@ -338,7 +309,7 @@ class TestFixedStepSection:
         fixed_out = np.empty(n)
         for i in range(n):
             state, y, _ = fixed_step_section(qd, section, state, x_imp if i == 0 else zero)
-            fixed_out[i] = y.to_real()
+            fixed_out[i] = to_real(y)
         from carmodel.core import SectionState, step_section
 
         ref_design = dequantized_design(qd)
@@ -382,8 +353,6 @@ class TestFixedProcessBlock:
         raw_in = quantize_block(rng.uniform(-0.5, 0.5, 40), qd.io_format)
         state = FixedCascadeState(6)
         out, _ = fixed_process_block(qd, state, raw_in)
-
-        from carmodel.fixed import _requantize
 
         states = [FixedSectionState() for _ in range(6)]
         for t, x_io in enumerate(raw_in):
@@ -444,16 +413,13 @@ class TestFixedProcessBlock:
     def test_state_arrays_updated_and_reset_in_place(self):
         design = design_cascade(DesignParams(48000.0, 4))
         qd = quantize_design(design)
-        state = FixedCascadeState(4)
-        w1, w2, sats = state.w1_raw, state.w2_raw, state.saturations
-        assert w1.dtype == w2.dtype == np.int64
         for run in (fixed_process_block, fixed_process_block_py):
+            state = FixedCascadeState(4)
+            w1, w2, sats = state.w1_raw, state.w2_raw, state.saturations
+            assert w1.dtype == w2.dtype == np.int64
             run(qd, state, quantize_block(mls_signal(6, 0.5), qd.io_format))
-            assert state.w1_raw is w1 and state.w2_raw is w2
-            assert w1.any() and w2.any() and state.samples_processed
-            state.reset()
             assert state.w1_raw is w1 and state.w2_raw is w2 and state.saturations is sats
-            assert not (w1.any() or w2.any()) and state.samples_processed == 0
+            assert w1.any() and w2.any() and state.samples_processed
 
     def test_saturation_counted_not_hidden(self):
         # a cramped state format must overflow on resonant buildup and say so
@@ -701,6 +667,16 @@ class TestQuantizedTable:
         fmt, rows = read_quantized_table(path)
         with pytest.raises(DesignError):
             apply_quantized_table(design, fmt, rows)
+
+    def test_repeated_coefficient_rejected(self, tmp_path):
+        # a repeated (section, coefficient) row would otherwise win silently
+        qd = quantize_design(design_cascade(DesignParams(48000.0, 2)))
+        path = tmp_path / "quantized.csv"
+        write_quantized_table(qd, path)
+        with open(path, "a", newline="") as f:
+            f.write("0,r,1,18,16\r\n")
+        with pytest.raises(DesignError, match=r"^quantized-table line 12: section 0 coefficient r "):
+            read_quantized_table(path)
 
     def test_raw_integers_are_truth(self):
         # hand-edited raw survives a round trip untouched
