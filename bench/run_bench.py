@@ -26,13 +26,21 @@ up by one call first:
   full, so every tick is full-width; the fixed kernel is one
   fixed_process_block call of 2400 samples through compare_fixed's
   100-section design, its 99 drain ticks included.
+- csv_cochleagram_240x1224, csv_analyze_20ch: the CSV writers on what
+  run_float and analyze_mls write, into os.devnull so that no file rename
+  or truncation is timed. The first is write_cochleagram of the 240 x 1224
+  taps of run_float's design and signal; the second writes both files of
+  each of analyze_mls's 20 default channels (MLS order 12, 4095 samples)
+  from a fresh copy of its ResponseResult, as one `carmodel analyze` does,
+  so no formatted column carries over from call to call.
 
 For each call, "ab" stores the per-pair ratios TREE / PARENT with their
 median and quartiles; a ratio below 1 means TREE is faster. It also stores
 each tree's median time at the nominal reference speed, parent_<unit>_nominal
-and tree_<unit>_nominal, in ms per block (block_48) or µs per wavefront tick
-(tick_): each time times NOMINAL_REF_S over its pair's reference time, as
-perfbench's wall_ref does. ref_s is the median reference time.
+and tree_<unit>_nominal, in ms per block (block_48) or call (csv_) or µs
+per wavefront tick (tick_): each time times NOMINAL_REF_S over its pair's
+reference time, as perfbench's wall_ref does. ref_s is the median
+reference time.
 
 "before" (PARENT) and "after" (TREE) store run_binary_<mode>_<seconds>s:
 `carmodel run --format binary --mode <mode>` for float, fixed and pipeline
@@ -45,6 +53,7 @@ versions, nproc and its git revision. --out is overwritten.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -85,10 +94,10 @@ def summary(values: list[float]) -> dict:
 # child side
 
 
-def timed_calls(core, design, fixed) -> dict:
-    """The block_ and tick_ calls, set up on one tree's modules: name ->
-    (a function of the call's index, the entry's unit, and the blocks or
-    wavefront ticks per call that a time in that unit is per)."""
+def timed_calls(core, design, fixed, analysis, audio_io) -> dict:
+    """The block_, tick_ and csv_ calls, set up on one tree's modules: name
+    -> (a function of the call's index, the entry's unit, and the blocks,
+    wavefront ticks or calls per call that a time in that unit is per)."""
     import numpy as np
 
     des = design.design_cascade(design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS))
@@ -126,6 +135,28 @@ def timed_calls(core, design, fixed) -> dict:
     fstate = fixed.FixedCascadeState(n)
     calls[f"tick_fixed_{n}x{samples}"] = (
         lambda i: fixed.fixed_process_block(qd, fstate, raw), "us", samples + n - 1)
+
+    samples = WORKLOADS["run_float"]["wav_samples"]
+    taps = core.process_block(des, core.CascadeState(N_SECTIONS), x[:samples])
+    calls[f"csv_cochleagram_{samples}x{N_SECTIONS}"] = (
+        lambda i: audio_io.write_cochleagram(taps, os.devnull), "ms", 1)
+
+    # cli._default_channels of 64 sections: 20 evenly spaced ones
+    channels = sorted({int(round(p)) for p in np.linspace(0, 63, 20)})
+    mls = analysis.MlsConfig(order=WORKLOADS["analyze_mls"]["mls_order"])
+    ir = analysis.impulse_response(
+        lambda stim: core.process_block(des64, core.CascadeState(64), stim)[:, channels],
+        mls.period, method="mls", mls_config=mls,
+        warmup_periods=analysis.mls_warmup_periods(des64, mls.period))
+    response = analysis.frequency_response_measured(ir, SAMPLE_RATE_HZ)
+
+    def write_analyze(i):
+        result = dataclasses.replace(response)
+        for col in range(len(channels)):
+            analysis.write_response_csv(result, col, os.devnull)
+            analysis.write_impulse_csv(result, col, os.devnull)
+
+    calls[f"csv_analyze_{len(channels)}ch"] = (write_analyze, "ms", 1)
     return calls
 
 
@@ -136,7 +167,8 @@ def _import_as(tree: Path, name: str):
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     sys.modules[name] = module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [importlib.import_module(f"{name}.{m}") for m in ("core", "design", "fixed")]
+    return [importlib.import_module(f"{name}.{m}")
+            for m in ("core", "design", "fixed", "analysis", "audio_io")]
 
 
 def child_ab(parent: Path, tree: Path) -> dict:

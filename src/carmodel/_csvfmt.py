@@ -36,9 +36,15 @@ taken whole from a 10 000-entry table of 4-digit groups; then "e+XXX" and
 the terminator. A table indexed by the layout (fixed notation for
 -4 <= X < 17, or an exponent of 2 or 3 digits) and the number of
 significant digits, itself read per group from a 4 x 10 000 table, masks
-the bytes the field keeps. The other bytes become NUL, and one translate per
-chunk deletes them. The bytes that never change ("0.000", the "." after the
-leading digit, the terminators) are written once per csv_rows call.
+the bytes the field keeps, one 64-bit word at a time. The other bytes
+become NUL: a masked field.
+
+Assembly. csv_rows formats chunks of whole rows, about CHUNK_VALUES values
+each, and one translate per chunk deletes the NULs. A column that several
+files share (the frequencies of every channel's response, say) is formatted
+once by column_fields into masked fields, less the byte columns that no
+field keeps; csv_rows copies such lead columns into each chunk of rows
+ahead of the fields it formats, then compacts the chunk.
 
 The arithmetic sticks to float64, int64 and long double ufuncs, with lookup
 tables for the rest: the first call of each new numpy loop in a process
@@ -49,10 +55,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csv_rows"]
+__all__ = ["csv_rows", "column_fields"]
 
-# About one cochleagram row of values per chunk.
-CHUNK_VALUES = 1224
+# Values per chunk of whole rows (at least one row): three cochleagram rows
+# of 1224 sections. Each value takes 48 bytes of masked field and about 80
+# more of temporaries while it is formatted, so a chunk's memory stays near
+# 0.5 MB; a larger chunk raises the peak memory of a run for little speed.
+CHUNK_VALUES = 4096
 
 # 10^(16-X) for X from the largest double (308) to the smallest (-324)
 _P_MIN, _P_MAX = -292, 340
@@ -99,7 +108,7 @@ _GROUP_ROW = np.arange(0, 40000, 10000)[:, None]
 _SIGN = 0  # "-" or NUL
 _PREFIX = slice(1, 6)  # "0.000" before the digits when -4 <= X < 0
 _LEAD = 6  # digit 0, with the "." after it at 7
-_HEAD = np.frombuffer(b"-0.0000.", dtype=np.uint8)  # bytes 0-7
+_HEAD_WORD = np.frombuffer(b"-0.0000.", dtype=np.uint64)[0]  # bytes 0-7
 _DIGIT = slice(6, 40, 2)  # digit j at 6 + 2j, a possible "." after it
 _GROUPS = slice(1, 5)  # the words of digits 1-16
 _EXP = slice(40, 45)  # "e+XXX"
@@ -146,8 +155,7 @@ def _keep_table() -> np.ndarray:
     return table.reshape(-1, _WIDTH).view(np.uint8) * np.uint8(0xFF)
 
 
-_KEEP = _keep_table()
-_FALLBACK_KEEP = np.uint8([0xFF] * 24 + [0] * (_END - 24))  # bytes 0 to _END - 1
+_KEEP = _keep_table().view(np.uint64)
 _NUL_FOR_SPACE = bytes(range(256)).replace(b" ", b"\0")
 
 
@@ -157,11 +165,10 @@ def _python_fields(values: np.ndarray) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
 
 
-def _fields(v, tail, text, keep) -> bytes:
-    """The "%.17g" text of each value of v, each followed by its terminator
-    from tail, the 64-bit words of bytes 40-47 with only the terminators
-    set. text and keep are [len(v) x _WIDTH] uint8 scratch, with text's
-    constant bytes (_HEAD but the sign and the leading digit) in place."""
+def _digits(v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits D and the decimal exponent X of each value of v, and
+    the indices of the ambiguous values, which Python formats. Its
+    temporaries, most of a chunk's memory, are gone when it returns."""
     a = np.abs(v)
     zero = a == 0
     odd = ~np.isfinite(a)  # "inf" and "nan" come from Python
@@ -185,53 +192,101 @@ def _fields(v, tail, text, keep) -> bytes:
     ambiguous |= odd
     digits += frac > 0.5
     digits[zero] = 0
+    return digits, x, np.flatnonzero(ambiguous)
 
-    # digits = lead * 10^16 + groups[0] * 10^12 + ... + groups[3]
-    n = v.shape[0]
-    lead, rest = np.divmod(digits, 10**16)
-    halves = np.empty((2, n), dtype=np.int64)
-    np.divmod(rest, 10**8, out=(halves[0], halves[1]))
-    groups = np.empty((2, 2, n), dtype=np.int64)
-    np.divmod(halves, 10**4, out=(groups[:, 0], groups[:, 1]))
-    groups = groups.reshape(4, n)
-    words = text.view(np.uint64)
-    words[:, _GROUPS] = _GROUP_WORD.take(groups, mode="clip").T
-    np.add(lead, ord("0"), out=text[:, _LEAD], casting="unsafe")
-    np.multiply(np.signbit(v), ord("-"), out=text[:, _SIGN], casting="unsafe")
+
+def _masked(v, tail, fields) -> None:
+    """Write the masked fields of the values of v into fields, [len(v) x
+    _WIDTH] uint8, each ended by its terminator from tail, the 64-bit words
+    of bytes 40-47 with only the terminators set."""
+    digits, x, slow = _digits(v)
+    # digits = lead * 10^16 + groups[0] * 10^12 + ... + groups[3]; the
+    # splits run in place (the lead overwrites digits) to keep a chunk small
+    groups = np.empty((4, v.shape[0]), dtype=np.int64)
+    lead, _ = np.divmod(digits, 10**16, out=(digits, groups[3]))
+    np.divmod(groups[3], 10**8, out=(groups[1], groups[3]))
+    np.divmod(groups[1::2], 10**4, out=(groups[0::2], groups[1::2]))
+    words = fields.view(np.uint64)
+    words[:, 0] = _HEAD_WORD
+    for k in range(4):
+        words[:, _GROUPS.start + k] = _GROUP_WORD.take(groups[k], mode="clip")
+    np.add(lead, ord("0"), out=fields[:, _LEAD], casting="unsafe")
+    np.multiply(np.signbit(v), ord("-"), out=fields[:, _SIGN], casting="unsafe")
     x -= _X_MIN
     np.bitwise_or(_EXP_WORD.take(x, mode="clip"), tail, out=words[:, _EXP.start // 8])
-    significant = _GROUP_SIG.take(groups + _GROUP_ROW, mode="clip").max(axis=0)
-    _KEEP.take(_LAYOUT_ROW.take(x, mode="clip") + significant, axis=0, out=keep)
-
-    slow = np.flatnonzero(ambiguous)
+    groups += _GROUP_ROW
+    significant = _GROUP_SIG.take(groups, mode="clip").max(axis=0)
+    words &= _KEEP.take(_LAYOUT_ROW.take(x, mode="clip") + significant, axis=0, mode="clip")
     if slow.size:
-        text[slow, :24] = _python_fields(v[slow])
-        keep[slow, :_END] = _FALLBACK_KEEP
-    np.bitwise_and(words, keep.view(np.uint64), out=keep.view(np.uint64))
-    text[slow, : _LEAD + 2] = _HEAD  # the rest of the fallback's bytes is rewritten per chunk
-    return keep.tobytes().translate(None, b"\0")
+        fields[slow, :24] = _python_fields(v[slow])
+        fields[slow, 24:_END] = 0
 
 
-def csv_rows(m: np.ndarray, index: bool = False, start: int = 0):
-    """Yield the CSV text of the rows of the 2-D float64 matrix m as str
-    chunks, each row CRLF-terminated, fields "%.17g", preceded by the row
-    number as "%d", counting from start, when index is set."""
-    n_rows, n_cols = m.shape
-    width = n_cols + index
-    rows = max(1, CHUNK_VALUES // width)
-    block = np.empty((rows, width), dtype=np.float64)
-    text = np.empty((rows * width, _WIDTH), dtype=np.uint8)
-    text[:, : _LEAD + 2] = _HEAD
+def _buffer(rows: int, width: int) -> tuple[bytearray, np.ndarray]:
+    """A [rows x width] uint8 array over a bytearray, which translate reads
+    in place: a bytes copy of a chunk's fields would take as much memory."""
+    buf = bytearray(rows * width)
+    return buf, np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
+
+
+def _compact(buf: bytearray, n: int) -> str:
+    """The text of the masked fields in the first n bytes of buf: every NUL
+    deleted."""
+    if n < len(buf):
+        buf = memoryview(buf)[:n].tobytes()
+    return buf.translate(None, b"\0").decode("ascii")
+
+
+def _tail(rows: int, width: int) -> np.ndarray:
+    """The terminator words of rows of width fields: "," after each field,
+    CRLF after a row's last."""
     tail = np.zeros((rows * width, 8), dtype=np.uint8)
     tail[:, _END - _EXP.start] = ord(",")
     tail[width - 1 :: width, _END - _EXP.start :] = np.frombuffer(b"\r\n\0", dtype=np.uint8)
-    tail = tail.view(np.uint64).reshape(-1)
-    keep = np.empty((rows * width, _WIDTH), dtype=np.uint8)
+    return tail.view(np.uint64).reshape(-1)
+
+
+def column_fields(v: np.ndarray) -> np.ndarray:
+    """The masked fields of the 1-D float64 column v, each ended by ",", as
+    one uint8 row per value: a lead column for csv_rows, formatted
+    once for any number of files. The byte columns that no field keeps are
+    left out, so a column of small integers takes a few bytes a row, not
+    _WIDTH."""
+    n = v.shape[0]
+    tail = _tail(1, 2)[:1]  # the "," word of a two-field row
+    fields = np.empty((n, _WIDTH), dtype=np.uint8)
+    for i in range(0, n, CHUNK_VALUES):
+        _masked(v[i : i + CHUNK_VALUES], tail, fields[i : i + CHUNK_VALUES])
+    return fields[:, fields.any(axis=0)]
+
+
+def csv_rows(m: np.ndarray, index: bool = False, start: int = 0, lead=()):
+    """Yield the CSV text of the rows of the 2-D float64 matrix m as str
+    chunks of whole rows, each row CRLF-terminated, fields "%.17g",
+    preceded by the row number as "%d", counting from start, when index is
+    set, and before that by the fields of the columns in lead, each from
+    column_fields and as long as m."""
+    n_rows, n_cols = m.shape
+    formatted = n_cols + index
+    rows = max(1, CHUNK_VALUES // (len(lead) + formatted))
+    block = np.empty((rows, formatted), dtype=np.float64)
+    tail = _tail(rows, formatted)
+    ends = np.cumsum([0] + [column.shape[1] for column in lead])
+    buf, out = _buffer(rows, ends[-1] + formatted * _WIDTH)
+    if lead:
+        slots = np.empty((rows * formatted, _WIDTH), dtype=np.uint8)
+    else:  # formatted in place
+        slots = out.reshape(-1, _WIDTH)
     for r0 in range(0, n_rows, rows):
         r = min(rows, n_rows - r0)
         # integers below 2^53 print the same under "%.17g" and "%d"
         if index:
             block[:r, 0] = np.arange(start + r0, start + r0 + r)
         block[:r, index:] = m[r0 : r0 + r]
-        k = r * width
-        yield _fields(block[:r].reshape(-1), tail[:k], text[:k], keep[:k]).decode("ascii")
+        k = r * formatted
+        _masked(block[:r].reshape(-1), tail[:k], slots[:k])
+        if lead:
+            for column, a, b in zip(lead, ends, ends[1:]):
+                out[:r, a:b] = column[r0 : r0 + r]
+            out[:r, ends[-1] :] = slots[:k].reshape(r, -1)
+        yield _compact(buf, out[:r].nbytes)

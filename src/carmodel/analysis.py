@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._csvfmt import csv_rows
+from ._csvfmt import column_fields, csv_rows
 from .design import CascadeDesign, transfer_function
 from .errors import AnalysisError, ConfigError
 
@@ -207,6 +208,18 @@ class ResponseResult:
     peak_db: np.ndarray
     flat: np.ndarray                   # bool per channel
 
+    @cached_property
+    def frequency_fields(self) -> np.ndarray:
+        """The CSV fields of frequencies_hz, formatted on first use for
+        every channel's response file; frequencies_hz must not change."""
+        return column_fields(self.frequencies_hz)
+
+    @cached_property
+    def index_fields(self) -> np.ndarray:
+        """The CSV fields of the sample indices, formatted on first use for
+        every channel's impulse file."""
+        return column_fields(np.arange(self.impulse_responses.shape[0], dtype=np.float64))
+
 
 def frequency_response_measured(
     impulse_responses: np.ndarray,
@@ -232,6 +245,7 @@ def frequency_response_measured(
     db *= 20.0
     np.maximum(db, DB_FLOOR, out=db)
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate_hz)
+    freqs.flags.writeable = False  # ResponseResult.frequency_fields caches its text
     peak_hz, peak_db, flat = _find_peaks(db, freqs)
     return ResponseResult(
         impulse_responses=ir,
@@ -362,12 +376,13 @@ def write_response_csv(result: ResponseResult, channel: int, path) -> None:
     """`frequency_hz,magnitude_db` rows for one channel."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("frequency_hz,magnitude_db\r\n")
-        m = np.column_stack((result.frequencies_hz, result.magnitudes_db[:, channel]))
-        f.writelines(csv_rows(m))
+        f.writelines(csv_rows(result.magnitudes_db[:, channel : channel + 1],
+                              lead=[result.frequency_fields]))
 
 
 def write_impulse_csv(result: ResponseResult, channel: int, path) -> None:
     """`sample_index,amplitude` rows for one channel."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("sample_index,amplitude\r\n")
-        f.writelines(csv_rows(result.impulse_responses[:, channel : channel + 1], index=True))
+        f.writelines(csv_rows(result.impulse_responses[:, channel : channel + 1],
+                              lead=[result.index_fields]))

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 # Tap values per chunk that stream_rows pushes: 512 KB of float64. The CSV
-# formatter's _csvfmt.CHUNK_VALUES sizes another buffer, its text of about
-# one row, kept that small because it takes 48 bytes per value.
+# formatter's _csvfmt.CHUNK_VALUES sizes another buffer, the text of a few
+# rows (4096 values), kept that small because it takes 48 bytes per value.
 STREAM_CHUNK_VALUES = 1 << 16
 
 

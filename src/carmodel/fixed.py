@@ -719,21 +719,35 @@ def read_quantized_table(path) -> tuple[FixedFormat, dict[int, dict[str, int]]]:
                     f"quantized-table line {reader.line_num}: bad row {row!r}"
                 ) from None
             name = row[1].strip()
-            row_fmt = FixedFormat(total, frac)
+            where = f"quantized-table line {reader.line_num}: section {section}"
+            try:
+                row_fmt = FixedFormat(total, frac)
+            except FixedPointError as e:
+                raise DesignError(f"{where}: {e}") from None
             if fmt is None:
                 fmt = row_fmt
             elif row_fmt != fmt:
-                raise DesignError(f"section {section}: inconsistent coefficient format")
+                raise DesignError(f"{where}: inconsistent coefficient format")
             if name not in _COEFF_NAMES:
-                raise DesignError(f"section {section}: unknown coefficient {name!r}")
+                raise DesignError(f"{where}: unknown coefficient {name!r}")
             coeffs = rows.setdefault(section, {})
             if name in coeffs:
-                raise DesignError(f"quantized-table line {reader.line_num}: "
-                                  f"section {section} coefficient {name} repeated")
+                raise DesignError(f"{where} coefficient {name} repeated")
             coeffs[name] = raw
         if fmt is None:
             raise DesignError("quantized table has no data rows")
         return fmt, rows
+
+
+def _ranges(numbers: list[int]) -> str:
+    """Sorted integers as runs: [0, 1, 2, 5, 7, 8] -> "0-2, 5, 7-8"."""
+    runs: list[list[int]] = []
+    for k in numbers:
+        if runs and k == runs[-1][1] + 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
 
 
 def apply_quantized_table(
@@ -744,9 +758,13 @@ def apply_quantized_table(
     io_format: FixedFormat = DEFAULT_IO_FORMAT,
 ) -> QuantizedDesign:
     """Build a QuantizedDesign from externally supplied raw integers."""
-    if sorted(rows) != list(range(design.n_sections)):
+    expected = set(range(design.n_sections))
+    if rows.keys() != expected:
+        gaps = [f"{what} sections {_ranges(sorted(which))}"
+                for what, which in (("missing", expected - rows.keys()),
+                                    ("extra", rows.keys() - expected)) if which]
         raise DesignError(
-            f"quantized table covers sections {sorted(rows)}, design has {design.n_sections}"
+            f"quantized table for a {design.n_sections}-section design: {'; '.join(gaps)}"
         )
     packed = []
     for i in range(design.n_sections):

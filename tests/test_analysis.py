@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from carmodel._csvfmt import CHUNK_VALUES
 from carmodel.analysis import (
     DB_FLOOR,
     DEFAULT_MLS_TAPS,
     MlsConfig,
+    ResponseResult,
     frequency_response_analytic,
     frequency_response_measured,
     impulse_response,
@@ -342,3 +344,36 @@ class TestResponseExport:
         write_impulse_csv(result, 3, path)
         rows = enumerate(result.impulse_responses[:, 3].tolist())
         assert path.read_bytes() == csv_text(["sample_index", "amplitude"], rows).encode("utf-8")
+
+    def test_shared_columns_across_channels(self, rng, tmp_path):
+        # the frequency and index columns are formatted once for every
+        # channel's file; more than CHUNK_VALUES // 2 rows put a chunk seam
+        # inside each two-column file
+        n = CHUNK_VALUES // 2 + 37
+        seam = CHUNK_VALUES // 2 - len(CSV_EDGE_FLOATS) // 2
+        freqs = rng.uniform(0, 24000, n)
+        ir = rng.normal(0, 1, (n, 3))
+        db = rng.normal(-40, 20, (n, 3))
+        for column in (freqs, db[:, 1], ir[:, 1]):
+            column[: len(CSV_EDGE_FLOATS)] = CSV_EDGE_FLOATS
+            column[seam : seam + len(CSV_EDGE_FLOATS)] = CSV_EDGE_FLOATS
+        result = ResponseResult(ir, db, freqs, 48000.0, n, np.zeros(3), np.zeros(3),
+                                np.zeros(3, dtype=bool))
+        for channel in (0, 1, 2):
+            path = tmp_path / f"freq_{channel}.csv"
+            write_response_csv(result, channel, path)
+            rows = zip(freqs.tolist(), db[:, channel].tolist())
+            expect = csv_text(["frequency_hz", "magnitude_db"], rows)
+            assert path.read_bytes() == expect.encode("utf-8"), channel
+            path = tmp_path / f"impulse_{channel}.csv"
+            write_impulse_csv(result, channel, path)
+            rows = enumerate(ir[:, channel].tolist())
+            expect = csv_text(["sample_index", "amplitude"], rows)
+            assert path.read_bytes() == expect.encode("utf-8"), channel
+
+    def test_frequencies_read_only(self, fast_design):
+        # the writers cache the text of frequencies_hz, so it cannot change
+        result = frequency_response_measured(impulse_response(cascade_system(fast_design), 64),
+                                             48000.0)
+        with pytest.raises(ValueError):
+            result.frequencies_hz[1] = 1.0

@@ -678,6 +678,32 @@ class TestQuantizedTable:
         with pytest.raises(DesignError, match=r"^quantized-table line 12: section 0 coefficient r "):
             read_quantized_table(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,r,1,99,16", "total_bits must be in [2, 64], got 99"),
+        ("0,zz,1,18,16", "unknown coefficient 'zz'"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        qd = quantize_design(design_cascade(DesignParams(48000.0, 2)))
+        path = tmp_path / "quantized.csv"
+        write_quantized_table(qd, path)
+        with open(path, "a", newline="") as f:
+            f.write(row + "\r\n")
+        with pytest.raises(DesignError) as info:
+            read_quantized_table(path)
+        assert str(info.value) == f"quantized-table line 12: section 0: {message}"
+
+    def test_missing_section_named_briefly(self):
+        # names the missing and extra sections, not the 1223 others
+        design = design_cascade(DesignParams(48000.0, 1224))
+        rows = {i: {} for i in range(1224) if i != 3}
+        with pytest.raises(DesignError) as info:
+            apply_quantized_table(design, DEFAULT_COEFF_FORMAT, rows)
+        assert str(info.value) == "quantized table for a 1224-section design: missing sections 3"
+        rows.update({3: {}, 1224: {}, 1225: {}, 1300: {}})
+        del rows[7], rows[8]
+        with pytest.raises(DesignError, match=r"missing sections 7-8; extra sections 1224-1225, 1300$"):
+            apply_quantized_table(design, DEFAULT_COEFF_FORMAT, rows)
+
     def test_raw_integers_are_truth(self):
         # hand-edited raw survives a round trip untouched
         design = design_cascade(DesignParams(48000.0, 2))
