@@ -26,6 +26,10 @@ up by one call first:
   full, so every tick is full-width; the fixed kernel is one
   fixed_process_block call of 2400 samples through compare_fixed's
   100-section design, its 99 drain ticks included.
+- wide_fixed_48x1224: one fixed_process_block call of 48 samples through
+  the 1224-section design with a 64/56 state, outside the int64 envelope:
+  the fixed kernel on object lanes of Python ints, state carried from call
+  to call, in ms per call.
 - csv_cochleagram_240x1224, csv_analyze_20ch: the CSV writers on what
   run_float and analyze_mls write, into os.devnull so that no file rename
   or truncation is timed. The first is write_cochleagram of the 240 x 1224
@@ -83,6 +87,7 @@ PUSHES = 8  # 48-sample pushes per timed call of block_48_push
 SIDES = ("parent", "tree")
 FLOAT_TICK_SIZE = (64, 8200)  # sections, samples: analyze_mls's stream
 FIXED_TICK_SIZE = (100, 2400)  # compare_fixed's fixed_process_block call
+WIDE_STATE = (64, 56)  # total and fraction bits of a state outside the int64 envelope
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -135,6 +140,12 @@ def timed_calls(core, design, fixed, analysis, audio_io) -> dict:
     fstate = fixed.FixedCascadeState(n)
     calls[f"tick_fixed_{n}x{samples}"] = (
         lambda i: fixed.fixed_process_block(qd, fstate, raw), "us", samples + n - 1)
+
+    qd_wide = fixed.quantize_design(des, state_format=fixed.FixedFormat(*WIDE_STATE))
+    raw48 = fixed.quantize_block(blocks[0], qd_wide.io_format)
+    wstate = fixed.FixedCascadeState(N_SECTIONS)
+    calls[f"wide_fixed_{BLOCK_SAMPLES}x{N_SECTIONS}"] = (
+        lambda i: fixed.fixed_process_block(qd_wide, wstate, raw48), "ms", 1)
 
     samples = WORKLOADS["run_float"]["wav_samples"]
     taps = core.process_block(des, core.CascadeState(N_SECTIONS), x[:samples])

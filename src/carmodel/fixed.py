@@ -1,16 +1,15 @@
 """Bit-accurate fixed-point emulation of the cascade datapath.
 
 Intermediate products are exact at full width and results are rounded once at
-each architectural register write. The scalar path (fixed_step_section) and
-the reference block loop (fixed_process_block_py) compute on Python integers,
-exact at any width. FixedStream runs the cascade on int64 lanes over a
-stream of samples, on the float kernel's wavefront schedule, splitting each
-multiply-accumulate into two limbs at the round shift; it does so only inside
-an envelope derived from the coefficient and state widths (see _int64_exact),
-where every intermediate fits int64, and runs the reference loop elsewhere,
-for example with a 64-bit state. Both give the same raw integers, and
-fixed_process_block is one flush of a fresh FixedStream. The datapath
-mirrors core.step_section:
+each architectural register write. The scalar path (fixed_step_section)
+computes on Python integers, exact at any width. FixedStream runs the
+cascade over a stream of samples with one kernel, on the float kernel's
+wavefront schedule, splitting each multiply-accumulate into two limbs at the
+round shift. Its lanes are int64 inside an envelope derived from the word
+lengths (see _int64_exact), where every intermediate fits int64, and numpy
+object arrays of Python integers elsewhere, for example with a 64-bit state.
+Both give the raw integers of the scalar path, and fixed_process_block is
+one flush of a fresh FixedStream. The datapath mirrors core.step_section:
 
     entrance    x_io -> x in state format (one requantize, exact when the
                 state format is at least as fine and wide as the io format)
@@ -31,6 +30,7 @@ coefficients have magnitude below 2).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +41,8 @@ import numpy as np
 from . import _kernels
 from .design import CascadeDesign, ChannelCoeffs
 from .errors import ConfigError, DesignError, FixedPointError
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "FixedFormat",
@@ -436,52 +438,7 @@ def _checked_inputs(
     return xs.astype(np.int64, copy=False)
 
 
-def fixed_process_block_py(
-    qdesign: QuantizedDesign,
-    state: FixedCascadeState,
-    samples_raw: Sequence[int] | np.ndarray,
-) -> tuple[np.ndarray, FixedRunStats]:
-    """Reference loop: one _step_raw on Python ints per (sample, section).
-
-    Same contract as fixed_process_block, exact at any word length.
-    """
-    xs = _checked_inputs(qdesign, state, samples_raw).tolist()
-    n_sections = qdesign.n_sections
-    sfmt = qdesign.state_format
-    cfrac = qdesign.coeff_format.frac_bits
-
-    out = np.empty((len(xs), n_sections), dtype=np.int64)
-    section_sat = np.zeros(n_sections, dtype=np.int64)
-    input_sat = 0
-
-    w1 = state.w1_raw.tolist()
-    w2 = state.w2_raw.tolist()
-    coeffs = qdesign.coeffs_raw
-    io_frac = qdesign.io_format.frac_bits
-
-    for t, x_io in enumerate(xs):
-        # entrance: io -> state format (exact when state is finer and wider)
-        x, sat = _requantize(x_io, io_frac, sfmt)
-        input_sat += sat
-        for k in range(n_sections):
-            w1n, w2n, y, events = _step_raw(
-                coeffs[k], w1[k], w2[k], x, sfmt.frac_bits, cfrac, sfmt
-            )
-            w1[k] = w1n
-            w2[k] = w2n
-            if events:
-                section_sat[k] += events
-            out[t, k] = y
-            x = y
-
-    state.w1_raw[:] = w1
-    state.w2_raw[:] = w2
-    state.saturations += section_sat
-    state.samples_processed += len(xs)
-    return out, FixedRunStats(section_saturations=section_sat, input_saturations=input_sat)
-
-
-# The int64 kernel's exact envelope. Let cb, sb be the coefficient and state
+# The int64 lanes' exact envelope. Let cb, sb be the coefficient and state
 # widths, cf the coefficient fraction and s = 2 * cf the round shift of every
 # register write. With every coefficient, state, input and output a value of
 # its format, |c| <= 2^(cb-1) and |w|, |x| <= 2^(sb-1). Each line is
@@ -494,11 +451,11 @@ def fixed_process_block_py(
 # cb + sb <= 63, 2cb + sb - s <= 63 and cb + s <= 62 hold D to 2^62, both
 # limbs to 2^61 and the final sum below 2^62 + 2, so no int64 operation
 # overflows. The default 18/16 coefficient and 32/24 state formats give 50,
-# 36 and 50. The entrance takes io raw values through doubles, exact up to
-# an io width ib of 53 bits, which no PCM input exceeds. Outside the envelope,
-# e.g. a 64-bit state or a small cf with wide words, FixedStream runs the
-# Python-int reference loop. QuantizedDesign and _checked_inputs hold
-# coefficients and inputs to format.
+# 36 and 50. The int64 entrance takes io raw values through doubles, exact up
+# to an io width ib of 53 bits, which no PCM input exceeds. Outside the
+# envelope (a 64-bit state, a small cf with wide words, a state value out of
+# format) FixedStream runs the same kernel on object lanes of Python ints.
+# QuantizedDesign and _checked_inputs hold coefficients and inputs to format.
 def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     cb = qdesign.coeff_format.total_bits
     sb = qdesign.state_format.total_bits
@@ -513,30 +470,31 @@ def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     )
 
 
-def _int64_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
-    """The cascade on int64 lanes as a Wavefront kernel, bound to the
-    section-reversed state pairs w [n x 2] and overflow counts sat, both
-    updated in place, and to scratch of its own.
+def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
+    """The cascade as a Wavefront kernel on lanes of w's dtype, int64 or
+    object, bound to the section-reversed state pairs w [n x 2] and int64
+    overflow counts sat, both updated in place, and to scratch of its own.
 
     Each register write is computed in two limbs split at the round shift s:
     acc = c * D + (x << s) is hi * 2^s + lo with hi = c * (D >> s) + x and
     lo = c * (D & (2^s - 1)), so floor(acc / 2^s) = hi + (lo >> s) and the
-    rounding remainder is lo mod 2^s. Within _int64_exact's envelope this is
-    exactly _step_raw. The w1' and w2' lines share r and run as the two
-    columns of one contiguous [m x 2] write, computed in place in w; the y
-    line is computed in place in the wavefront's buffer.
+    rounding remainder is lo mod 2^s: exactly _step_raw on object lanes, and
+    on int64 lanes within _int64_exact's envelope. The w1' and w2' lines
+    share r and run as the two columns of one contiguous [m x 2] write, in
+    place in w; the y line is computed in place in the wavefront's buffer.
     """
-    n = qdesign.n_sections
+    n, lanes = qdesign.n_sections, w.dtype
     sfmt = qdesign.state_format
     cfrac = qdesign.coeff_format.frac_bits
     nearest = sfmt.rounding == ROUND_NEAREST_EVEN and cfrac > 0
     saturate = sfmt.overflow == OVERFLOW_SATURATE
     rmin, rmax = sfmt.raw_min, sfmt.raw_max
-    span = 1 << sfmt.total_bits
-    # int64 scalars as 0-d arrays: a ufunc converts a Python int on every call
-    mask_int = (1 << 2 * cfrac) - 1
-    s, mask, half, one, cf = (
-        np.array(v, dtype=np.int64) for v in (2 * cfrac, mask_int, mask_int >> 1, 1, cfrac)
+    # scalars as 0-d arrays of the lanes' dtype: a ufunc converts a Python int
+    # on every call, and int64 operands would overflow object lanes
+    mask_int, span_int = (1 << 2 * cfrac) - 1, 1 << sfmt.total_bits
+    s, mask, half, one, cf, span, wrap = (
+        np.array(v, dtype=lanes)
+        for v in (2 * cfrac, mask_int, mask_int >> 1, 1, cfrac, span_int, span_int - 1)
     )
     mul, add, band = np.multiply, np.add, np.bitwise_and
     rshift, lshift, absolute = np.right_shift, np.left_shift, np.absolute
@@ -567,14 +525,14 @@ def _int64_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
             if saturate:
                 np.clip(acc, rmin, rmax, out=acc)
             else:
-                acc &= span - 1
+                acc &= wrap
                 acc -= (acc > rmax) * span
 
     # Row k of the [n x 2] arrays holds section k's w1' and w2' lines:
     # D = p * w + q * (w2, w1) is (a0*w1 - c0*w2, a0*w2 + c0*w1).
-    rr, p, q, h, g = qdesign.lane_arrays
-    dd, tt = np.empty((n, 2), dtype=np.int64), np.empty((n, 2), dtype=np.int64)
-    dv, tv = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    rr, p, q, h, g = (a.astype(lanes, copy=False) for a in qdesign.lane_arrays)
+    dd, tt = np.empty((n, 2), dtype=lanes), np.empty((n, 2), dtype=lanes)
+    dv, tv = np.empty(n, dtype=lanes), np.empty(n, dtype=lanes)
 
     def kernel(ticks):
         seen, width = None, 0
@@ -610,12 +568,12 @@ def _int64_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
 
 class FixedStream:
     """The quantized cascade over a stream of io-format raw samples, as
-    core.CascadeStream is for the float one, with the raw outputs of
-    fixed_process_block_py however the input is split. Each call's entrance
-    quantizes its samples into the state format. Outside _int64_exact's
-    envelope each call runs fixed_process_block_py, with no rows in flight.
-    A flush writes the state back (w1_raw, w2_raw, saturations and
-    samples_processed) and sets stats to the overflow counts since the last.
+    core.CascadeStream is for the float one, with the same raw outputs
+    however the input is split: one kernel, on int64 lanes inside
+    _int64_exact's envelope and on object lanes outside it. Each call's
+    entrance quantizes its samples into the state format. A flush writes the
+    state back (w1_raw, w2_raw, saturations and samples_processed) and sets
+    stats to the overflow counts since the last.
     """
 
     def __init__(self, qdesign: QuantizedDesign, state: FixedCascadeState):
@@ -624,40 +582,42 @@ class FixedStream:
         self.stats: FixedRunStats | None = None
         self._sat = np.zeros(self.n_sections, dtype=np.int64)
         self._input_sat = self._pushed = 0
-        self._front = None  # the reference loop writes the state itself
-        if _int64_exact(qdesign, state):
-            self._w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].copy()
-            self._kernel = _int64_kernel(qdesign, self._w, self._sat[::-1])
-            self._front = _kernels.Wavefront(self.n_sections, dtype=np.int64)
+        lanes = np.dtype(np.int64 if _int64_exact(qdesign, state) else object)
+        log.info("fixed kernel: %d sections on %s lanes", self.n_sections, lanes)
+        self._w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].astype(lanes)
+        self._kernel = _lane_kernel(qdesign, self._w, self._sat[::-1])
+        self._front = _kernels.Wavefront(self.n_sections, dtype=lanes)
 
     def push(self, samples_raw: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Run one tick per sample; returns the raw rows they completed, a new array."""
+        """Run one tick per sample; returns the raw rows they completed, a new
+        int64 array."""
         return self._run(samples_raw, drain=False)
 
     def flush(self, samples_raw: Sequence[int] | np.ndarray = ()) -> np.ndarray:
         """Push samples, complete every row in flight, write the state back
-        and return the rows not yet returned, on int64 lanes as a view."""
+        and return the rows not yet returned as int64: a view of the buffer
+        on int64 lanes, a new array on object lanes."""
         rows = self._run(samples_raw, drain=True)
-        if self._front is not None:
-            self.state.w1_raw[:], self.state.w2_raw[:] = self._w[::-1].T
-            self.state.saturations += self._sat
-            self.state.samples_processed += self._pushed
+        self.state.w1_raw[:], self.state.w2_raw[:] = self._w[::-1].T
+        self.state.saturations += self._sat
+        self.state.samples_processed += self._pushed
         self.stats = FixedRunStats(self._sat.copy(), self._input_sat)
         self._sat[:] = self._input_sat = self._pushed = 0
         return rows
 
     def _run(self, samples_raw, drain: bool) -> np.ndarray:
         xs = _checked_inputs(self.qdesign, self.state, samples_raw)
-        if self._front is None:
-            rows, stats = fixed_process_block_py(self.qdesign, self.state, xs)
-            self._sat += stats.section_saturations
-            self._input_sat += stats.input_saturations
-            return rows
-        samples, input_sat = _quantize_finite(xs * self.qdesign.io_format.lsb,
-                                              self.qdesign.state_format)
+        io, sfmt = self.qdesign.io_format, self.qdesign.state_format
+        if self._front.dtype == object:  # on Python ints, exact at any width
+            entered = [_requantize(x, io.frac_bits, sfmt) for x in xs.tolist()]
+            samples = np.array([raw for raw, _ in entered], dtype=object)
+            input_sat = sum(sat for _, sat in entered)
+        else:  # through doubles, exact within the envelope
+            samples, input_sat = _quantize_finite(xs * io.lsb, sfmt)
         self._input_sat += input_sat
         self._pushed += len(xs)
-        return (self._front.flush if drain else self._front.push)(samples, self._kernel)
+        rows = (self._front.flush if drain else self._front.push)(samples, self._kernel)
+        return rows.astype(np.int64, copy=False)  # every state-format value fits
 
 
 def fixed_process_block(

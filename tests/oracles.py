@@ -2,14 +2,18 @@
 
 These deliberately avoid the implementation paths they check: the impulse
 response comes from polynomial long division of the transfer function, the
-autocorrelation from a direct O(N^2) sum, and primitivity from GF(2)
-polynomial order, and CSV text from the csv module.
+autocorrelation from a direct O(N^2) sum, primitivity from GF(2)
+polynomial order, CSV text from the csv module, and the fixed-point cascade
+from one scalar section update on Python ints per (sample, section), with no
+wavefront, limbs or lanes.
 """
 
 import csv
 import io
 
 import numpy as np
+
+from carmodel.fixed import FixedRunStats, _checked_inputs, _requantize, _step_raw
 
 
 # doubles whose %.17g text takes each unusual form: signed zero, the smallest
@@ -113,3 +117,42 @@ def taps_are_primitive(order: int, taps) -> bool:
         if _gf2_powmod(n // q, poly, order) == 1:
             return False
     return True
+
+
+def fixed_process_block_py(qdesign, state, samples_raw):
+    """fixed.fixed_process_block as a loop of fixed._step_raw on Python ints
+    per (sample, section): the same contract, exact at any word length."""
+    xs = _checked_inputs(qdesign, state, samples_raw).tolist()
+    n_sections = qdesign.n_sections
+    sfmt = qdesign.state_format
+    cfrac = qdesign.coeff_format.frac_bits
+
+    out = np.empty((len(xs), n_sections), dtype=np.int64)
+    section_sat = np.zeros(n_sections, dtype=np.int64)
+    input_sat = 0
+
+    w1 = state.w1_raw.tolist()
+    w2 = state.w2_raw.tolist()
+    coeffs = qdesign.coeffs_raw
+    io_frac = qdesign.io_format.frac_bits
+
+    for t, x_io in enumerate(xs):
+        # entrance: io -> state format (exact when state is finer and wider)
+        x, sat = _requantize(x_io, io_frac, sfmt)
+        input_sat += sat
+        for k in range(n_sections):
+            w1n, w2n, y, events = _step_raw(
+                coeffs[k], w1[k], w2[k], x, sfmt.frac_bits, cfrac, sfmt
+            )
+            w1[k] = w1n
+            w2[k] = w2n
+            if events:
+                section_sat[k] += events
+            out[t, k] = y
+            x = y
+
+    state.w1_raw[:] = w1
+    state.w2_raw[:] = w2
+    state.saturations += section_sat
+    state.samples_processed += len(xs)
+    return out, FixedRunStats(section_saturations=section_sat, input_saturations=input_sat)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import carmodel
+from carmodel import fixed
 from carmodel._csvfmt import CHUNK_VALUES
 from carmodel.analysis import mls_warmup_periods
 from carmodel.audio_io import (
@@ -27,7 +28,7 @@ from carmodel.core import STREAM_CHUNK_VALUES, CascadeState, CascadeStream, proc
 from carmodel.design import read_coeff_table
 from carmodel.errors import AudioFormatError, ConfigError
 
-from oracles import CSV_EDGE_FLOATS, csv_text
+from oracles import CSV_EDGE_FLOATS, csv_text, fixed_process_block_py
 
 
 def _child_env(**env) -> dict:
@@ -411,6 +412,30 @@ class TestCliRun:
         stats = (workspace / "sat.csv").read_text().splitlines()
         assert stats[0] == "section,saturations"
         assert len(stats) == 25
+
+    def test_fixed_mode_wide_state_matches_reference_loop(self, tmp_path, rng):
+        # a 64-bit state runs the kernel on object lanes; six narrowly spaced,
+        # lightly damped sections overflow its 8 integer bits
+        assert cli_main(["design", "--sections", "6", "--x-base", "0.5", "--x-apex", "0.45",
+                         "--zeta", "0.02", "-o", str(tmp_path / "c.csv")]) == 0
+        samples = np.round(rng.uniform(-0.25, 0.25, 600) * 32768) / 32768
+        write_wav(tmp_path / "in.wav", AudioBuffer(48000, samples))
+        rc = cli_main([
+            "run", "--coeffs", str(tmp_path / "c.csv"), "--wav", str(tmp_path / "in.wav"),
+            "-o", str(tmp_path / "out.bin"), "--format", "binary", "--mode", "fixed",
+            "--state-bits", "64", "--state-frac", "56", "--stats", str(tmp_path / "sat.csv"),
+        ])
+        assert rc == 0
+        qd = fixed.quantize_design(read_coeff_table(tmp_path / "c.csv"),
+                                   state_format=fixed.FixedFormat(64, 56))
+        raw_in = fixed.quantize_block(read_wav(tmp_path / "in.wav").samples, qd.io_format)
+        raw, stats = fixed_process_block_py(qd, fixed.FixedCascadeState(6), raw_in)
+        m, _ = read_cochleagram(tmp_path / "out.bin")
+        assert np.array_equal(m, fixed.to_real_block(raw, qd.state_format))
+        assert stats.section_saturations[-1] > 0
+        sat = (tmp_path / "sat.csv").read_text().splitlines()
+        assert sat == ["section,saturations",
+                       *(f"{k},{c}" for k, c in enumerate(stats.section_saturations))]
 
     def test_wav_clips_at_io_entrance_counted(self, workspace, capsys):
         # 8388607 and 8388606 round up past the 16/15 io format's raw_max
@@ -831,6 +856,27 @@ class TestCliPlumbing:
         )
         assert proc.returncode == 0
         assert "arrays_needed: 1" in proc.stdout
+
+    def test_fixed_lanes_logged_outputs_unchanged(self, workspace):
+        # in a child: under pytest's log capture basicConfig does nothing
+        io_args = ["--coeffs", str(workspace / "coeffs.csv"), "--wav", str(workspace / "in.wav")]
+        out = workspace / "out"
+        for formats, lanes in (([], "int64"), (["--state-bits", "64", "--state-frac", "56"],
+                                               "object")):
+            for argv in (["run", *io_args, "--mode", "fixed", "-o", str(out)],
+                         ["compare", *io_args, "-o", str(out)]):
+                seen = []
+                for level in ("warning", "info"):
+                    out.unlink(missing_ok=True)
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "carmodel.cli", *argv, *formats],
+                        capture_output=True, text=True, env=_child_env(CARMODEL_LOG=level),
+                    )
+                    assert proc.returncode == 0, proc.stderr
+                    seen.append((proc.stdout, out.read_bytes()))
+                    logged = f"fixed kernel: 24 sections on {lanes} lanes" in proc.stderr
+                    assert logged == (level == "info"), (argv, level, proc.stderr)
+                assert seen[0] == seen[1], argv
 
     def test_unknown_log_level_means_warning(self):
         # in a child: under pytest's log capture basicConfig does nothing

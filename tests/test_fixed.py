@@ -23,7 +23,6 @@ from carmodel.fixed import (
     apply_quantized_table,
     dequantized_design,
     fixed_process_block,
-    fixed_process_block_py,
     fixed_step_section,
     quantize,
     quantize_block,
@@ -34,6 +33,8 @@ from carmodel.fixed import (
     write_quantized_table,
 )
 from carmodel.fixed import _requantize
+
+from oracles import fixed_process_block_py
 
 Q15 = FixedFormat(16, 15)
 
@@ -583,11 +584,13 @@ class TestFixedStream:
         tail=st.integers(0, 14),
         seed=st.integers(0, 2**32 - 1),
     )
-    # a saturating 12-bit state, a wrapping one, and a 64-bit state outside
-    # the int64 envelope, which runs the reference loop on every call
+    # a saturating 12-bit state, a wrapping one, and 64-bit states outside
+    # the int64 envelope, which run on object lanes; the second of them
+    # overflows and wraps by 2^64, which no int64 holds
     @example((12, 2, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1)
     @example((12, 2, "round_to_nearest_even", "wrap"), (7, [6, 7, 8, 0, 40, 1]), 3, 2)
     @example((64, 24, "truncate", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3)
+    @example((64, 2, "round_to_nearest_even", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3)
     # full-scale inputs overflow a Q1.7 state at the entrance between flushes
     @example((8, 1, "round_to_nearest_even", "saturate"), (3, [5, None, 5, None, 4]), 3, 4)
     @settings(max_examples=100, deadline=None)
@@ -627,6 +630,31 @@ class TestFixedStream:
         assert np.array_equal(section_sat, ref_stats.section_saturations)
         assert input_sat == ref_stats.input_saturations
         assert state.samples_processed == raw_in.size
+
+    def test_lanes_logged_and_object_rows_int64(self, caplog):
+        # the envelope picks the lanes: int64 for the default formats, object
+        # for a 64-bit state and for a state holding a value outside its format
+        design = design_cascade(DesignParams(48000.0, 5, damping_zeta=0.2))
+        default, wide = quantize_design(design), quantize_design(
+            design, state_format=FixedFormat(64, 56))
+        outside = FixedCascadeState(5)
+        outside.w1_raw[2] = default.state_format.raw_max + 1
+        raw_in = quantize_block(np.linspace(-0.9, 0.9, 13), default.io_format)
+        caplog.set_level("INFO", logger="carmodel.fixed")
+        for qd, state, lanes in ((default, FixedCascadeState(5), "int64"),
+                                 (wide, FixedCascadeState(5), "object"),
+                                 (default, outside, "object")):
+            ref_state = FixedCascadeState(5)
+            ref_state.w1_raw[:] = state.w1_raw
+            expect, _ = fixed_process_block_py(qd, ref_state, raw_in)
+            caplog.clear()
+            stream = FixedStream(qd, state)
+            assert caplog.messages == [f"fixed kernel: 5 sections on {lanes} lanes"]
+            rows = [stream.push(raw_in[:7]), stream.flush(raw_in[7:])]
+            assert [r.dtype for r in rows] == [np.int64, np.int64]
+            assert np.array_equal(np.concatenate(rows), expect)
+            assert np.array_equal(state.w1_raw, ref_state.w1_raw)
+            assert np.array_equal(state.saturations, ref_state.saturations)
 
     def test_checks_like_fixed_process_block(self):
         qd = quantize_design(design_cascade(DesignParams(48000.0, 3)))
