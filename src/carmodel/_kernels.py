@@ -10,9 +10,12 @@ fixed.FixedStream the fixed-point one. A kernel writes each tick's outputs
 straight into the wavefront's buffer, where the next section reads them on
 the next tick, as a section's output register feeds the next section in
 the hardware. Each section of cascade_ticks performs the same IEEE double
-operations in the same order as core.step_section, with no fused
-multiply-add, so the outputs are bit-identical to the scalar path.
+operations on the same operands in the same order as core.step_section,
+with no fused multiply-add, so the outputs are bit-identical to the scalar
+path.
 """
+
+from itertools import chain, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -24,12 +27,12 @@ HAVE_NUMBA = False
 class Wavefront:
     """The ticks of one cascade's wavefront, carried across blocks of samples.
 
-    push and flush call kernel(ticks) once, with an iterator of the ticks
-    of that call, and the kernel runs every one of them. Lanes are the
-    sections in reverse order: lane j is section n-1-j. A tick is (k, x, y):
-    the active sections are the slice k of section-reversed coefficient and
-    state arrays, x holds their inputs and y takes their outputs. x and y
-    are new views on every tick, and disjoint.
+    lanes are the kernel's section-reversed arrays, of length n on their
+    first axis: lane j is section n-1-j. push and flush call kernel(ticks)
+    once, with an iterator of the ticks of that call, and the kernel runs
+    every one of them. A tick is (x, y, views): views are the lane arrays
+    sliced to the tick's active sections lo:hi, x holds their inputs and y
+    takes their outputs, disjoint views of the buffer.
 
     Layout: one flat buffer with a row stride W. Cell (t, k), section k's
     output for sample t, sits at t*(W+1) + (k+1)*W and sample t at t*(W+1),
@@ -50,15 +53,20 @@ class Wavefront:
     drain's room, which spaces the moves about n ticks apart. A flush lets
     its buffer go, so the rows it returns stay valid.
 
-    Every full-width tick of one push or flush call has the same slice k,
-    so a kernel may keep the views it sliced for the last k and slice again
-    only when k changes; each fill and drain tick has a new k. Scratch taken
-    as a prefix needs slicing only when the width changes: on a short flush
-    the width stays at W over most of the fill and the drain.
+    Views: a call's ticks are a fill, at most one run and a drain. The
+    full-width ticks of a call (every section active) are one run: they all
+    get the same views, the lane arrays themselves, and x and y are the rows
+    of one strided view each, W+1 apart. A draining call of fewer than n-1
+    samples has a sliding run instead, the ticks end-1 <= t < n-1 on which
+    both ends of the window drop one lane: each lane array gets one view
+    whose rows step back one lane, and x and y step W. Only the fill and
+    drain ticks around a run, whose width changes every tick, slice their
+    views one by one. So a kernel needs no cache of its views; scratch it
+    takes as a prefix of its own needs slicing only when the width changes.
     """
 
-    def __init__(self, n_sections: int, dtype=np.float64):
-        self.n, self.dtype = n_sections, dtype
+    def __init__(self, n_sections: int, lanes, dtype=np.float64):
+        self.n, self.lanes, self.dtype = n_sections, tuple(lanes), dtype
         self._restart()
 
     def _restart(self) -> None:
@@ -118,54 +126,71 @@ class Wavefront:
         self.first = self.done
 
     def _ticks(self, samples, drain: bool):
-        """One tick per sample and, with drain, the n-1 ticks that complete
-        every row in flight. The kernel runs them all, so the counts are up
-        to date when it returns."""
+        """The ticks of one call, one per sample and, with drain, the n-1
+        ticks that complete every row in flight. The counts are brought up
+        to date first; the kernel runs every tick."""
         n, w, start, block = self.n, self.width, self.pushed, samples.shape[0]
         self._reserve(block, drain)
         buf, at = self.buf, (start - self.first) * (w + 1)
         buf[at : at + block * (w + 1) : w + 1] = samples
         self.pushed = end = start + block
-        full = slice(0, n)  # a tick of every section
-        y0 = at + w - n + 1  # where y of lane 0 would start
-        for tick in range(start, end + n - 1 if drain and end else end):
+        stop = end + n - 1 if drain and end else end
+        full = end >= n
+        if full:  # ticks n-1..end-1 run every section
+            a, b = max(start, n - 1), end
+        else:  # with drain, ticks end-1..n-2 run end sections, sliding
+            a, b = max(start, end - 1), n - 1 if drain and end else 0
+        if a >= b:
+            return self._sliced(start, stop)
+        count, size = b - a, buf.itemsize
+        lo, width, step = (0, n, w + 1) if full else (n - 1 - a, end, w)
+        x0 = (a - self.first) * (w + 1) - n + 1 + lo
+        x, y = (as_strided(buf[i:], (count, width), (step * size, size)) for i in (x0, x0 + w))
+        if full:
+            views = repeat(self.lanes, count)
+        else:
+            views = zip(*(
+                as_strided(v[lo:], (count, width, *v.shape[1:]), (-v.strides[0], *v.strides))
+                for v in self.lanes
+            ))
+        return chain(self._sliced(start, a), zip(x, y, views), self._sliced(b, stop))
+
+    def _sliced(self, t0: int, t1: int):
+        """Ticks t0..t1-1 of the current call, each sliced on its own."""
+        n, w, end, buf, lanes = self.n, self.width, self.pushed, self.buf, self.lanes
+        x0 = (t0 - self.first) * (w + 1) - n + 1  # where x of lane 0 would start
+        for tick in range(t0, t1):
             lo = n - 1 - tick if tick < n - 1 else 0  # sections up to tick have started
             # sections from tick - end + 1 on still have samples
             hi = n if tick < end else n - 1 + end - tick
-            k = full if hi - lo == n else slice(lo, hi)
-            yield k, buf[y0 - w + lo : y0 - w + hi], buf[y0 + lo : y0 + hi]
-            y0 += w + 1
+            yield buf[x0 + lo : x0 + hi], buf[x0 + w + lo : x0 + w + hi], [v[lo:hi] for v in lanes]
+            x0 += w + 1
 
 
-def cascade_ticks(a0, c0, r, h, g, w1, w2, scratch, ticks):
-    """The float cascade as a Wavefront kernel, once bound to its operands.
+def cascade_ticks(scratch, ticks):
+    """The float cascade as a Wavefront kernel, once bound to its scratch.
 
-    a0..g, w1 and w2 are section-reversed contiguous arrays, w1 and w2
-    updated in place; scratch is two work arrays of the same length. y
-    serves as the third until it takes the outputs.
+    The lanes are [n x 2] pairs aa = (a0, a0), cc = (c0, c0) and
+    rr = (r, r), vectors h and g, the state pairs w = (w1, w2), updated in
+    place, and w's two columns w1 and w2. scratch is two [n x 2] work pairs
+    p and q. A tick is 9 calls: the products of the w1' and w2' lines run
+    on contiguous pairs, and only their sub and add read strided columns.
     """
     mul, sub, add = np.multiply, np.subtract, np.add
-    seen, width = None, 0
-    for k, x, y in ticks:
-        if k is not seen:  # new lanes: slice every operand again
-            seen = k
-            a0k, c0k, rk, hk, gk = a0[k], c0[k], r[k], h[k], g[k]
-            w1k, w2k = w1[k], w2[k]
-            if len(y) != width:
-                width = len(y)
-                p, q = (v[:width] for v in scratch)
-        mul(c0k, w1k, q)  # kept for w2' before w1 is overwritten
-        # w1' = r * (a0 * w1 - c0 * w2) + x
-        mul(a0k, w1k, p)
-        mul(c0k, w2k, y)
-        sub(p, y, p)
-        mul(rk, p, p)
-        add(p, x, w1k)
-        # w2' = r * (c0 * w1 + a0 * w2)
-        mul(a0k, w2k, y)
-        add(q, y, q)
-        mul(rk, q, w2k)
+    width = 0
+    for x, y, (aa, cc, rr, h, g, w, w1, w2) in ticks:
+        if len(y) != width:
+            width = len(y)
+            p, q = (v[:width] for v in scratch)
+            p0, p1, q0, q1 = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
+        mul(aa, w, p)  # (a0 * w1, a0 * w2)
+        mul(cc, w, q)  # (c0 * w1, c0 * w2)
+        sub(p0, q1, p0)  # a0 * w1 - c0 * w2
+        add(q0, p1, p1)  # c0 * w1 + a0 * w2
+        # w1' = r * (a0 * w1 - c0 * w2) + x, w2' = r * (c0 * w1 + a0 * w2)
+        mul(rr, p, w)
+        add(w1, x, w1)
         # y = g * (x + h * w2')
-        mul(hk, w2k, y)
+        mul(h, w2, y)
         add(x, y, y)
-        mul(gk, y, y)
+        mul(g, y, y)

@@ -12,6 +12,12 @@ design.transfer_function; the tests verify that equivalence against a
 polynomial long-division oracle. Section 0 consumes the input sample, each
 later section consumes its predecessor's output, and the per-sample result is
 the vector of all tap outputs.
+
+process_sample runs the recurrence one section at a time. CascadeStream and
+process_block run it on the wavefront schedule of _kernels, with the state
+as section-reversed (w1, w2) pairs and the coefficients as the design's
+lane_arrays: 9 numpy calls per tick, each operation of step_section on the
+same operands in the same order, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -129,12 +135,13 @@ class CascadeStream:
         _check_state(design, state)
         self.state = state
         self.n_sections = design.n_sections
-        self._w1 = state.w1[::-1].copy()
-        self._w2 = state.w2[::-1].copy()
-        coeffs = (np.ascontiguousarray(v[::-1]) for v in design.coeff_arrays)
-        scratch = tuple(np.empty(design.n_sections) for _ in range(2))
-        self._kernel = functools.partial(cascade_ticks, *coeffs, self._w1, self._w2, scratch)
-        self._front = Wavefront(design.n_sections)
+        # the state as section-reversed (w1, w2) pairs, one lane array with
+        # its two columns
+        self._w = np.stack([state.w1, state.w2], axis=1)[::-1].copy()
+        lanes = (*design.lane_arrays, self._w, self._w[:, 0], self._w[:, 1])
+        scratch = np.empty((2, design.n_sections, 2))
+        self._kernel = functools.partial(cascade_ticks, scratch)
+        self._front = Wavefront(design.n_sections, lanes)
 
     def push(self, samples: Sequence[float] | np.ndarray) -> np.ndarray:
         """Run one tick per sample; returns the [rows x n_sections] outputs
@@ -148,8 +155,7 @@ class CascadeStream:
         x = _checked_samples(samples)
         pushed = self._front.pushed + x.shape[0]
         rows = self._front.flush(x, self._kernel)
-        self.state.w1[:] = self._w1[::-1]
-        self.state.w2[:] = self._w2[::-1]
+        self.state.w1[:], self.state.w2[:] = self._w[::-1].T
         self.state.samples_processed += pushed
         return rows
 

@@ -164,16 +164,17 @@ class CascadeDesign:
         return [s.cf_hz for s in self.sections]
 
     @cached_property
-    def coeff_arrays(self) -> tuple[np.ndarray, ...]:
-        """Read-only float64 vectors (a0, c0, r, h, g) in section order,
-        built on first use: the operands of the float block kernel."""
-        s = self.sections
-        table = np.array(
-            [[c.a0 for c in s], [c.c0 for c in s], [c.r for c in s], [c.h for c in s], [c.g for c in s]],
-            dtype=np.float64,
-        )
-        table.flags.writeable = False
-        return tuple(table)
+    def lane_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only float64 operands of the float block kernel, built on
+        first use, in section-reversed lanes: [n x 2] pairs (a0, a0),
+        (c0, c0) and (r, r), and vectors h and g."""
+        a0, c0, r, h, g = np.array(
+            [[c.a0, c.c0, c.r, c.h, c.g] for c in self.sections[::-1]], dtype=np.float64
+        ).T
+        arrays = (*(np.stack([v, v], axis=1) for v in (a0, c0, r)), h.copy(), g.copy())
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)

@@ -474,6 +474,7 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
     """The cascade as a Wavefront kernel on lanes of w's dtype, int64 or
     object, bound to the section-reversed state pairs w [n x 2] and int64
     overflow counts sat, both updated in place, and to scratch of its own.
+    Returns the kernel and its lane arrays, for the Wavefront to slice.
 
     Each register write is computed in two limbs split at the round shift s:
     acc = c * D + (x << s) is hi * 2^s + lo with hi = c * (D >> s) + x and
@@ -535,17 +536,12 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
     dv, tv = np.empty(n, dtype=lanes), np.empty(n, dtype=lanes)
 
     def kernel(ticks):
-        seen, width = None, 0
-        for k, x, y in ticks:
-            if k is not seen:  # new lanes: slice every operand again
-                seen = k
-                rrk, pk, hk, gk, satk = rr[k], p[k], h[k], g[k], sat[k]
-                q0, q1 = q[k, 0], q[k, 1]
-                wk, w1k, w2k = w[k], w[k, 0], w[k, 1]
-                if len(y) != width:
-                    width = len(y)
-                    dk, tk, dvk, tvk = dd[:width], tt[:width], dv[:width], tv[:width]
-                    t0, t1 = tk[:, 0], tk[:, 1]
+        width = 0
+        for x, y, (rrk, pk, q0, q1, hk, gk, satk, wk, w1k, w2k) in ticks:
+            if len(y) != width:
+                width = len(y)
+                dk, tk, dvk, tvk = dd[:width], tt[:width], dv[:width], tv[:width]
+                t0, t1 = tk[:, 0], tk[:, 1]
             # (w1', w2') = round(r * D + (x << s, 0)), in place in w
             mul(pk, wk, dk)
             mul(q0, w2k, t0)
@@ -563,7 +559,7 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
             mul(gk, tvk, y)
             finish(gk, dvk, tvk, y, satk)
 
-    return kernel
+    return kernel, (rr, p, q[:, 0], q[:, 1], h, g, sat, w, w[:, 0], w[:, 1])
 
 
 class FixedStream:
@@ -585,8 +581,8 @@ class FixedStream:
         lanes = np.dtype(np.int64 if _int64_exact(qdesign, state) else object)
         log.info("fixed kernel: %d sections on %s lanes", self.n_sections, lanes)
         self._w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].astype(lanes)
-        self._kernel = _lane_kernel(qdesign, self._w, self._sat[::-1])
-        self._front = _kernels.Wavefront(self.n_sections, dtype=lanes)
+        self._kernel, kernel_lanes = _lane_kernel(qdesign, self._w, self._sat[::-1])
+        self._front = _kernels.Wavefront(self.n_sections, kernel_lanes, dtype=lanes)
 
     def push(self, samples_raw: Sequence[int] | np.ndarray) -> np.ndarray:
         """Run one tick per sample; returns the raw rows they completed, a new

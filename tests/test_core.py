@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carmodel._kernels import Wavefront
 from carmodel.core import (
     CascadeState,
     CascadeStream,
@@ -24,6 +25,22 @@ from carmodel.errors import ConfigError
 
 from conftest import random_section
 from oracles import tf_impulse_response
+
+
+def assert_same_bits(got, expect):
+    """Equal as IEEE bit patterns: unlike np.array_equal, -0.0 is not 0.0."""
+    assert got.shape == expect.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+def signed_zeros(xs, rng):
+    """xs with its first quarter and about a third of the rest replaced by
+    +0.0 or -0.0. Signed zeros reach the state and the outputs only while the
+    state is still zero."""
+    xs = xs.copy()
+    zeros = (rng.random(xs.size) < 1 / 3) | (np.arange(xs.size) < xs.size / 4)
+    xs[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    return xs
 
 
 def section_impulse(coeffs, n):
@@ -157,23 +174,24 @@ class TestProcessBlock:
         s2 = CascadeState(fast_design.n_sections)
         out = process_block(fast_design, s1, [0.3])
         y = process_sample(fast_design, s2, 0.3)
-        assert np.array_equal(out[0], y)
-        assert np.array_equal(s1.w1, s2.w1)
-        assert np.array_equal(s1.w2, s2.w2)
+        assert_same_bits(out[0], y)
+        assert_same_bits(s1.w1, s2.w1)
+        assert_same_bits(s1.w2, s2.w2)
 
     def test_bit_identical_to_sample_path(self, rng):
         # (sections, samples): a typical block, a single section, and a block
-        # shorter than the cascade, so the wavefront never fills it
+        # shorter than the cascade, so the wavefront never fills it; signed
+        # zeros among the samples put -0.0 into the state and the outputs
         for n, n_samples in ((7, 300), (1, 50), (60, 25)):
             design = design_cascade(DesignParams(48000.0, n, damping_zeta=0.2))
-            xs = rng.uniform(-0.9, 0.9, n_samples)
+            xs = signed_zeros(rng.uniform(-0.9, 0.9, n_samples), rng)
             sblock = CascadeState(n)
             out_block = process_block(design, sblock, xs)
             sloop = CascadeState(n)
             out_loop = np.vstack([process_sample(design, sloop, float(x)) for x in xs])
-            assert np.array_equal(out_block, out_loop)
-            assert np.array_equal(sblock.w1, sloop.w1)
-            assert np.array_equal(sblock.w2, sloop.w2)
+            assert_same_bits(out_block, out_loop)
+            assert_same_bits(sblock.w1, sloop.w1)
+            assert_same_bits(sblock.w2, sloop.w2)
 
     def test_chunked_equals_whole(self, fast_design, rng):
         xs = rng.uniform(-1, 1, 1000)
@@ -286,7 +304,8 @@ class TestCascadeStream:
         n, steps = run
         design = _stream_design(n)
         # the last tail samples go in with the final flush
-        xs = np.random.default_rng(seed).uniform(-1, 1, sum(s or 0 for s in steps) + tail)
+        rng = np.random.default_rng(seed)
+        xs = signed_zeros(rng.uniform(-1, 1, sum(s or 0 for s in steps) + tail), rng)
         ref = CascadeState(n)
         expect = np.array([process_sample(design, ref, float(x)) for x in xs]).reshape(xs.size, n)
 
@@ -307,9 +326,9 @@ class TestCascadeStream:
                 in_flight += size
         rows.append(stream.flush(xs[pushed:]))
         got = np.concatenate(rows)
-        assert np.array_equal(got, expect)
-        assert np.array_equal(state.w1, ref.w1)
-        assert np.array_equal(state.w2, ref.w2)
+        assert_same_bits(got, expect)
+        assert_same_bits(state.w1, ref.w1)
+        assert_same_bits(state.w2, ref.w2)
         assert state.samples_processed == xs.size
 
     def test_stream_rows_flush_is_not_copied(self):
@@ -354,6 +373,51 @@ class TestCascadeStream:
             stream.push([0.1, float("inf")])
         with pytest.raises(ConfigError):
             stream.push(np.zeros((2, 2)))
+
+
+def _same_view(got, expect):
+    return (got.shape, got.strides, got.__array_interface__["data"][0]) == (
+        expect.shape, expect.strides, expect.__array_interface__["data"][0])
+
+
+class TestWavefrontTicks:
+    N = 7
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    @pytest.mark.parametrize(
+        "calls",
+        # fresh flushes of 1, 2, n - 2, n - 1, n and n + 5 samples, then pushes
+        # followed by a flush: narrower than the cascade (a sliding run on a
+        # buffer of row stride n), filling it, and past it
+        [[(k, True)] for k in (1, 2, N - 2, N - 1, N, N + 5)]
+        + [[(3, False), (2, False), (0, True)], [(1, False), (3, True)],
+           [(N + 2, False), (1, False), (4, True)], [(2, False), (N, False), (0, True)]],
+    )
+    def test_views_are_the_tick_slices(self, dtype, calls):
+        # every tick's lane views are the lanes sliced to its active sections,
+        # and x and y the slices of the buffer the schedule gives it, however
+        # the wavefront builds them
+        n = self.N
+        pairs = np.arange(2 * n).reshape(n, 2).astype(dtype)
+        lanes = (np.arange(n).astype(dtype), pairs, pairs[:, 1], np.arange(n).astype(dtype)[::-1])
+        front = Wavefront(n, lanes, dtype)
+        for size, drain in calls:
+            start, seen = front.pushed, []
+
+            def kernel(ticks):
+                seen.append((front.buf, front.first, front.width, front.pushed, list(ticks)))
+
+            samples = np.zeros(size, dtype=dtype)
+            (front.flush if drain else front.push)(samples, kernel)
+            buf, first, w, end, ticks = seen[0]
+            assert len(ticks) == (end + n - 1 if drain and end else end) - start
+            for tick, (x, y, views) in enumerate(ticks, start):
+                lo, hi = max(0, n - 1 - tick), min(n, n - 1 + end - tick)
+                x0 = (tick - first) * (w + 1) - n + 1  # where x of lane 0 would start
+                assert _same_view(x, buf[x0 + lo : x0 + hi])
+                assert _same_view(y, buf[x0 + w + lo : x0 + w + hi])
+                assert len(views) == len(lanes)
+                assert all(_same_view(v, a[lo:hi]) for v, a in zip(views, lanes))
 
 
 class TestCascadeComposition:

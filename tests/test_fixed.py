@@ -591,6 +591,9 @@ class TestFixedStream:
     @example((12, 2, "round_to_nearest_even", "wrap"), (7, [6, 7, 8, 0, 40, 1]), 3, 2)
     @example((64, 24, "truncate", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3)
     @example((64, 2, "round_to_nearest_even", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3)
+    # a short fresh flush on object lanes: its ticks take their lane views
+    # from strided views of object arrays
+    @example((64, 8, "round_to_nearest_even", "saturate"), (12, []), 4, 6)
     # full-scale inputs overflow a Q1.7 state at the entrance between flushes
     @example((8, 1, "round_to_nearest_even", "saturate"), (3, [5, None, 5, None, 4]), 3, 4)
     @settings(max_examples=100, deadline=None)
