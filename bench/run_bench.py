@@ -30,6 +30,10 @@ up by one call first:
   the 1224-section design with a 64/56 state, outside the int64 envelope:
   the fixed kernel on object lanes of Python ints, state carried from call
   to call, in ms per call.
+- sat_fixed_480x1224: one fixed_process_block call of 480 samples through
+  the 1224-section design at the default formats, from a fresh state each
+  call, in ms per call. It counts 169,319 saturations, so most of its
+  register writes take the kernel's exact form.
 - csv_cochleagram_240x1224, csv_analyze_20ch: the CSV writers on what
   run_float and analyze_mls write, into os.devnull so that no file rename
   or truncation is timed. The first is write_cochleagram of the 240 x 1224
@@ -50,8 +54,10 @@ reference time.
 `carmodel run --format binary --mode <mode>` for float, fixed and pipeline
 (12 arrays at 1224 sections) on 0.5 s and 1 s of -12 dBFS noise, REPEATS
 fresh child processes each: peak RSS (getrusage), the RSS before the run and
-the run's wall time. Each side is stamped with the Python and numpy
-versions, nproc and its git revision. --out is overwritten.
+the run's wall time. The children of PARENT and TREE alternate, the first
+of each pair switching trees from pair to pair, so that both sides' wall
+times see the same drift of the host's speed. Each side is stamped with the
+Python and numpy versions, nproc and its git revision. --out is overwritten.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ SIDES = ("parent", "tree")
 FLOAT_TICK_SIZE = (64, 8200)  # sections, samples: analyze_mls's stream
 FIXED_TICK_SIZE = (100, 2400)  # compare_fixed's fixed_process_block call
 WIDE_STATE = (64, 56)  # total and fraction bits of a state outside the int64 envelope
+SAT_SAMPLES = 480  # samples of sat_fixed_480x1224
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -146,6 +153,13 @@ def timed_calls(core, design, fixed, analysis, audio_io) -> dict:
     wstate = fixed.FixedCascadeState(N_SECTIONS)
     calls[f"wide_fixed_{BLOCK_SAMPLES}x{N_SECTIONS}"] = (
         lambda i: fixed.fixed_process_block(qd_wide, wstate, raw48), "ms", 1)
+
+    qd_sat = fixed.quantize_design(des)
+    raw_sat = fixed.quantize_block(
+        np.array(noise_samples(random.Random(11), SAT_SAMPLES)) / 32768.0, qd_sat.io_format)
+    calls[f"sat_fixed_{SAT_SAMPLES}x{N_SECTIONS}"] = (
+        lambda i: fixed.fixed_process_block(qd_sat, fixed.FixedCascadeState(N_SECTIONS), raw_sat),
+        "ms", 1)
 
     samples = WORKLOADS["run_float"]["wav_samples"]
     taps = core.process_block(des, core.CascadeState(N_SECTIONS), x[:samples])
@@ -258,24 +272,35 @@ def ab_entries(times: dict) -> dict:
     return entries
 
 
-def run_binary(tree: Path) -> dict:
-    entries = {}
+def design_table(tree: Path, coeffs: Path) -> None:
+    """TREE's `carmodel design` table of the 1224-section design."""
+    subprocess.run([sys.executable, "-m", "carmodel.cli", "design", "--sections",
+                    str(N_SECTIONS), "-o", str(coeffs)], check=True, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": str(tree / "src")})
+
+
+def run_binary(parent: Path, tree: Path) -> tuple[dict, dict]:
+    """The run_binary_ entries of PARENT and of TREE, their children
+    alternating pair by pair."""
+    trees = dict(zip(SIDES, (parent, tree)))
+    runs = {side: {} for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        coeffs = tmp / "coeffs.csv"
-        subprocess.run([sys.executable, "-m", "carmodel.cli", "design", "--sections",
-                        str(N_SECTIONS), "-o", str(coeffs)], check=True, capture_output=True,
-                       env={**os.environ, "PYTHONPATH": str(tree / "src")})
+        coeffs = {side: tmp / f"coeffs_{side}.csv" for side in SIDES}
+        for side in SIDES:
+            design_table(trees[side], coeffs[side])
         for seconds in RUN_SECONDS:
             wav = tmp / f"noise_{seconds}s.wav"
             write_wav(wav, noise_samples(random.Random(9), int(seconds * SAMPLE_RATE_HZ)))
             for mode in RUN_MODES:
-                runs = [in_child("--child", "run", "--tree", str(tree), "--coeffs", str(coeffs),
-                                 "--wav", str(wav), "--mode", mode) for _ in range(REPEATS)]
-                entries[f"run_binary_{mode}_{seconds}s"] = {
-                    key: summary([r[key] for r in runs]) for key in runs[0]
-                }
-    return entries
+                name = f"run_binary_{mode}_{seconds}s"
+                for i in range(REPEATS):
+                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                        runs[side].setdefault(name, []).append(in_child(
+                            "--child", "run", "--tree", str(trees[side]), "--coeffs",
+                            str(coeffs[side]), "--wav", str(wav), "--mode", mode))
+    return tuple({name: {key: summary([r[key] for r in rs]) for key in rs[0]}
+                  for name, rs in runs[side].items()} for side in SIDES)
 
 
 def stamp(tree: Path) -> dict:
@@ -312,11 +337,12 @@ def main() -> int:
 
     times = in_child("--child", "ab", "--tree", str(tree), "--ab", str(parent))
     stamps = {"parent": stamp(parent), "tree": stamp(tree)}
+    before, after = run_binary(parent, tree)
     record = {
         "script": "bench/run_bench.py",
         "ab": {**stamps, "pairs": PAIRS, **ab_entries(times)},
-        "before": {"stamp": stamps["parent"], **run_binary(parent)},
-        "after": {"stamp": stamps["tree"], **run_binary(tree)},
+        "before": {"stamp": stamps["parent"], **before},
+        "after": {"stamp": stamps["tree"], **after},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -4,12 +4,16 @@ Intermediate products are exact at full width and results are rounded once at
 each architectural register write. The scalar path (fixed_step_section)
 computes on Python integers, exact at any width. FixedStream runs the
 cascade over a stream of samples with one kernel, on the float kernel's
-wavefront schedule, splitting each multiply-accumulate into two limbs at the
-round shift. Its lanes are int64 inside an envelope derived from the word
-lengths (see _int64_exact), where every intermediate fits int64, and numpy
-object arrays of Python integers elsewhere, for example with a 64-bit state.
-Both give the raw integers of the scalar path, and fixed_process_block is
-one flush of a fresh FixedStream. The datapath mirrors core.step_section:
+wavefront schedule. Its lanes are int64 inside an envelope derived from the
+word lengths (see _int64_exact), and numpy object arrays of Python integers
+elsewhere, for example with a 64-bit state. On int64 lanes a register write
+is rounded in one limb, its products taken modulo 2^64, whenever a bound
+computed on that tick shows that the result fits the state format and one
+limb; every other write splits its multiply-accumulate into two limbs at the
+round shift, where every intermediate fits int64, and tests the result for
+overflow. Both give the raw integers of the scalar path, and
+fixed_process_block is one flush of a fresh FixedStream. The datapath
+mirrors core.step_section:
 
     entrance    x_io -> x in state format (one requantize, exact when the
                 state format is at least as fine and wide as the io format)
@@ -442,7 +446,7 @@ def _checked_inputs(
 # widths, cf the coefficient fraction and s = 2 * cf the round shift of every
 # register write. With every coefficient, state, input and output a value of
 # its format, |c| <= 2^(cb-1) and |w|, |x| <= 2^(sb-1). Each line is
-# round(c * D + (x << s)), computed as
+# round(c * D + (x << s)), whose exact form splits it into two limbs at s:
 #   each product in D      <= 2^(cb+sb-2)      a0*w1, c0*w2, h*w2', x << cf
 #   D                      <= 2^(cb+sb-1)
 #   c * (D >> s)           <= 2^(2cb+sb-2-s)   high limb
@@ -451,11 +455,16 @@ def _checked_inputs(
 # cb + sb <= 63, 2cb + sb - s <= 63 and cb + s <= 62 hold D to 2^62, both
 # limbs to 2^61 and the final sum below 2^62 + 2, so no int64 operation
 # overflows. The default 18/16 coefficient and 32/24 state formats give 50,
-# 36 and 50. The int64 entrance takes io raw values through doubles, exact up
-# to an io width ib of 53 bits, which no PCM input exceeds. Outside the
-# envelope (a 64-bit state, a small cf with wide words, a state value out of
-# format) FixedStream runs the same kernel on object lanes of Python ints.
-# QuantizedDesign and _checked_inputs hold coefficients and inputs to format.
+# 36 and 50. The one-limb form takes c * D + (x << s) modulo 2^64, as int64
+# arithmetic wraps, and rounds that: exact whenever the rounded result lies
+# in [-2^(63-s), 2^(63-s)), which _lane_kernel checks with a bound per tick
+# and line (with the defaults, s = 32 and that range is the state format).
+# The int64 entrance takes io raw values through doubles, exact up to an io
+# width ib of 53 bits, which no PCM input exceeds. Outside the envelope (a
+# 64-bit state, a small cf with wide words, a state value out of format)
+# FixedStream runs the same kernel on object lanes of Python ints, exact form
+# only. QuantizedDesign and _checked_inputs hold coefficients and inputs to
+# format.
 def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     cb = qdesign.coeff_format.total_bits
     sb = qdesign.state_format.total_bits
@@ -470,19 +479,45 @@ def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     )
 
 
-def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
+def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, counts: list):
     """The cascade as a Wavefront kernel on lanes of w's dtype, int64 or
     object, bound to the section-reversed state pairs w [n x 2] and int64
     overflow counts sat, both updated in place, and to scratch of its own.
-    Returns the kernel and its lane arrays, for the Wavefront to slice.
+    Returns the kernel and its lane arrays, for the Wavefront to slice. It
+    is called as kernel(ticks, x_in), with x_in >= |x| of every entrance
+    sample of the call, and adds its ticks, and those whose w-lines and
+    whose y-line took the exact form, to counts[0], [1] and [2].
 
-    Each register write is computed in two limbs split at the round shift s:
-    acc = c * D + (x << s) is hi * 2^s + lo with hi = c * (D >> s) + x and
-    lo = c * (D & (2^s - 1)), so floor(acc / 2^s) = hi + (lo >> s) and the
-    rounding remainder is lo mod 2^s: exactly _step_raw on object lanes, and
-    on int64 lanes within _int64_exact's envelope. The w1' and w2' lines
-    share r and run as the two columns of one contiguous [m x 2] write, in
-    place in w; the y line is computed in place in the wavefront's buffer.
+    A register write rounds acc = c * D (plus x << s on the w1' line) by the
+    round shift s. Its exact form, on object lanes and wherever the bound
+    below fails, splits acc into two limbs at s: acc = hi * 2^s + lo with
+    hi = c * (D >> s) + x and lo = c * (D & (2^s - 1)), so floor(acc / 2^s)
+    = hi + (lo >> s) and the rounding remainder is lo mod 2^s; then the
+    two-sided overflow test. That is _step_raw on object lanes, and on int64
+    lanes within _int64_exact's envelope.
+
+    The one-limb form, on int64 lanes, rounds acc modulo 2^64 itself, ties
+    to even as (acc + ((acc >> s) & 1) + 2^(s-1) - 1) >> s. A line takes it
+    when a bound computed on the tick is at most lim = min(raw_max,
+    2^(63-s) - 1): the result is then in format and the wraparound cancels.
+    The w-lines' bound is (max|w| * G >> s) + X + 2, with G = max|r*a0| +
+    max|r*c0| over the design; the y-line's is (max|D| * max|g| >> s) + 2.
+    G and max|g| come from Python ints, since int64 products of wide
+    coefficients wrap. X >= |x|: the larger of x_in and the previous tick's
+    bound on |y| (its peak |acc| on the exact form). A call's first tick
+    reads x written by the call before, so there X = raw_max + 1.
+
+    A skipped bound only sends a line to the exact form, so a line skips it
+    where it would fail: neither line computes it while X + 2 > lim (on a
+    call's first tick and after a y that did not fit one limb), where the
+    w-lines' cannot pass and the y-line's never did on the saturating and
+    40/32 streams measured; nor do the w-lines after an exact form whose
+    peak |acc| was above lim, which fails again unless its lane leaves.
+
+    The w1' and w2' lines run as the two columns of one contiguous [m x 2]
+    write, in place in w, on (r, r), (a0, a0) and (-c0, c0) in the exact
+    form and on ra = r * (a0, a0) and rq = r * (-c0, c0) in the one-limb
+    form; the y line is computed in place in the wavefront's buffer.
     """
     n, lanes = qdesign.n_sections, w.dtype
     sfmt = qdesign.state_format
@@ -490,12 +525,17 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
     nearest = sfmt.rounding == ROUND_NEAREST_EVEN and cfrac > 0
     saturate = sfmt.overflow == OVERFLOW_SATURATE
     rmin, rmax = sfmt.raw_min, sfmt.raw_max
+    shift, coeffs = 2 * cfrac, qdesign.coeffs_raw
+    gain = (max(abs(c.r_raw * c.a0_raw) for c in coeffs)
+            + max(abs(c.r_raw * c.c0_raw) for c in coeffs))
+    g_max = max(abs(c.g_raw) for c in coeffs)
+    lim = min(rmax, (1 << (63 - shift)) - 1) if lanes == np.int64 else 0
     # scalars as 0-d arrays of the lanes' dtype: a ufunc converts a Python int
     # on every call, and int64 operands would overflow object lanes
-    mask_int, span_int = (1 << 2 * cfrac) - 1, 1 << sfmt.total_bits
+    mask_int, span_int = (1 << shift) - 1, 1 << sfmt.total_bits
     s, mask, half, one, cf, span, wrap = (
         np.array(v, dtype=lanes)
-        for v in (2 * cfrac, mask_int, mask_int >> 1, 1, cfrac, span_int, span_int - 1)
+        for v in (shift, mask_int, mask_int >> 1, 1, cfrac, span_int, span_int - 1)
     )
     mul, add, band = np.multiply, np.add, np.bitwise_and
     rshift, lshift, absolute = np.right_shift, np.left_shift, np.absolute
@@ -506,7 +546,7 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
         >> s and the rounding carry; d and t are used up. Then the overflow
         check: one reduction of |acc| against raw_max, and only where that
         fires the exact two-sided test, which raw_min itself passes.
-        Overflows are counted into sat."""
+        Overflows are counted into sat. Returns the peak |acc| before it."""
         band(d, mask, d)
         mul(d, c, d)
         rshift(d, s, t)
@@ -520,7 +560,8 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
             rshift(d, s, d)
             add(acc, d, acc)
         absolute(acc, t)
-        if peak(t, None) > rmax:
+        top = int(peak(t, None))
+        if top > rmax:
             over = (acc < rmin) | (acc > rmax)
             sat += over.sum(axis=1) if over.ndim == 2 else over
             if saturate:
@@ -528,38 +569,78 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray):
             else:
                 acc &= wrap
                 acc -= (acc > rmax) * span
+        return top
+
+    def one_limb(acc, t, out):
+        """out = acc rounded by s, acc taken modulo 2^64; acc and t are used
+        up."""
+        if nearest:
+            rshift(acc, s, t)
+            band(t, one, t)
+            add(acc, t, acc)
+            add(acc, half, acc)
+        rshift(acc, s, out)
 
     # Row k of the [n x 2] arrays holds section k's w1' and w2' lines:
     # D = p * w + q * (w2, w1) is (a0*w1 - c0*w2, a0*w2 + c0*w1).
     rr, p, q, h, g = (a.astype(lanes, copy=False) for a in qdesign.lane_arrays)
+    ra, rq = rr * p, rr * q  # modulo 2^64 on int64 lanes
     dd, tt = np.empty((n, 2), dtype=lanes), np.empty((n, 2), dtype=lanes)
     dv, tv = np.empty(n, dtype=lanes), np.empty(n, dtype=lanes)
 
-    def kernel(ticks):
-        width = 0
-        for x, y, (rrk, pk, q0, q1, hk, gk, satk, wk, w1k, w2k) in ticks:
+    def kernel(ticks, x_in):
+        width = tick = exact_w = exact_y = w_top = 0
+        x_max = rmax + 1  # X
+        numbered = enumerate(ticks, 1)
+        for tick, (x, y, (rrk, pk, q0, q1, rak, rq0, rq1, hk, gk, satk, wk, w1k, w2k)) in numbered:
             if len(y) != width:
                 width = len(y)
                 dk, tk, dvk, tvk = dd[:width], tt[:width], dv[:width], tv[:width]
-                t0, t1 = tk[:, 0], tk[:, 1]
+                d0, t0, t1 = dk[:, 0], tk[:, 0], tk[:, 1]
             # (w1', w2') = round(r * D + (x << s, 0)), in place in w
-            mul(pk, wk, dk)
-            mul(q0, w2k, t0)
-            mul(q1, w1k, t1)
-            add(dk, tk, dk)
-            rshift(dk, s, tk)
-            mul(rrk, tk, wk)
-            add(w1k, x, w1k)
-            finish(rrk, dk, tk, wk, satk)
-            # y = round(g * (h * w2' + (x << cf))), in place in y
+            reach, bound = x_max + 2 <= lim, lim + 1
+            if reach and w_top <= lim:
+                bound = (int(peak(absolute(wk, tk), None)) * gain >> shift) + x_max + 2
+            if bound <= lim:
+                mul(rak, wk, dk)
+                mul(rq0, w2k, t0)
+                mul(rq1, w1k, t1)
+                add(dk, tk, dk)
+                lshift(x, s, tvk)
+                add(d0, tvk, d0)
+                one_limb(dk, tk, wk)
+                w_top = 0
+            else:
+                exact_w += 1
+                mul(pk, wk, dk)
+                mul(q0, w2k, t0)
+                mul(q1, w1k, t1)
+                add(dk, tk, dk)
+                rshift(dk, s, tk)
+                mul(rrk, tk, wk)
+                add(w1k, x, w1k)
+                w_top = finish(rrk, dk, tk, wk, satk)
+            # y = round(g * D) with D = h * w2' + (x << cf), in place in y
             mul(hk, w2k, dvk)
             lshift(x, cf, tvk)
             add(dvk, tvk, dvk)
-            rshift(dvk, s, tvk)
-            mul(gk, tvk, y)
-            finish(gk, dvk, tvk, y, satk)
+            bound = lim + 1
+            if reach:
+                bound = (int(peak(absolute(dvk, tvk), None)) * g_max >> shift) + 2
+            if bound <= lim:
+                mul(gk, dvk, dvk)
+                one_limb(dvk, tvk, y)
+            else:
+                exact_y += 1
+                rshift(dvk, s, tvk)
+                mul(gk, tvk, y)
+                bound = min(finish(gk, dvk, tvk, y, satk), rmax + 1)
+            x_max = max(bound, x_in)
+        counts[0] += tick
+        counts[1] += exact_w
+        counts[2] += exact_y
 
-    return kernel, (rr, p, q[:, 0], q[:, 1], h, g, sat, w, w[:, 0], w[:, 1])
+    return kernel, (rr, p, q[:, 0], q[:, 1], ra, rq[:, 0], rq[:, 1], h, g, sat, w, w[:, 0], w[:, 1])
 
 
 class FixedStream:
@@ -568,8 +649,10 @@ class FixedStream:
     however the input is split: one kernel, on int64 lanes inside
     _int64_exact's envelope and on object lanes outside it. Each call's
     entrance quantizes its samples into the state format. A flush writes the
-    state back (w1_raw, w2_raw, saturations and samples_processed) and sets
-    stats to the overflow counts since the last.
+    state back (w1_raw, w2_raw, saturations and samples_processed), sets
+    stats to the overflow counts since the last, and logs at info level the
+    ticks since the last and how many of them wrote their w-lines and their
+    y-line in the kernel's exact form.
     """
 
     def __init__(self, qdesign: QuantizedDesign, state: FixedCascadeState):
@@ -578,10 +661,12 @@ class FixedStream:
         self.stats: FixedRunStats | None = None
         self._sat = np.zeros(self.n_sections, dtype=np.int64)
         self._input_sat = self._pushed = 0
+        self._counts = [0, 0, 0]  # ticks, exact w-lines, exact y-lines
         lanes = np.dtype(np.int64 if _int64_exact(qdesign, state) else object)
         log.info("fixed kernel: %d sections on %s lanes", self.n_sections, lanes)
         self._w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].astype(lanes)
-        self._kernel, kernel_lanes = _lane_kernel(qdesign, self._w, self._sat[::-1])
+        self._kernel, kernel_lanes = _lane_kernel(
+            qdesign, self._w, self._sat[::-1], self._counts)
         self._front = _kernels.Wavefront(self.n_sections, kernel_lanes, dtype=lanes)
 
     def push(self, samples_raw: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -598,7 +683,9 @@ class FixedStream:
         self.state.saturations += self._sat
         self.state.samples_processed += self._pushed
         self.stats = FixedRunStats(self._sat.copy(), self._input_sat)
+        log.info("fixed flush: %d ticks, %d exact w-lines, %d exact y-lines", *self._counts)
         self._sat[:] = self._input_sat = self._pushed = 0
+        self._counts[:] = (0, 0, 0)
         return rows
 
     def _run(self, samples_raw, drain: bool) -> np.ndarray:
@@ -612,7 +699,9 @@ class FixedStream:
             samples, input_sat = _quantize_finite(xs * io.lsb, sfmt)
         self._input_sat += input_sat
         self._pushed += len(xs)
-        rows = (self._front.flush if drain else self._front.push)(samples, self._kernel)
+        x_in = int(np.absolute(samples).max(initial=0))
+        run = self._front.flush if drain else self._front.push
+        rows = run(samples, lambda ticks: self._kernel(ticks, x_in))
         return rows.astype(np.int64, copy=False)  # every state-format value fits
 
 

@@ -46,3 +46,30 @@ def test_ab_entries_ratio_quartiles_and_nominal_times():
     assert run_bench.PUSHES == push["per"] == 8
     assert push["parent_ms_nominal"] == pytest.approx(1.0)
     assert push["tree_ms_nominal"] == pytest.approx(0.5)
+
+
+def test_run_children_alternate_trees(monkeypatch, tmp_path):
+    # every run child of PARENT has one of TREE next to it, the first of a
+    # pair switching trees from pair to pair, so host drift hits both sides
+    calls = []
+
+    def in_child(*args):
+        tree, mode = args[args.index("--tree") + 1], args[args.index("--mode") + 1]
+        calls.append((Path(tree).name, mode))
+        return {"peak_rss_mb": float(len(calls)), "wall_s": 0.5 if tree.endswith("a") else 0.25}
+
+    monkeypatch.setattr(run_bench, "in_child", in_child)
+    monkeypatch.setattr(run_bench, "design_table", lambda tree, coeffs: coeffs.write_text(""))
+    monkeypatch.setattr(run_bench, "RUN_SECONDS", (0.001,))
+    monkeypatch.setattr(run_bench, "RUN_MODES", ("float", "fixed"))
+    monkeypatch.setattr(run_bench, "REPEATS", 3)
+    before, after = run_bench.run_binary(tmp_path / "a", tmp_path / "b")
+    assert calls == [("a", "float"), ("b", "float"), ("b", "float"), ("a", "float"),
+                     ("a", "float"), ("b", "float"),
+                     ("a", "fixed"), ("b", "fixed"), ("b", "fixed"), ("a", "fixed"),
+                     ("a", "fixed"), ("b", "fixed")]
+    assert list(before) == list(after) == ["run_binary_float_0.001s", "run_binary_fixed_0.001s"]
+    assert before["run_binary_float_0.001s"]["peak_rss_mb"]["repeats"] == [1.0, 4.0, 5.0]
+    assert after["run_binary_fixed_0.001s"]["peak_rss_mb"]["repeats"] == [8.0, 9.0, 12.0]
+    assert before["run_binary_fixed_0.001s"]["wall_s"]["median"] == 0.5
+    assert after["run_binary_float_0.001s"]["wall_s"]["median"] == 0.25

@@ -1,6 +1,7 @@
 """Fixed-point arithmetic and the quantized cascade datapath."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -530,6 +531,9 @@ class TestFixedProcessBlock:
     @example(16, 2, 8, 1, 16, "round_to_nearest_even", "saturate", 3, [1.0, 0.9999, -1.0] * 3, [4])
     @example(16, 2, 8, 1, 16, "round_to_nearest_even", "wrap", 3, [1.0, 0.9999, -1.0] * 3, [4])
     @example(16, 2, 32, 8, 64, "round_to_nearest_even", "saturate", 4, [0.5, -0.3, 1.0] * 4, [5])
+    # the one-limb form with truncate rounding, and with a round shift of 0
+    @example(16, 2, 32, 8, 16, "truncate", "wrap", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
+    @example(0, 3, 32, 8, 16, "round_to_nearest_even", "saturate", 5, LONG_SIGNAL[:40], [7])
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_loop(
         self, coeff_frac, coeff_int, state_bits, state_int, io_bits, rounding, overflow,
@@ -563,6 +567,85 @@ class TestFixedProcessBlock:
         assert np.array_equal(chunked.w1_raw, ref_state.w1_raw)
         assert np.array_equal(chunked.w2_raw, ref_state.w2_raw)
         assert np.array_equal(chunked.saturations, ref_state.saturations)
+
+
+def hand_set(coeffs, coeff_fmt=DEFAULT_COEFF_FORMAT, state_fmt=DEFAULT_STATE_FORMAT):
+    """A quantized design of one section per (r, a0, c0, h, g) raw row."""
+    design = design_cascade(DesignParams(48000.0, len(coeffs)))
+    rows = {i: dict(zip(("r", "a0", "c0", "h", "g"), c)) for i, c in enumerate(coeffs)}
+    return apply_quantized_table(design, coeff_fmt, rows, state_fmt, DEFAULT_IO_FORMAT)
+
+
+def run_like_oracle(qd, w1, w2, calls):
+    """Push each call's io raw samples through a FixedStream whose state
+    starts at (w1, w2), the last call being a flush; checks rows, state and
+    saturation counts against the reference loop and returns its stats."""
+    n = qd.n_sections
+    state, ref_state = FixedCascadeState(n), FixedCascadeState(n)
+    for s in (state, ref_state):
+        s.w1_raw[:], s.w2_raw[:] = w1, w2
+    expect, ref_stats = fixed_process_block_py(qd, ref_state, np.concatenate(calls))
+    stream = FixedStream(qd, state)
+    rows = [stream.push(c) for c in calls[:-1]] + [stream.flush(calls[-1])]
+    assert np.array_equal(np.concatenate(rows), expect)
+    assert np.array_equal(state.w1_raw, ref_state.w1_raw)
+    assert np.array_equal(state.w2_raw, ref_state.w2_raw)
+    assert np.array_equal(state.saturations, ref_state.saturations)
+    return ref_stats
+
+
+class TestOneLimbBound:
+    """The edges of the bound that lets the int64 kernel round a line in one
+    limb: each case is one where a looser bound would let a write that
+    overflows through unchecked."""
+
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    def test_w1_rounds_up_onto_raw_max_plus_one(self, overflow):
+        # r = 1, a0 = 1 + 2^-16: tick 1 takes w1 to W = 2130674432 and tick 2
+        # writes round(r*a0*W + x) with floor(r*a0*W) + x = raw_max and a
+        # fraction of 0.51, so w1' = raw_max + 1, where the bound without
+        # its slack would say raw_max
+        sfmt = FixedFormat(32, 24, overflow=overflow)
+        qd = hand_set([(1 << 16, (1 << 16) + 1, 0, 0, 0)], state_fmt=sfmt)
+        stats = run_like_oracle(qd, [2130641921], [0], [np.array([0, 32767])])
+        assert stats.section_saturations.tolist() == [1]
+
+    def test_first_tick_of_a_push_reads_x_near_raw_max(self):
+        # section 0 holds w2 = 2^29 - 2^25 and gives y = g*h*w2, about
+        # raw_max - 2^27, from its first tick on; section 1 (w1' = w1 + x,
+        # w1 = 2^28) first reads it on the first tick of the second call and
+        # overflows there, with max|w| * G well below raw_max
+        one, top = 1 << 16, (1 << 17) - 1
+        qd = hand_set([(one, one, 0, top, top), (one, one, 0, 0, 0)])
+        stats = run_like_oracle(qd, [0, 1 << 28], [(1 << 29) - (1 << 25), 0],
+                                [np.zeros(1, np.int64), np.zeros(2, np.int64)])
+        assert stats.section_saturations.tolist() == [0, 3]
+
+    def test_fill_ticks_enter_lanes_near_raw_max(self):
+        # sections 0 and 1 pass x through; section 2, with r*a0 = 1 + 2^-6
+        # and w1 = raw_max - 2^20, overflows on the tick it enters
+        one, sfmt = 1 << 16, DEFAULT_STATE_FORMAT
+        qd = hand_set([(0, 0, 0, 0, one)] * 2 + [(one, one + (1 << 10), 0, 0, 0)])
+        stats = run_like_oracle(qd, [0, 0, sfmt.raw_max - (1 << 20)], [0, 0, 0],
+                                [np.array([100, -200, 300, 0, 5])])
+        assert stats.section_saturations[2] > 0
+
+    def test_wide_coefficients_wrap_in_int64(self):
+        # 38/10 coefficients r = a0 = 2^32: r*a0 = 2^64 is 0 in int64, so a
+        # gain taken from int64 products would call w1' = 2^44 * w1 small
+        # on tick 2, after tick 1 wrote w1 = x = 1 (io 2048, a 6/4 LSB)
+        qd = hand_set([(1 << 32, 1 << 32, 0, 0, 0)], FixedFormat(38, 10), FixedFormat(6, 4))
+        stats = run_like_oracle(qd, [0], [0], [np.array([2048, 0, 0, 0])])
+        assert stats.section_saturations.tolist() == [3]
+
+    @pytest.mark.parametrize("sfmt", [FixedFormat(40, 32), FixedFormat(32, 24, "truncate")])
+    def test_states_past_one_limb(self, sfmt):
+        # with s = 32, a 40/32 state's values from 2^31 up (0.5) do not fit
+        # one limb; truncate rounds both forms down
+        qd = quantize_design(design_cascade(DesignParams(48000.0, 12, damping_zeta=0.2)),
+                             state_format=sfmt)
+        raw_in = quantize_block(LONG_SIGNAL, qd.io_format)
+        run_like_oracle(qd, 0, 0, [raw_in[:50], raw_in[50:]])
 
 
 @st.composite
@@ -658,6 +741,34 @@ class TestFixedStream:
             assert np.array_equal(np.concatenate(rows), expect)
             assert np.array_equal(state.w1_raw, ref_state.w1_raw)
             assert np.array_equal(state.saturations, ref_state.saturations)
+
+    def test_flush_logs_exact_lines(self, caplog):
+        # compare's 100-section design at the default formats takes the
+        # one-limb form on every line but those of each call's first tick; a
+        # saturating 12/10 state cannot, and object lanes never do
+        compare = design_cascade(DesignParams(48000.0, 100, damping_zeta=0.25))
+        noise = np.random.default_rng(11).uniform(-0.25, 0.25, 480)
+        caplog.set_level("INFO", logger="carmodel.fixed")
+        for qd, exact in ((quantize_design(compare), "first ticks"),
+                          (quantize_design(compare, state_format=FixedFormat(12, 10)), "some"),
+                          (quantize_design(compare, state_format=FixedFormat(64, 56)), "all")):
+            raw_in = quantize_block(noise, qd.io_format)
+            caplog.clear()
+            stream = FixedStream(qd, FixedCascadeState(100))
+            stream.push(raw_in[:240])
+            stream.flush(raw_in[240:])
+            message = caplog.messages[-1]
+            ticks, exact_w, exact_y = map(int, re.findall(r"\d+", message))
+            assert message == (f"fixed flush: {ticks} ticks, {exact_w} exact w-lines, "
+                               f"{exact_y} exact y-lines")
+            assert ticks == 480 + 99
+            if exact == "first ticks":
+                assert exact_w <= 2 and exact_y <= 2  # the first tick of each call
+                assert stream.stats.total == 0
+            elif exact == "some":
+                assert exact_w + exact_y > 0 and stream.stats.total > 0
+            else:
+                assert exact_w == exact_y == ticks
 
     def test_checks_like_fixed_process_block(self):
         qd = quantize_design(design_cascade(DesignParams(48000.0, 3)))
