@@ -7,7 +7,7 @@ and perfbench/. To measure one tree alone, pass it as both sides:
     python3 bench/run_bench.py --ab PARENT --tree . --out BENCH_13.json
     python3 bench/run_bench.py --ab . --tree . --out alone.json
 
-One child process imports PARENT's and TREE's carmodel under two package
+A child process imports PARENT's and TREE's carmodel under two package
 names and alternates their calls on the same inputs, PAIRS pairs per call,
 the first call of each pair switching trees from pair to pair: one child
 per tree cannot resolve a 20% change on a host whose speed drifts by 20-30%.
@@ -41,13 +41,20 @@ up by one call first:
   each of analyze_mls's 20 default channels (MLS order 12, 4095 samples)
   from a fresh copy of its ResponseResult, as one `carmodel analyze` does,
   so no formatted column carries over from call to call.
+- read_coeff_1224: read_coeff_table of the 1224-section table, which each
+  tree writes once with its own write_coeff_table, in ms per call.
 
-For each call, "ab" stores the per-pair ratios TREE / PARENT with their
-median and quartiles; a ratio below 1 means TREE is faster. It also stores
-each tree's median time at the nominal reference speed, parent_<unit>_nominal
-and tree_<unit>_nominal, in ms per block (block_48) or call (csv_) or µs
-per wavefront tick (tick_): each time times NOMINAL_REF_S over its pair's
-reference time, as perfbench's wall_ref does. ref_s is the median
+One child has favoured one of two identical trees by about 10% on
+block_48_push, perhaps by the order in which it imports them, so two
+children run the pairs: one imports PARENT first, the other TREE first. For
+each call, "ab" stores the ratios TREE / PARENT of both children's pairs
+with their median and quartiles; a ratio below 1 means TREE is faster.
+median_parent_first and median_tree_first are each child's own median, so
+an import-order bias shows as a gap between them. Each entry also has each
+tree's median time at the nominal reference speed, parent_<unit>_nominal
+and tree_<unit>_nominal, in ms per block (block_48) or call (csv_, read_)
+or µs per wavefront tick (tick_): each time times NOMINAL_REF_S over its
+pair's reference time, as perfbench's wall_ref does. ref_s is the median
 reference time.
 
 "before" (PARENT) and "after" (TREE) store run_binary_<mode>_<seconds>s:
@@ -106,9 +113,10 @@ def summary(values: list[float]) -> dict:
 # child side
 
 
-def timed_calls(core, design, fixed, analysis, audio_io) -> dict:
-    """The block_, tick_ and csv_ calls, set up on one tree's modules: name
-    -> (a function of the call's index, the entry's unit, and the blocks,
+def timed_calls(core, design, fixed, analysis, audio_io, table: Path) -> dict:
+    """The block_, tick_, csv_ and read_ calls, set up on one tree's modules,
+    which write their coefficient table to the path table: name -> (a
+    function of the call's index, the entry's unit, and the blocks,
     wavefront ticks or calls per call that a time in that unit is per)."""
     import numpy as np
 
@@ -182,6 +190,9 @@ def timed_calls(core, design, fixed, analysis, audio_io) -> dict:
             analysis.write_impulse_csv(result, col, os.devnull)
 
     calls[f"csv_analyze_{len(channels)}ch"] = (write_analyze, "ms", 1)
+
+    design.write_coeff_table(des, table)
+    calls[f"read_coeff_{N_SECTIONS}"] = (lambda i: design.read_coeff_table(table), "ms", 1)
     return calls
 
 
@@ -199,21 +210,23 @@ def _import_as(tree: Path, name: str):
 def child_ab(parent: Path, tree: Path) -> dict:
     """Seconds of each timed call on PARENT and TREE, PAIRS alternating
     pairs, with the reference time taken before each pair and the call's
-    unit and count, as timed_calls gives them."""
-    both = {side: timed_calls(*_import_as(path, f"carmodel_{side}"))
-            for side, path in zip(SIDES, (parent, tree))}
-    tracer = Tracer()
-    times = {}
-    for name, (_, unit, per) in both["parent"].items():
-        for calls in both.values():
-            calls[name][0](0)  # warms up
-        entry = times[name] = {"unit": unit, "per": per, "ref_s": [], "parent": [], "tree": []}
-        for i in range(1, PAIRS + 1):
-            entry["ref_s"].append(reference_task())
-            for side in SIDES if i % 2 else SIDES[::-1]:
-                tracer.call("ab", both[side][name][0], i)
-                _, s, e, _, _ = tracer.spans[-1]
-                entry[side].append(e - s)
+    unit and count, as timed_calls gives them. PARENT is imported first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        both = {side: timed_calls(*_import_as(path, f"carmodel_{side}"),
+                                  Path(tmp) / f"coeffs_{side}.csv")
+                for side, path in zip(SIDES, (parent, tree))}
+        tracer = Tracer()
+        times = {}
+        for name, (_, unit, per) in both["parent"].items():
+            for calls in both.values():
+                calls[name][0](0)  # warms up
+            entry = times[name] = {"unit": unit, "per": per, "ref_s": [], "parent": [], "tree": []}
+            for i in range(1, PAIRS + 1):
+                entry["ref_s"].append(reference_task())
+                for side in SIDES if i % 2 else SIDES[::-1]:
+                    tracer.call("ab", both[side][name][0], i)
+                    _, s, e, _, _ = tracer.spans[-1]
+                    entry[side].append(e - s)
     return times
 
 
@@ -251,6 +264,30 @@ def in_child(*args: str) -> dict:
     out = subprocess.run([sys.executable, __file__, *args], check=True, capture_output=True,
                          text=True, env={**os.environ, **THREAD_ENV}).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def ab_halves(parent: Path, tree: Path) -> dict:
+    """child_ab's times from two children, by which tree each imports first:
+    "parent_first", and "tree_first", whose child is given the trees the
+    other way round and whose sides are swapped back here."""
+    parent_first = in_child("--child", "ab", "--tree", str(tree), "--ab", str(parent))
+    tree_first = in_child("--child", "ab", "--tree", str(parent), "--ab", str(tree))
+    for t in tree_first.values():
+        t["parent"], t["tree"] = t["tree"], t["parent"]
+    return {"parent_first": parent_first, "tree_first": tree_first}
+
+
+def pooled_entries(halves: dict) -> dict:
+    """ab_entries of both halves' pairs together, each entry with the
+    median ratio of each half as median_<half>."""
+    first, second = halves.values()
+    pooled = {name: {**t, **{key: t[key] + second[name][key] for key in ("ref_s", *SIDES)}}
+              for name, t in first.items()}
+    entries = ab_entries(pooled)
+    for half, times in halves.items():
+        for name, entry in ab_entries(times).items():
+            entries[name][f"median_{half}"] = entry["median"]
+    return entries
 
 
 def ab_entries(times: dict) -> dict:
@@ -335,12 +372,12 @@ def main() -> int:
         print(json.dumps(child_ab(parent, tree)))
         return 0
 
-    times = in_child("--child", "ab", "--tree", str(tree), "--ab", str(parent))
+    entries = pooled_entries(ab_halves(parent, tree))
     stamps = {"parent": stamp(parent), "tree": stamp(tree)}
     before, after = run_binary(parent, tree)
     record = {
         "script": "bench/run_bench.py",
-        "ab": {**stamps, "pairs": PAIRS, **ab_entries(times)},
+        "ab": {**stamps, "pairs": 2 * PAIRS, **entries},
         "before": {"stamp": stamps["parent"], **before},
         "after": {"stamp": stamps["tree"], **after},
     }

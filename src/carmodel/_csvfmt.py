@@ -40,11 +40,13 @@ the bytes the field keeps, one 64-bit word at a time. The other bytes
 become NUL: a masked field.
 
 Assembly. csv_rows formats chunks of whole rows, about CHUNK_VALUES values
-each, and one translate per chunk deletes the NULs. A column that several
-files share (the frequencies of every channel's response, say) is formatted
-once by column_fields into masked fields, less the byte columns that no
-field keeps; csv_rows copies such lead columns into each chunk of rows
-ahead of the fields it formats, then compacts the chunk.
+each, into a bytearray, copies each chunk's used bytes out as bytes and
+deletes the NULs with one translate: the rows stay ASCII bytes from here to
+the file, which the writers open in binary. A column that several files
+share (the frequencies of every channel's response, say) is formatted once
+by column_fields into masked fields, less the byte columns that no field
+keeps; csv_rows copies such lead columns into each chunk of rows ahead of
+the fields it formats, then compacts the chunk.
 
 The arithmetic sticks to float64, int64 and long double ufuncs, with lookup
 tables for the rest: the first call of each new numpy loop in a process
@@ -195,22 +197,29 @@ def _digits(v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, x, np.flatnonzero(ambiguous)
 
 
+def _divmod(n, d: int, q, r) -> None:
+    """q, r = divmod(n, d) for non-negative int64 n, r possibly n itself:
+    floor_divide by a constant runs numpy's libdivide loop, which with a
+    multiply and a subtract takes half the time of np.divmod."""
+    np.floor_divide(n, d, out=q)
+    np.subtract(n, q * d, out=r)
+
+
 def _masked(v, tail, fields) -> None:
     """Write the masked fields of the values of v into fields, [len(v) x
     _WIDTH] uint8, each ended by its terminator from tail, the 64-bit words
     of bytes 40-47 with only the terminators set."""
     digits, x, slow = _digits(v)
-    # digits = lead * 10^16 + groups[0] * 10^12 + ... + groups[3]; the
-    # splits run in place (the lead overwrites digits) to keep a chunk small
-    groups = np.empty((4, v.shape[0]), dtype=np.int64)
-    lead, _ = np.divmod(digits, 10**16, out=(digits, groups[3]))
-    np.divmod(groups[3], 10**8, out=(groups[1], groups[3]))
-    np.divmod(groups[1::2], 10**4, out=(groups[0::2], groups[1::2]))
+    # digits = lead * 10^16 + groups[0] * 10^12 + ... + groups[3]
     words = fields.view(np.uint64)
     words[:, 0] = _HEAD_WORD
+    groups = np.empty((4, v.shape[0]), dtype=np.int64)
+    _divmod(digits, 10**16, groups[0], groups[3])
+    np.add(groups[0], ord("0"), out=fields[:, _LEAD], casting="unsafe")
+    _divmod(groups[3], 10**8, groups[1], groups[3])
+    _divmod(groups[1::2], 10**4, groups[0::2], groups[1::2])
     for k in range(4):
         words[:, _GROUPS.start + k] = _GROUP_WORD.take(groups[k], mode="clip")
-    np.add(lead, ord("0"), out=fields[:, _LEAD], casting="unsafe")
     np.multiply(np.signbit(v), ord("-"), out=fields[:, _SIGN], casting="unsafe")
     x -= _X_MIN
     np.bitwise_or(_EXP_WORD.take(x, mode="clip"), tail, out=words[:, _EXP.start // 8])
@@ -223,18 +232,17 @@ def _masked(v, tail, fields) -> None:
 
 
 def _buffer(rows: int, width: int) -> tuple[bytearray, np.ndarray]:
-    """A [rows x width] uint8 array over a bytearray, which translate reads
-    in place: a bytes copy of a chunk's fields would take as much memory."""
+    """A [rows x width] uint8 array over a bytearray, which numpy fills in
+    place and _compact copies from."""
     buf = bytearray(rows * width)
     return buf, np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
 
 
-def _compact(buf: bytearray, n: int) -> str:
-    """The text of the masked fields in the first n bytes of buf: every NUL
-    deleted."""
-    if n < len(buf):
-        buf = memoryview(buf)[:n].tobytes()
-    return buf.translate(None, b"\0").decode("ascii")
+def _compact(buf: bytearray, n: int) -> bytes:
+    """The bytes of the masked fields in the first n bytes of buf, every NUL
+    deleted: a copy of those bytes and bytes.translate take less time than
+    bytearray.translate on buf."""
+    return memoryview(buf)[:n].tobytes().translate(None, b"\0")
 
 
 def _tail(rows: int, width: int) -> np.ndarray:
@@ -261,8 +269,8 @@ def column_fields(v: np.ndarray) -> np.ndarray:
 
 
 def csv_rows(m: np.ndarray, index: bool = False, start: int = 0, lead=()):
-    """Yield the CSV text of the rows of the 2-D float64 matrix m as str
-    chunks of whole rows, each row CRLF-terminated, fields "%.17g",
+    """Yield the CSV text of the rows of the 2-D float64 matrix m as ASCII
+    bytes, in chunks of whole rows, each row CRLF-terminated, fields "%.17g",
     preceded by the row number as "%d", counting from start, when index is
     set, and before that by the fields of the columns in lead, each from
     column_fields and as long as m."""

@@ -374,15 +374,15 @@ def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> Parit
 
 def write_response_csv(result: ResponseResult, channel: int, path) -> None:
     """`frequency_hz,magnitude_db` rows for one channel."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("frequency_hz,magnitude_db\r\n")
+    with open(path, "wb") as f:
+        f.write(b"frequency_hz,magnitude_db\r\n")
         f.writelines(csv_rows(result.magnitudes_db[:, channel : channel + 1],
                               lead=[result.frequency_fields]))
 
 
 def write_impulse_csv(result: ResponseResult, channel: int, path) -> None:
     """`sample_index,amplitude` rows for one channel."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write("sample_index,amplitude\r\n")
+    with open(path, "wb") as f:
+        f.write(b"sample_index,amplitude\r\n")
         f.writelines(csv_rows(result.impulse_responses[:, channel : channel + 1],
                               lead=[result.index_fields]))

@@ -184,13 +184,13 @@ def write_cochleagram(
         if n_samples is None and m.ndim == 2:
             n_samples = m.shape[0]
     if os.path.exists(path) and not os.path.isfile(path):
-        with _open_cochleagram(path, format) as f:
+        with open(path, "wb") as f:
             _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
         return
     target = os.path.realpath(path)
     part = f"{target}.part"
     try:
-        with _open_cochleagram(part, format) as f:
+        with open(part, "wb") as f:
             _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
         if os.path.exists(target):
             shutil.copymode(target, part)
@@ -199,12 +199,6 @@ def write_cochleagram(
         with contextlib.suppress(FileNotFoundError):
             os.remove(part)
         raise
-
-
-def _open_cochleagram(path, format: str):
-    if format == "csv":
-        return open(path, "w", newline="", encoding="utf-8")
-    return open(path, "wb")
 
 
 def _write_blocks(f, blocks, format: str, sample_rate_hz: float, n_samples: int | None) -> None:
@@ -219,7 +213,8 @@ def _write_blocks(f, blocks, format: str, sample_rate_hz: float, n_samples: int 
                 f.write(_HEADER.pack(COCHLEAGRAM_MAGIC, COCHLEAGRAM_VERSION, m.shape[1],
                                      n_samples, float(sample_rate_hz)))
             else:
-                f.write(",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n")
+                header = ",".join(["t"] + [f"y_{k}" for k in range(m.shape[1])]) + "\r\n"
+                f.write(header.encode("ascii"))
         n_sections = m.shape[1]
         # in row slices, so a strided block is never checked or copied whole
         step = max(1, STREAM_CHUNK_VALUES // max(1, n_sections))

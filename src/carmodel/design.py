@@ -18,8 +18,10 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +132,7 @@ class DesignParams:
             object.__setattr__(self, "r_override", tuple(float(r) for r in self.r_override))
 
 
-@dataclass(frozen=True)
-class ChannelCoeffs:
+class ChannelCoeffs(NamedTuple):
     """Resolved per-section filter parameters (one cascade stage)."""
 
     cf_hz: float
@@ -340,21 +341,26 @@ def design_cascade(params: DesignParams) -> CascadeDesign:
     return design
 
 
+# The structural invariants of a section, in the order they are checked: a
+# message, and a test that is true where a section, or a ChannelCoeffs of
+# coefficient columns, breaks the invariant. The coefficients are finite.
+_SECTION_CHECKS = (
+    ("a0^2 + c0^2 != 1", lambda c: abs(c.a0 * c.a0 + c.c0 * c.c0 - 1.0) > 1e-12),
+    ("theta_r out of (0, pi)", lambda c: (c.theta_r <= 0.0) | (c.theta_r >= math.pi)),
+    ("c0 must be positive", lambda c: c.c0 <= 0),
+    ("r out of (0, 1]", lambda c: (c.r <= 0.0) | (c.r > 1.0)),
+    ("g must be positive", lambda c: c.g <= 0),
+)
+
+
 def validate_channel_coeffs(c: ChannelCoeffs) -> None:
     """Check the structural invariants of a designed section."""
     values = (c.cf_hz, c.theta_r, c.r, c.a0, c.c0, c.h, c.g)
     if not all(map(math.isfinite, values)):
         raise DesignError(f"section {c.section_index}: non-finite coefficient in {values}")
-    if abs(c.a0 * c.a0 + c.c0 * c.c0 - 1.0) > 1e-12:
-        raise DesignError(f"section {c.section_index}: a0^2 + c0^2 != 1")
-    if not 0.0 < c.theta_r < math.pi:
-        raise DesignError(f"section {c.section_index}: theta_r out of (0, pi)")
-    if c.c0 <= 0:
-        raise DesignError(f"section {c.section_index}: c0 must be positive")
-    if not 0.0 < c.r <= 1.0:
-        raise DesignError(f"section {c.section_index}: r out of (0, 1]")
-    if c.g <= 0:
-        raise DesignError(f"section {c.section_index}: g must be positive")
+    for message, broken in _SECTION_CHECKS:
+        if broken(c):
+            raise DesignError(f"section {c.section_index}: {message}")
 
 
 def transfer_function(coeffs: ChannelCoeffs) -> RationalTF:
@@ -427,8 +433,8 @@ def write_coeff_table(design: CascadeDesign, path) -> None:
          for x, s in zip(design.positions, design.sections)],
         dtype=np.float64,
     ).reshape(-1, len(COEFF_TABLE_HEADER))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(COEFF_TABLE_HEADER) + "\r\n")
+    with open(path, "wb") as f:
+        f.write((",".join(COEFF_TABLE_HEADER) + "\r\n").encode("ascii"))
         f.writelines(csv_rows(m))
 
 
@@ -448,40 +454,60 @@ def _read_coeff_rows(f) -> CascadeDesign:
         raise DesignError(
             f"bad coefficient-table header: expected {','.join(COEFF_TABLE_HEADER)}"
         )
-    sections = []
-    positions = []
-    fs = None
+    # x, cf_hz, theta_r, r, a0, c0, h, g of each row, and its section number
+    numbers = array("d")
+    indices = []
     for row in reader:
         if not row:
             continue
-        if len(row) != len(COEFF_TABLE_HEADER):
-            raise DesignError(f"coefficient row has {len(row)} fields: {row!r}")
         try:
-            idx = int(row[0])
-            values = [float(v) for v in row[1:]]
-        except ValueError:
-            raise DesignError(f"coefficient row has a field that is not a number: {row!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise DesignError(f"section {idx}: non-finite field in {row!r}")
-        x, cf, theta, r, a0, c0, h, g = values
-        section = ChannelCoeffs(cf_hz=cf, theta_r=theta, r=r, a0=a0, c0=c0, h=h, g=g,
-                                section_index=idx)
-        validate_channel_coeffs(section)
-        if cf <= 0:
-            raise DesignError(f"section {idx}: cf_hz must be positive")
-        row_fs = 2.0 * math.pi * cf / theta
-        if fs is None:
-            fs = row_fs
-        elif abs(row_fs - fs) > 1e-6 * fs:
-            raise DesignError(
-                f"section {idx}: implied sample rate {row_fs} disagrees with {fs}"
-            )
-        positions.append(x)
-        sections.append(section)
-    if not sections:
+            idx, values = _parse_coeff_row(row)
+        except DesignError:
+            _check_coeff_columns(numbers, indices)  # an earlier row's error comes first
+            raise
+        indices.append(idx)
+        numbers.extend(values)
+    fs = _check_coeff_columns(numbers, indices)
+    if not indices:
         raise DesignError("coefficient table has no data rows")
-    expected = list(range(len(sections)))
-    if [s.section_index for s in sections] != expected:
+    if indices != list(range(len(indices))):
         raise DesignError("section indices must be 0..N-1 in order, base first")
-    return CascadeDesign(sections=tuple(sections), sample_rate_hz=fs,
-                         positions=tuple(positions))
+    columns = np.frombuffer(numbers, dtype=np.float64).reshape(-1, 8).T.tolist()
+    return CascadeDesign(sections=tuple(map(ChannelCoeffs, *columns[1:], indices)),
+                         sample_rate_hz=fs, positions=tuple(columns[0]))
+
+
+def _parse_coeff_row(row: list[str]) -> tuple[int, list[float]]:
+    """The section number and the eight finite numbers of a table row."""
+    if len(row) != len(COEFF_TABLE_HEADER):
+        raise DesignError(f"coefficient row has {len(row)} fields: {row!r}")
+    try:
+        idx = int(row[0])
+        values = list(map(float, row[1:]))
+    except ValueError:
+        raise DesignError(f"coefficient row has a field that is not a number: {row!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise DesignError(f"section {idx}: non-finite field in {row!r}")
+    return idx, values
+
+
+def _check_coeff_columns(numbers: array, indices: list[int]) -> float | None:
+    """The sample rate that the first row implies (fs = 2*pi*cf_hz/theta_r),
+    after checking every row at once: the section invariants, cf_hz > 0 and
+    an implied rate within 1e-6 of fs. The first row that fails raises the
+    error of the first check it fails, as a row-by-row read would."""
+    c = ChannelCoeffs(*np.frombuffer(numbers, dtype=np.float64).reshape(-1, 8).T[1:],
+                      section_index=None)
+    with np.errstate(all="ignore"):  # rows with theta_r = 0 fail an earlier check
+        rate = 2.0 * math.pi * c.cf_hz / c.theta_r
+        fs = rate[:1]
+        broken = np.array([test(c) for _, test in _SECTION_CHECKS]
+                          + [c.cf_hz <= 0, abs(rate - fs) > 1e-6 * fs])
+    rows = np.flatnonzero(broken.any(axis=0))
+    if rows.size:
+        i = rows[0]
+        messages = [message for message, _ in _SECTION_CHECKS] + [
+            "cf_hz must be positive",
+            f"implied sample rate {float(rate[i])} disagrees with {float(fs[0])}"]
+        raise DesignError(f"section {indices[i]}: {messages[broken[:, i].argmax()]}")
+    return float(fs[0]) if fs.size else None

@@ -3,13 +3,14 @@
 These deliberately avoid the implementation paths they check: the impulse
 response comes from polynomial long division of the transfer function, the
 autocorrelation from a direct O(N^2) sum, primitivity from GF(2)
-polynomial order, CSV text from the csv module, and the fixed-point cascade
+polynomial order, CSV text from the csv module, the fixed-point cascade
 from one scalar section update on Python ints per (sample, section), with no
-wavefront, limbs or lanes.
+wavefront, limbs or lanes, and a coefficient table's checks row by row.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -36,6 +37,47 @@ def csv_text(header, rows) -> str:
     for row in rows:
         w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
     return buf.getvalue()
+
+
+def coeff_table_py(text: str):
+    """A coefficient table's rows after its header, read and checked one row
+    at a time, in the order the checks are documented: the message of the
+    first check that fails, or the (positions, sections as tuples, sample
+    rate) of the design."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+    positions, sections, fs = [], [], None
+    for row in rows:
+        if len(row) != 9:
+            return f"coefficient row has {len(row)} fields: {row!r}"
+        try:
+            idx, values = int(row[0]), [float(v) for v in row[1:]]
+        except ValueError:
+            return f"coefficient row has a field that is not a number: {row!r}"
+        if not all(math.isfinite(v) for v in values):
+            return f"section {idx}: non-finite field in {row!r}"
+        x, cf, theta, r, a0, c0, h, g = values
+        for broken, message in [
+            (abs(a0 * a0 + c0 * c0 - 1.0) > 1e-12, "a0^2 + c0^2 != 1"),
+            (not 0.0 < theta < math.pi, "theta_r out of (0, pi)"),
+            (c0 <= 0, "c0 must be positive"),
+            (not 0.0 < r <= 1.0, "r out of (0, 1]"),
+            (g <= 0, "g must be positive"),
+            (cf <= 0, "cf_hz must be positive"),
+        ]:
+            if broken:
+                return f"section {idx}: {message}"
+        row_fs = 2.0 * math.pi * cf / theta
+        if fs is None:
+            fs = row_fs
+        elif abs(row_fs - fs) > 1e-6 * fs:
+            return f"section {idx}: implied sample rate {row_fs} disagrees with {fs}"
+        positions.append(x)
+        sections.append((cf, theta, r, a0, c0, h, g, idx))
+    if not sections:
+        return "coefficient table has no data rows"
+    if [s[-1] for s in sections] != list(range(len(sections))):
+        return "section indices must be 0..N-1 in order, base first"
+    return positions, sections, fs
 
 
 def tf_impulse_response(tf, n: int) -> np.ndarray:

@@ -73,3 +73,30 @@ def test_run_children_alternate_trees(monkeypatch, tmp_path):
     assert after["run_binary_fixed_0.001s"]["peak_rss_mb"]["repeats"] == [8.0, 9.0, 12.0]
     assert before["run_binary_fixed_0.001s"]["wall_s"]["median"] == 0.5
     assert after["run_binary_float_0.001s"]["wall_s"]["median"] == 0.25
+
+
+def test_ab_children_swap_import_order(monkeypatch, tmp_path):
+    # the second ab child is given the trees the other way round, so it
+    # imports TREE first; its sides are swapped back before pooling
+    parent, tree = tmp_path / "a", tmp_path / "b"
+    calls = []
+
+    def in_child(*args):
+        calls.append(args)
+        first, second = args[args.index("--ab") + 1], args[args.index("--tree") + 1]
+        # TREE takes twice PARENT's time; the first import gains 10%
+        seconds = {str(parent): 0.010, str(tree): 0.020}
+        return {"call": {"unit": "ms", "per": 1, "ref_s": [NOMINAL] * 3,
+                         "parent": [0.9 * seconds[first]] * 3, "tree": [seconds[second]] * 3}}
+
+    monkeypatch.setattr(run_bench, "in_child", in_child)
+    halves = run_bench.ab_halves(parent, tree)
+    assert calls == [("--child", "ab", "--tree", str(tree), "--ab", str(parent)),
+                     ("--child", "ab", "--tree", str(parent), "--ab", str(tree))]
+    assert list(halves) == ["parent_first", "tree_first"]
+    entry = run_bench.pooled_entries(halves)["call"]
+    assert entry["ratios"] == pytest.approx([2 / 0.9] * 3 + [0.9 * 2] * 3)
+    assert entry["median_parent_first"] == pytest.approx(2 / 0.9)
+    assert entry["median_tree_first"] == pytest.approx(0.9 * 2)
+    assert entry["parent_ms_nominal"] == pytest.approx(9.5)
+    assert entry["tree_ms_nominal"] == pytest.approx(19.0)

@@ -13,7 +13,7 @@ from oracles import csv_text
 
 
 def rows_text(m) -> str:
-    return "".join(csv_rows(np.asarray(m, dtype=np.float64)))
+    return b"".join(csv_rows(np.asarray(m, dtype=np.float64))).decode("ascii")
 
 
 def expected_text(m) -> str:

@@ -1,14 +1,19 @@
 """Coefficient design: place map, rotator/zero/gain solves, analytic views."""
 
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carmodel.design import (
     CascadeDesign,
     DesignParams,
     HPolicy,
+    _read_coeff_rows,
     complex_zero_bound,
     dc_gain_coeff,
     design_cascade,
@@ -25,7 +30,14 @@ from carmodel.design import (
 from carmodel.errors import DesignError
 
 from conftest import random_section
-from oracles import csv_text
+from oracles import coeff_table_py, csv_text
+
+# a field's replacement: a string, or a factor on the field's value
+_FIELD_EDITS = st.one_of(
+    st.sampled_from(["nan", "inf", "x", "", "0", "-0", "-2", "0.5", "1", "1.5", "4", "1e308",
+                     "1e-320", "3.141592653589793"]),
+    st.sampled_from([1.5, -1.0, 0.5, 1 + 1e-5, 1 + 1e-7, 1e300]),
+)
 
 
 class TestGreenwood:
@@ -431,6 +443,64 @@ class TestCoeffTable:
         path.write_text("\n".join([rows[0], ",".join(cols), rows[2]]) + "\n")
         with pytest.raises(DesignError, match=r"section 0: " + message):
             read_coeff_table(path)
+
+    @pytest.mark.parametrize("swap, message",
+                             [(False, "section 0: g must be positive"), (True, "not a number")])
+    def test_first_bad_row_wins(self, tmp_path, swap, message):
+        # an invalid section ahead of an unparsable row is reported first,
+        # and the unparsable row first when it comes first
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), path)
+        header, first, second = path.read_text().splitlines()
+        first = first.split(",")
+        first[8] = "-2"
+        second = second.split(",")
+        second[4] = "x"
+        rows = [",".join(second), ",".join(first)] if swap else [",".join(first), ",".join(second)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DesignError, match=message):
+            read_coeff_table(path)
+
+    def test_zero_theta_r_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(design_cascade(DesignParams(48000.0, 3)), path)
+        rows = path.read_text().splitlines()
+        cols = rows[2].split(",")
+        cols[3] = "0"
+        rows[2] = ",".join(cols)
+        path.write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DesignError, match=r"section 1: theta_r out of \(0, pi\)"):
+                read_coeff_table(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4), swap=st.booleans(),
+           edits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 8), _FIELD_EDITS),
+                          max_size=3))
+    def test_matches_row_by_row_read(self, tmp_path_factory, n, swap, edits):
+        path = tmp_path_factory.getbasetemp() / "coeffs_row_by_row.csv"
+        write_coeff_table(design_cascade(DesignParams(48000.0, n)), path)
+        written = [line.split(",") for line in path.read_text().splitlines()]
+        rows = [row[:] for row in written]
+        for row, column, edit in edits:
+            if row < n:
+                field = written[row + 1][column]
+                rows[row + 1][column] = edit if isinstance(edit, str) else repr(float(field) * edit)
+        if swap:
+            rows[1:] = rows[:0:-1]
+        text = "\r\n".join(",".join(row) for row in rows) + "\r\n"
+        expected = coeff_table_py(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(DesignError) as info:
+                    _read_coeff_rows(io.StringIO(text, newline=""))
+                assert str(info.value) == expected
+            else:
+                d = _read_coeff_rows(io.StringIO(text, newline=""))
+                assert (list(d.positions), [tuple(s) for s in d.sections],
+                        d.sample_rate_hz) == expected
 
     def test_validate_rejects_non_finite_coefficient(self):
         from carmodel.design import ChannelCoeffs, validate_channel_coeffs
