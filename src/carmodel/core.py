@@ -41,7 +41,6 @@ __all__ = [
     "process_sample",
     "process_block",
     "stream_rows",
-    "settling_samples",
 ]
 
 # Tap values per chunk that stream_rows pushes: 512 KB of float64. The CSV
@@ -188,20 +187,3 @@ def stream_rows(stream, samples: np.ndarray):
     for part in parts:
         yield stream.push(part)
     yield stream.flush(rest)
-
-
-def settling_samples(design: CascadeDesign, tol: float = 1e-9) -> int:
-    """Samples to discard before a steady-state measurement.
-
-    Uses the slowest pole radius: enough samples for r^n to fall below tol.
-    Undamped sections (r = 1) never settle; they fall back to the 8/theta_r
-    rule. Always at least 512.
-    """
-    n = 512
-    for s in design.sections:
-        if s.r < 1.0:
-            need = int(math.ceil(math.log(tol) / math.log(s.r)))
-        else:
-            need = int(math.ceil(8.0 / s.theta_r))
-        n = max(n, need)
-    return n

@@ -8,10 +8,13 @@ wavefront schedule. Its lanes are int64 inside an envelope derived from the
 word lengths (see _int64_exact), and numpy object arrays of Python integers
 elsewhere, for example with a 64-bit state. On int64 lanes a register write
 is rounded in one limb, its products taken modulo 2^64, whenever a bound
-computed on that tick shows that the result fits the state format and one
-limb; every other write splits its multiply-accumulate into two limbs at the
-round shift, where every intermediate fits int64, and tests the result for
-overflow. Both give the raw integers of the scalar path, and
+shows that the result fits the state format and one limb: for the w1' and
+w2' lines a bound on the norm of every section's (w1, w2), carried from
+tick to tick, since each section's w-map is a scaled rotation; for the y
+line one computed on the tick. Every other write splits its
+multiply-accumulate into two limbs at the round shift, where every
+intermediate fits int64, and tests the result for overflow. Both give the
+raw integers of the scalar path, and
 fixed_process_block is one flush of a fresh FixedStream. The datapath
 mirrors core.step_section:
 
@@ -479,18 +482,23 @@ def _int64_exact(qdesign: QuantizedDesign, state: FixedCascadeState) -> bool:
     )
 
 
-def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, counts: list):
+def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
+                 counts: list, bounds: list):
     """The cascade as a Wavefront kernel on lanes of w's dtype, int64 or
     object, bound to the section-reversed state pairs w [n x 2] and int64
     overflow counts sat, both updated in place, and to scratch of its own.
     Returns the kernel and its lane arrays, for the Wavefront to slice. It
     is called as kernel(ticks, x_in), with x_in >= |x| of every entrance
-    sample of the call, and adds its ticks, and those whose w-lines and
-    whose y-line took the exact form, to counts[0], [1] and [2].
+    sample of the call, and adds its ticks, those whose w-lines and whose
+    y-line took the exact form, and its reductions of the state (seeds of
+    N, below) to counts[0], [1], [2] and [3]. bounds carries from one call
+    to the next the bound on the last tick's |y|, N (0 when unknown) and the
+    peak |acc| of the last exact w-lines; (0, 0, 0) holds on an empty
+    wavefront, where no y is in flight.
 
     A register write rounds acc = c * D (plus x << s on the w1' line) by the
-    round shift s. Its exact form, on object lanes and wherever the bound
-    below fails, splits acc into two limbs at s: acc = hi * 2^s + lo with
+    round shift s. Its exact form, on object lanes and wherever the bounds
+    below fail, splits acc into two limbs at s: acc = hi * 2^s + lo with
     hi = c * (D >> s) + x and lo = c * (D & (2^s - 1)), so floor(acc / 2^s)
     = hi + (lo >> s) and the rounding remainder is lo mod 2^s; then the
     two-sided overflow test. That is _step_raw on object lanes, and on int64
@@ -498,21 +506,36 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, count
 
     The one-limb form, on int64 lanes, rounds acc modulo 2^64 itself, ties
     to even as (acc + ((acc >> s) & 1) + 2^(s-1) - 1) >> s. A line takes it
-    when a bound computed on the tick is at most lim = min(raw_max,
-    2^(63-s) - 1): the result is then in format and the wraparound cancels.
-    The w-lines' bound is (max|w| * G >> s) + X + 2, with G = max|r*a0| +
-    max|r*c0| over the design; the y-line's is (max|D| * max|g| >> s) + 2.
-    G and max|g| come from Python ints, since int64 products of wide
-    coefficients wrap. X >= |x|: the larger of x_in and the previous tick's
-    bound on |y| (its peak |acc| on the exact form). A call's first tick
-    reads x written by the call before, so there X = raw_max + 1.
+    when a bound on its result is at most lim = min(raw_max, 2^(63-s) - 1):
+    the result is then in format and the wraparound cancels. X >= |x| of
+    every lane on the tick is the larger of x_in and the previous tick's
+    bound on |y| (its peak |acc| on the exact form).
+
+    The w-lines' bound is N, an upper bound on every lane's norm
+    ||(w1, w2)||_2, carried as a Python int from tick to tick. Section k's
+    raw w-map [[ra, -rc], [rc, ra]] (ra = r*a0, rc = r*c0) is a rotation
+    scaled by sqrt(ra^2 + rc^2) <= rho = max_k isqrt(ra^2 + rc^2) + 1. The
+    shift rho * N >> s drops less than 1, the input adds (x, 0) and the two
+    roundings a vector of norm at most sqrt(2) < 2, so a tick's results have
+    norm below N' = max(N, (rho * N >> s) + 1 + X + 2). The max keeps N over
+    the lanes the tick does not write: those yet to enter on fill ticks and
+    those already left on drain and sliding ticks. When N' <= lim both
+    w-lines take the one-limb form, with no reduction. N is seeded as
+    isqrt(2 * P^2) + 1 from P = max|w| over the whole [n x 2] state (one
+    absolute and one argmax, counted as a reduction) only when it is unknown
+    (on a fresh wavefront, or after an exact w write, which may saturate or
+    wrap) or when N' > lim. rho and the y-line's max|g| come from Python
+    ints, since int64 products of wide coefficients wrap. The y-line's bound
+    is the tick's own (max|D| * max|g| >> s) + 2: a bound on |y| derived
+    from N would hold every lane's worst case, loosen X and so end the
+    chain sooner.
 
     A skipped bound only sends a line to the exact form, so a line skips it
-    where it would fail: neither line computes it while X + 2 > lim (on a
-    call's first tick and after a y that did not fit one limb), where the
-    w-lines' cannot pass and the y-line's never did on the saturating and
-    40/32 streams measured; nor do the w-lines after an exact form whose
-    peak |acc| was above lim, which fails again unless its lane leaves.
+    where it would fail: neither line computes it while X + 3 > lim (after a
+    y that did not fit one limb), where the w-lines' cannot pass and the
+    y-line's never did on the saturating and 40/32 streams measured; nor is
+    N seeded after an exact w write whose peak |acc| was above lim, which
+    fails again unless its lane leaves.
 
     The w1' and w2' lines run as the two columns of one contiguous [m x 2]
     write, in place in w, on (r, r), (a0, a0) and (-c0, c0) in the exact
@@ -526,8 +549,8 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, count
     saturate = sfmt.overflow == OVERFLOW_SATURATE
     rmin, rmax = sfmt.raw_min, sfmt.raw_max
     shift, coeffs = 2 * cfrac, qdesign.coeffs_raw
-    gain = (max(abs(c.r_raw * c.a0_raw) for c in coeffs)
-            + max(abs(c.r_raw * c.c0_raw) for c in coeffs))
+    rho = max(math.isqrt((c.r_raw * c.a0_raw) ** 2 + (c.r_raw * c.c0_raw) ** 2)
+              for c in coeffs) + 1
     g_max = max(abs(c.g_raw) for c in coeffs)
     lim = min(rmax, (1 << (63 - shift)) - 1) if lanes == np.int64 else 0
     # scalars as 0-d arrays of the lanes' dtype: a ufunc converts a Python int
@@ -539,14 +562,13 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, count
     )
     mul, add, band = np.multiply, np.add, np.bitwise_and
     rshift, lshift, absolute = np.right_shift, np.left_shift, np.absolute
-    peak = np.maximum.reduce
 
     def finish(c, d, t, acc, sat):
         """acc (holding c * (d >> s), plus x) += the low limb c * (d mod 2^s)
         >> s and the rounding carry; d and t are used up. Then the overflow
-        check: one reduction of |acc| against raw_max, and only where that
-        fires the exact two-sided test, which raw_min itself passes.
-        Overflows are counted into sat. Returns the peak |acc| before it."""
+        check: the peak of |acc| against raw_max, and only where that fires
+        the exact two-sided test, which raw_min itself passes. Overflows are
+        counted into sat. Returns the peak |acc| before it."""
         band(d, mask, d)
         mul(d, c, d)
         rshift(d, s, t)
@@ -560,7 +582,7 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, count
             rshift(d, s, d)
             add(acc, d, acc)
         absolute(acc, t)
-        top = int(peak(t, None))
+        top = t.item(t.argmax())
         if top > rmax:
             over = (acc < rmin) | (acc > rmax)
             sat += over.sum(axis=1) if over.ndim == 2 else over
@@ -589,8 +611,9 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, count
     dv, tv = np.empty(n, dtype=lanes), np.empty(n, dtype=lanes)
 
     def kernel(ticks, x_in):
-        width = tick = exact_w = exact_y = w_top = 0
-        x_max = rmax + 1  # X
+        y_top, norm, w_top = bounds
+        width = tick = exact_w = exact_y = seeds = 0
+        x_max = max(y_top, x_in)  # X
         numbered = enumerate(ticks, 1)
         for tick, (x, y, (rrk, pk, q0, q1, rak, rq0, rq1, hk, gk, satk, wk, w1k, w2k)) in numbered:
             if len(y) != width:
@@ -598,10 +621,16 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, count
                 dk, tk, dvk, tvk = dd[:width], tt[:width], dv[:width], tv[:width]
                 d0, t0, t1 = dk[:, 0], tk[:, 0], tk[:, 1]
             # (w1', w2') = round(r * D + (x << s, 0)), in place in w
-            reach, bound = x_max + 2 <= lim, lim + 1
-            if reach and w_top <= lim:
-                bound = (int(peak(absolute(wk, tk), None)) * gain >> shift) + x_max + 2
-            if bound <= lim:
+            reach = x_max + 3 <= lim
+            if reach and norm:
+                norm = max(norm, (rho * norm >> shift) + x_max + 3)
+            if reach and (not norm or norm > lim) and w_top <= lim:
+                seeds += 1
+                absolute(w, tt)
+                top = tt.item(tt.argmax())
+                norm = math.isqrt(2 * top * top) + 1
+                norm = max(norm, (rho * norm >> shift) + x_max + 3)
+            if reach and 0 < norm <= lim:
                 mul(rak, wk, dk)
                 mul(rq0, w2k, t0)
                 mul(rq1, w1k, t1)
@@ -619,26 +648,29 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray, count
                 rshift(dk, s, tk)
                 mul(rrk, tk, wk)
                 add(w1k, x, w1k)
-                w_top = finish(rrk, dk, tk, wk, satk)
+                w_top, norm = finish(rrk, dk, tk, wk, satk), 0
             # y = round(g * D) with D = h * w2' + (x << cf), in place in y
             mul(hk, w2k, dvk)
             lshift(x, cf, tvk)
             add(dvk, tvk, dvk)
-            bound = lim + 1
+            y_top = lim + 1
             if reach:
-                bound = (int(peak(absolute(dvk, tvk), None)) * g_max >> shift) + 2
-            if bound <= lim:
+                absolute(dvk, tvk)
+                y_top = (tvk.item(tvk.argmax()) * g_max >> shift) + 2
+            if y_top <= lim:
                 mul(gk, dvk, dvk)
                 one_limb(dvk, tvk, y)
             else:
                 exact_y += 1
                 rshift(dvk, s, tvk)
                 mul(gk, tvk, y)
-                bound = min(finish(gk, dvk, tvk, y, satk), rmax + 1)
-            x_max = max(bound, x_in)
+                y_top = min(finish(gk, dvk, tvk, y, satk), rmax + 1)
+            x_max = max(y_top, x_in)
+        bounds[:] = y_top, norm, w_top
         counts[0] += tick
         counts[1] += exact_w
         counts[2] += exact_y
+        counts[3] += seeds
 
     return kernel, (rr, p, q[:, 0], q[:, 1], ra, rq[:, 0], rq[:, 1], h, g, sat, w, w[:, 0], w[:, 1])
 
@@ -651,8 +683,10 @@ class FixedStream:
     entrance quantizes its samples into the state format. A flush writes the
     state back (w1_raw, w2_raw, saturations and samples_processed), sets
     stats to the overflow counts since the last, and logs at info level the
-    ticks since the last and how many of them wrote their w-lines and their
-    y-line in the kernel's exact form.
+    ticks since the last, how many of them wrote their w-lines and their
+    y-line in the kernel's exact form, and how many reductions of the state
+    seeded its w-lines' bound. The kernel's bounds carry from one push to
+    the next, and a flush resets them with the wavefront.
     """
 
     def __init__(self, qdesign: QuantizedDesign, state: FixedCascadeState):
@@ -661,12 +695,13 @@ class FixedStream:
         self.stats: FixedRunStats | None = None
         self._sat = np.zeros(self.n_sections, dtype=np.int64)
         self._input_sat = self._pushed = 0
-        self._counts = [0, 0, 0]  # ticks, exact w-lines, exact y-lines
+        self._counts = [0, 0, 0, 0]  # ticks, exact w-lines, exact y-lines, seeds
+        self._bounds = [0, 0, 0]  # _lane_kernel's, as on an empty wavefront
         lanes = np.dtype(np.int64 if _int64_exact(qdesign, state) else object)
         log.info("fixed kernel: %d sections on %s lanes", self.n_sections, lanes)
         self._w = np.stack([state.w1_raw, state.w2_raw], axis=1)[::-1].astype(lanes)
         self._kernel, kernel_lanes = _lane_kernel(
-            qdesign, self._w, self._sat[::-1], self._counts)
+            qdesign, self._w, self._sat[::-1], self._counts, self._bounds)
         self._front = _kernels.Wavefront(self.n_sections, kernel_lanes, dtype=lanes)
 
     def push(self, samples_raw: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -683,9 +718,11 @@ class FixedStream:
         self.state.saturations += self._sat
         self.state.samples_processed += self._pushed
         self.stats = FixedRunStats(self._sat.copy(), self._input_sat)
-        log.info("fixed flush: %d ticks, %d exact w-lines, %d exact y-lines", *self._counts)
+        log.info("fixed flush: %d ticks, %d exact w-lines, %d exact y-lines, "
+                 "%d headroom reductions", *self._counts)
         self._sat[:] = self._input_sat = self._pushed = 0
-        self._counts[:] = (0, 0, 0)
+        self._counts[:] = (0, 0, 0, 0)
+        self._bounds[:] = (0, 0, 0)
         return rows
 
     def _run(self, samples_raw, drain: bool) -> np.ndarray:

@@ -6,6 +6,8 @@ autocorrelation from a direct O(N^2) sum, primitivity from GF(2)
 polynomial order, CSV text from the csv module, the fixed-point cascade
 from one scalar section update on Python ints per (sample, section), with no
 wavefront, limbs or lanes, and a coefficient table's checks row by row.
+settling_samples, a test helper with no caller in the package, lives here
+too.
 """
 
 import csv
@@ -159,6 +161,23 @@ def taps_are_primitive(order: int, taps) -> bool:
         if _gf2_powmod(n // q, poly, order) == 1:
             return False
     return True
+
+
+def settling_samples(design, tol: float = 1e-9) -> int:
+    """Samples to discard before a steady-state measurement.
+
+    Uses the slowest pole radius: enough samples for r^n to fall below tol.
+    Undamped sections (r = 1) never settle; they fall back to the 8/theta_r
+    rule. Always at least 512.
+    """
+    n = 512
+    for s in design.sections:
+        if s.r < 1.0:
+            need = int(math.ceil(math.log(tol) / math.log(s.r)))
+        else:
+            need = int(math.ceil(8.0 / s.theta_r))
+        n = max(n, need)
+    return n
 
 
 def fixed_process_block_py(qdesign, state, samples_raw):

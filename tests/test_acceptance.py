@@ -18,7 +18,7 @@ from carmodel.analysis import (
     parity_report,
     peak_trajectory,
 )
-from carmodel.core import CascadeState, SectionState, process_block, settling_samples, step_section
+from carmodel.core import CascadeState, SectionState, process_block, step_section
 from carmodel.design import (
     DesignParams,
     design_cascade,
@@ -37,7 +37,7 @@ from carmodel.fixed import (
 from carmodel.schedule import HardwareParams, plan, section_latency, sections_per_array, simulate_pipeline
 
 from conftest import random_section
-from oracles import tf_impulse_response
+from oracles import settling_samples, tf_impulse_response
 
 
 def test_criterion_1_greenwood_endpoints():

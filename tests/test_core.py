@@ -16,7 +16,6 @@ from carmodel.core import (
     SectionState,
     process_block,
     process_sample,
-    settling_samples,
     step_section,
     stream_rows,
 )
@@ -24,7 +23,7 @@ from carmodel.design import ChannelCoeffs, DesignParams, design_cascade, transfe
 from carmodel.errors import ConfigError
 
 from conftest import random_section
-from oracles import tf_impulse_response
+from oracles import settling_samples, tf_impulse_response
 
 
 def assert_same_bits(got, expect):

@@ -638,6 +638,40 @@ class TestOneLimbBound:
         stats = run_like_oracle(qd, [0], [0], [np.array([2048, 0, 0, 0])])
         assert stats.section_saturations.tolist() == [3]
 
+    def test_norm_seed_covers_both_values(self):
+        # a 45-degree rotation (r = 1, a0 = c0 = 2^-1/2) of w1 = w2 = 3/4 of
+        # full scale: each value fits, but their norm, and so w2', is
+        # sqrt(2) * 3/4 of full scale, past raw_max
+        one, c = 1 << 16, 46341
+        top = DEFAULT_STATE_FORMAT.raw_max * 3 // 4
+        qd = hand_set([(one, c, c, 0, 0)])
+        stats = run_like_oracle(qd, [top], [top], [np.zeros(1, np.int64)])
+        assert stats.section_saturations.tolist() == [1]
+
+    def test_norm_bound_keeps_lanes_not_yet_entered(self):
+        # damped sections (r = 1/2 or 0), so the norm bound of the lanes
+        # written shrinks on the fill ticks; section 3 enters on tick 3 with
+        # w1 at 0.7 of full scale and x = y of section 2, whose g*h*w2' is
+        # about 0.8 of it, and overflows: the bound has to keep section 3's
+        # norm from before it entered
+        one, half, top = 1 << 16, 1 << 15, (1 << 17) - 1
+        raw_max = DEFAULT_STATE_FORMAT.raw_max
+        qd = hand_set([(0, 0, 0, 0, one)] * 2 + [(half, one, 0, top, top), (half, one, 0, 0, 0)])
+        stats = run_like_oracle(qd, [0, 0, 0, raw_max * 7 // 10], [0, 0, raw_max * 4 // 10, 0],
+                                [np.zeros(5, np.int64)])
+        assert stats.section_saturations[3] > 0
+
+    def test_norm_bound_forgotten_after_exact_write(self):
+        # a Q0.15 state, r*a0 = 1 + 2^-4: the second call's full-scale x
+        # leaves no room for one limb, so its write is exact and takes w1 to
+        # raw_max; the third call's x is 0, but w1 grows past raw_max, which
+        # the norm bound of the small first call no longer covers
+        one = 1 << 16
+        qd = hand_set([(one, one + (1 << 12), 0, 0, 0)], state_fmt=FixedFormat(16, 15))
+        stats = run_like_oracle(qd, [0], [0], [np.ones(3, np.int64), np.array([32767]),
+                                                np.zeros(2, np.int64)])
+        assert stats.section_saturations.tolist() == [3]
+
     @pytest.mark.parametrize("sfmt", [FixedFormat(40, 32), FixedFormat(32, 24, "truncate")])
     def test_states_past_one_limb(self, sfmt):
         # with s = 32, a 40/32 state's values from 2^31 up (0.5) do not fit
@@ -666,24 +700,38 @@ class TestFixedStream:
         run=fixed_stream_runs(),
         tail=st.integers(0, 14),
         seed=st.integers(0, 2**32 - 1),
+        zeta=st.sampled_from([0.0, 0.2]),
+        start=st.integers(0, 8),
     )
     # a saturating 12-bit state, a wrapping one, and 64-bit states outside
     # the int64 envelope, which run on object lanes; the second of them
     # overflows and wraps by 2^64, which no int64 holds
-    @example((12, 2, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1)
-    @example((12, 2, "round_to_nearest_even", "wrap"), (7, [6, 7, 8, 0, 40, 1]), 3, 2)
-    @example((64, 24, "truncate", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3)
-    @example((64, 2, "round_to_nearest_even", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3)
+    @example((12, 2, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.2, 0)
+    @example((12, 2, "round_to_nearest_even", "wrap"), (7, [6, 7, 8, 0, 40, 1]), 3, 2, 0.2, 0)
+    @example((64, 24, "truncate", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3, 0.2, 0)
+    @example((64, 2, "round_to_nearest_even", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3, 0.2, 0)
     # a short fresh flush on object lanes: its ticks take their lane views
     # from strided views of object arrays
-    @example((64, 8, "round_to_nearest_even", "saturate"), (12, []), 4, 6)
+    @example((64, 8, "round_to_nearest_even", "saturate"), (12, []), 4, 6, 0.2, 0)
     # full-scale inputs overflow a Q1.7 state at the entrance between flushes
-    @example((8, 1, "round_to_nearest_even", "saturate"), (3, [5, None, 5, None, 4]), 3, 4)
+    @example((8, 1, "round_to_nearest_even", "saturate"), (3, [5, None, 5, None, 4]), 3, 4, 0.2, 0)
+    # the w-lines' norm bound: undamped sections (rho >= 2^s) from rest; a
+    # state whose lanes' norm, sqrt(2) * 3/4 of full scale, is past raw_max
+    # while each value is below it; a state at 5/8 of full scale, where the
+    # bound starts one-limb; truncation; writes that wrap once undamped
+    # sections ring up, after one-limb ticks; and pushes that split the
+    # fill, a flush that fills and drains, then a fill split again
+    @example((32, 8, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.0, 0)
+    @example((32, 8, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.0, 6)
+    @example((32, 12, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.2, 5)
+    @example((32, 12, "truncate", "saturate"), (7, [6, 7, 8, 0, 40, 1]), 3, 2, 0.0, 0)
+    @example((32, 5, "round_to_nearest_even", "wrap"), (12, [30, 30, 30, None, 30, 30]), 5, 7, 0.0, 1)
+    @example((32, 12, "round_to_nearest_even", "saturate"), (12, [3, 4, None, 5, 2]), 9, 8, 0.2, 0)
     @settings(max_examples=100, deadline=None)
-    def test_push_flush_equals_reference_loop(self, state_fmt, run, tail, seed):
+    def test_push_flush_equals_reference_loop(self, state_fmt, run, tail, seed, zeta, start):
         bits, int_bits, rounding, overflow = state_fmt
         n, steps = run
-        design = design_cascade(DesignParams(48000.0, n, damping_zeta=0.2))
+        design = design_cascade(DesignParams(48000.0, n, damping_zeta=zeta))
         sfmt = FixedFormat(bits, max(0, bits - int_bits), rounding, overflow)
         qd = quantize_design(design, state_format=sfmt)
         rng = np.random.default_rng(seed)
@@ -691,10 +739,14 @@ class TestFixedStream:
         x = rng.uniform(-1, 1, sum(s or 0 for s in steps) + tail)
         x[::5] = 1.0  # rounds up past raw_max of a state with 1 integer bit
         raw_in = quantize_block(x, qd.io_format)
+        # every w1 and w2 starts at +-start/8 of full scale
+        w1, w2 = rng.choice([-1, 1], (2, n)) * (sfmt.raw_max * start // 8)
         ref_state = FixedCascadeState(n)
+        ref_state.w1_raw[:], ref_state.w2_raw[:] = w1, w2
         expect, ref_stats = fixed_process_block_py(qd, ref_state, raw_in)
 
         state = FixedCascadeState(n)
+        state.w1_raw[:], state.w2_raw[:] = w1, w2
         stream = FixedStream(qd, state)
         rows, pushed, section_sat, input_sat = [], 0, 0, 0
         for size in steps:
@@ -743,32 +795,35 @@ class TestFixedStream:
             assert np.array_equal(state.saturations, ref_state.saturations)
 
     def test_flush_logs_exact_lines(self, caplog):
-        # compare's 100-section design at the default formats takes the
-        # one-limb form on every line but those of each call's first tick; a
-        # saturating 12/10 state cannot, and object lanes never do
+        # compare's 100-section design at the default formats: the bounds
+        # carry across pushes, so every line takes the one-limb form, and the
+        # w-lines' norm bound is reseeded from a reduction of the state on
+        # fewer than a tenth of the ticks; a saturating 12/10 state often
+        # writes exactly, and object lanes always do, with no reduction
         compare = design_cascade(DesignParams(48000.0, 100, damping_zeta=0.25))
-        noise = np.random.default_rng(11).uniform(-0.25, 0.25, 480)
+        # 2400 samples of -12 dBFS noise, io raw
+        noise = np.random.default_rng(11).integers(-8230, 8231, 2400)
         caplog.set_level("INFO", logger="carmodel.fixed")
-        for qd, exact in ((quantize_design(compare), "first ticks"),
+        for qd, exact in ((quantize_design(compare), "none"),
                           (quantize_design(compare, state_format=FixedFormat(12, 10)), "some"),
                           (quantize_design(compare, state_format=FixedFormat(64, 56)), "all")):
-            raw_in = quantize_block(noise, qd.io_format)
-            caplog.clear()
-            stream = FixedStream(qd, FixedCascadeState(100))
-            stream.push(raw_in[:240])
-            stream.flush(raw_in[240:])
-            message = caplog.messages[-1]
-            ticks, exact_w, exact_y = map(int, re.findall(r"\d+", message))
-            assert message == (f"fixed flush: {ticks} ticks, {exact_w} exact w-lines, "
-                               f"{exact_y} exact y-lines")
-            assert ticks == 480 + 99
-            if exact == "first ticks":
-                assert exact_w <= 2 and exact_y <= 2  # the first tick of each call
-                assert stream.stats.total == 0
-            elif exact == "some":
-                assert exact_w + exact_y > 0 and stream.stats.total > 0
-            else:
-                assert exact_w == exact_y == ticks
+            for calls in ([noise], [noise[i : i + 53] for i in range(0, 2400, 53)]):
+                caplog.clear()
+                stream = FixedStream(qd, FixedCascadeState(100))
+                rows = [stream.push(c) for c in calls[:-1]] + [stream.flush(calls[-1])]
+                message = caplog.messages[-1]
+                ticks, exact_w, exact_y, reductions = map(int, re.findall(r"\d+", message))
+                assert message == (f"fixed flush: {ticks} ticks, {exact_w} exact w-lines, "
+                                   f"{exact_y} exact y-lines, {reductions} headroom reductions")
+                assert ticks == 2400 + 99
+                assert sum(map(len, rows)) == 2400
+                if exact == "none":
+                    assert exact_w == exact_y == 0 and reductions < ticks / 10
+                    assert stream.stats.total == 0
+                elif exact == "some":
+                    assert exact_w + exact_y > 0 and stream.stats.total > 0
+                else:
+                    assert exact_w == exact_y == ticks and reductions == 0
 
     def test_checks_like_fixed_process_block(self):
         qd = quantize_design(design_cascade(DesignParams(48000.0, 3)))
