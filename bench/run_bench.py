@@ -40,7 +40,8 @@ up by one call first:
   taps of run_float's design and signal; the second writes both files of
   each of analyze_mls's 20 default channels (MLS order 12, 4095 samples)
   from a fresh copy of its ResponseResult, as one `carmodel analyze` does,
-  so no formatted column carries over from call to call.
+  through each tree's own writer signature: one call per file, or one
+  call per kind of file with every channel's path.
 - read_coeff_1224: read_coeff_table of the 1224-section table, which each
   tree writes once with its own write_coeff_table, in ms per call.
 
@@ -73,6 +74,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -183,11 +185,17 @@ def timed_calls(core, design, fixed, analysis, audio_io, table: Path) -> dict:
         warmup_periods=analysis.mls_warmup_periods(des64, mls.period))
     response = analysis.frequency_response_measured(ir, SAMPLE_RATE_HZ)
 
-    def write_analyze(i):
-        result = dataclasses.replace(response)
-        for col in range(len(channels)):
-            analysis.write_response_csv(result, col, os.devnull)
-            analysis.write_impulse_csv(result, col, os.devnull)
+    if "paths" in inspect.signature(analysis.write_response_csv).parameters:
+        def write_analyze(i):
+            result = dataclasses.replace(response)
+            analysis.write_response_csv(result, [os.devnull] * len(channels))
+            analysis.write_impulse_csv(result, [os.devnull] * len(channels))
+    else:  # one call per channel, before the writers took every channel's path
+        def write_analyze(i):
+            result = dataclasses.replace(response)
+            for col in range(len(channels)):
+                analysis.write_response_csv(result, col, os.devnull)
+                analysis.write_impulse_csv(result, col, os.devnull)
 
     calls[f"csv_analyze_{len(channels)}ch"] = (write_analyze, "ms", 1)
 

@@ -9,26 +9,37 @@ one off next to a power of ten; the few values whose D falls outside
 |d| <= u(2+u) = _REL_MARGIN, u being the unit roundoff of the long double,
 and z is within _REL_MARGIN * z / (1 - _REL_MARGIN) of the exact product.
 
-Ambiguity. Python formats the ambiguous values (exact ties among them) and
-numpy every other one. The tests run in float64 and int64:
+Ambiguity. numpy formats every finite value except the few that the two
+tests below leave undecided; Python formats those, and "inf" and "nan".
+The first test runs on every value, in float64 and int64:
 
 - The fraction z - D is exact in long double; as a double f it is off by at
   most 2^-54, and f - 0.5 by at most 2^-55 more. The margin m = D * c, with
   c = _REL_MARGIN * (1 + 2^-40) + 2^-52 / 1e16, rounds twice in float64
   (D to a double, then the product) and D >= z - 1, so for z >= 1e16 it is
   at least _REL_MARGIN * z / (1 - _REL_MARGIN) + 2^-53: the factor
-  1 + 2^-40 covers the two roundings and the division. A value is
-  ambiguous when |f - 0.5| <= m; otherwise the exact product lies on the
-  same side of D + 0.5 as z, and D + (f > 0.5) are its 17 digits.
-- A value is ambiguous when D <= 10^16 or D >= 10^17 - 1. As long as
+  1 + 2^-40 covers the two roundings and the division. A value is near a
+  tie when |f - 0.5| <= m; otherwise the exact product lies on the same
+  side of D + 0.5 as z, and D + (f > 0.5) are its 17 digits.
+- A value is an edge when D <= 10^16 or D >= 10^17 - 1. As long as
   _REL_MARGIN * z < 1 this flags every z < 1e16 + 1 (the exact product may
   lie below 1e16, X one too large) and every z >= 1e17 - 1/2 (the digits
   would round up to 10^17), which are the values that the tests
   z - margin < 1e16 and z + 0.5 >= 1e17 flag in long double; it also flags
-  every D that the rescaling left outside [1e16, 1e17).
+  every D that the rescaling left outside [1e16, 1e17). Edges go to Python.
+
+The second test, _exact_side, takes the values near a tie and not at an
+edge, about 1.4% of run_float's and most of them with a long-double
+fraction of exactly 0.5. It finds the side of D + 1/2 that the exact
+product lies on from z's own rounding error, taken exactly by a Dekker
+two-product in long double, and the table entry's, a second long double
+per entry from _pow10_errors(). Where the entry is exact (10^p for p in
+[0, 27]) it finds exact ties too, which round half to even; elsewhere no
+tie can occur, and a value within the sum's rounding error of one half is
+left to Python.
 
 Where the long double is no wider than a double, the margin is at least one
-half and every value takes Python's path.
+half, the second test does not run, and every value takes Python's path.
 
 Layout. A field is 48 bytes, six aligned 64-bit words: the sign, "0.000",
 the leading digit and a "."; digits 1-16 as four "d.d.d.d." words, each
@@ -42,11 +53,12 @@ become NUL: a masked field.
 Assembly. csv_rows formats chunks of whole rows, about CHUNK_VALUES values
 each, into a bytearray, copies each chunk's used bytes out as bytes and
 deletes the NULs with one translate: the rows stay ASCII bytes from here to
-the file, which the writers open in binary. A column that several files
-share (the frequencies of every channel's response, say) is formatted once
-by column_fields into masked fields, less the byte columns that no field
-keeps; csv_rows copies such lead columns into each chunk of rows ahead of
-the fields it formats, then compacts the chunk.
+the file, which the writers open in binary. csv_pairs serves files that
+share a lead column (every channel's response beside the same frequencies,
+say): it formats a chunk of the lead and every column in one pass, so the
+lead once per chunk, lays out each column's rows, the lead's field less the
+byte columns that none of the chunk's lead fields keeps, then the value's,
+one column after another, and compacts each column's rows on its own.
 
 The arithmetic sticks to float64, int64 and long double ufuncs, with lookup
 tables for the rest: the first call of each new numpy loop in a process
@@ -55,9 +67,11 @@ maps about 64 KB of numpy's code, which counts in the peak memory of a run.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-__all__ = ["csv_rows", "column_fields"]
+__all__ = ["csv_rows", "csv_pairs"]
 
 # Values per chunk of whole rows (at least one row): three cochleagram rows
 # of 1224 sections. Each value takes 48 bytes of masked field and about 80
@@ -79,8 +93,28 @@ def _unit_roundoff() -> float:
     return float(u[0])
 
 
+_UNIT = _unit_roundoff()
 _POW10 = np.array([f"1e{p}" for p in range(_P_MIN, _P_MAX + 1)], dtype=np.longdouble)
-_REL_MARGIN = _unit_roundoff() * (2.0 + _unit_roundoff())
+_REL_MARGIN = _UNIT * (2.0 + _UNIT)
+# Veltkamp's constant 2^ceil(t/2) + 1 for a t-bit significand, u = 2^-t
+_SPLITTER = np.longdouble(2 ** -(int(np.log2(_UNIT)) // 2) + 1)
+
+
+@cache
+def _pow10_errors() -> np.ndarray:
+    """10^p - _POW10[p] for each p, to two roundings of a long double: the
+    exact rational difference cut to 25 or more significant digits, then
+    parsed. 0 where the entry is exact, for p in [0, 27] on a 64-bit
+    significand. Built on first use, not at import: it takes about 2.5 ms,
+    which commands that format no float would pay for nothing."""
+    text = []
+    for p, entry in zip(range(_P_MIN, _P_MAX + 1), _POW10):
+        n, d = entry.as_integer_ratio()
+        num, den = (10**p * d - n, d) if p >= 0 else (d - n * 10**-p, d * 10**-p)
+        e = 26 + (den.bit_length() - num.bit_length()) * 30103 // 100000  # log10(2)
+        q = abs(num) * 10**e // den if e >= 0 else abs(num) // (den * 10**-e)
+        text.append(f"{'-' if num < 0 else ''}{q}e{-e}")
+    return np.array(text, dtype=np.longdouble)
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -158,6 +192,8 @@ def _keep_table() -> np.ndarray:
 
 
 _KEEP = _keep_table().view(np.uint64)
+# The words of bytes 40-47 with only a terminator set: "," and CRLF
+_COMMA, _CRLF = np.frombuffer(b"\0\0\0\0\0,\0\0\0\0\0\0\0\r\n\0", dtype=np.uint64)
 _NUL_FOR_SPACE = bytes(range(256)).replace(b" ", b"\0")
 
 
@@ -188,13 +224,50 @@ def _digits(v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         digits[i] = z[i].astype(np.int64)
     frac = (z - digits).astype(np.float64)
     margin = digits * (_REL_MARGIN * (1 + 2.0**-40) + 2.0**-52 / 1e16)
-    ambiguous = abs(frac - 0.5) <= margin
+    near = abs(frac - 0.5) <= margin
+    up = frac > 0.5
     # D <= 10^16 or D >= 10^17 - 1
-    ambiguous |= np.subtract(digits, 10**16 + 1).view(np.uint64) > 9 * 10**16 - 3
-    ambiguous |= odd
-    digits += frac > 0.5
+    edge = np.subtract(digits, 10**16 + 1).view(np.uint64) > 9 * 10**16 - 3
+    if near.any() and _REL_MARGIN < 2.0**-53:  # a long double wider than a double
+        i = np.flatnonzero(near & ~edge)
+        up[i], near[i] = _exact_side(a[i], z[i], digits[i], 16 - _P_MIN - x[i])
+    ambiguous = near | edge | odd
+    digits += up
     digits[zero] = 0
     return digits, x, np.flatnonzero(ambiguous)
+
+
+def _exact_side(a, z, digits, row) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the exact product t = a * 10^p rounds up from D to 17
+    digits, for long double values a, their products z = a * _POW10[row]
+    and the integer parts D of z; and whether that is undecided. t - D - 1/2
+    = (z - D - 1/2) + e + a * (10^p - _POW10[row]), e the rounding error of
+    z, taken exactly by a Dekker two-product: head, the first two terms,
+    and tail, the last from _pow10_errors(). Where tail is 0 (10^p exact)
+    the sign of head is exact, and head = 0 is a tie, rounded half to even
+    as Python does. Elsewhere head + tail is off by at most u * |head| +
+    5u * |tail| (the table entry is cut and rounded, the product rounded),
+    so a sum within 8u * (|head| + |tail|) of 0 is undecided. No tie lies
+    there: a double's odd part is below 2^53, under the 2 * 10^16 that one
+    needs for p < 0 and under the 5^p that one holds for p > 27."""
+    p = _POW10.take(row, mode="clip")
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _split(p)
+    e = a_lo * p_lo - (((z - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
+    head = (z - digits - 0.5) + e  # z - D - 1/2 is exact
+    tail = a * _pow10_errors().take(row, mode="clip")
+    s = head + tail
+    exact = tail == 0
+    up = (s > 0) | ((s == 0) & exact & ((digits & 1) == 1))
+    return up, ~exact & (abs(s) <= (abs(head) + abs(tail)) * (8 * _UNIT))
+
+
+def _split(v) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of long doubles v into v_hi + v_lo, each at most
+    half the significand wide, so that products of parts are exact."""
+    c = v * _SPLITTER
+    hi = c - (c - v)
+    return hi, v - hi
 
 
 def _divmod(n, d: int, q, r) -> None:
@@ -231,70 +304,72 @@ def _masked(v, tail, fields) -> None:
         fields[slow, 24:_END] = 0
 
 
-def _buffer(rows: int, width: int) -> tuple[bytearray, np.ndarray]:
-    """A [rows x width] uint8 array over a bytearray, which numpy fills in
-    place and _compact copies from."""
-    buf = bytearray(rows * width)
-    return buf, np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
-
-
-def _compact(buf: bytearray, n: int) -> bytes:
-    """The bytes of the masked fields in the first n bytes of buf, every NUL
-    deleted: a copy of those bytes and bytes.translate take less time than
+def _compact(buf: bytearray, a: int, b: int) -> bytes:
+    """The bytes of the masked fields in buf[a:b], every NUL deleted: a copy
+    of those bytes and bytes.translate take less time than
     bytearray.translate on buf."""
-    return memoryview(buf)[:n].tobytes().translate(None, b"\0")
+    return memoryview(buf)[a:b].tobytes().translate(None, b"\0")
 
 
-def _tail(rows: int, width: int) -> np.ndarray:
-    """The terminator words of rows of width fields: "," after each field,
-    CRLF after a row's last."""
-    tail = np.zeros((rows * width, 8), dtype=np.uint8)
-    tail[:, _END - _EXP.start] = ord(",")
-    tail[width - 1 :: width, _END - _EXP.start :] = np.frombuffer(b"\r\n\0", dtype=np.uint8)
-    return tail.view(np.uint64).reshape(-1)
+def _tail(rows: int, width: int, commas: int) -> np.ndarray:
+    """The terminator words of rows of width fields: "," after the first
+    commas fields of a row, CRLF after the others."""
+    tail = np.full((rows, width), _CRLF)
+    tail[:, :commas] = _COMMA
+    return tail.reshape(-1)
 
 
-def column_fields(v: np.ndarray) -> np.ndarray:
-    """The masked fields of the 1-D float64 column v, each ended by ",", as
-    one uint8 row per value: a lead column for csv_rows, formatted
-    once for any number of files. The byte columns that no field keeps are
-    left out, so a column of small integers takes a few bytes a row, not
-    _WIDTH."""
-    n = v.shape[0]
-    tail = _tail(1, 2)[:1]  # the "," word of a two-field row
-    fields = np.empty((n, _WIDTH), dtype=np.uint8)
-    for i in range(0, n, CHUNK_VALUES):
-        _masked(v[i : i + CHUNK_VALUES], tail, fields[i : i + CHUNK_VALUES])
-    return fields[:, fields.any(axis=0)]
-
-
-def csv_rows(m: np.ndarray, index: bool = False, start: int = 0, lead=()):
+def csv_rows(m: np.ndarray, index: bool = False, start: int = 0):
     """Yield the CSV text of the rows of the 2-D float64 matrix m as ASCII
     bytes, in chunks of whole rows, each row CRLF-terminated, fields "%.17g",
     preceded by the row number as "%d", counting from start, when index is
-    set, and before that by the fields of the columns in lead, each from
-    column_fields and as long as m."""
+    set."""
     n_rows, n_cols = m.shape
-    formatted = n_cols + index
-    rows = max(1, CHUNK_VALUES // (len(lead) + formatted))
-    block = np.empty((rows, formatted), dtype=np.float64)
-    tail = _tail(rows, formatted)
-    ends = np.cumsum([0] + [column.shape[1] for column in lead])
-    buf, out = _buffer(rows, ends[-1] + formatted * _WIDTH)
-    if lead:
-        slots = np.empty((rows * formatted, _WIDTH), dtype=np.uint8)
-    else:  # formatted in place
-        slots = out.reshape(-1, _WIDTH)
+    width = n_cols + index
+    rows = max(1, CHUNK_VALUES // width)
+    block = np.empty((rows, width), dtype=np.float64)
+    tail = _tail(rows, width, width - 1)
+    buf = bytearray(rows * width * _WIDTH)
+    fields = np.frombuffer(buf, dtype=np.uint8).reshape(-1, _WIDTH)
     for r0 in range(0, n_rows, rows):
         r = min(rows, n_rows - r0)
         # integers below 2^53 print the same under "%.17g" and "%d"
         if index:
             block[:r, 0] = np.arange(start + r0, start + r0 + r)
         block[:r, index:] = m[r0 : r0 + r]
-        k = r * formatted
+        k = r * width
+        _masked(block[:r].reshape(-1), tail[:k], fields[:k])
+        yield _compact(buf, 0, k * _WIDTH)
+
+
+def csv_pairs(lead: np.ndarray, m: np.ndarray):
+    """Yield, per chunk of whole rows, the CSV text of each column of the
+    2-D float64 matrix m after the float64 column lead, as one list of ASCII
+    bytes, one per column of m: rows "lead,value", CRLF-terminated, fields
+    "%.17g". Each chunk is formatted in one pass over its [rows x (1 +
+    columns)] values, so the lead once for every column."""
+    n_rows, n_cols = m.shape
+    width = 1 + n_cols
+    rows = max(1, CHUNK_VALUES // width)
+    block = np.empty((rows, width), dtype=np.float64)
+    tail = _tail(rows, width, 1)
+    slots = np.empty((rows * width, _WIDTH), dtype=np.uint8)
+    buf = bytearray(n_cols * rows * 2 * _WIDTH)
+    flat = np.frombuffer(buf, dtype=np.uint8)
+    for r0 in range(0, n_rows, rows):
+        r = min(rows, n_rows - r0)
+        block[:r, 0] = lead[r0 : r0 + r]
+        block[:r, 1:] = m[r0 : r0 + r]
+        k = r * width
         _masked(block[:r].reshape(-1), tail[:k], slots[:k])
-        if lead:
-            for column, a, b in zip(lead, ends, ends[1:]):
-                out[:r, a:b] = column[r0 : r0 + r]
-            out[:r, ends[-1] :] = slots[:k].reshape(r, -1)
-        yield _compact(buf, out[:r].nbytes)
+        fields = slots[:k].reshape(r, width, _WIDTH)
+        # each column's rows one after another, each row the lead's field,
+        # less the byte columns that none of the chunk's lead fields keeps,
+        # and the value's
+        lead_fields = fields[:, 0]
+        lead_fields = lead_fields[:, lead_fields.any(axis=0)]
+        size = r * (lead_fields.shape[1] + _WIDTH)
+        pairs = flat[: n_cols * size].reshape(n_cols, r, -1)
+        pairs[:, :, : -_WIDTH] = lead_fields
+        pairs[:, :, -_WIDTH :] = fields[:, 1:].transpose(1, 0, 2)
+        yield [_compact(buf, c * size, (c + 1) * size) for c in range(n_cols)]

@@ -17,13 +17,13 @@ frequencies, so measured and analytic responses can be compared tightly.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._csvfmt import column_fields, csv_rows
+from ._csvfmt import csv_pairs
 from .design import CascadeDesign, transfer_function
 from .errors import AnalysisError, ConfigError
 
@@ -108,22 +108,21 @@ def mls_generate(config: MlsConfig) -> np.ndarray:
     tap_mask = 0
     for p in taps:
         tap_mask |= 1 << (p - 1)
-    seed = n_mask
-    state = seed
-    out = np.empty(period, dtype=np.float64)
-    returned_at = 0
+    seed = state = n_mask
+    bits = bytearray(period)
     for i in range(period):
-        fb = bin(state & tap_mask).count("1") & 1
+        fb = (state & tap_mask).bit_count() & 1
         state = ((state << 1) | fb) & n_mask
-        out[i] = 1.0 if fb else -1.0
-        if state == seed and returned_at == 0:
-            returned_at = i + 1
+        bits[i] = fb
+        if state == seed:
+            break
+    returned_at = i + 1 if state == seed else 0
     if returned_at != period:
         raise AnalysisError(
             f"taps {taps} give period {returned_at}, "
             f"need {period}; not a primitive polynomial"
         )
-    return out
+    return np.frombuffer(bits, dtype=np.uint8) * 2.0 - 1.0
 
 
 def mls_warmup_periods(design: CascadeDesign, period: int) -> int:
@@ -208,18 +207,6 @@ class ResponseResult:
     peak_db: np.ndarray
     flat: np.ndarray                   # bool per channel
 
-    @cached_property
-    def frequency_fields(self) -> np.ndarray:
-        """The CSV fields of frequencies_hz, formatted on first use for
-        every channel's response file; frequencies_hz must not change."""
-        return column_fields(self.frequencies_hz)
-
-    @cached_property
-    def index_fields(self) -> np.ndarray:
-        """The CSV fields of the sample indices, formatted on first use for
-        every channel's impulse file."""
-        return column_fields(np.arange(self.impulse_responses.shape[0], dtype=np.float64))
-
 
 def frequency_response_measured(
     impulse_responses: np.ndarray,
@@ -245,7 +232,6 @@ def frequency_response_measured(
     db *= 20.0
     np.maximum(db, DB_FLOOR, out=db)
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate_hz)
-    freqs.flags.writeable = False  # ResponseResult.frequency_fields caches its text
     peak_hz, peak_db, flat = _find_peaks(db, freqs)
     return ResponseResult(
         impulse_responses=ir,
@@ -372,17 +358,39 @@ def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> Parit
     )
 
 
-def write_response_csv(result: ResponseResult, channel: int, path) -> None:
-    """`frequency_hz,magnitude_db` rows for one channel."""
-    with open(path, "wb") as f:
-        f.write(b"frequency_hz,magnitude_db\r\n")
-        f.writelines(csv_rows(result.magnitudes_db[:, channel : channel + 1],
-                              lead=[result.frequency_fields]))
+# Channel files open at once, at most: `analyze --channels` may name every
+# section, 1224 on the north-star design, where a common soft limit on a
+# process's open descriptors is 1024. 64 files still get 63 rows each per
+# formatted chunk, and hold 0.5 MB of write buffers.
+MAX_OPEN_FILES = 64
 
 
-def write_impulse_csv(result: ResponseResult, channel: int, path) -> None:
-    """`sample_index,amplitude` rows for one channel."""
-    with open(path, "wb") as f:
-        f.write(b"sample_index,amplitude\r\n")
-        f.writelines(csv_rows(result.impulse_responses[:, channel : channel + 1],
-                              lead=[result.index_fields]))
+def write_response_csv(result: ResponseResult, paths: Sequence) -> None:
+    """`frequency_hz,magnitude_db` rows per channel, one path per column of
+    result.magnitudes_db."""
+    _write_channels(b"frequency_hz,magnitude_db\r\n", result.frequencies_hz,
+                    result.magnitudes_db, paths)
+
+
+def write_impulse_csv(result: ResponseResult, paths: Sequence) -> None:
+    """`sample_index,amplitude` rows per channel, one path per column of
+    result.impulse_responses."""
+    ir = result.impulse_responses
+    _write_channels(b"sample_index,amplitude\r\n", np.arange(ir.shape[0], dtype=np.float64),
+                    ir, paths)
+
+
+def _write_channels(header: bytes, lead: np.ndarray, m: np.ndarray, paths: Sequence) -> None:
+    """The CSV file of each column of m, its rows lead's value and the
+    column's, written MAX_OPEN_FILES files at a time."""
+    if len(paths) != m.shape[1]:
+        raise ConfigError(f"{len(paths)} paths for {m.shape[1]} channels")
+    for c0 in range(0, len(paths), MAX_OPEN_FILES):
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "wb"))
+                     for path in paths[c0 : c0 + MAX_OPEN_FILES]]
+            for f in files:
+                f.write(header)
+            for texts in csv_pairs(lead, m[:, c0 : c0 + len(files)]):
+                for f, text in zip(files, texts):
+                    f.write(text)

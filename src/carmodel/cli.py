@@ -236,9 +236,10 @@ def _cmd_analyze(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for col, section in enumerate(channels):
-        analysis.write_response_csv(result, col, out_dir / f"channel_{section:04d}_freq.csv")
-        analysis.write_impulse_csv(result, col, out_dir / f"channel_{section:04d}_impulse.csv")
+    analysis.write_response_csv(
+        result, [out_dir / f"channel_{section:04d}_freq.csv" for section in channels])
+    analysis.write_impulse_csv(
+        result, [out_dir / f"channel_{section:04d}_impulse.csv" for section in channels])
     with open(out_dir / "peaks.csv", "w", encoding="utf-8") as f:
         f.write("section,peak_hz,peak_db,flat\n")
         for section, hz, db, flat in zip(channels, result.peak_hz, result.peak_db, result.flat):

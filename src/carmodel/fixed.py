@@ -10,8 +10,9 @@ elsewhere, for example with a 64-bit state. On int64 lanes a register write
 is rounded in one limb, its products taken modulo 2^64, whenever a bound
 shows that the result fits the state format and one limb: for the w1' and
 w2' lines a bound on the norm of every section's (w1, w2), carried from
-tick to tick, since each section's w-map is a scaled rotation; for the y
-line one computed on the tick. Every other write splits its
+tick to tick, since each section's w-map is a scaled rotation, or one
+computed on the tick where that norm bound fails as it is seeded; for the
+y line one computed on the tick. Every other write splits its
 multiply-accumulate into two limbs at the round shift, where every
 intermediate fits int64, and tests the result for overflow. Both give the
 raw integers of the scalar path, and
@@ -524,9 +525,14 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
     isqrt(2 * P^2) + 1 from P = max|w| over the whole [n x 2] state (one
     absolute and one argmax, counted as a reduction) only when it is unknown
     (on a fresh wavefront, or after an exact w write, which may saturate or
-    wrap) or when N' > lim. rho and the y-line's max|g| come from Python
-    ints, since int64 products of wide coefficients wrap. The y-line's bound
-    is the tick's own (max|D| * max|g| >> s) + 2: a bound on |y| derived
+    wrap) or when N' > lim. Where N' > lim right after a seed, the tick
+    tries its own bound on both w-lines, (P * G >> s) + X + 2 with
+    G = max_k(|r*a0| + |r*c0|). G is at most sqrt(2) * rho, the factor the
+    seed carries into the chain, and less unless a section turns by pi/4
+    at the largest scale, so this bound passes on a larger P; N is unknown
+    after such a tick. rho, G and the y-line's max|g| come from Python
+    ints, since int64 products of wide coefficients wrap. The y-line's
+    bound is the tick's own (max|D| * max|g| >> s) + 2: a bound on |y| derived
     from N would hold every lane's worst case, loosen X and so end the
     chain sooner.
 
@@ -552,6 +558,7 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
     rho = max(math.isqrt((c.r_raw * c.a0_raw) ** 2 + (c.r_raw * c.c0_raw) ** 2)
               for c in coeffs) + 1
     g_max = max(abs(c.g_raw) for c in coeffs)
+    gain = max(abs(c.r_raw * c.a0_raw) + abs(c.r_raw * c.c0_raw) for c in coeffs)
     lim = min(rmax, (1 << (63 - shift)) - 1) if lanes == np.int64 else 0
     # scalars as 0-d arrays of the lanes' dtype: a ufunc converts a Python int
     # on every call, and int64 operands would overflow object lanes
@@ -622,15 +629,20 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
                 d0, t0, t1 = dk[:, 0], tk[:, 0], tk[:, 1]
             # (w1', w2') = round(r * D + (x << s, 0)), in place in w
             reach = x_max + 3 <= lim
+            fits = False
             if reach and norm:
                 norm = max(norm, (rho * norm >> shift) + x_max + 3)
-            if reach and (not norm or norm > lim) and w_top <= lim:
+                fits = norm <= lim
+            if reach and not fits and w_top <= lim:
                 seeds += 1
                 absolute(w, tt)
                 top = tt.item(tt.argmax())
                 norm = math.isqrt(2 * top * top) + 1
                 norm = max(norm, (rho * norm >> shift) + x_max + 3)
-            if reach and 0 < norm <= lim:
+                fits = norm <= lim
+                if not fits and (top * gain >> shift) + x_max + 2 <= lim:
+                    fits, norm = True, 0  # the tick's own bound; N unknown after it
+            if fits:
                 mul(rak, wk, dk)
                 mul(rq0, w2k, t0)
                 mul(rq1, w1k, t1)

@@ -3,7 +3,7 @@
 These deliberately avoid the implementation paths they check: the impulse
 response comes from polynomial long division of the transfer function, the
 autocorrelation from a direct O(N^2) sum, primitivity from GF(2)
-polynomial order, CSV text from the csv module, the fixed-point cascade
+polynomial order, a maximum-length sequence one float at a time, CSV text from the csv module, the fixed-point cascade
 from one scalar section update on Python ints per (sample, section), with no
 wavefront, limbs or lanes, and a coefficient table's checks row by row.
 settling_samples, a test helper with no caller in the package, lives here
@@ -28,6 +28,21 @@ CSV_EDGE_FLOATS = [
     0.0, 1e16, 1e17, 1e-4, 1e-5, 1e-300, 2.2250738585072014e-308,
     123456789012345.625,
 ]
+
+
+def mls_sequence(order: int, taps) -> np.ndarray:
+    """One period of the +-1 sequence of the Fibonacci register on taps,
+    seeded with all ones, stepped 2^order - 1 times: each new bit is the
+    parity of the tapped bits, written as +1.0 or -1.0 as it is made."""
+    mask = (1 << order) - 1
+    tap_mask = sum(1 << (p - 1) for p in taps)
+    state = mask
+    out = np.empty(mask, dtype=np.float64)
+    for i in range(mask):
+        fb = bin(state & tap_mask).count("1") & 1
+        state = ((state << 1) | fb) & mask
+        out[i] = 1.0 if fb else -1.0
+    return out
 
 
 def csv_text(header, rows) -> str:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from carmodel import analysis
 from carmodel._csvfmt import CHUNK_VALUES
 from carmodel.analysis import (
     DB_FLOOR,
@@ -30,6 +31,7 @@ from oracles import (
     CSV_EDGE_FLOATS,
     circular_autocorrelation_brute,
     csv_text,
+    mls_sequence,
     taps_are_primitive,
 )
 
@@ -65,6 +67,11 @@ class TestMlsGenerate:
         for order in range(2, 17):
             seq = mls_generate(MlsConfig(order=order))
             assert int((seq > 0).sum()) == int((seq < 0).sum()) + 1
+
+    def test_matches_register_stepped_bit_by_bit(self):
+        for order in range(2, 17):
+            expect = mls_sequence(order, DEFAULT_MLS_TAPS[order])
+            assert mls_generate(MlsConfig(order=order)).tobytes() == expect.tobytes(), order
 
     def test_two_valued_autocorrelation_brute(self):
         cfg = MlsConfig(order=10)
@@ -310,70 +317,88 @@ class TestParityReport:
 
 
 class TestResponseExport:
+    @staticmethod
+    def write_and_check(result, tmp_path):
+        """Both writers on every channel of result, each file's bytes
+        against the oracle's."""
+        channels = range(result.magnitudes_db.shape[1])
+        freq = [tmp_path / f"freq_{c}.csv" for c in channels]
+        impulse = [tmp_path / f"impulse_{c}.csv" for c in channels]
+        write_response_csv(result, freq)
+        write_impulse_csv(result, impulse)
+        for c in channels:
+            rows = zip(result.frequencies_hz.tolist(), result.magnitudes_db[:, c].tolist())
+            expect = csv_text(["frequency_hz", "magnitude_db"], rows)
+            assert freq[c].read_bytes() == expect.encode("utf-8"), c
+            rows = enumerate(result.impulse_responses[:, c].tolist())
+            expect = csv_text(["sample_index", "amplitude"], rows)
+            assert impulse[c].read_bytes() == expect.encode("utf-8"), c
+
     def test_frequency_csv(self, fast_design, tmp_path):
         ir = impulse_response(cascade_system(fast_design), 256)
         result = frequency_response_measured(ir, 48000.0)
-        path = tmp_path / "freq.csv"
-        write_response_csv(result, 0, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        paths = [tmp_path / f"freq_{c}.csv" for c in range(fast_design.n_sections)]
+        write_response_csv(result, paths)
+        lines = paths[0].read_text(encoding="utf-8").splitlines()
         assert lines[0] == "frequency_hz,magnitude_db"
         assert len(lines) == len(result.frequencies_hz) + 1
         f0, db0 = lines[1].split(",")
         assert float(f0) == 0.0
         assert float(db0) == result.magnitudes_db[0, 0]
         result.magnitudes_db[: len(CSV_EDGE_FLOATS), 1] = CSV_EDGE_FLOATS
-        for channel in (0, 1):
-            path = tmp_path / f"freq_{channel}.csv"
-            write_response_csv(result, channel, path)
-            rows = zip(result.frequencies_hz.tolist(), result.magnitudes_db[:, channel].tolist())
-            expect = csv_text(["frequency_hz", "magnitude_db"], rows)
-            assert path.read_bytes() == expect.encode("utf-8")
+        self.write_and_check(result, tmp_path)
 
     def test_impulse_csv(self, fast_design, tmp_path):
         ir = impulse_response(cascade_system(fast_design), 64)
         result = frequency_response_measured(ir, 48000.0)
-        path = tmp_path / "impulse.csv"
-        write_impulse_csv(result, 2, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
+        paths = [tmp_path / f"impulse_{c}.csv" for c in range(fast_design.n_sections)]
+        write_impulse_csv(result, paths)
+        lines = paths[2].read_text(encoding="utf-8").splitlines()
         assert lines[0] == "sample_index,amplitude"
         assert len(lines) == 65
         assert float(lines[1].split(",")[1]) == ir[0, 2]
-        rows = enumerate(result.impulse_responses[:, 2].tolist())
-        assert path.read_bytes() == csv_text(["sample_index", "amplitude"], rows).encode("utf-8")
         result.impulse_responses[: len(CSV_EDGE_FLOATS), 3] = CSV_EDGE_FLOATS
-        write_impulse_csv(result, 3, path)
-        rows = enumerate(result.impulse_responses[:, 3].tolist())
-        assert path.read_bytes() == csv_text(["sample_index", "amplitude"], rows).encode("utf-8")
+        self.write_and_check(result, tmp_path)
 
-    def test_shared_columns_across_channels(self, rng, tmp_path):
-        # the frequency and index columns are formatted once for every
-        # channel's file; more than CHUNK_VALUES // 2 rows put a chunk seam
-        # inside each two-column file
-        n = CHUNK_VALUES // 2 + 37
-        seam = CHUNK_VALUES // 2 - len(CSV_EDGE_FLOATS) // 2
+    @staticmethod
+    def edge_result(rng, n, channels):
+        """A result of n rows with CSV_EDGE_FLOATS at the top of every
+        column, and again across the first chunk seam of the writers."""
+        seam = CHUNK_VALUES // (1 + channels) - len(CSV_EDGE_FLOATS) // 2
         freqs = rng.uniform(0, 24000, n)
-        ir = rng.normal(0, 1, (n, 3))
-        db = rng.normal(-40, 20, (n, 3))
-        for column in (freqs, db[:, 1], ir[:, 1]):
+        ir = rng.normal(0, 1, (n, channels))
+        db = rng.normal(-40, 20, (n, channels))
+        for column in (freqs, *db.T, *ir.T):
             column[: len(CSV_EDGE_FLOATS)] = CSV_EDGE_FLOATS
             column[seam : seam + len(CSV_EDGE_FLOATS)] = CSV_EDGE_FLOATS
-        result = ResponseResult(ir, db, freqs, 48000.0, n, np.zeros(3), np.zeros(3),
-                                np.zeros(3, dtype=bool))
-        for channel in (0, 1, 2):
-            path = tmp_path / f"freq_{channel}.csv"
-            write_response_csv(result, channel, path)
-            rows = zip(freqs.tolist(), db[:, channel].tolist())
-            expect = csv_text(["frequency_hz", "magnitude_db"], rows)
-            assert path.read_bytes() == expect.encode("utf-8"), channel
-            path = tmp_path / f"impulse_{channel}.csv"
-            write_impulse_csv(result, channel, path)
-            rows = enumerate(ir[:, channel].tolist())
-            expect = csv_text(["sample_index", "amplitude"], rows)
-            assert path.read_bytes() == expect.encode("utf-8"), channel
+        return ResponseResult(ir, db, freqs, 48000.0, n, np.zeros(channels),
+                              np.zeros(channels), np.zeros(channels, dtype=bool))
 
-    def test_frequencies_read_only(self, fast_design):
-        # the writers cache the text of frequencies_hz, so it cannot change
-        result = frequency_response_measured(impulse_response(cascade_system(fast_design), 64),
-                                             48000.0)
-        with pytest.raises(ValueError):
-            result.frequencies_hz[1] = 1.0
+    def test_shared_columns_across_channels(self, rng, tmp_path):
+        # the frequency and index columns are formatted once per chunk for
+        # every channel's file; the rows run past the first chunk seam
+        for channels in (1, 3):
+            n = CHUNK_VALUES // (1 + channels) + 37
+            self.write_and_check(self.edge_result(rng, n, channels), tmp_path)
+
+    def test_open_files_capped(self, rng, tmp_path, monkeypatch):
+        # 8 channels with at most 3 files open: groups of 3, 3 and 2
+        monkeypatch.setattr(analysis, "MAX_OPEN_FILES", 3)
+        opened = []
+
+        def counted_open(path, mode):
+            opened.append(open(path, mode))
+            assert sum(not f.closed for f in opened) <= 3
+            return opened[-1]
+
+        monkeypatch.setattr(analysis, "open", counted_open, raising=False)
+        self.write_and_check(self.edge_result(rng, CHUNK_VALUES // 4 + 5, 8), tmp_path)
+        assert len(opened) == 16 and all(f.closed for f in opened)
+
+    def test_one_path_per_channel(self, rng, tmp_path):
+        result = self.edge_result(rng, CHUNK_VALUES // 4 + 37, 3)
+        with pytest.raises(ConfigError, match="2 paths for 3 channels"):
+            write_response_csv(result, [tmp_path / "a.csv", tmp_path / "b.csv"])
+        with pytest.raises(ConfigError, match="4 paths for 3 channels"):
+            write_impulse_csv(result, [tmp_path / f"{c}.csv" for c in range(4)])
+        assert not list(tmp_path.iterdir())

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from carmodel import _csvfmt
 from carmodel._csvfmt import csv_rows
+from carmodel.core import CascadeState, process_block
+from carmodel.design import DesignParams, design_cascade
 from oracles import csv_text
 
 
@@ -37,6 +39,11 @@ def expected_text(m) -> str:
 @example(0.1)
 @example(2.5)
 @example(123456789012345.625)  # an exact tie at 17 digits
+@example(1234567890123456.75)  # another, rounded up to even
+# long-double fractions of exactly 0.5 where the exact product lies below
+# and above one half: decided by the two-product error, in numpy
+@example(924054841002.1371)
+@example(-1171477.2935763747)
 @example(2.2250738585072014e-308)
 # scaled, fractions 2.1u-2.9u times z from one half, u the unit roundoff of
 # an 80-bit long double: numpy's path, as the derived margin allows
@@ -77,7 +84,7 @@ def test_non_finite_values():
 
 def test_python_path_gives_the_same_bytes(monkeypatch, rng):
     m = rng.normal(0, 1, (50, 30)) * 10.0 ** rng.integers(-300, 300, (50, 30))
-    m[0, :3] = [0.0, -0.0, 123456789012345.625]
+    m[0, :4] = [0.0, -0.0, 123456789012345.625, 1e16]
     seen = []
     python_fields = _csvfmt._python_fields
 
@@ -87,7 +94,7 @@ def test_python_path_gives_the_same_bytes(monkeypatch, rng):
 
     monkeypatch.setattr(_csvfmt, "_python_fields", counted)
     fast = rows_text(m)
-    assert 0 < len(seen) < 0.05 * m.size  # numpy formats all exponents
+    assert seen == [1e16]  # D = 10^16 is an edge; numpy formats every other value
     seen.clear()
     # at a double's unit roundoff the margin exceeds one half
     monkeypatch.setattr(_csvfmt, "_REL_MARGIN", 3 * 2.0**-53)
@@ -95,10 +102,33 @@ def test_python_path_gives_the_same_bytes(monkeypatch, rng):
     assert len(seen) == m.size
 
 
+def test_run_float_taps_rarely_reach_python(monkeypatch):
+    # run_float's 240 samples of -12 dBFS noise through the default
+    # 1224-section design: its taps reach 1e15, where many doubles are exact
+    # ties at 17 digits and many more products have a long-double fraction
+    # of exactly 0.5; numpy decides both
+    design = design_cascade(DesignParams(48000.0, 1224))
+    x = np.random.default_rng(8).uniform(-0.25, 0.25, 240)
+    m = process_block(design, CascadeState(1224), x)
+    seen = []
+    python_fields = _csvfmt._python_fields
+    monkeypatch.setattr(_csvfmt, "_python_fields", lambda v: seen.extend(v) or python_fields(v))
+    assert rows_text(m) == expected_text(m)
+    assert len(seen) < 0.001 * m.size
+
+
 def test_power_table_within_half_ulp():
     for p, entry in zip(range(_csvfmt._P_MIN, _csvfmt._P_MAX + 1), _csvfmt._POW10):
         error = abs(Fraction(*entry.as_integer_ratio()) - Fraction(10) ** p)
         assert error <= Fraction(*np.spacing(entry).as_integer_ratio()) / 2, p
+
+
+def test_power_errors_within_two_roundings():
+    for p, entry, error in zip(range(_csvfmt._P_MIN, _csvfmt._P_MAX + 1), _csvfmt._POW10,
+                               _csvfmt._pow10_errors()):
+        exact = Fraction(10) ** p - Fraction(*entry.as_integer_ratio())
+        bound = 2 * Fraction(_csvfmt._UNIT) * abs(exact)  # two roundings
+        assert abs(Fraction(*error.as_integer_ratio()) - exact) <= bound, p
 
 
 def test_group_tables_match_percent_04d():

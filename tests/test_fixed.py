@@ -825,6 +825,39 @@ class TestFixedStream:
                 else:
                     assert exact_w == exact_y == ticks and reductions == 0
 
+    def test_failed_chain_falls_back_to_the_ticks_own_bound(self, caplog):
+        # 12 sections at zeta = 0.2, a 32/22 state whose w1 and w2 start at
+        # +-1/4 of full scale, and +-1 noise in 30-sample pushes: by the
+        # second flush the state holds most of its range, and the norm chain
+        # fails right after every seed; the tick's own bound, with
+        # G = max(|r*a0| + |r*c0|) = 1.22 * 2^s below sqrt(2) * rho = 1.41 *
+        # 2^s, still passes on some ticks (every tick took the exact form
+        # before it)
+        design = design_cascade(DesignParams(48000.0, 12, damping_zeta=0.2))
+        sfmt = FixedFormat(32, 22)
+        qd = quantize_design(design, state_format=sfmt)
+        rng = np.random.default_rng(5)
+        raw_in = quantize_block(rng.uniform(-1, 1, 130), qd.io_format)
+        w1, w2 = rng.choice([-1, 1], (2, 12)) * (sfmt.raw_max // 4)
+        ref_state = FixedCascadeState(12)
+        ref_state.w1_raw[:], ref_state.w2_raw[:] = w1, w2
+        expect, _ = fixed_process_block_py(qd, ref_state, raw_in)
+
+        state = FixedCascadeState(12)
+        state.w1_raw[:], state.w2_raw[:] = w1, w2
+        stream = FixedStream(qd, state)
+        caplog.set_level("INFO", logger="carmodel.fixed")
+        rows = [stream.push(raw_in[:30]), stream.push(raw_in[30:60]), stream.flush(raw_in[60:65]),
+                stream.push(raw_in[65:95]), stream.push(raw_in[95:125]),
+                stream.flush(raw_in[125:])]
+        assert np.array_equal(np.concatenate(rows), expect)
+        assert np.array_equal(state.w1_raw, ref_state.w1_raw)
+        assert np.array_equal(state.w2_raw, ref_state.w2_raw)
+        assert state.saturations.sum() == 0
+        ticks, exact_w, _, seeds = map(int, re.findall(r"\d+", caplog.messages[-1]))
+        assert ticks == seeds == 76
+        assert exact_w < ticks
+
     def test_checks_like_fixed_process_block(self):
         qd = quantize_design(design_cascade(DesignParams(48000.0, 3)))
         with pytest.raises(ConfigError):
