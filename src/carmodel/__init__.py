@@ -9,7 +9,6 @@ from .design import (
     CascadeDesign,
     ChannelCoeffs,
     DesignParams,
-    HPolicy,
     RationalTF,
     design_cascade,
     greenwood_cf,

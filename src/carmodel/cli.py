@@ -28,7 +28,6 @@ from .core import CascadeState, CascadeStream, process_block, stream_rows
 from .design import (
     CascadeDesign,
     DesignParams,
-    HPolicy,
     design_cascade,
     read_coeff_table,
     write_coeff_table,
@@ -43,19 +42,18 @@ _SHOW_DEFAULT = "default %(default)s"
 _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
-def _parse_h_policy(text: str) -> HPolicy:
+def _parse_h_policy(text: str) -> float:
+    """The zero ratio F of h = F * c0 that an --h-policy value names."""
     t = text.strip()
     if t in ("proportional", "proportional_to_c0", "c0"):
-        return HPolicy.proportional_to_c0()
+        return 1.0
     kind, _, value = t.partition(":")
-    make = {"fraction": HPolicy.fraction_of_bound, "explicit": HPolicy.explicit}.get(kind)
     try:
-        number = float(value)
+        if kind == "ratio":
+            return float(value)
     except ValueError:
-        make = None
-    if make is None:
-        raise ConfigError(f"bad h-policy {text!r}; use proportional, fraction:F, or explicit:V")
-    return make(number)
+        pass
+    raise ConfigError(f"bad h-policy {text!r}; use proportional or ratio:F")
 
 
 def _load_config(path: str, command: argparse.ArgumentParser) -> dict[str, str]:
@@ -128,7 +126,7 @@ def _cmd_design(args) -> int:
         x_base=args.x_base,
         x_apex=args.x_apex,
         damping_zeta=args.zeta,
-        h_policy=_parse_h_policy(args.h_policy),
+        zero_ratio=_parse_h_policy(args.h_policy),
         r_override=args.r,
     )
     design = design_cascade(params)
@@ -336,7 +334,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--zeta", type=float, default=DesignParams.damping_zeta,
                    help="damping factor (default %(default)s)")
     p.add_argument("--h-policy", default="proportional",
-                   help="proportional | fraction:F | explicit:V (default %(default)s)")
+                   help="proportional | ratio:F, h = F * c0 (default %(default)s)")
     p.add_argument("--r", type=float, help="explicit global pole radius")
     p.add_argument("--output", "-o", default="coeffs.csv", help=_SHOW_DEFAULT)
     p.add_argument("--quantize", help="also write a quantized coefficient table here")

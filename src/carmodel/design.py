@@ -4,8 +4,8 @@ Each cochlear place coordinate x in [0, 1] (apex = 0, base = 1) maps to a
 characteristic frequency through the Greenwood function. A section is a
 two-pole-two-zero resonator parameterized by the pole angle theta_r
 (radians/sample), pole radius r, rotator coefficients a0 = cos(theta_r) and
-c0 = sin(theta_r), a zero-placement coefficient h, and a gain g that
-normalizes the DC response to unity:
+c0 = sin(theta_r), a zero-placement coefficient h = F * c0 (F is the zero
+ratio, 1 by default), and a gain g that normalizes the DC response to unity:
 
     H(z) = g * (z^2 + (-2*a0 + h*c0)*r*z + r^2) / (z^2 - 2*a0*r*z + r^2)
 
@@ -19,7 +19,7 @@ import cmath
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -29,7 +29,6 @@ from ._csvfmt import csv_rows
 from .errors import DesignError
 
 __all__ = [
-    "HPolicy",
     "DesignParams",
     "ChannelCoeffs",
     "CascadeDesign",
@@ -55,50 +54,6 @@ GREENWOOD_EXPONENT = 2.1
 
 
 @dataclass(frozen=True)
-class HPolicy:
-    """How the zero-placement coefficient h is chosen for a section.
-
-    kind is one of:
-      * ``proportional_to_c0`` -- h = c0 (default); keeps the zeros a fixed
-        ratio above the pole frequency and always leaves them complex.
-      * ``explicit`` -- h = value; validated against the complex-zero bound.
-      * ``fraction_of_bound`` -- h = fraction * (2 + 2*a0)/c0 with
-        0 < fraction < 1, i.e. a stated margin below the bound.
-    """
-
-    kind: str = "proportional_to_c0"
-    value: float | None = None
-
-    _KINDS = ("proportional_to_c0", "explicit", "fraction_of_bound")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise DesignError(f"unknown h policy kind: {self.kind!r}")
-        if self.kind == "proportional_to_c0" and self.value is not None:
-            raise DesignError("proportional_to_c0 takes no value")
-        if self.kind == "explicit" and self.value is None:
-            raise DesignError("explicit h policy requires a value")
-        if self.kind == "fraction_of_bound":
-            if self.value is None or not 0.0 < self.value < 1.0:
-                raise DesignError(
-                    "fraction_of_bound requires a fraction in (0, 1), "
-                    f"got {self.value!r}"
-                )
-
-    @classmethod
-    def proportional_to_c0(cls) -> "HPolicy":
-        return cls("proportional_to_c0")
-
-    @classmethod
-    def explicit(cls, value: float) -> "HPolicy":
-        return cls("explicit", value)
-
-    @classmethod
-    def fraction_of_bound(cls, fraction: float) -> "HPolicy":
-        return cls("fraction_of_bound", fraction)
-
-
-@dataclass(frozen=True)
 class DesignParams:
     """Inputs to design_cascade.
 
@@ -107,6 +62,8 @@ class DesignParams:
     section, i.e. damping proportional to the pole angle, which keeps the
     relative bandwidth roughly uniform along the cascade. r_override, when
     given, replaces that rule with a global value or one value per section.
+    zero_ratio is F in h = F * c0 (see zero_coeff); the default 1.0 gives
+    h = c0.
     """
 
     sample_rate_hz: float
@@ -114,7 +71,7 @@ class DesignParams:
     x_base: float = 1.0
     x_apex: float = 0.023
     damping_zeta: float = 0.1
-    h_policy: HPolicy = field(default_factory=HPolicy.proportional_to_c0)
+    zero_ratio: float = 1.0
     r_override: float | tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -128,6 +85,8 @@ class DesignParams:
             )
         if self.damping_zeta < 0:
             raise DesignError(f"damping_zeta must be >= 0, got {self.damping_zeta}")
+        if not 0.0 < self.zero_ratio < math.inf:
+            raise DesignError(f"zero_ratio must be finite and > 0, got {self.zero_ratio}")
         if isinstance(self.r_override, (list, tuple)):
             object.__setattr__(self, "r_override", tuple(float(r) for r in self.r_override))
 
@@ -252,23 +211,16 @@ def complex_zero_bound(a0: float, c0: float) -> float:
     return (2.0 + 2.0 * a0) / c0
 
 
-def zero_coeff(a0: float, c0: float, policy: HPolicy | None = None) -> float:
-    """Zero-placement coefficient h under the given policy.
+def zero_coeff(a0: float, c0: float, ratio: float = 1.0) -> float:
+    """Zero-placement coefficient h = ratio * c0.
 
-    h is validated against the complex-zero bound (2 + 2*a0)/c0; a
-    violating explicit value is rejected rather than clipped.
+    An h proportional to c0 keeps the zeros a fixed frequency ratio above
+    the poles. h is validated against the complex-zero bound
+    (2 + 2*a0)/c0, which no ratio <= 1 reaches (the bound over c0 is
+    2/(1 - a0) > 1); a violating h is rejected rather than clipped.
     """
-    if policy is None:
-        policy = HPolicy.proportional_to_c0()
-    if c0 <= 0:
-        raise DesignError(f"c0 must be positive, got {c0}")
     bound = complex_zero_bound(a0, c0)
-    if policy.kind == "proportional_to_c0":
-        h = c0
-    elif policy.kind == "fraction_of_bound":
-        h = policy.value * bound
-    else:
-        h = policy.value
+    h = ratio * c0
     if not math.isfinite(h):
         raise DesignError(f"h={h} is not finite")
     if h >= bound:
@@ -306,7 +258,7 @@ def design_cascade(params: DesignParams) -> CascadeDesign:
 
     For each position, base to apex: CF from the Greenwood map, pole angle
     from the sample rate, rotator coefficients, radius from the damping
-    rule, h from the policy, and the DC-normalizing gain. Any section that
+    rule, h = zero_ratio * c0, and the DC-normalizing gain. Any section that
     fails the Nyquist guard, the complex-zero bound, or the radius range
     aborts the whole design with its index.
     """
@@ -320,7 +272,7 @@ def design_cascade(params: DesignParams) -> CascadeDesign:
             r = _section_radius(params, theta, i)
             if not 0.0 < r <= 1.0:
                 raise DesignError(f"pole radius r={r} outside (0, 1]")
-            h = zero_coeff(a0, c0, params.h_policy)
+            h = zero_coeff(a0, c0, params.zero_ratio)
             g = dc_gain_coeff(a0, c0, h, r)
             if g <= 0:
                 raise DesignError(f"nonpositive DC gain g={g}")

@@ -236,3 +236,21 @@ def test_criterion_10_mls_integrity():
         assert np.all(rounded[1:] == -1)
     print(f"\nPASS criterion 10: orders 3..16 full period and two-valued "
           f"autocorrelation ({time.time() - t0:.2f} s)")
+
+
+def test_bounded_1224_section_design():
+    # zeros moved towards the poles (F = 0.06, about CAR-FAC's section
+    # density over this cascade's) bound the gain and keep the taps tuned
+    design = design_cascade(DesignParams(48000.0, 1224, damping_zeta=0.2, zero_ratio=0.06))
+    freqs = np.geomspace(5.0, 23900.0, 1500)
+    db = 20.0 * np.log10(np.abs(frequency_response_analytic(design, np.r_[0.0, freqs])))
+    dc_db, db = db[0], db[1:]
+    peak_db = db.max(axis=0)
+    tuned = peak_db > dc_db + 1.0
+    peak_over_cf = freqs[db.argmax(axis=0)][tuned] / np.array(design.cf_hz())[tuned]
+    median = float(np.median(peak_over_cf))
+    assert peak_db.max() <= 42.0
+    assert tuned.sum() >= 1150
+    assert 0.9 <= median <= 1.0
+    print(f"\nPASS bounded design: 1224 sections (zeta 0.2, zero ratio 0.06), peak tap gain "
+          f"{peak_db.max():.1f} dB, {tuned.sum()} tuned taps, median peak/CF {median:.2f}")

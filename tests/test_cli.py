@@ -325,6 +325,36 @@ class TestCliDesign:
         assert err.startswith("error: ")
         assert "\n" not in err.strip()
 
+    def test_unit_ratio_writes_the_default_tables(self, tmp_path):
+        tables = set()
+        for policy in ([], ["--h-policy", "proportional"], ["--h-policy", "ratio:1"]):
+            out, q = tmp_path / "c.csv", tmp_path / "q.csv"
+            assert cli_main(["design", *policy, "-o", str(out), "--quantize", str(q)]) == 0
+            tables.add((out.read_bytes(), q.read_bytes()))
+        assert len(tables) == 1
+
+    def test_ratio_above_bound_names_section_0(self, tmp_path, capsys):
+        rc = cli_main(["design", "--h-policy", "ratio:1.5", "-o", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: section 0 ") and "complex-zero bound" in err
+
+    @pytest.mark.parametrize("policy", ["fraction:0.5", "explicit:0.4"])
+    def test_removed_h_policy_kinds_name_ratio(self, tmp_path, capsys, policy):
+        rc = cli_main(["design", "--h-policy", policy, "-o", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "\n" not in err.strip() and "ratio:F" in err
+
+    def test_h_policy_from_config_matches_flag(self, tmp_path):
+        cfg = tmp_path / "carmodel.conf"
+        cfg.write_text("h_policy = ratio:0.06\n")
+        flag, conf, default = (tmp_path / f"{n}.csv" for n in ("flag", "conf", "default"))
+        assert cli_main(["design", "--h-policy", "ratio:0.06", "-o", str(flag)]) == 0
+        assert cli_main(["design", "--config", str(cfg), "-o", str(conf)]) == 0
+        assert cli_main(["design", "-o", str(default)]) == 0
+        assert conf.read_bytes() == flag.read_bytes() != default.read_bytes()
+
 
 class TestCliRun:
     def test_float_mode(self, workspace):
@@ -841,9 +871,10 @@ class TestCliPlumbing:
         for argv in (
             ["analyze", "--coeffs", coeffs, "--channels", "1,x", "--out-dir", out],
             ["analyze", "--coeffs", coeffs, "--channels", "1,,2", "--out-dir", out],
-            ["design", "--h-policy", "fraction:abc", "-o", out],
-            ["design", "--sections", "3", "--h-policy", "explicit:nan", "-o", out],
-            ["design", "--sections", "3", "--h-policy", "explicit:inf", "-o", out],
+            ["design", "--h-policy", "ratio:abc", "-o", out],
+            ["design", "--sections", "3", "--h-policy", "ratio:nan", "-o", out],
+            ["design", "--sections", "3", "--h-policy", "ratio:inf", "-o", out],
+            ["design", "--sections", "3", "--h-policy", "ratio:0", "-o", out],
         ):
             assert cli_main(argv) == 1
             err = capsys.readouterr().err

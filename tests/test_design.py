@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from carmodel.design import (
     CascadeDesign,
     DesignParams,
-    HPolicy,
     _read_coeff_rows,
     complex_zero_bound,
     dc_gain_coeff,
@@ -135,9 +134,6 @@ class TestRotator:
 
 
 class TestZeroCoeff:
-    def test_fraction_of_bound(self):
-        assert zero_coeff(0.0, 1.0, HPolicy.fraction_of_bound(0.5)) == pytest.approx(1.0)
-
     def test_bound_high_frequency(self):
         assert complex_zero_bound(-0.9056, 0.4242) == pytest.approx(0.4451, abs=1e-3)
 
@@ -151,17 +147,28 @@ class TestZeroCoeff:
             a0, c0 = rotator_coeffs(theta)
             assert c0 < complex_zero_bound(a0, c0)
 
-    def test_explicit_violation_rejected(self):
-        a0, c0 = rotator_coeffs(2.7035)
-        bound = complex_zero_bound(a0, c0)
-        with pytest.raises(DesignError):
-            zero_coeff(a0, c0, HPolicy.explicit(bound + 0.01))
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.floats(1e-4, math.pi - 1e-4),
+           ratio=st.floats(0.0, 1.0, exclude_min=True))
+    def test_ratio_up_to_one_below_bound(self, theta, ratio):
+        # F * c0 < (2 + 2*a0)/c0 reduces to F * (1 - a0) < 2
+        a0, c0 = rotator_coeffs(theta)
+        assert zero_coeff(a0, c0, ratio) == ratio * c0 < complex_zero_bound(a0, c0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_explicit_rejected(self, value):
-        a0, c0 = rotator_coeffs(1.0)
-        with pytest.raises(DesignError, match="not finite"):
-            zero_coeff(a0, c0, HPolicy.explicit(value))
+    def test_ratio_above_bound_rejected(self):
+        # near Nyquist the bound over c0 is 2/(1 - a0) = 1.049 here
+        a0, c0 = rotator_coeffs(2.7035)
+        with pytest.raises(DesignError, match="complex-zero bound"):
+            zero_coeff(a0, c0, 1.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_zero_ratio_rejected(self, value):
+        with pytest.raises(DesignError, match="zero_ratio"):
+            DesignParams(48000.0, 3, zero_ratio=value)
+        if not math.isfinite(value):  # zero_coeff's own check on a direct call
+            a0, c0 = rotator_coeffs(1.0)
+            with pytest.raises(DesignError, match="not finite|complex-zero bound"):
+                zero_coeff(a0, c0, value)
 
 
 class TestDcGain:
@@ -307,17 +314,23 @@ class TestPolesZeros:
         assert sorted((p1[1], p2[1])) == pytest.approx([-math.pi / 2, math.pi / 2])
 
     def test_designed_sections_place_poles_and_zeros(self):
-        d = design_cascade(DesignParams(48000.0, 50))
-        for s in d.sections:
-            (p1, p2), (z1, z2) = poles_zeros(s)
-            assert p1[0] == pytest.approx(s.r, abs=1e-9)
-            assert p2[0] == pytest.approx(s.r, abs=1e-9)
-            assert {round(p1[1], 9), round(p2[1], 9)} == {
-                round(s.theta_r, 9), round(-s.theta_r, 9),
-            }
-            # default h keeps zeros complex at the pole radius
-            assert z1[0] == pytest.approx(s.r, abs=1e-9)
-            assert z2[0] == pytest.approx(s.r, abs=1e-9)
+        for ratio in (1.0, 0.06):
+            d = design_cascade(DesignParams(48000.0, 50, zero_ratio=ratio))
+            for s in d.sections:
+                (p1, p2), (z1, z2) = poles_zeros(s)
+                assert p1[0] == pytest.approx(s.r, abs=1e-9)
+                assert p2[0] == pytest.approx(s.r, abs=1e-9)
+                assert {round(p1[1], 9), round(p2[1], 9)} == {
+                    round(s.theta_r, 9), round(-s.theta_r, 9),
+                }
+                # h = F * c0 keeps zeros complex at the pole radius, at the
+                # angle where cos(phi) = a0 - F * c0^2 / 2 < a0
+                assert z1[0] == pytest.approx(s.r, abs=1e-9)
+                assert z2[0] == pytest.approx(s.r, abs=1e-9)
+                cos_phi = s.a0 - ratio * s.c0 * s.c0 / 2.0
+                for _, phi in (z1, z2):
+                    assert math.cos(phi) == pytest.approx(cos_phi, abs=1e-9)
+                    assert abs(phi) > s.theta_r
 
     def test_root_finder_agrees_with_numpy(self, rng):
         for _ in range(40):
