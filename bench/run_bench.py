@@ -74,7 +74,6 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -185,17 +184,10 @@ def timed_calls(core, design, fixed, analysis, audio_io, table: Path) -> dict:
         warmup_periods=analysis.mls_warmup_periods(des64, mls.period))
     response = analysis.frequency_response_measured(ir, SAMPLE_RATE_HZ)
 
-    if "paths" in inspect.signature(analysis.write_response_csv).parameters:
-        def write_analyze(i):
-            result = dataclasses.replace(response)
-            analysis.write_response_csv(result, [os.devnull] * len(channels))
-            analysis.write_impulse_csv(result, [os.devnull] * len(channels))
-    else:  # one call per channel, before the writers took every channel's path
-        def write_analyze(i):
-            result = dataclasses.replace(response)
-            for col in range(len(channels)):
-                analysis.write_response_csv(result, col, os.devnull)
-                analysis.write_impulse_csv(result, col, os.devnull)
+    def write_analyze(i):
+        result = dataclasses.replace(response)
+        analysis.write_response_csv(result, [os.devnull] * len(channels))
+        analysis.write_impulse_csv(result, [os.devnull] * len(channels))
 
     calls[f"csv_analyze_{len(channels)}ch"] = (write_analyze, "ms", 1)
 

@@ -329,24 +329,25 @@ def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> Parit
     if ref.shape[0] == 0:
         raise AnalysisError("empty comparison window")
 
-    ref_energy = (ref * ref).sum(axis=0)
-    err_energy = ((ref - fix) ** 2).sum(axis=0)
     exact = ~(ref != fix).any(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ref_energy = (ref * ref).sum(axis=0)
+        err_energy = ((ref - fix) ** 2).sum(axis=0)
         snr = 10.0 * np.log10(ref_energy / err_energy)
-    # Energies below the smallest normal double lose digits: sum them again
-    # with the reference and the error each scaled exactly by a power of two
-    # (one scale would overflow a saturated error), combined in the log domain.
-    tiny = np.finfo(np.float64).tiny
-    for ch in np.flatnonzero((ref_energy < tiny) | (~exact & (err_energy < tiny))):
-        r, e = ref[:, ch], ref[:, ch] - fix[:, ch]
-        if not r.any():
-            raise AnalysisError(f"undefined SNR: reference is all zero in channel {ch}")
-        if not exact[ch]:
-            (_, r_exp), (_, e_exp) = np.frexp(np.abs(r).max()), np.frexp(np.abs(e).max())
-            r, e = np.ldexp(r, -r_exp), np.ldexp(e, -e_exp)
-            bits = math.log2((r * r).sum() / (e * e).sum()) + 2 * (r_exp - e_exp)
-            snr[ch] = 10.0 * math.log10(2.0) * bits
+        # Subnormal energies lose digits and overflowed ones are inf: sum them again
+        # with the reference and the error each scaled exactly by a power of two
+        # (one scale would overflow a saturated error), combined in the log domain.
+        finfo = np.finfo(np.float64)
+        ref_off, err_off = ((e < finfo.tiny) | (e > finfo.max) for e in (ref_energy, err_energy))
+        for ch in np.flatnonzero(ref_off | (~exact & err_off)):
+            r, e = ref[:, ch], ref[:, ch] - fix[:, ch]
+            if not r.any():
+                raise AnalysisError(f"undefined SNR: reference is all zero in channel {ch}")
+            if not exact[ch] and np.isfinite(e).all():  # else ref - fix overflowed: no rescan
+                (_, r_exp), (_, e_exp) = np.frexp(np.abs(r).max()), np.frexp(np.abs(e).max())
+                r, e = np.ldexp(r, -r_exp), np.ldexp(e, -e_exp)
+                bits = math.log2((r * r).sum() / (e * e).sum()) + 2 * (r_exp - e_exp)
+                snr[ch] = 10.0 * math.log10(2.0) * bits
     finite = np.where(exact, np.inf, snr)
     worst = int(np.argmin(finite))
     return ParityReport(

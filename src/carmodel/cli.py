@@ -151,12 +151,12 @@ def _cmd_run(args) -> int:
     log.info("run: %d samples through %d sections, mode=%s",
              wav.samples.size, design.n_sections, args.mode)
 
-    if args.mode == "float":
+    if args.mode != "fixed":  # float, or the float rows as the pipeline emits them
         outputs = stream_rows(CascadeStream(design, CascadeState(design.n_sections)), wav.samples)
-    elif args.mode == "pipeline":
-        outputs = schedule.simulate_pipeline(design, _hardware(args, design.sample_rate_hz),
-                                             wav.samples)
-    else:  # fixed
+        if args.mode == "pipeline":
+            outputs = schedule.simulate_pipeline(_hardware(args, design.sample_rate_hz),
+                                                 design.n_sections, outputs)
+    else:
         coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
         if args.quantized:
             fmt, rows = fixed.read_quantized_table(args.quantized)

@@ -4,8 +4,8 @@ One physical filter core serves many sections by iterating their state
 through the datapath within a sample period; a core plus the sections it
 serves is an array. Several arrays are chained, each adding one sample
 period of pipeline delay. This module derives the core/array arithmetic
-(sections per array, array count, latencies, feasibility) and can simulate
-the resulting tap timing on a stream of the float reference cascade.
+(sections per array, array count, latencies, feasibility) and delays the
+tap rows of any stream, float or fixed, as the arrays would emit them.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import CascadeState, CascadeStream, stream_rows
-from .design import CascadeDesign
 from .errors import InfeasibleError
 
 __all__ = [
@@ -111,22 +109,22 @@ def plan(params: HardwareParams, n_sections: int) -> ScheduleReport:
     )
 
 
-def simulate_pipeline(design: CascadeDesign, params: HardwareParams, samples):
-    """Tap outputs as the array pipeline would emit them, in the row blocks
-    of core.stream_rows; an infeasible plan raises before any block.
+def simulate_pipeline(params: HardwareParams, n_sections: int, blocks):
+    """The row blocks of any stream of an n_sections cascade, float or fixed
+    raw (those of core.stream_rows), as the array pipeline would emit them;
+    an infeasible plan raises at the call, before any block is drawn.
 
-    Numerically identical to the reference cascade except that every tap
-    served by array a (0-based) is delayed by a whole samples, the
-    pipeline-register delay between chained arrays. Sections within an
-    array run strictly in index order, one sample at a time (the per-sample
-    completion barrier), which is exactly the reference iteration order.
+    Every tap served by array a (0-based) is delayed by a whole samples, the
+    pipeline-register delay between chained arrays, in the rows' own dtype.
+    Sections within an array run strictly in index order, one sample at a
+    time (the per-sample completion barrier), which is exactly the streams'
+    iteration order.
     """
-    report = plan(params, design.n_sections)
+    report = plan(params, n_sections)
     if not report.feasible:
         raise InfeasibleError(
             f"{report.arrays_needed} arrays needed, only {params.max_arrays} available"
         )
-    blocks = stream_rows(CascadeStream(design, CascadeState(design.n_sections)), samples)
     return _delayed(blocks, report.sections_per_array, report.arrays_needed - 1)
 
 
@@ -138,7 +136,7 @@ def _delayed(blocks, per_array: int, lag: int):
         m = len(rows)
         for a in range(1, lag + 1):
             cols = rows[:, a * per_array : (a + 1) * per_array]
-            carry = held[a] if a in held else np.zeros((a, cols.shape[1]))
+            carry = held[a] if a in held else np.zeros((a, cols.shape[1]), rows.dtype)
             kept = max(m - a, 0)  # rows that stay in this block, shifted down
             held[a] = np.concatenate([carry[m:], cols[kept:]])
             cols[a:] = cols[:kept]

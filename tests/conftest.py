@@ -41,3 +41,10 @@ def random_section(rng, r_range=(0.5, 0.995)):
         g=g,
         section_index=0,
     )
+
+
+def float_rows(design, samples):
+    """The row blocks of samples through a fresh float stream of design."""
+    from carmodel.core import CascadeState, CascadeStream, stream_rows
+
+    return stream_rows(CascadeStream(design, CascadeState(design.n_sections)), samples)

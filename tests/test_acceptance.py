@@ -18,7 +18,13 @@ from carmodel.analysis import (
     parity_report,
     peak_trajectory,
 )
-from carmodel.core import CascadeState, SectionState, process_block, step_section
+from carmodel.core import (
+    CascadeState,
+    CascadeStream,
+    SectionState,
+    process_block,
+    step_section,
+)
 from carmodel.design import (
     DesignParams,
     design_cascade,
@@ -28,6 +34,8 @@ from carmodel.design import (
 )
 from carmodel.fixed import (
     FixedCascadeState,
+    FixedFormat,
+    FixedStream,
     dequantized_design,
     fixed_process_block,
     quantize_block,
@@ -188,20 +196,35 @@ def test_criterion_7_fixed_point_parity():
     )
 
 
-def test_criterion_8_pipeline_equivalence(rng):
+@pytest.mark.parametrize("state_format", [None, FixedFormat(32, 24), FixedFormat(64, 56)],
+                         ids=["float", "fixed-32-24", "fixed-64-56"])
+def test_criterion_8_pipeline_equivalence(rng, state_format):
     design = design_cascade(DesignParams(48000.0, 8, damping_zeta=0.2))
     # synthetic 3-sections-per-array budget -> ceil(8/3) = 3 arrays
     params = HardwareParams(clock_hz=48000 * 29 * 3 + 24000, sample_rate_hz=48000.0)
     report = plan(params, 8)
     assert report.arrays_needed == 3
     xs = rng.uniform(-1, 1, 256)
-    piped = np.concatenate(list(simulate_pipeline(design, params, xs)))
-    ref = process_block(design, CascadeState(8), xs)
+    if state_format is None:
+        stream = CascadeStream(design, CascadeState(8))
+        ref = process_block(design, CascadeState(8), xs)
+    else:  # raw rows, on int64 lanes at 32/24 and on object lanes at 64/56
+        qdesign = quantize_design(design, state_format=state_format)
+        xs = quantize_block(xs, qdesign.io_format)
+        stream = FixedStream(qdesign, FixedCascadeState(8))
+        ref, _ = fixed_process_block(qdesign, FixedCascadeState(8), xs)
+    # pieces of 1 and 2 samples: blocks of at most 2 rows, so the seams fall
+    # inside the 2-row delay of the last array
+    *pieces, rest = np.split(xs, [i for i in range(1, 256) if i % 3])
+    blocks = [stream.push(piece) for piece in pieces] + [stream.flush(rest)]
+    piped = np.concatenate(list(simulate_pipeline(params, 8, blocks)))
+    assert piped.dtype == ref.dtype
     for k in range(8):
         delay = k // report.sections_per_array
-        assert np.all(piped[:delay, k] == 0.0)
+        assert np.all(piped[:delay, k] == 0)
         assert np.array_equal(piped[delay:, k], ref[: 256 - delay, k])
-    print("\nPASS criterion 8: 3-array pipeline bit-identical up to per-array delays")
+    print(f"\nPASS criterion 8 ({'float' if state_format is None else 'fixed'}): "
+          "3-array pipeline bit-identical up to per-array delays")
 
 
 def test_criterion_9_desk_scale_real_time(rng):

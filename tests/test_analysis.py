@@ -269,6 +269,7 @@ class TestParityReport:
         with pytest.raises(AnalysisError, match="undefined SNR"):
             parity_report(np.zeros((32, 2)), np.ones((32, 2)))
 
+    @pytest.mark.filterwarnings("error")
     def test_underflowing_energy_is_not_zero(self, rng):
         # channels near 1e-162 square to 0 or to subnormals: against zeros
         # (0 dB) and against a saturated +-128 (about -3282 dB), beside two
@@ -278,12 +279,18 @@ class TestParityReport:
         fix = ref + rng.normal(0, 1e-3, ref.shape)
         fix[:, 1] = 0.0
         fix[:, 2] = np.where(rng.uniform(size=240) < 0.5, -128.0, 128.0)
+        # channels near 1e160 square past the largest double, with no
+        # overflow warning: against the saturated +-128 (both energies
+        # overflow) and against an error near 1e150 (only the reference's)
+        big = rng.uniform(-1, 1, (240, 2)) * 1e160
+        ref = np.column_stack([ref, big])
+        fix = np.column_stack([fix, fix[:, 2], big[:, 1] + rng.normal(0, 1e150, 240)])
         report = parity_report(ref, fix)
         normal = [0, 3]  # keep the bits of the plain formula
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             expect = 10.0 * np.log10((ref * ref).sum(axis=0) / ((ref - fix) ** 2).sum(axis=0))
         assert np.array_equal(report.snr_db[normal], expect[normal])
-        for ch in (1, 2):
+        for ch in (1, 2, 4, 5):
             energy = sum(Fraction(v) ** 2 for v in ref[:, ch])
             error = sum((Fraction(r) - Fraction(f)) ** 2 for r, f in zip(ref[:, ch], fix[:, ch]))
             q = energy / error
@@ -293,6 +300,8 @@ class TestParityReport:
         assert report.worst_channel == 2 and report.worst_snr_db < -3000
         assert not report.exact.any()
         assert parity_report(ref[:, 1:2], ref[:, 1:2].copy()).exact.all()
+        # an error that overflows itself keeps the plain formula's nan
+        assert np.isnan(parity_report(np.array([1e308, 1.0]), np.array([-1e308, 1.0])).snr_db[0])
 
     def test_tiny_error_is_not_exact(self):
         # the error, about 1e-165 per sample, squares to 0 beside a normal

@@ -20,6 +20,8 @@ from carmodel.schedule import (
     simulate_pipeline,
 )
 
+from conftest import float_rows
+
 
 class TestSectionLatency:
     def test_reference_clock(self):
@@ -116,7 +118,7 @@ class TestSimulatePipeline:
     def test_single_array_identical(self, rng):
         design = design_cascade(DesignParams(48000.0, 5, damping_zeta=0.2))
         xs = rng.uniform(-1, 1, 100)
-        out = np.concatenate(list(simulate_pipeline(design, HardwareParams(), xs)))
+        out = np.concatenate(list(simulate_pipeline(HardwareParams(), 5, float_rows(design, xs))))
         ref = process_block(design, CascadeState(5), xs)
         assert np.array_equal(out, ref)
 
@@ -125,7 +127,7 @@ class TestSimulatePipeline:
         params = HardwareParams(clock_hz=48000 * 29 * 3 + 24000, sample_rate_hz=48000)
         imp = np.zeros(64)
         imp[0] = 1.0
-        out = np.concatenate(list(simulate_pipeline(design, params, imp)))
+        out = np.concatenate(list(simulate_pipeline(params, 5, float_rows(design, imp))))
         ref = process_block(design, CascadeState(5), imp)
         assert np.array_equal(out[:, :3], ref[:, :3])
         assert np.all(out[0, 3:] == 0.0)
@@ -137,7 +139,7 @@ class TestSimulatePipeline:
         assert plan(params, 8).arrays_needed == 3
         # one sample is shorter than the largest delay
         for xs in (rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 1)):
-            out = np.concatenate(list(simulate_pipeline(design, params, xs)))
+            out = np.concatenate(list(simulate_pipeline(params, 8, float_rows(design, xs))))
             ref = process_block(design, CascadeState(8), xs)
             assert out.shape == ref.shape
             for k in range(8):
@@ -157,7 +159,7 @@ class TestSimulatePipeline:
         params = HardwareParams(clock_hz=48000 * 29 * 3 + 24000, sample_rate_hz=48000,
                                 max_arrays=14)
         xs = rng.uniform(-1, 1, 150)
-        blocks = list(simulate_pipeline(design, params, xs))
+        blocks = list(simulate_pipeline(params, 40, float_rows(design, xs)))
         assert len(blocks) > 2
         assert (min(b.shape[0] for b in blocks) < 13) == (chunk < 13)
         out = np.concatenate(blocks)
@@ -170,31 +172,39 @@ class TestSimulatePipeline:
 
     def test_delay_shifts_in_place(self):
         # 1224 columns on 12 arrays of 102, in blocks of 128 rows: a copy of
-        # one block's delayed columns would take 128 x 1122 doubles (1.1 MB)
+        # one block's delayed columns would take 128 x 1122 doubles (1.1 MB).
+        # Integer rows keep their bits across the seams: odd int64 values
+        # above 2^53 do not survive a round trip through float64.
         rng = np.random.default_rng(5)
-        blocks = [rng.uniform(-1, 1, (128, 1224)) for _ in range(3)]
-        whole = np.concatenate(blocks)
-        tracemalloc.start()
-        try:
-            delayed = list(_delayed(iter(blocks), 102, 11))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(d is b for d, b in zip(delayed, blocks))
-        out = np.concatenate(delayed)
-        for a in range(12):
-            cols = slice(a * 102, (a + 1) * 102)
-            assert np.all(out[:a, cols] == 0.0)
-            assert np.array_equal(out[a:, cols], whole[: 384 - a, cols])
-        assert peak < 128 * 1122 * 8 / 4
+        for blocks in ([rng.uniform(-1, 1, (128, 1224)) for _ in range(3)],
+                       [rng.integers(2**53, 2**62, (128, 1224)) | 1 for _ in range(3)]):
+            whole = np.concatenate(blocks)
+            tracemalloc.start()
+            try:
+                delayed = list(_delayed(iter(blocks), 102, 11))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(d is b for d, b in zip(delayed, blocks))
+            out = np.concatenate(delayed)
+            assert out.dtype == whole.dtype
+            for a in range(12):
+                cols = slice(a * 102, (a + 1) * 102)
+                assert np.all(out[:a, cols] == 0)
+                assert np.array_equal(out[a:, cols], whole[: 384 - a, cols])
+            assert peak < 128 * 1122 * 8 / 4
 
     def test_infeasible_rejected(self):
-        design = design_cascade(DesignParams(48000.0, 40, damping_zeta=0.2))
         params = HardwareParams(
             clock_hz=48000 * 29 * 3 + 24000, sample_rate_hz=48000, max_arrays=2
         )
+
+        def untouched():
+            raise AssertionError("a block was drawn")
+            yield
+
         with pytest.raises(InfeasibleError):
-            simulate_pipeline(design, params, np.zeros(8))
+            simulate_pipeline(params, 40, untouched())
 
     def test_full_scale_final_tap_delay(self):
         # 1224 sections on the default hardware: the last array (index 11)
@@ -205,7 +215,7 @@ class TestSimulatePipeline:
         params = HardwareParams()
         imp = np.zeros(16)
         imp[0] = 1.0
-        out = np.concatenate(list(simulate_pipeline(design, params, imp)))
+        out = np.concatenate(list(simulate_pipeline(params, 1224, float_rows(design, imp))))
         ref = process_block(design, CascadeState(1224), imp)
         assert np.all(out[:11, -1] == 0.0)
         assert np.array_equal(out[11:, -1], ref[:5, -1])
