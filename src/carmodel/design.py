@@ -198,10 +198,19 @@ def pole_angle(cf_hz: float, sample_rate_hz: float) -> float:
 
 
 def rotator_coeffs(theta_r: float) -> tuple[float, float]:
-    """Rotator coefficients (a0, c0) = (cos, sin) of the pole angle."""
+    """Rotator coefficients (a0, c0) = (cos, sin) of the pole angle.
+
+    Near Nyquist 1 + a0 is smaller than the rounding of cos itself, so the
+    rounded pair can break c0 < (2 + 2*a0)/c0, which exact cos and sin keep
+    (it reduces to a0 > -1). a0 is then lifted by as many ulps as it takes
+    to keep it; anywhere else the pair is plain (cos, sin).
+    """
     if not 0.0 < theta_r < math.pi:
         raise DesignError(f"theta_r must be in (0, pi), got {theta_r}")
-    return math.cos(theta_r), math.sin(theta_r)
+    a0, c0 = math.cos(theta_r), math.sin(theta_r)
+    while c0 >= complex_zero_bound(a0, c0):
+        a0 = math.nextafter(a0, 0.0)
+    return a0, c0
 
 
 def complex_zero_bound(a0: float, c0: float) -> float:

@@ -127,6 +127,14 @@ class TestRotator:
             a0, c0 = rotator_coeffs(theta)
             assert abs(a0 * a0 + c0 * c0 - 1.0) < 1e-12
 
+    def test_near_nyquist_pair_keeps_zeros_complex(self):
+        # plain (cos, sin) here gives c0 above the complex-zero bound
+        theta = 3.1414926535897925
+        a0, c0 = rotator_coeffs(theta)
+        assert c0 == math.sin(theta)
+        assert a0 == math.nextafter(math.cos(theta), 0.0)
+        assert c0 < complex_zero_bound(a0, c0)
+
     @pytest.mark.parametrize("theta", [0.0, math.pi, -1.0, 4.0])
     def test_angle_domain(self, theta):
         with pytest.raises(DesignError):
