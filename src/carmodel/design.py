@@ -61,7 +61,7 @@ class DesignParams:
     generated base first. r defaults to 1 - damping_zeta * theta_r per
     section, i.e. damping proportional to the pole angle, which keeps the
     relative bandwidth roughly uniform along the cascade. r_override, when
-    given, replaces that rule with a global value or one value per section.
+    given, replaces that rule with one global value.
     zero_ratio is F in h = F * c0 (see zero_coeff); the default 1.0 gives
     h = c0.
     """
@@ -72,7 +72,7 @@ class DesignParams:
     x_apex: float = 0.023
     damping_zeta: float = 0.1
     zero_ratio: float = 1.0
-    r_override: float | tuple[float, ...] | None = None
+    r_override: float | None = None
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
@@ -87,8 +87,6 @@ class DesignParams:
             raise DesignError(f"damping_zeta must be >= 0, got {self.damping_zeta}")
         if not 0.0 < self.zero_ratio < math.inf:
             raise DesignError(f"zero_ratio must be finite and > 0, got {self.zero_ratio}")
-        if isinstance(self.r_override, (list, tuple)):
-            object.__setattr__(self, "r_override", tuple(float(r) for r in self.r_override))
 
 
 class ChannelCoeffs(NamedTuple):
@@ -250,15 +248,9 @@ def dc_gain_coeff(a0: float, c0: float, h: float, r: float) -> float:
     return num / den
 
 
-def _section_radius(params: DesignParams, theta_r: float, index: int) -> float:
+def _section_radius(params: DesignParams, theta_r: float) -> float:
     if params.r_override is None:
         return 1.0 - params.damping_zeta * theta_r
-    if isinstance(params.r_override, tuple):
-        if len(params.r_override) != params.n_sections:
-            raise DesignError(
-                f"r_override has {len(params.r_override)} entries for {params.n_sections} sections"
-            )
-        return params.r_override[index]
     return float(params.r_override)
 
 
@@ -278,7 +270,7 @@ def design_cascade(params: DesignParams) -> CascadeDesign:
             cf = greenwood_cf(x)
             theta = pole_angle(cf, params.sample_rate_hz)
             a0, c0 = rotator_coeffs(theta)
-            r = _section_radius(params, theta, i)
+            r = _section_radius(params, theta)
             if not 0.0 < r <= 1.0:
                 raise DesignError(f"pole radius r={r} outside (0, 1]")
             h = zero_coeff(a0, c0, params.zero_ratio)

@@ -27,9 +27,10 @@ mirrors core.step_section:
 
 Inter-stage values (tap outputs, which are also the next section's inputs)
 are carried in the state format: the cascade builds up large resonant peaks,
-so the narrow io format applies only at the input boundary. Every rounding
-site saturates (or wraps) per the destination format's overflow policy and
-every overflow event is counted; nothing is clipped silently.
+so the narrow io format applies only at the input boundary. A format is two
+widths, total and fraction bits. Every write into one rounds to nearest,
+ties to even, and saturates; every overflow event is counted, so nothing is
+clipped silently.
 
 Default word lengths: 16/15 io (16-bit PCM input), 32/24 state (integer
 headroom of +-128 for inter-stage peaks), 18/16 coefficients (all designed
@@ -78,20 +79,13 @@ __all__ = [
     "QUANTIZED_TABLE_HEADER",
 ]
 
-ROUND_NEAREST_EVEN = "round_to_nearest_even"
-ROUND_TRUNCATE = "truncate"
-OVERFLOW_SATURATE = "saturate"
-OVERFLOW_WRAP = "wrap"
-
-
 @dataclass(frozen=True)
 class FixedFormat:
-    """Signed two's-complement fixed-point format."""
+    """Signed two's-complement fixed-point format: writes into it round to
+    nearest, ties to even, and saturate."""
 
     total_bits: int
     frac_bits: int
-    rounding: str = ROUND_NEAREST_EVEN
-    overflow: str = OVERFLOW_SATURATE
 
     def __post_init__(self):
         if not 2 <= self.total_bits <= 64:
@@ -100,10 +94,6 @@ class FixedFormat:
             raise FixedPointError(
                 f"frac_bits must be in [0, total_bits-1], got {self.frac_bits}"
             )
-        if self.rounding not in (ROUND_NEAREST_EVEN, ROUND_TRUNCATE):
-            raise FixedPointError(f"unknown rounding mode: {self.rounding!r}")
-        if self.overflow not in (OVERFLOW_SATURATE, OVERFLOW_WRAP):
-            raise FixedPointError(f"unknown overflow policy: {self.overflow!r}")
 
     @property
     def raw_min(self) -> int:
@@ -135,13 +125,11 @@ class FixedValue:
             )
 
 
-def _round_shift(value: int, shift: int, rounding: str) -> int:
-    """Round value / 2^shift to an integer; negative shift is an exact
-    left shift. Truncation is an arithmetic right shift (floor)."""
+def _round_shift(value: int, shift: int) -> int:
+    """Round value / 2^shift to nearest, ties to even; negative shift is an
+    exact left shift."""
     if shift <= 0:
         return value << (-shift)
-    if rounding == ROUND_TRUNCATE:
-        return value >> shift
     half = 1 << (shift - 1)
     frac = value & ((1 << shift) - 1)
     base = value >> shift
@@ -150,26 +138,22 @@ def _round_shift(value: int, shift: int, rounding: str) -> int:
     return base
 
 
-def _apply_overflow(raw: int, fmt: FixedFormat) -> tuple[int, bool]:
+def _saturate(raw: int, fmt: FixedFormat) -> tuple[int, bool]:
+    """raw clipped to the format's range, and whether it had to be."""
     lo, hi = fmt.raw_min, fmt.raw_max
     if lo <= raw <= hi:
         return raw, False
-    if fmt.overflow == OVERFLOW_SATURATE:
-        return (hi if raw > hi else lo), True
-    wrapped = raw & ((1 << fmt.total_bits) - 1)
-    if wrapped > hi:
-        wrapped -= 1 << fmt.total_bits
-    return wrapped, True
+    return (hi if raw > hi else lo), True
 
 
 def _requantize(raw: int, from_frac: int, fmt: FixedFormat) -> tuple[int, bool]:
-    rounded = _round_shift(raw, from_frac - fmt.frac_bits, fmt.rounding)
-    return _apply_overflow(rounded, fmt)
+    return _saturate(_round_shift(raw, from_frac - fmt.frac_bits), fmt)
 
 
 def quantize(value: float, fmt: FixedFormat) -> FixedValue:
-    """Convert a real value into the format per its rounding and overflow
-    policies. NaN is rejected; infinities clamp to the format extremes."""
+    """Convert a real value into the format, rounded to nearest, ties to
+    even, and saturated. NaN is rejected; infinities clamp to the format
+    extremes."""
     if math.isnan(value):
         raise FixedPointError("cannot quantize NaN")
     if math.isinf(value):
@@ -180,11 +164,7 @@ def quantize(value: float, fmt: FixedFormat) -> FixedValue:
         raise FixedPointError(
             f"{value!r} overflows the {fmt.frac_bits}-bit fraction scale"
         ) from None
-    if fmt.rounding == ROUND_TRUNCATE:
-        raw = math.floor(scaled)
-    else:
-        raw = round(scaled)  # Python round() is round-half-to-even
-    raw, _ = _apply_overflow(raw, fmt)
+    raw, _ = _saturate(round(scaled), fmt)  # Python round() is round-half-to-even
     return FixedValue(raw, fmt)
 
 
@@ -340,9 +320,7 @@ def _step_raw(
     events = 0
 
     acc = q.r_raw * (q.a0_raw * w1 - q.c0_raw * w2)
-    acc += _round_shift(x, x_frac - acc_frac, sfmt.rounding) if x_frac > acc_frac else (
-        x << (acc_frac - x_frac)
-    )
+    acc += _round_shift(x, x_frac - acc_frac)
     w1n, sat = _requantize(acc, acc_frac, sfmt)
     events += sat
 
@@ -352,9 +330,7 @@ def _step_raw(
 
     inner_frac = cfrac + sfmt.frac_bits
     acc = q.h_raw * w2n
-    acc += _round_shift(x, x_frac - inner_frac, sfmt.rounding) if x_frac > inner_frac else (
-        x << (inner_frac - x_frac)
-    )
+    acc += _round_shift(x, x_frac - inner_frac)
     y, sat = _requantize(q.g_raw * acc, acc_frac, sfmt)
     events += sat
 
@@ -387,11 +363,10 @@ def fixed_step_section(
 def quantize_block(samples: Sequence[float] | np.ndarray, fmt: FixedFormat) -> np.ndarray:
     """Vectorized quantize of a float block to raw integers (int64).
 
-    Matches quantize() for every element (round-half-even / floor, then the
-    overflow policy). The overflow policy is applied to the rounded doubles,
-    before the cast to int64, so formats up to 64 bits neither overflow the
-    cast nor the modulus. Like quantize(), a value whose scaled form
-    overflows a double is an error.
+    Matches quantize() for every element (round-half-even, then saturate).
+    Saturation is applied to the rounded doubles, before the cast to int64,
+    so formats up to 64 bits do not overflow the cast. Like quantize(), a
+    value whose scaled form overflows a double is an error.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.size and not np.isfinite(x).all():
@@ -400,27 +375,17 @@ def quantize_block(samples: Sequence[float] | np.ndarray, fmt: FixedFormat) -> n
 
 
 def _quantize_finite(x: np.ndarray, fmt: FixedFormat) -> tuple[np.ndarray, int]:
-    """quantize_block of finite doubles, and how many of them overflowed."""
+    """quantize_block of finite doubles, and how many of them saturated."""
     with np.errstate(over="ignore"):
         scaled = x * math.ldexp(1.0, fmt.frac_bits)  # exact power-of-two scale
     if scaled.size and not np.isfinite(scaled).all():
         raise FixedPointError(f"samples overflow the {fmt.frac_bits}-bit fraction scale")
-    if fmt.rounding == ROUND_TRUNCATE:
-        raw = np.floor(scaled)
-    else:
-        raw = np.round(scaled)  # ties to even, same as round()
+    raw = np.round(scaled)  # ties to even, same as round()
     limit = math.ldexp(1.0, fmt.total_bits - 1)  # -raw_min, raw_max + 1
     top = raw >= limit
     overflows = int(np.count_nonzero(top | (raw < -limit)))
-    if fmt.overflow == OVERFLOW_SATURATE:
-        raw = np.where(top, 0.0, np.maximum(raw, -limit)).astype(np.int64)
-        raw[top] = fmt.raw_max  # not a double above 53 bits
-    else:
-        # fmod is exact, and so are these shifts by 2^total_bits (Sterbenz)
-        raw = np.fmod(raw, 2.0 * limit)
-        raw[raw >= limit] -= 2.0 * limit
-        raw[raw < -limit] += 2.0 * limit
-        raw = raw.astype(np.int64)
+    raw = np.where(top, 0.0, np.maximum(raw, -limit)).astype(np.int64)
+    raw[top] = fmt.raw_max  # not a double above 53 bits
     return raw, overflows
 
 
@@ -502,8 +467,8 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
     below fail, splits acc into two limbs at s: acc = hi * 2^s + lo with
     hi = c * (D >> s) + x and lo = c * (D & (2^s - 1)), so floor(acc / 2^s)
     = hi + (lo >> s) and the rounding remainder is lo mod 2^s; then the
-    two-sided overflow test. That is _step_raw on object lanes, and on int64
-    lanes within _int64_exact's envelope.
+    two-sided overflow test, which saturates. That is _step_raw on object
+    lanes, and on int64 lanes within _int64_exact's envelope.
 
     The one-limb form, on int64 lanes, rounds acc modulo 2^64 itself, ties
     to even as (acc + ((acc >> s) & 1) + 2^(s-1) - 1) >> s. A line takes it
@@ -524,8 +489,8 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
     w-lines take the one-limb form, with no reduction. N is seeded as
     isqrt(2 * P^2) + 1 from P = max|w| over the whole [n x 2] state (one
     absolute and one argmax, counted as a reduction) only when it is unknown
-    (on a fresh wavefront, or after an exact w write, which may saturate or
-    wrap) or when N' > lim. Where N' > lim right after a seed, the tick
+    (on a fresh wavefront, or after an exact w write, which may saturate)
+    or when N' > lim. Where N' > lim right after a seed, the tick
     tries its own bound on both w-lines, (P * G >> s) + X + 2 with
     G = max_k(|r*a0| + |r*c0|). G is at most sqrt(2) * rho, the factor the
     seed carries into the chain, and less unless a section turns by pi/4
@@ -551,8 +516,7 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
     n, lanes = qdesign.n_sections, w.dtype
     sfmt = qdesign.state_format
     cfrac = qdesign.coeff_format.frac_bits
-    nearest = sfmt.rounding == ROUND_NEAREST_EVEN and cfrac > 0
-    saturate = sfmt.overflow == OVERFLOW_SATURATE
+    nearest = cfrac > 0  # a round shift of 0 writes exactly
     rmin, rmax = sfmt.raw_min, sfmt.raw_max
     shift, coeffs = 2 * cfrac, qdesign.coeffs_raw
     rho = max(math.isqrt((c.r_raw * c.a0_raw) ** 2 + (c.r_raw * c.c0_raw) ** 2)
@@ -562,10 +526,9 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
     lim = min(rmax, (1 << (63 - shift)) - 1) if lanes == np.int64 else 0
     # scalars as 0-d arrays of the lanes' dtype: a ufunc converts a Python int
     # on every call, and int64 operands would overflow object lanes
-    mask_int, span_int = (1 << shift) - 1, 1 << sfmt.total_bits
-    s, mask, half, one, cf, span, wrap = (
-        np.array(v, dtype=lanes)
-        for v in (shift, mask_int, mask_int >> 1, 1, cfrac, span_int, span_int - 1)
+    mask_int = (1 << shift) - 1
+    s, mask, half, one, cf = (
+        np.array(v, dtype=lanes) for v in (shift, mask_int, mask_int >> 1, 1, cfrac)
     )
     mul, add, band = np.multiply, np.add, np.bitwise_and
     rshift, lshift, absolute = np.right_shift, np.left_shift, np.absolute
@@ -574,8 +537,8 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
         """acc (holding c * (d >> s), plus x) += the low limb c * (d mod 2^s)
         >> s and the rounding carry; d and t are used up. Then the overflow
         check: the peak of |acc| against raw_max, and only where that fires
-        the exact two-sided test, which raw_min itself passes. Overflows are
-        counted into sat. Returns the peak |acc| before it."""
+        the exact two-sided test, which raw_min itself passes, and the clip.
+        Overflows are counted into sat. Returns the peak |acc| before it."""
         band(d, mask, d)
         mul(d, c, d)
         rshift(d, s, t)
@@ -593,11 +556,7 @@ def _lane_kernel(qdesign: QuantizedDesign, w: np.ndarray, sat: np.ndarray,
         if top > rmax:
             over = (acc < rmin) | (acc > rmax)
             sat += over.sum(axis=1) if over.ndim == 2 else over
-            if saturate:
-                np.clip(acc, rmin, rmax, out=acc)
-            else:
-                acc &= wrap
-                acc -= (acc > rmax) * span
+            np.clip(acc, rmin, rmax, out=acc)
         return top
 
     def one_limb(acc, t, out):

@@ -41,8 +41,8 @@ class HardwareParams:
 
     def __post_init__(self):
         for name in ("clock_hz", "cycles_per_section", "sample_rate_hz", "max_arrays"):
-            if getattr(self, name) <= 0:
-                raise InfeasibleError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InfeasibleError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -732,6 +732,11 @@ class TestCliScheduleCompare:
         assert "end_to_end_latency_us: 250.0000" in out
         assert (tmp_path / "sched.csv").exists()
 
+    @pytest.mark.parametrize("clock", ["nan", "inf"])
+    def test_schedule_non_finite_clock_exits_1(self, clock, capsys):
+        assert cli_main(["schedule", "--clock-hz", clock]) == 1
+        assert capsys.readouterr() == ("", "error: clock_hz must be finite and positive\n")
+
     def test_compare(self, workspace, capsys):
         rc = cli_main([
             "compare", "--coeffs", str(workspace / "coeffs.csv"),

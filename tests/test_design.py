@@ -258,15 +258,6 @@ class TestDesignCascade:
         d = design_cascade(DesignParams(48000.0, 5, r_override=0.9))
         assert all(s.r == 0.9 for s in d.sections)
 
-    def test_r_override_per_section(self):
-        rs = (0.5, 0.6, 0.7)
-        d = design_cascade(DesignParams(48000.0, 3, r_override=rs))
-        assert tuple(s.r for s in d.sections) == rs
-
-    def test_r_override_wrong_length(self):
-        with pytest.raises(DesignError):
-            design_cascade(DesignParams(48000.0, 3, r_override=(0.5, 0.6)))
-
 
 class TestTransferFunction:
     def test_undamped_quarter_rate(self):

@@ -50,19 +50,13 @@ def mls_signal(order, amplitude):
 @st.composite
 def formats(draw):
     total = draw(st.integers(4, 40))
-    frac = draw(st.integers(0, min(20, total - 1)))
-    rounding = draw(st.sampled_from(["round_to_nearest_even", "truncate"]))
-    overflow = draw(st.sampled_from(["saturate", "wrap"]))
-    return FixedFormat(total, frac, rounding, overflow)
+    return FixedFormat(total, draw(st.integers(0, min(20, total - 1))))
 
 
 @st.composite
 def wide_formats(draw):
     total = draw(st.integers(2, 64))
-    frac = draw(st.integers(0, total - 1))
-    rounding = draw(st.sampled_from(["round_to_nearest_even", "truncate"]))
-    overflow = draw(st.sampled_from(["saturate", "wrap"]))
-    return FixedFormat(total, frac, rounding, overflow)
+    return FixedFormat(total, draw(st.integers(0, total - 1)))
 
 
 class TestFormat:
@@ -105,15 +99,6 @@ class TestQuantize:
         assert quantize(float("inf"), Q15).raw == 32767
         assert quantize(float("-inf"), Q15).raw == -32768
 
-    def test_truncate_floors(self):
-        fmt = FixedFormat(16, 15, rounding="truncate")
-        assert quantize(0.99999, fmt).raw == 32767
-        assert quantize(-1e-9, fmt).raw == -1
-
-    def test_wrap_policy(self):
-        fmt = FixedFormat(16, 15, overflow="wrap")
-        assert quantize(1.0, fmt).raw == -32768
-
     @given(value=st.floats(-0.999, 0.999), frac=st.integers(4, 30))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_half_lsb(self, value, frac):
@@ -127,11 +112,11 @@ class TestQuantize:
         near=st.lists(st.floats(-4.0, 4.0), max_size=8),
     )
     @example(fmt=FixedFormat(64, 63), values=[1.0], near=[])
-    @example(fmt=FixedFormat(64, 10, overflow="wrap"), values=[1.0], near=[])
+    @example(fmt=FixedFormat(64, 10), values=[1.0], near=[])
     @example(fmt=FixedFormat(64, 63), values=[1e308], near=[])
     @settings(max_examples=300, deadline=None)
     def test_block_matches_scalar(self, fmt, values, near):
-        # near: multiples of the format's range, where saturation and wrap act
+        # near: multiples of the format's range, where saturation acts
         scale = math.ldexp(1.0, fmt.total_bits - 1 - fmt.frac_bits)
         lo, hi = fmt.raw_min * fmt.lsb, fmt.raw_max * fmt.lsb
         limits = [lo, hi, scale, lo - fmt.lsb, 1.0, -1.0]
@@ -186,12 +171,7 @@ class TestFixedOps:
 
         exact = Fraction(a_raw, 1 << a_frac) * Fraction(b_raw, 1 << b_frac)
         scaled = exact * (1 << out.frac_bits)
-        if out.rounding == "truncate":
-            ideal = scaled.numerator // scaled.denominator
-        else:
-            ideal = _round_half_even(scaled)
-        expect = _overflow_oracle(ideal, out)
-        assert got == expect
+        assert got == _overflow_oracle(_round_half_even(scaled), out)
 
     def test_mul_error_within_one_lsb(self, rng):
         for _ in range(200):
@@ -214,14 +194,7 @@ def _round_half_even(frac):
 
 
 def _overflow_oracle(raw, fmt):
-    if fmt.raw_min <= raw <= fmt.raw_max:
-        return raw
-    if fmt.overflow == "saturate":
-        return fmt.raw_max if raw > fmt.raw_max else fmt.raw_min
-    wrapped = raw & ((1 << fmt.total_bits) - 1)
-    if wrapped > fmt.raw_max:
-        wrapped -= 1 << fmt.total_bits
-    return wrapped
+    return min(max(raw, fmt.raw_min), fmt.raw_max)
 
 
 class TestQuantizeDesign:
@@ -435,13 +408,12 @@ class TestFixedProcessBlock:
         assert stats.total > 0
         assert np.array_equal(state.saturations, stats.section_saturations)
 
-    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
-    def test_overflow_onto_raw_max(self, overflow):
+    def test_overflow_onto_raw_max(self):
         # integer formats, one hand-set section: w1 = 3*100 + 83 = 383 is
-        # past raw_max = 127 and both policies land exactly on 127
+        # past raw_max = 127 and saturates onto it
         design = design_cascade(DesignParams(48000.0, 1))
         rows = {0: {"r": 1, "a0": 3, "c0": 0, "h": 0, "g": 1}}
-        state_fmt = FixedFormat(8, 0, overflow=overflow)
+        state_fmt = FixedFormat(8, 0)
         qd = apply_quantized_table(design, FixedFormat(4, 0), rows, state_fmt, FixedFormat(8, 0))
         state = FixedCascadeState(1)
         out, stats = fixed_process_block(qd, state, [100, 83])
@@ -453,17 +425,15 @@ class TestFixedProcessBlock:
         assert np.array_equal(out, ref_out)
         assert ref_state.w1_raw.tolist() == [127]
 
-    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
-    def test_overflow_onto_raw_min(self, overflow):
+    def test_overflow_onto_raw_min(self):
         # the section of test_overflow_onto_raw_max: y = x = -128 and
         # w1 = 3*(-40) - 8 = -128 are raw_min itself, in range and no event;
-        # one LSB lower is one event, onto raw_min or wrapped to raw_max
+        # one LSB lower is one event, onto raw_min
         design = design_cascade(DesignParams(48000.0, 1))
         rows = {0: {"r": 1, "a0": 3, "c0": 0, "h": 0, "g": 1}}
-        state_fmt = FixedFormat(8, 0, overflow=overflow)
+        state_fmt = FixedFormat(8, 0)
         qd = apply_quantized_table(design, FixedFormat(4, 0), rows, state_fmt, FixedFormat(8, 0))
-        below = -128 if overflow == "saturate" else 127
-        for xs, w1, events in (([-128], -128, 0), ([-40, -8], -128, 0), ([-40, -9], below, 1)):
+        for xs, w1, events in (([-128], -128, 0), ([-40, -8], -128, 0), ([-40, -9], -128, 1)):
             state = FixedCascadeState(1)
             out, stats = fixed_process_block(qd, state, xs)
             assert out[:, 0].tolist() == xs
@@ -503,44 +473,39 @@ class TestFixedProcessBlock:
         state_bits=st.integers(6, 64),
         state_int=st.integers(1, 12),
         io_bits=st.integers(2, 24),
-        rounding=st.sampled_from(["round_to_nearest_even", "truncate"]),
-        overflow=st.sampled_from(["saturate", "wrap"]),
         n_sections=st.integers(1, 12),
         signal=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
         cuts=st.lists(st.integers(1, 15), min_size=1, max_size=6),
     )
     # the defaults, a saturating state, and a 64-bit state outside the int64 envelope
-    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, [0.9, -1.0] * 20, [1, 5])
-    @example(10, 2, 12, 2, 16, "round_to_nearest_even", "saturate", 12, [0.9, -1.0] * 20, [3])
-    @example(16, 2, 64, 24, 16, "truncate", "wrap", 5, [0.5, -0.25] * 10, [2, 7])
+    @example(16, 2, 32, 8, 16, 12, [0.9, -1.0] * 20, [1, 5])
+    @example(10, 2, 12, 2, 16, 12, [0.9, -1.0] * 20, [3])
+    @example(16, 2, 64, 24, 16, 5, [0.5, -0.25] * 10, [2, 7])
     # chunks of n - 1, n and n + 1 samples, a long full-width stretch, then
     # partial chunks: the kernel's lanes change from full to narrow and back
-    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
-    @example(10, 2, 12, 2, 16, "round_to_nearest_even", "wrap", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
+    @example(16, 2, 32, 8, 16, 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
+    @example(10, 2, 12, 2, 16, 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
     # whole blocks of 1, n - 1, n and n + 1 samples: row strides of the
     # sample count and of n, and the edges of the fill and the drain
-    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:1], [1])
-    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:11], [11])
-    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:12], [12])
-    @example(16, 2, 32, 8, 16, "round_to_nearest_even", "saturate", 12, LONG_SIGNAL[:13], [13])
+    @example(16, 2, 32, 8, 16, 12, LONG_SIGNAL[:1], [1])
+    @example(16, 2, 32, 8, 16, 12, LONG_SIGNAL[:11], [11])
+    @example(16, 2, 32, 8, 16, 12, LONG_SIGNAL[:12], [12])
+    @example(16, 2, 32, 8, 16, 12, LONG_SIGNAL[:13], [13])
     # entrances that round: ties (io raw 16 and 48 over a 5-bit shift), and
-    # io values near +1 that round up past a Q1 state's raw_max, under both
-    # overflow policies; and a 64-bit io format, outside the int64 envelope
-    @example(16, 2, 12, 2, 16, "round_to_nearest_even", "saturate", 3,
-             [2**-11, 3 * 2**-11, -(2**-11), -3 * 2**-11] * 3, [5])
-    @example(16, 2, 8, 1, 16, "round_to_nearest_even", "saturate", 3, [1.0, 0.9999, -1.0] * 3, [4])
-    @example(16, 2, 8, 1, 16, "round_to_nearest_even", "wrap", 3, [1.0, 0.9999, -1.0] * 3, [4])
-    @example(16, 2, 32, 8, 64, "round_to_nearest_even", "saturate", 4, [0.5, -0.3, 1.0] * 4, [5])
-    # the one-limb form with truncate rounding, and with a round shift of 0
-    @example(16, 2, 32, 8, 16, "truncate", "wrap", 12, LONG_SIGNAL, [11, 12, 13, 80, 3, 1])
-    @example(0, 3, 32, 8, 16, "round_to_nearest_even", "saturate", 5, LONG_SIGNAL[:40], [7])
+    # io values near +1 that round up past a Q1 state's raw_max and
+    # saturate; and a 64-bit io format, outside the int64 envelope
+    @example(16, 2, 12, 2, 16, 3, [2**-11, 3 * 2**-11, -(2**-11), -3 * 2**-11] * 3, [5])
+    @example(16, 2, 8, 1, 16, 3, [1.0, 0.9999, -1.0] * 3, [4])
+    @example(16, 2, 32, 8, 64, 4, [0.5, -0.3, 1.0] * 4, [5])
+    # the one-limb form with a round shift of 0, the only write that does
+    # not round
+    @example(0, 3, 32, 8, 16, 5, LONG_SIGNAL[:40], [7])
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_loop(
-        self, coeff_frac, coeff_int, state_bits, state_int, io_bits, rounding, overflow,
-        n_sections, signal, cuts,
+        self, coeff_frac, coeff_int, state_bits, state_int, io_bits, n_sections, signal, cuts,
     ):
         coeff_fmt = FixedFormat(coeff_frac + coeff_int, coeff_frac)
-        state_fmt = FixedFormat(state_bits, max(0, state_bits - state_int), rounding, overflow)
+        state_fmt = FixedFormat(state_bits, max(0, state_bits - state_int))
         io_fmt = FixedFormat(io_bits, io_bits - 1)
         design = design_cascade(DesignParams(48000.0, n_sections, damping_zeta=0.2))
         qd = quantize_design(design, coeff_fmt, state_fmt, io_fmt)
@@ -599,14 +564,12 @@ class TestOneLimbBound:
     limb: each case is one where a looser bound would let a write that
     overflows through unchecked."""
 
-    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
-    def test_w1_rounds_up_onto_raw_max_plus_one(self, overflow):
+    def test_w1_rounds_up_onto_raw_max_plus_one(self):
         # r = 1, a0 = 1 + 2^-16: tick 1 takes w1 to W = 2130674432 and tick 2
         # writes round(r*a0*W + x) with floor(r*a0*W) + x = raw_max and a
         # fraction of 0.51, so w1' = raw_max + 1, where the bound without
         # its slack would say raw_max
-        sfmt = FixedFormat(32, 24, overflow=overflow)
-        qd = hand_set([(1 << 16, (1 << 16) + 1, 0, 0, 0)], state_fmt=sfmt)
+        qd = hand_set([(1 << 16, (1 << 16) + 1, 0, 0, 0)])
         stats = run_like_oracle(qd, [2130641921], [0], [np.array([0, 32767])])
         assert stats.section_saturations.tolist() == [1]
 
@@ -672,12 +635,11 @@ class TestOneLimbBound:
                                                 np.zeros(2, np.int64)])
         assert stats.section_saturations.tolist() == [3]
 
-    @pytest.mark.parametrize("sfmt", [FixedFormat(40, 32), FixedFormat(32, 24, "truncate")])
-    def test_states_past_one_limb(self, sfmt):
+    def test_states_past_one_limb(self):
         # with s = 32, a 40/32 state's values from 2^31 up (0.5) do not fit
-        # one limb; truncate rounds both forms down
+        # one limb
         qd = quantize_design(design_cascade(DesignParams(48000.0, 12, damping_zeta=0.2)),
-                             state_format=sfmt)
+                             state_format=FixedFormat(40, 32))
         raw_in = quantize_block(LONG_SIGNAL, qd.io_format)
         run_like_oracle(qd, 0, 0, [raw_in[:50], raw_in[50:]])
 
@@ -694,45 +656,44 @@ def fixed_stream_runs(draw):
 
 class TestFixedStream:
     @given(
-        state_fmt=st.tuples(st.integers(6, 64), st.integers(1, 12),
-                            st.sampled_from(["round_to_nearest_even", "truncate"]),
-                            st.sampled_from(["saturate", "wrap"])),
+        state_fmt=st.tuples(st.integers(6, 64), st.integers(1, 12)),
         run=fixed_stream_runs(),
         tail=st.integers(0, 14),
         seed=st.integers(0, 2**32 - 1),
         zeta=st.sampled_from([0.0, 0.2]),
         start=st.integers(0, 8),
     )
-    # a saturating 12-bit state, a wrapping one, and 64-bit states outside
-    # the int64 envelope, which run on object lanes; the second of them
-    # overflows and wraps by 2^64, which no int64 holds
-    @example((12, 2, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.2, 0)
-    @example((12, 2, "round_to_nearest_even", "wrap"), (7, [6, 7, 8, 0, 40, 1]), 3, 2, 0.2, 0)
-    @example((64, 24, "truncate", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3, 0.2, 0)
-    @example((64, 2, "round_to_nearest_even", "wrap"), (7, [6, None, 8, 1, 0, 20]), 2, 3, 0.2, 0)
+    # saturating 12-bit states, and 64-bit states outside the int64
+    # envelope, which run on object lanes; the second of them overflows
+    # past 2^63, which no int64 holds, and saturates
+    @example((12, 2), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.2, 0)
+    @example((12, 2), (7, [6, 7, 8, 0, 40, 1]), 3, 2, 0.2, 0)
+    @example((64, 24), (7, [6, None, 8, 1, 0, 20]), 2, 3, 0.2, 0)
+    @example((64, 2), (7, [6, None, 8, 1, 0, 20]), 2, 3, 0.2, 0)
     # a short fresh flush on object lanes: its ticks take their lane views
     # from strided views of object arrays
-    @example((64, 8, "round_to_nearest_even", "saturate"), (12, []), 4, 6, 0.2, 0)
+    @example((64, 8), (12, []), 4, 6, 0.2, 0)
     # full-scale inputs overflow a Q1.7 state at the entrance between flushes
-    @example((8, 1, "round_to_nearest_even", "saturate"), (3, [5, None, 5, None, 4]), 3, 4, 0.2, 0)
+    @example((8, 1), (3, [5, None, 5, None, 4]), 3, 4, 0.2, 0)
     # the w-lines' norm bound: undamped sections (rho >= 2^s) from rest; a
     # state whose lanes' norm, sqrt(2) * 3/4 of full scale, is past raw_max
     # while each value is below it; a state at 5/8 of full scale, where the
-    # bound starts one-limb; truncation; writes that wrap once undamped
-    # sections ring up, after one-limb ticks; and pushes that split the
-    # fill, a flush that fills and drains, then a fill split again
-    @example((32, 8, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.0, 0)
-    @example((32, 8, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.0, 6)
-    @example((32, 12, "round_to_nearest_even", "saturate"), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.2, 5)
-    @example((32, 12, "truncate", "saturate"), (7, [6, 7, 8, 0, 40, 1]), 3, 2, 0.0, 0)
-    @example((32, 5, "round_to_nearest_even", "wrap"), (12, [30, 30, 30, None, 30, 30]), 5, 7, 0.0, 1)
-    @example((32, 12, "round_to_nearest_even", "saturate"), (12, [3, 4, None, 5, 2]), 9, 8, 0.2, 0)
+    # bound starts one-limb; undamped sections from rest in uneven pushes;
+    # writes that saturate once undamped sections ring up, after one-limb
+    # ticks; and pushes that split the fill, a flush that fills and drains,
+    # then a fill split again
+    @example((32, 8), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.0, 0)
+    @example((32, 8), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.0, 6)
+    @example((32, 12), (12, [11, 12, 13, 80, None, 1, 0]), 5, 1, 0.2, 5)
+    @example((32, 12), (7, [6, 7, 8, 0, 40, 1]), 3, 2, 0.0, 0)
+    @example((32, 5), (12, [30, 30, 30, None, 30, 30]), 5, 7, 0.0, 1)
+    @example((32, 12), (12, [3, 4, None, 5, 2]), 9, 8, 0.2, 0)
     @settings(max_examples=100, deadline=None)
     def test_push_flush_equals_reference_loop(self, state_fmt, run, tail, seed, zeta, start):
-        bits, int_bits, rounding, overflow = state_fmt
+        bits, int_bits = state_fmt
         n, steps = run
         design = design_cascade(DesignParams(48000.0, n, damping_zeta=zeta))
-        sfmt = FixedFormat(bits, max(0, bits - int_bits), rounding, overflow)
+        sfmt = FixedFormat(bits, max(0, bits - int_bits))
         qd = quantize_design(design, state_format=sfmt)
         rng = np.random.default_rng(seed)
         # the last tail samples go in with the final flush

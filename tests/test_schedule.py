@@ -39,6 +39,14 @@ class TestSectionLatency:
             section_latency(0, 142e6)
 
 
+class TestHardwareParams:
+    @pytest.mark.parametrize("name", ["clock_hz", "sample_rate_hz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive(self, name, value):
+        with pytest.raises(InfeasibleError, match=f"^{name} must be finite and positive$"):
+            HardwareParams(**{name: value})
+
+
 class TestSectionsPerArray:
     def test_defaults(self):
         assert sections_per_array(HardwareParams()) == 102
