@@ -201,8 +201,6 @@ class ResponseResult:
     impulse_responses: np.ndarray      # [n_samples x channels]
     magnitudes_db: np.ndarray          # [bins x channels], clamped at DB_FLOOR
     frequencies_hz: np.ndarray
-    sample_rate_hz: float
-    n_fft: int
     peak_hz: np.ndarray                # NaN where flat
     peak_db: np.ndarray
     flat: np.ndarray                   # bool per channel
@@ -237,8 +235,6 @@ def frequency_response_measured(
         impulse_responses=ir,
         magnitudes_db=db,
         frequencies_hz=freqs,
-        sample_rate_hz=float(sample_rate_hz),
-        n_fft=int(n_fft),
         peak_hz=peak_hz,
         peak_db=peak_db,
         flat=flat,
@@ -292,13 +288,14 @@ def _find_peaks(db: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def peak_trajectory(result: ResponseResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-channel (peak_hz, peak_db, flat) from a ResponseResult.
+    """Per-channel (peak_hz, peak_db, flat) of a ResponseResult, the peaks
+    frequency_response_measured found.
 
     A parabola through the peak bin and its neighbors in dB refines each
     peak; a peak at either end of the spectrum is reported at its bin.
     Flat channels (no distinguishable peak) carry NaN frequencies.
     """
-    return _find_peaks(result.magnitudes_db, result.frequencies_hz)
+    return result.peak_hz, result.peak_db, result.flat
 
 
 @dataclass(frozen=True)
@@ -309,7 +306,6 @@ class ParityReport:
     exact: np.ndarray                  # channels where fixed == float exactly
     worst_channel: int
     worst_snr_db: float
-    window: tuple[int, int]            # always (0, rows): every row is compared
 
 
 def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> ParityReport:
@@ -355,7 +351,6 @@ def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> Parit
         exact=exact,
         worst_channel=worst,
         worst_snr_db=float(finite[worst]),
-        window=(0, ref.shape[0]),
     )
 
 

@@ -67,13 +67,11 @@ def read_wav(path) -> AudioBuffer:
         data = f.read()
 
     if len(data) < 12:
-        raise AudioFormatError(
-            f"truncated WAV: {len(data)} bytes, need at least 12", byte_offset=len(data)
-        )
+        raise AudioFormatError(f"truncated WAV: {len(data)} bytes, need at least 12")
     if data[0:4] != b"RIFF":
-        raise AudioFormatError("not a RIFF file (bad magic)", byte_offset=0)
+        raise AudioFormatError("not a RIFF file (bad magic)")
     if data[8:12] != b"WAVE":
-        raise AudioFormatError("RIFF file is not WAVE", byte_offset=8)
+        raise AudioFormatError("RIFF file is not WAVE")
 
     fmt = None
     data_chunk = None
@@ -84,14 +82,13 @@ def read_wav(path) -> AudioBuffer:
         body_start = offset + 8
         if body_start + chunk_size > len(data):
             raise AudioFormatError(
-                f"truncated chunk {chunk_id!r}: declares {chunk_size} bytes "
-                f"but file ends early",
-                byte_offset=body_start,
+                f"truncated chunk {chunk_id!r} at byte {body_start}: declares "
+                f"{chunk_size} bytes but file ends early"
             )
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise AudioFormatError(
-                    f"fmt chunk too short ({chunk_size} bytes)", byte_offset=body_start
+                    f"fmt chunk at byte {body_start} too short ({chunk_size} bytes)"
                 )
             fmt = struct.unpack_from("<HHIIHH", data, body_start)
         elif chunk_id == b"data":
@@ -124,8 +121,7 @@ def read_wav(path) -> AudioBuffer:
         )
     if size % bytes_per_sample != 0:
         raise AudioFormatError(
-            f"data chunk size {size} is not a whole number of samples",
-            byte_offset=start,
+            f"data chunk size {size} at byte {start} is not a whole number of samples"
         )
     payload = data[start : start + size]
     if bits == 16:

@@ -271,7 +271,7 @@ def _cmd_compare(args) -> int:
     report = analysis.parity_report(float_out, fixed_real)
     finite = report.snr_db[np.isfinite(report.snr_db)]
     print(f"channels: {design.n_sections}")
-    print(f"window: samples [{report.window[0]}, {report.window[1]})")
+    print(f"window: samples [0, {len(raw_in)})")
     print(f"saturations: {stats.total + clipped}")
     if finite.size:
         print(f"worst_snr_db: {report.worst_snr_db:.2f} (channel {report.worst_channel})")

@@ -55,7 +55,8 @@ class SectionState(NamedTuple):
 
 
 class CascadeState:
-    """Per-section (w1, w2) pairs for one cascade instance.
+    """Per-section (w1, w2) pairs for one cascade instance, and nothing
+    else: no run counts.
 
     Owned by a single processing context at a time; the arrays are mutated
     in place by process_sample/process_block, and by a CascadeStream when
@@ -67,7 +68,6 @@ class CascadeState:
             raise ConfigError(f"n_sections must be >= 1, got {n_sections}")
         self.w1 = np.zeros(n_sections, dtype=np.float64)
         self.w2 = np.zeros(n_sections, dtype=np.float64)
-        self.samples_processed = 0
 
     @property
     def n_sections(self) -> int:
@@ -106,7 +106,6 @@ def process_sample(design: CascadeDesign, state: CascadeState, x: float) -> np.n
         state.w2[k] = s.w2
         y[k] = yk
         xk = yk
-    state.samples_processed += 1
     return y
 
 
@@ -126,8 +125,8 @@ class CascadeStream:
     returns the rows completed so far, n_sections - 1 samples behind the
     input, and flush runs the ticks that complete the rest. The outputs are
     bit-identical to process_sample's, however the input is split. The
-    stream reads the state when it is made and writes it back (w1, w2 and
-    samples_processed) at every flush; after a flush it takes new pushes.
+    stream reads the state when it is made and writes back only (w1, w2) at
+    every flush; after a flush it takes new pushes.
     """
 
     def __init__(self, design: CascadeDesign, state: CascadeState):
@@ -151,11 +150,8 @@ class CascadeStream:
         """Push samples, the last ones before the flush, complete every row
         in flight, write the state back, and return the rows not yet
         returned, as one writable strided view of the stream's buffer."""
-        x = _checked_samples(samples)
-        pushed = self._front.pushed + x.shape[0]
-        rows = self._front.flush(x, self._kernel)
+        rows = self._front.flush(_checked_samples(samples), self._kernel)
         self.state.w1[:], self.state.w2[:] = self._w[::-1].T
-        self.state.samples_processed += pushed
         return rows
 
 

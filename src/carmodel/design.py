@@ -15,7 +15,6 @@ signal-flow order of the cascade.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from array import array
@@ -42,7 +41,6 @@ __all__ = [
     "dc_gain_coeff",
     "design_cascade",
     "transfer_function",
-    "poles_zeros",
     "validate_channel_coeffs",
     "write_coeff_table",
     "read_coeff_table",
@@ -118,9 +116,6 @@ class CascadeDesign:
     def n_sections(self) -> int:
         return len(self.sections)
 
-    def cf_hz(self) -> list[float]:
-        return [s.cf_hz for s in self.sections]
-
     @cached_property
     def lane_arrays(self) -> tuple[np.ndarray, ...]:
         """Read-only float64 operands of the float block kernel, built on
@@ -139,20 +134,18 @@ class CascadeDesign:
 class RationalTF:
     """Second-order rational transfer function in powers of z.
 
-    Numerator b0*z^2 + b1*z + b2, denominator z^2 + a1_den*z + a2_den
-    (a0_den is kept explicit and is always 1).
+    Numerator b0*z^2 + b1*z + b2, monic denominator z^2 + a1_den*z + a2_den.
     """
 
     b0: float
     b1: float
     b2: float
-    a0_den: float
     a1_den: float
     a2_den: float
 
     def evaluate(self, z: complex) -> complex:
         num = (self.b0 * z + self.b1) * z + self.b2
-        den = (self.a0_den * z + self.a1_den) * z + self.a2_den
+        den = (z + self.a1_den) * z + self.a2_den
         return num / den
 
 
@@ -323,46 +316,9 @@ def transfer_function(coeffs: ChannelCoeffs) -> RationalTF:
         b0=coeffs.g,
         b1=coeffs.g * (-2.0 * coeffs.a0 + coeffs.h * coeffs.c0) * r,
         b2=coeffs.g * r * r,
-        a0_den=1.0,
         a1_den=-2.0 * coeffs.a0 * r,
         a2_den=r * r,
     )
-
-
-def _quadratic_roots(b: float, c: float) -> tuple[complex, complex]:
-    # roots of z^2 + b*z + c, stable formulation
-    disc = b * b - 4.0 * c
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        # avoid cancellation: compute the larger-magnitude root first
-        if b >= 0:
-            z1 = (-b - sq) / 2.0
-        else:
-            z1 = (-b + sq) / 2.0
-        z2 = c / z1 if z1 != 0.0 else (-b - z1)
-        return complex(z1), complex(z2)
-    sq = cmath.sqrt(complex(disc))
-    return (-b + sq) / 2.0, (-b - sq) / 2.0
-
-
-def poles_zeros(
-    coeffs: ChannelCoeffs,
-) -> tuple[tuple[tuple[float, float], tuple[float, float]],
-           tuple[tuple[float, float], tuple[float, float]]]:
-    """Pole pair and zero pair as (radius, angle) tuples.
-
-    Roots are found numerically from the transfer-function polynomials.
-    When h is below the complex-zero bound both zeros are complex at the
-    pole radius; above it they are real and reported with angles 0 or pi.
-    """
-    tf = transfer_function(coeffs)
-    poles = _quadratic_roots(tf.a1_den, tf.a2_den)
-    zeros = _quadratic_roots(tf.b1 / tf.b0, tf.b2 / tf.b0)
-
-    def polar(z: complex) -> tuple[float, float]:
-        return abs(z), cmath.phase(z)
-
-    return (polar(poles[0]), polar(poles[1])), (polar(zeros[0]), polar(zeros[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,3 @@ class AnalysisError(CarModelError, ValueError):
 
 class AudioFormatError(CarModelError, ValueError):
     """Unsupported or malformed audio file."""
-
-    def __init__(self, message: str, byte_offset: int | None = None):
-        super().__init__(message)
-        self.byte_offset = byte_offset

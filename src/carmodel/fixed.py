@@ -277,16 +277,15 @@ class FixedSectionState(NamedTuple):
 
 
 class FixedCascadeState:
-    """Raw (w1, w2) pairs as int64 arrays, mutated in place, plus cumulative
-    overflow counters. int64 holds any value of a format up to 64 bits."""
+    """Raw (w1, w2) pairs as int64 arrays, mutated in place, and nothing
+    else: overflow counts come from FixedStream.stats. int64 holds any value
+    of a format up to 64 bits."""
 
     def __init__(self, n_sections: int):
         if n_sections < 1:
             raise ConfigError(f"n_sections must be >= 1, got {n_sections}")
         self.w1_raw = np.zeros(n_sections, dtype=np.int64)
         self.w2_raw = np.zeros(n_sections, dtype=np.int64)
-        self.saturations = np.zeros(n_sections, dtype=np.int64)
-        self.samples_processed = 0
 
     @property
     def n_sections(self) -> int:
@@ -651,13 +650,13 @@ class FixedStream:
     core.CascadeStream is for the float one, with the same raw outputs
     however the input is split: one kernel, on int64 lanes inside
     _int64_exact's envelope and on object lanes outside it. Each call's
-    entrance quantizes its samples into the state format. A flush writes the
-    state back (w1_raw, w2_raw, saturations and samples_processed), sets
-    stats to the overflow counts since the last, and logs at info level the
-    ticks since the last, how many of them wrote their w-lines and their
-    y-line in the kernel's exact form, and how many reductions of the state
-    seeded its w-lines' bound. The kernel's bounds carry from one push to
-    the next, and a flush resets them with the wavefront.
+    entrance quantizes its samples into the state format. A flush writes
+    back only (w1_raw, w2_raw), sets stats to the overflow counts since the
+    last, and logs at info level the ticks since the last, how many of them
+    wrote their w-lines and their y-line in the kernel's exact form, and
+    how many reductions of the state seeded its w-lines' bound. The
+    kernel's bounds carry from one push to the next, and a flush resets
+    them with the wavefront.
     """
 
     def __init__(self, qdesign: QuantizedDesign, state: FixedCascadeState):
@@ -665,7 +664,7 @@ class FixedStream:
         self.qdesign, self.state, self.n_sections = qdesign, state, qdesign.n_sections
         self.stats: FixedRunStats | None = None
         self._sat = np.zeros(self.n_sections, dtype=np.int64)
-        self._input_sat = self._pushed = 0
+        self._input_sat = 0
         self._counts = [0, 0, 0, 0]  # ticks, exact w-lines, exact y-lines, seeds
         self._bounds = [0, 0, 0]  # _lane_kernel's, as on an empty wavefront
         lanes = np.dtype(np.int64 if _int64_exact(qdesign, state) else object)
@@ -686,12 +685,10 @@ class FixedStream:
         on int64 lanes, a new array on object lanes."""
         rows = self._run(samples_raw, drain=True)
         self.state.w1_raw[:], self.state.w2_raw[:] = self._w[::-1].T
-        self.state.saturations += self._sat
-        self.state.samples_processed += self._pushed
         self.stats = FixedRunStats(self._sat.copy(), self._input_sat)
         log.info("fixed flush: %d ticks, %d exact w-lines, %d exact y-lines, "
                  "%d headroom reductions", *self._counts)
-        self._sat[:] = self._input_sat = self._pushed = 0
+        self._sat[:] = self._input_sat = 0
         self._counts[:] = (0, 0, 0, 0)
         self._bounds[:] = (0, 0, 0)
         return rows
@@ -706,7 +703,6 @@ class FixedStream:
         else:  # through doubles, exact within the envelope
             samples, input_sat = _quantize_finite(xs * io.lsb, sfmt)
         self._input_sat += input_sat
-        self._pushed += len(xs)
         x_in = int(np.absolute(samples).max(initial=0))
         run = self._front.flush if drain else self._front.push
         rows = run(samples, lambda ticks: self._kernel(ticks, x_in))

@@ -229,6 +229,4 @@ def fixed_process_block_py(qdesign, state, samples_raw):
 
     state.w1_raw[:] = w1
     state.w2_raw[:] = w2
-    state.saturations += section_sat
-    state.samples_processed += len(xs)
     return out, FixedRunStats(section_saturations=section_sat, input_saturations=input_sat)

@@ -2,6 +2,7 @@
 PASS line with the measured quantities after its assertions hold."""
 
 import math
+import random
 import time
 
 import numpy as np
@@ -24,12 +25,12 @@ from carmodel.core import (
     SectionState,
     process_block,
     step_section,
+    stream_rows,
 )
 from carmodel.design import (
     DesignParams,
     design_cascade,
     greenwood_cf,
-    poles_zeros,
     transfer_function,
 )
 from carmodel.fixed import (
@@ -113,18 +114,13 @@ def test_criterion_5_pole_zero_placement():
     worst_pole = worst_zero = 0.0
     for s in design.sections:
         tf = transfer_function(s)
-        np_poles = np.roots([tf.a0_den, tf.a1_den, tf.a2_den])
-        for p in np_poles:
+        for p in np.roots([1.0, tf.a1_den, tf.a2_den]):
             worst_pole = max(worst_pole, abs(abs(p) - s.r))
             assert abs(abs(p) - s.r) < 1e-9
-            assert min(abs(abs(np.angle(p)) - s.theta_r), abs(np.angle(p) - s.theta_r)) < 1e-9
-        (p1, p2), (z1, z2) = poles_zeros(s)
-        for radius, angle in (p1, p2):
-            assert abs(radius - s.r) < 1e-9
-            assert abs(abs(angle) - s.theta_r) < 1e-9
-        for radius, _ in (z1, z2):
-            worst_zero = max(worst_zero, abs(radius - s.r))
-            assert abs(radius - s.r) < 1e-9
+            assert abs(abs(np.angle(p)) - s.theta_r) < 1e-9
+        for z in np.roots([tf.b0, tf.b1, tf.b2]):
+            worst_zero = max(worst_zero, abs(abs(z) - s.r))
+            assert abs(abs(z) - s.r) < 1e-9
     print(f"\nPASS criterion 5: 64 sections, pole radius err {worst_pole:.2e}, "
           f"zero radius err {worst_zero:.2e}")
 
@@ -234,11 +230,12 @@ def test_criterion_9_desk_scale_real_time(rng):
 
     samples = rng.uniform(-0.5, 0.5, 48000)
     state = CascadeState(1224)
+    rows = 0
     t0 = time.perf_counter()
     for start in range(0, 48000, 4800):
-        process_block(design, state, samples[start : start + 4800])
+        rows += process_block(design, state, samples[start : start + 4800]).shape[0]
     elapsed = time.perf_counter() - t0
-    assert state.samples_processed == 48000
+    assert rows == 48000
     assert elapsed <= 10.0
     print(f"\nPASS criterion 9: 1.0 s of 48 kHz audio through 1224 sections "
           f"in {elapsed:.2f} s")
@@ -270,10 +267,41 @@ def test_bounded_1224_section_design():
     dc_db, db = db[0], db[1:]
     peak_db = db.max(axis=0)
     tuned = peak_db > dc_db + 1.0
-    peak_over_cf = freqs[db.argmax(axis=0)][tuned] / np.array(design.cf_hz())[tuned]
+    cfs = np.array([s.cf_hz for s in design.sections])
+    peak_over_cf = freqs[db.argmax(axis=0)][tuned] / cfs[tuned]
     median = float(np.median(peak_over_cf))
     assert peak_db.max() <= 42.0
     assert tuned.sum() >= 1150
     assert 0.9 <= median <= 1.0
     print(f"\nPASS bounded design: 1224 sections (zeta 0.2, zero ratio 0.06), peak tap gain "
           f"{peak_db.max():.1f} dB, {tuned.sum()} tuned taps, median peak/CF {median:.2f}")
+
+
+def test_bounded_1224_section_datapath():
+    # the bounded design through the fixed datapath at 32/24 against its
+    # dequantized float reference, both streamed, on 1 s of -12 dBFS noise:
+    # uniform 16-bit samples as perfbench's generator draws them, seed 3
+    t0 = time.time()
+    design = design_cascade(DesignParams(48000.0, 1224, damping_zeta=0.2, zero_ratio=0.06))
+    qdesign = quantize_design(design)
+    peak = round(10 ** (-12 / 20) * 32767)
+    noise = random.Random(3)
+    raw_in = np.array([noise.randint(-peak, peak) for _ in range(48000)], dtype=np.int64)
+
+    fixed_stream = FixedStream(qdesign, FixedCascadeState(1224))
+    float_stream = CascadeStream(dequantized_design(qdesign), CascadeState(1224))
+    ref_energy, err_energy, rows = np.zeros(1224), np.zeros(1224), 0
+    for raw, ref in zip(stream_rows(fixed_stream, raw_in),
+                        stream_rows(float_stream, raw_in * qdesign.io_format.lsb)):
+        err = ref - to_real_block(raw, qdesign.state_format)
+        ref_energy += (ref * ref).sum(axis=0)
+        err_energy += (err * err).sum(axis=0)
+        rows += ref.shape[0]
+    assert rows == 48000
+    assert fixed_stream.stats.total == 0  # sections and input
+    snr = 10 * np.log10(ref_energy / err_energy)
+    worst = int(np.argmin(snr))
+    assert snr[worst] >= 60.0
+    print(f"\nPASS bounded datapath: 1224 sections at 32/24, 48000 samples of -12 dBFS noise, "
+          f"0 saturations, worst-channel SNR {snr[worst]:.2f} dB (channel {worst}), median "
+          f"{float(np.median(snr)):.2f} dB ({time.time() - t0:.1f} s)")

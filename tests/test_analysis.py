@@ -245,7 +245,7 @@ class TestPeakTrajectory:
         ir = impulse_response(cascade_system(default_design_20), 8192)
         result = frequency_response_measured(ir, 48000.0, n_fft=16384)
         peak_hz, _, _ = peak_trajectory(result)
-        cfs = np.array(default_design_20.cf_hz())
+        cfs = np.array([s.cf_hz for s in default_design_20.sections])
         assert np.all(peak_hz >= cfs / 2)
         assert np.all(peak_hz <= cfs * 1.01)
 
@@ -380,7 +380,7 @@ class TestResponseExport:
         for column in (freqs, *db.T, *ir.T):
             column[: len(CSV_EDGE_FLOATS)] = CSV_EDGE_FLOATS
             column[seam : seam + len(CSV_EDGE_FLOATS)] = CSV_EDGE_FLOATS
-        return ResponseResult(ir, db, freqs, 48000.0, n, np.zeros(channels),
+        return ResponseResult(ir, db, freqs, np.zeros(channels),
                               np.zeros(channels), np.zeros(channels, dtype=bool))
 
     def test_shared_columns_across_channels(self, rng, tmp_path):

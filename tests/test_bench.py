@@ -1,5 +1,8 @@
-"""bench/run_bench.py's A/B summary: pair times to BENCH entries."""
+"""bench/run_bench.py's A/B summary: pair times to BENCH entries; and the
+library names that perfbench/child.py reaches."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -100,3 +103,39 @@ def test_ab_children_swap_import_order(monkeypatch, tmp_path):
     assert entry["median_tree_first"] == pytest.approx(0.9 * 2)
     assert entry["parent_ms_nominal"] == pytest.approx(9.5)
     assert entry["tree_ms_nominal"] == pytest.approx(19.0)
+
+
+def perfbench_library_names():
+    """The (module, attribute) pairs of carmodel that perfbench/child.py
+    reaches, read from its syntax tree without running it: every module.attr
+    on a carmodel module it imports, and every (module, "attr") pair in
+    TRACE_POINTS and in capture(...) calls, which its traced runs look up
+    with getattr."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "carmodel"
+               for alias in node.names}
+    pairs = []  # (module node, attribute node) pairs named by value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACE_POINTS" for t in node.targets):
+            pairs += [point.elts[:2] for point in node.value.elts]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "capture":
+            pairs.append(node.args[1:3])
+    names = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    names |= {(module.id, attr.value) for module, attr in pairs}
+    return names
+
+
+def test_perfbench_library_names_resolve():
+    # the traced runs wrap cli.process_block and analysis.peak_trajectory,
+    # which no CLI path calls: deleting either breaks only those runs
+    names = perfbench_library_names()
+    assert {("cli", "process_block"), ("analysis", "peak_trajectory"),
+            ("fixed", "fixed_process_block"), ("core", "process_sample")} <= names
+    missing = [f"{module}.{attr}" for module, attr in sorted(names)
+               if not hasattr(importlib.import_module(f"carmodel.{module}"), attr)]
+    assert missing == []

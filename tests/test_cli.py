@@ -110,9 +110,9 @@ class TestReadWav:
     def test_truncated_data_reports_offset(self, tmp_path):
         p = tmp_path / "t.wav"
         p.write_bytes(build_wav(struct.pack("<2h", 1, 2), truncate_data_by=64))
-        with pytest.raises(AudioFormatError, match="truncated") as exc:
+        # the data chunk's body starts after the 44-byte header
+        with pytest.raises(AudioFormatError, match="truncated chunk b'data' at byte 44:"):
             read_wav(p)
-        assert exc.value.byte_offset is not None
 
     def test_not_riff(self, tmp_path):
         p = tmp_path / "x.wav"

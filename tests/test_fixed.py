@@ -388,13 +388,16 @@ class TestFixedProcessBlock:
     def test_state_arrays_updated_and_reset_in_place(self):
         design = design_cascade(DesignParams(48000.0, 4))
         qd = quantize_design(design)
+        stats = []
         for run in (fixed_process_block, fixed_process_block_py):
             state = FixedCascadeState(4)
-            w1, w2, sats = state.w1_raw, state.w2_raw, state.saturations
+            w1, w2 = state.w1_raw, state.w2_raw
             assert w1.dtype == w2.dtype == np.int64
-            run(qd, state, quantize_block(mls_signal(6, 0.5), qd.io_format))
-            assert state.w1_raw is w1 and state.w2_raw is w2 and state.saturations is sats
-            assert w1.any() and w2.any() and state.samples_processed
+            stats.append(run(qd, state, quantize_block(mls_signal(6, 0.5), qd.io_format))[1])
+            assert state.w1_raw is w1 and state.w2_raw is w2
+            assert w1.any() and w2.any()
+        assert np.array_equal(stats[0].section_saturations, stats[1].section_saturations)
+        assert stats[0].input_saturations == stats[1].input_saturations
 
     def test_saturation_counted_not_hidden(self):
         # a cramped state format must overflow on resonant buildup and say so
@@ -403,10 +406,11 @@ class TestFixedProcessBlock:
         qd = quantize_design(design, state_format=tiny_state)
         sig = mls_signal(10, 0.9)
         raw_in = quantize_block(sig, qd.io_format)
-        state = FixedCascadeState(30)
-        _, stats = fixed_process_block(qd, state, raw_in)
+        _, stats = fixed_process_block(qd, FixedCascadeState(30), raw_in)
+        _, ref_stats = fixed_process_block_py(qd, FixedCascadeState(30), raw_in)
         assert stats.total > 0
-        assert np.array_equal(state.saturations, stats.section_saturations)
+        assert np.array_equal(stats.section_saturations, ref_stats.section_saturations)
+        assert stats.input_saturations == ref_stats.input_saturations
 
     def test_overflow_onto_raw_max(self):
         # integer formats, one hand-set section: w1 = 3*100 + 83 = 383 is
@@ -524,14 +528,19 @@ class TestFixedProcessBlock:
         # uneven chunks, some shorter than the cascade, carry the state exactly
         chunked = FixedCascadeState(n_sections)
         parts, start, i = [], 0, 0
+        section_sat, input_sat = 0, 0
         while start < len(raw_in):
             stop = start + cuts[i % len(cuts)]
-            parts.append(fixed_process_block(qd, chunked, raw_in[start:stop])[0])
+            part, part_stats = fixed_process_block(qd, chunked, raw_in[start:stop])
+            parts.append(part)
+            section_sat += part_stats.section_saturations
+            input_sat += part_stats.input_saturations
             start, i = stop, i + 1
         assert np.array_equal(np.concatenate(parts), ref_out)
         assert np.array_equal(chunked.w1_raw, ref_state.w1_raw)
         assert np.array_equal(chunked.w2_raw, ref_state.w2_raw)
-        assert np.array_equal(chunked.saturations, ref_state.saturations)
+        assert np.array_equal(section_sat, ref_stats.section_saturations)
+        assert input_sat == ref_stats.input_saturations
 
 
 def hand_set(coeffs, coeff_fmt=DEFAULT_COEFF_FORMAT, state_fmt=DEFAULT_STATE_FORMAT):
@@ -555,7 +564,8 @@ def run_like_oracle(qd, w1, w2, calls):
     assert np.array_equal(np.concatenate(rows), expect)
     assert np.array_equal(state.w1_raw, ref_state.w1_raw)
     assert np.array_equal(state.w2_raw, ref_state.w2_raw)
-    assert np.array_equal(state.saturations, ref_state.saturations)
+    assert np.array_equal(stream.stats.section_saturations, ref_stats.section_saturations)
+    assert stream.stats.input_saturations == ref_stats.input_saturations
     return ref_stats
 
 
@@ -713,7 +723,6 @@ class TestFixedStream:
         for size in steps:
             if size is None:
                 rows.append(stream.flush())
-                assert state.samples_processed == pushed
                 section_sat += stream.stats.section_saturations
                 input_sat += stream.stats.input_saturations
             else:
@@ -725,10 +734,8 @@ class TestFixedStream:
         assert np.array_equal(np.concatenate(rows), expect)
         assert np.array_equal(state.w1_raw, ref_state.w1_raw)
         assert np.array_equal(state.w2_raw, ref_state.w2_raw)
-        assert np.array_equal(state.saturations, ref_state.saturations)
         assert np.array_equal(section_sat, ref_stats.section_saturations)
         assert input_sat == ref_stats.input_saturations
-        assert state.samples_processed == raw_in.size
 
     def test_lanes_logged_and_object_rows_int64(self, caplog):
         # the envelope picks the lanes: int64 for the default formats, object
@@ -745,7 +752,7 @@ class TestFixedStream:
                                  (default, outside, "object")):
             ref_state = FixedCascadeState(5)
             ref_state.w1_raw[:] = state.w1_raw
-            expect, _ = fixed_process_block_py(qd, ref_state, raw_in)
+            expect, ref_stats = fixed_process_block_py(qd, ref_state, raw_in)
             caplog.clear()
             stream = FixedStream(qd, state)
             assert caplog.messages == [f"fixed kernel: 5 sections on {lanes} lanes"]
@@ -753,7 +760,9 @@ class TestFixedStream:
             assert [r.dtype for r in rows] == [np.int64, np.int64]
             assert np.array_equal(np.concatenate(rows), expect)
             assert np.array_equal(state.w1_raw, ref_state.w1_raw)
-            assert np.array_equal(state.saturations, ref_state.saturations)
+            assert np.array_equal(stream.stats.section_saturations,
+                                  ref_stats.section_saturations)
+            assert stream.stats.input_saturations == ref_stats.input_saturations
 
     def test_flush_logs_exact_lines(self, caplog):
         # compare's 100-section design at the default formats: the bounds
@@ -802,19 +811,23 @@ class TestFixedStream:
         w1, w2 = rng.choice([-1, 1], (2, 12)) * (sfmt.raw_max // 4)
         ref_state = FixedCascadeState(12)
         ref_state.w1_raw[:], ref_state.w2_raw[:] = w1, w2
-        expect, _ = fixed_process_block_py(qd, ref_state, raw_in)
+        expect, ref_stats = fixed_process_block_py(qd, ref_state, raw_in)
 
         state = FixedCascadeState(12)
         state.w1_raw[:], state.w2_raw[:] = w1, w2
         stream = FixedStream(qd, state)
         caplog.set_level("INFO", logger="carmodel.fixed")
-        rows = [stream.push(raw_in[:30]), stream.push(raw_in[30:60]), stream.flush(raw_in[60:65]),
-                stream.push(raw_in[65:95]), stream.push(raw_in[95:125]),
-                stream.flush(raw_in[125:])]
+        rows = [stream.push(raw_in[:30]), stream.push(raw_in[30:60]), stream.flush(raw_in[60:65])]
+        first = stream.stats
+        rows += [stream.push(raw_in[65:95]), stream.push(raw_in[95:125]),
+                 stream.flush(raw_in[125:])]
         assert np.array_equal(np.concatenate(rows), expect)
         assert np.array_equal(state.w1_raw, ref_state.w1_raw)
         assert np.array_equal(state.w2_raw, ref_state.w2_raw)
-        assert state.saturations.sum() == 0
+        section_sat = first.section_saturations + stream.stats.section_saturations
+        assert np.array_equal(section_sat, ref_stats.section_saturations)
+        assert first.input_saturations + stream.stats.input_saturations == ref_stats.input_saturations
+        assert ref_stats.total == 0
         ticks, exact_w, _, seeds = map(int, re.findall(r"\d+", caplog.messages[-1]))
         assert ticks == seeds == 76
         assert exact_w < ticks
