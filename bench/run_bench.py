@@ -60,12 +60,15 @@ reference time.
 
 "before" (PARENT) and "after" (TREE) store run_binary_<mode>_<seconds>s:
 `carmodel run --format binary --mode <mode>` for float, fixed and pipeline
-(12 arrays at 1224 sections) on 0.5 s and 1 s of -12 dBFS noise, REPEATS
-fresh child processes each: peak RSS (getrusage), the RSS before the run and
-the run's wall time. The children of PARENT and TREE alternate, the first
-of each pair switching trees from pair to pair, so that both sides' wall
-times see the same drift of the host's speed. Each side is stamped with the
-Python and numpy versions, nproc and its git revision. --out is overwritten.
+(12 arrays at 1224 sections) on 0.5 s and 1 s of -12 dBFS noise; and
+compare_<seconds>s: `carmodel compare` of the same noise through the bounded
+1224-section design (COMPARE_DESIGN), on which no register saturates, so
+its parity means something. Each is REPEATS fresh child processes: peak RSS
+(getrusage), the RSS before the command and its wall time. The children of
+PARENT and TREE alternate, the first of each pair switching trees from pair
+to pair, so that both sides' wall times see the same drift of the host's
+speed. Each side is stamped with the Python and numpy versions, nproc and
+its git revision. --out is overwritten.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ N_SECTIONS = 1224
 SAMPLE_RATE_HZ = 48000
 RUN_SECONDS = (0.5, 1.0)
 RUN_MODES = ("float", "fixed", "pipeline")
+COMPARE_DESIGN = ("--h-policy", "ratio:0.06", "--zeta", "0.2")  # `carmodel design` flags
 REPEATS = 5  # run children per mode and input length
 PAIRS = 31  # alternating calls of the two trees per timed call
 PUSHES = 8  # 48-sample pushes per timed call of block_48_push
@@ -231,7 +235,9 @@ def child_ab(parent: Path, tree: Path) -> dict:
 
 
 def child_run(tree: Path, coeffs: Path, wav: Path, mode: str) -> dict:
-    """Peak RSS and wall time of one `carmodel run --format binary`."""
+    """Peak RSS and wall time of one `carmodel run --format binary --mode
+    <mode>`, or of one `carmodel compare` with its parity CSV where mode is
+    "compare"."""
     import resource
 
     sys.path.insert(0, str(tree / "src"))
@@ -239,8 +245,11 @@ def child_run(tree: Path, coeffs: Path, wav: Path, mode: str) -> dict:
 
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["run", "--coeffs", str(coeffs), "--wav", str(wav),
-                "-o", str(Path(tmp) / "out.bin"), "--format", "binary", "--mode", mode]
+        argv = ["--coeffs", str(coeffs), "--wav", str(wav), "-o", str(Path(tmp) / "out")]
+        if mode == "compare":
+            argv = ["compare", *argv]
+        else:
+            argv = ["run", *argv, "--format", "binary", "--mode", mode]
         tracer = Tracer()
         with open(os.devnull, "w") as devnull:
             saved, sys.stdout = sys.stdout, devnull
@@ -249,7 +258,7 @@ def child_run(tree: Path, coeffs: Path, wav: Path, mode: str) -> dict:
             finally:
                 sys.stdout = saved
     if rc != 0:
-        raise SystemExit(f"carmodel run exited with {rc}")
+        raise SystemExit(f"carmodel {argv[0]} exited with {rc}")
     _, s, e, _, _ = tracer.spans[0]
     return {"rss_before_mb": before,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -309,33 +318,37 @@ def ab_entries(times: dict) -> dict:
     return entries
 
 
-def design_table(tree: Path, coeffs: Path) -> None:
-    """TREE's `carmodel design` table of the 1224-section design."""
+def design_table(tree: Path, coeffs: Path, *flags: str) -> None:
+    """TREE's `carmodel design` table of the 1224-section design, with the
+    given design flags."""
     subprocess.run([sys.executable, "-m", "carmodel.cli", "design", "--sections",
-                    str(N_SECTIONS), "-o", str(coeffs)], check=True, capture_output=True,
-                   env={**os.environ, "PYTHONPATH": str(tree / "src")})
+                    str(N_SECTIONS), *flags, "-o", str(coeffs)], check=True,
+                   capture_output=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
 
 
-def run_binary(parent: Path, tree: Path) -> tuple[dict, dict]:
-    """The run_binary_ entries of PARENT and of TREE, their children
-    alternating pair by pair."""
+def run_children(parent: Path, tree: Path) -> tuple[dict, dict]:
+    """The run_binary_ and compare_ entries of PARENT and of TREE, their
+    children alternating pair by pair."""
     trees = dict(zip(SIDES, (parent, tree)))
     runs = {side: {} for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        coeffs = {side: tmp / f"coeffs_{side}.csv" for side in SIDES}
+        tables = {}  # side -> mode -> its coefficient table
         for side in SIDES:
-            design_table(trees[side], coeffs[side])
+            default, bounded = tmp / f"coeffs_{side}.csv", tmp / f"bounded_{side}.csv"
+            design_table(trees[side], default)
+            design_table(trees[side], bounded, *COMPARE_DESIGN)
+            tables[side] = {**dict.fromkeys(RUN_MODES, default), "compare": bounded}
         for seconds in RUN_SECONDS:
             wav = tmp / f"noise_{seconds}s.wav"
             write_wav(wav, noise_samples(random.Random(9), int(seconds * SAMPLE_RATE_HZ)))
-            for mode in RUN_MODES:
-                name = f"run_binary_{mode}_{seconds}s"
+            for mode in (*RUN_MODES, "compare"):
+                name = f"compare_{seconds}s" if mode == "compare" else f"run_binary_{mode}_{seconds}s"
                 for i in range(REPEATS):
                     for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                         runs[side].setdefault(name, []).append(in_child(
                             "--child", "run", "--tree", str(trees[side]), "--coeffs",
-                            str(coeffs[side]), "--wav", str(wav), "--mode", mode))
+                            str(tables[side][mode]), "--wav", str(wav), "--mode", mode))
     return tuple({name: {key: summary([r[key] for r in rs]) for key in rs[0]}
                   for name, rs in runs[side].items()} for side in SIDES)
 
@@ -358,7 +371,7 @@ def main() -> int:
     ap.add_argument("--child", choices=["run", "ab"], help=argparse.SUPPRESS)
     ap.add_argument("--coeffs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--wav", type=Path, help=argparse.SUPPRESS)
-    ap.add_argument("--mode", choices=RUN_MODES, help=argparse.SUPPRESS)
+    ap.add_argument("--mode", choices=(*RUN_MODES, "compare"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     tree = args.tree.resolve()
 
@@ -374,7 +387,7 @@ def main() -> int:
 
     entries = pooled_entries(ab_halves(parent, tree))
     stamps = {"parent": stamp(parent), "tree": stamp(tree)}
-    before, after = run_binary(parent, tree)
+    before, after = run_children(parent, tree)
     record = {
         "script": "bench/run_bench.py",
         "ab": {**stamps, "pairs": 2 * PAIRS, **entries},

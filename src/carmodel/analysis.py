@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -308,50 +308,45 @@ class ParityReport:
     worst_snr_db: float
 
 
-def parity_report(float_outputs: np.ndarray, fixed_outputs: np.ndarray) -> ParityReport:
-    """SNR per channel over every row: 10*log10(sum(ref^2) / sum((ref - fixed)^2)).
+def parity_report(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> ParityReport:
+    """SNR per channel over every row of (reference, fixed) row blocks, 1-D
+    ones of one channel: 10*log10(sum(ref^2) / sum((ref - fixed)^2)), +inf
+    where every fixed value equals its float value (flagged exact). No rows,
+    or a zero-energy reference channel, is an error, not a 0-dB report.
 
-    Channels where every fixed value equals its float value report +inf
-    and are flagged exact. No rows, or a zero-energy reference channel, is
-    an error, not a 0-dB report.
-    """
-    ref = np.asarray(float_outputs, dtype=np.float64)
-    fix = np.asarray(fixed_outputs, dtype=np.float64)
-    if ref.shape != fix.shape:
-        raise ConfigError(f"shape mismatch: {ref.shape} vs {fix.shape}")
-    if ref.ndim == 1:
-        ref = ref[:, None]
-        fix = fix[:, None]
-    if ref.shape[0] == 0:
+    One pass keeps each channel's reference and error energies as a running
+    scale and a sum of squares relative to it (LAPACK's dlassq): no energy
+    under- or overflows unless its values do."""
+    rows, exact, scale, ssq = 0, True, 0.0, 0.0  # scale, ssq: (reference, error) x channels
+    for ref, fix in blocks:
+        ref, fix = np.asarray(ref, dtype=np.float64), np.asarray(fix, dtype=np.float64)
+        if ref.ndim == 1:
+            ref, fix = ref[:, None], fix[:, None]
+        if ref.shape != fix.shape or np.shape(exact) not in ((), ref.shape[1:]):
+            raise ConfigError(f"shape mismatch: {ref.shape} vs {fix.shape}, "
+                              f"channels of earlier blocks {np.shape(exact) or 'none'}")
+        exact &= (ref == fix).all(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.stack([ref, ref - fix])
+            np.abs(x, out=x)
+            new = np.maximum(scale, x.max(axis=1, initial=0.0))
+            unit = np.where(new > 0.0, new, 1.0)
+            x /= unit[:, None]
+            x *= x
+            ssq = ssq * (scale / unit) ** 2 + x.sum(axis=1)
+        scale, rows = new, rows + len(ref)
+        del ref, fix, x  # not held while the next block is made
+    if rows == 0:
         raise AnalysisError("empty comparison window")
-
-    exact = ~(ref != fix).any(axis=0)
+    zero = np.flatnonzero(scale[0] == 0.0)
+    if zero.size:
+        raise AnalysisError(f"undefined SNR: reference is all zero in channel {zero[0]}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ref_energy = (ref * ref).sum(axis=0)
-        err_energy = ((ref - fix) ** 2).sum(axis=0)
-        snr = 10.0 * np.log10(ref_energy / err_energy)
-        # Subnormal energies lose digits and overflowed ones are inf: sum them again
-        # with the reference and the error each scaled exactly by a power of two
-        # (one scale would overflow a saturated error), combined in the log domain.
-        finfo = np.finfo(np.float64)
-        ref_off, err_off = ((e < finfo.tiny) | (e > finfo.max) for e in (ref_energy, err_energy))
-        for ch in np.flatnonzero(ref_off | (~exact & err_off)):
-            r, e = ref[:, ch], ref[:, ch] - fix[:, ch]
-            if not r.any():
-                raise AnalysisError(f"undefined SNR: reference is all zero in channel {ch}")
-            if not exact[ch] and np.isfinite(e).all():  # else ref - fix overflowed: no rescan
-                (_, r_exp), (_, e_exp) = np.frexp(np.abs(r).max()), np.frexp(np.abs(e).max())
-                r, e = np.ldexp(r, -r_exp), np.ldexp(e, -e_exp)
-                bits = math.log2((r * r).sum() / (e * e).sum()) + 2 * (r_exp - e_exp)
-                snr[ch] = 10.0 * math.log10(2.0) * bits
+        snr = 20.0 * np.log10(scale[0] / scale[1]) + 10.0 * np.log10(ssq[0] / ssq[1])
     finite = np.where(exact, np.inf, snr)
     worst = int(np.argmin(finite))
-    return ParityReport(
-        snr_db=finite,
-        exact=exact,
-        worst_channel=worst,
-        worst_snr_db=float(finite[worst]),
-    )
+    return ParityReport(snr_db=finite, exact=exact, worst_channel=worst,
+                        worst_snr_db=float(finite[worst]))
 
 
 # Channel files open at once, at most: `analyze --channels` may name every

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, audio_io, fixed, schedule
-from .core import CascadeState, CascadeStream, process_block, stream_rows
+# No command calls process_block, but perfbench's traced runs wrap cli.process_block.
+from .core import CascadeState, CascadeStream, process_block, stream_rows  # noqa: F401
 from .design import (
     CascadeDesign,
     DesignParams,
@@ -256,19 +257,21 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    """Per-channel SNR of one whole-input fixed run against its float reference, streamed."""
     wav = audio_io.read_wav(args.wav)
     design = _load_design_checked(args.coeffs, wav)
     qd = fixed.quantize_design(design, *_fixed_formats(args))
     raw_in, clipped = _wav_raw(wav, qd.io_format)
     raw_out, stats = fixed.fixed_process_block(qd, fixed.FixedCascadeState(qd.n_sections), raw_in)
-    fixed_real = fixed.to_real_block(raw_out, qd.state_format)
-    del raw_out  # not held while the float reference runs
 
-    # the float reference sees the same io-quantized input, exactly
-    reference = fixed.dequantized_design(qd)
-    float_out = process_block(reference, CascadeState(qd.n_sections), raw_in * qd.io_format.lsb)
+    def blocks():  # the float reference sees the same io-quantized input, exactly
+        stream = CascadeStream(fixed.dequantized_design(qd), CascadeState(qd.n_sections))
+        start = 0
+        for ref in stream_rows(stream, raw_in * qd.io_format.lsb):
+            yield ref, fixed.to_real_block(raw_out[start : start + len(ref)], qd.state_format)
+            start += len(ref)
 
-    report = analysis.parity_report(float_out, fixed_real)
+    report = analysis.parity_report(blocks())
     finite = report.snr_db[np.isfinite(report.snr_db)]
     print(f"channels: {design.n_sections}")
     print(f"window: samples [0, {len(raw_in)})")

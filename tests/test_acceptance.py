@@ -19,6 +19,8 @@ from carmodel.analysis import (
     parity_report,
     peak_trajectory,
 )
+from carmodel.audio_io import AudioBuffer, write_wav
+from carmodel.cli import cli_main
 from carmodel.core import (
     CascadeState,
     CascadeStream,
@@ -183,7 +185,7 @@ def test_criterion_7_fixed_point_parity():
     reference = process_block(
         reference_design, ref_state, to_real_block(raw_in, qdesign.io_format)
     )
-    report = parity_report(reference, to_real_block(raw_out, qdesign.state_format))
+    report = parity_report([(reference, to_real_block(raw_out, qdesign.state_format))])
     assert report.worst_snr_db >= 60.0
     assert report.worst_snr_db == pytest.approx(PINNED_WORST_SNR_DB, abs=0.05)
     print(
@@ -277,31 +279,72 @@ def test_bounded_1224_section_design():
           f"{peak_db.max():.1f} dB, {tuned.sum()} tuned taps, median peak/CF {median:.2f}")
 
 
-def test_bounded_1224_section_datapath():
-    # the bounded design through the fixed datapath at 32/24 against its
-    # dequantized float reference, both streamed, on 1 s of -12 dBFS noise:
-    # uniform 16-bit samples as perfbench's generator draws them, seed 3
-    t0 = time.time()
+def bounded_1224_noise(n_samples):
+    """The bounded 1224-section design, and n_samples of -12 dBFS noise as
+    16-bit raw samples: uniform, as perfbench's generator draws them, seed 3."""
     design = design_cascade(DesignParams(48000.0, 1224, damping_zeta=0.2, zero_ratio=0.06))
-    qdesign = quantize_design(design)
     peak = round(10 ** (-12 / 20) * 32767)
     noise = random.Random(3)
-    raw_in = np.array([noise.randint(-peak, peak) for _ in range(48000)], dtype=np.int64)
+    return design, np.array([noise.randint(-peak, peak) for _ in range(n_samples)],
+                            dtype=np.int64)
 
-    fixed_stream = FixedStream(qdesign, FixedCascadeState(1224))
-    float_stream = CascadeStream(dequantized_design(qdesign), CascadeState(1224))
-    ref_energy, err_energy, rows = np.zeros(1224), np.zeros(1224), 0
-    for raw, ref in zip(stream_rows(fixed_stream, raw_in),
-                        stream_rows(float_stream, raw_in * qdesign.io_format.lsb)):
-        err = ref - to_real_block(raw, qdesign.state_format)
-        ref_energy += (ref * ref).sum(axis=0)
-        err_energy += (err * err).sum(axis=0)
-        rows += ref.shape[0]
+
+def streamed_parity(qdesign, raw_in):
+    """parity_report of raw_in through a FixedStream of qdesign against a
+    CascadeStream of its dequantized design, both fed by stream_rows; with
+    the fixed stream's stats and the rows compared."""
+    fixed_stream = FixedStream(qdesign, FixedCascadeState(qdesign.n_sections))
+    float_stream = CascadeStream(dequantized_design(qdesign), CascadeState(qdesign.n_sections))
+    rows = []
+
+    def blocks():
+        for raw, ref in zip(stream_rows(fixed_stream, raw_in),
+                            stream_rows(float_stream, raw_in * qdesign.io_format.lsb),
+                            strict=True):
+            rows.append(len(raw))
+            yield ref, to_real_block(raw, qdesign.state_format)
+
+    report = parity_report(blocks())
+    return report, fixed_stream.stats, sum(rows)
+
+
+def test_bounded_1224_section_datapath():
+    # the bounded design through the fixed datapath at 32/24 against its
+    # dequantized float reference, both streamed, on 1 s of -12 dBFS noise
+    t0 = time.time()
+    design, raw_in = bounded_1224_noise(48000)
+    report, stats, rows = streamed_parity(quantize_design(design), raw_in)
     assert rows == 48000
-    assert fixed_stream.stats.total == 0  # sections and input
-    snr = 10 * np.log10(ref_energy / err_energy)
-    worst = int(np.argmin(snr))
-    assert snr[worst] >= 60.0
+    assert stats.total == 0  # sections and input
+    assert report.worst_snr_db >= 60.0
     print(f"\nPASS bounded datapath: 1224 sections at 32/24, 48000 samples of -12 dBFS noise, "
-          f"0 saturations, worst-channel SNR {snr[worst]:.2f} dB (channel {worst}), median "
-          f"{float(np.median(snr)):.2f} dB ({time.time() - t0:.1f} s)")
+          f"0 saturations, worst-channel SNR {report.worst_snr_db:.2f} dB (channel "
+          f"{report.worst_channel}), median {float(np.median(report.snr_db)):.2f} dB "
+          f"({time.time() - t0:.1f} s)")
+
+
+def test_bounded_1224_section_compare(tmp_path, capsys):
+    # `carmodel compare` on the bounded design's table prints what the
+    # library's streams of that design give on the same 4800 samples
+    t0 = time.time()
+    coeffs, wav = tmp_path / "c.csv", tmp_path / "in.wav"
+    assert cli_main(["design", "--sections", "1224", "--h-policy", "ratio:0.06",
+                     "--zeta", "0.2", "-o", str(coeffs)]) == 0
+    design, raw_in = bounded_1224_noise(4800)
+    write_wav(wav, AudioBuffer(48000, raw_in / 32768.0))
+    capsys.readouterr()
+    assert cli_main(["compare", "--coeffs", str(coeffs), "--wav", str(wav)]) == 0
+    out = capsys.readouterr().out
+    report, stats, rows = streamed_parity(quantize_design(design), raw_in)
+    median = float(np.median(report.snr_db))
+    assert (rows, stats.total, report.exact.any()) == (4800, 0, False)
+    assert out.splitlines() == [
+        "channels: 1224",
+        "window: samples [0, 4800)",
+        "saturations: 0",
+        f"worst_snr_db: {report.worst_snr_db:.2f} (channel {report.worst_channel})",
+        f"median_snr_db: {median:.2f}",
+    ]
+    print(f"\nPASS bounded compare: 1224 sections, 4800 samples, 0 saturations, worst-channel "
+          f"SNR {report.worst_snr_db:.2f} dB (channel {report.worst_channel}), median "
+          f"{median:.2f} dB ({time.time() - t0:.1f} s)")

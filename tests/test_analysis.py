@@ -250,10 +250,38 @@ class TestPeakTrajectory:
         assert np.all(peak_hz <= cfs * 1.01)
 
 
+def extreme_channels(rng):
+    """(reference, fixed) rows of six channels whose energies a plain sum
+    of squares gets wrong or right: channels near 1e-162 square to 0 or to
+    subnormals, against zeros (0 dB) and against a saturated +-128 (about
+    -3282 dB), beside two channels whose energies are normal; channels near
+    1e160 square past the largest double, against the saturated +-128
+    (both energies overflow) and against an error near 1e150 (only the
+    reference's)."""
+    ref = rng.uniform(-1, 1, (240, 4))
+    ref[:, 1:3] *= 1e-162
+    fix = ref + rng.normal(0, 1e-3, ref.shape)
+    fix[:, 1] = 0.0
+    fix[:, 2] = np.where(rng.uniform(size=240) < 0.5, -128.0, 128.0)
+    big = rng.uniform(-1, 1, (240, 2)) * 1e160
+    ref = np.column_stack([ref, big])
+    fix = np.column_stack([fix, fix[:, 2], big[:, 1] + rng.normal(0, 1e150, 240)])
+    return ref, fix
+
+
+def exact_snr_db(ref, fix) -> float:
+    """10*log10(sum(ref^2) / sum((ref - fix)^2)) of one channel, the sums
+    in exact rational arithmetic."""
+    energy = sum(Fraction(v) ** 2 for v in ref)
+    error = sum((Fraction(r) - Fraction(f)) ** 2 for r, f in zip(ref, fix))
+    q = energy / error
+    return 10.0 * (math.log10(q.numerator) - math.log10(q.denominator))
+
+
 class TestParityReport:
     def test_exact_marker(self, rng):
         ref = rng.uniform(-1, 1, (100, 4))
-        report = parity_report(ref, ref.copy())
+        report = parity_report([(ref, ref.copy())])
         assert report.exact.all()
         assert np.all(np.isinf(report.snr_db))
 
@@ -261,67 +289,75 @@ class TestParityReport:
         n = 20000
         ref = rng.uniform(-1, 1, (n, 2))
         noise = rng.normal(0, 1e-3, (n, 2))
-        report = parity_report(ref, ref + noise)
+        report = parity_report([(ref, ref + noise)])
         expected = 10 * np.log10((ref**2).sum(axis=0) / (noise**2).sum(axis=0))
         assert report.snr_db == pytest.approx(expected, abs=0.5)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(AnalysisError, match="undefined SNR"):
-            parity_report(np.zeros((32, 2)), np.ones((32, 2)))
+            parity_report([(np.zeros((32, 2)), np.ones((32, 2)))])
+
+    # no blocks, or blocks of no rows, such as a stream's final flush
+    @pytest.mark.parametrize("blocks", [[], [(np.zeros((0, 2)), np.zeros((0, 2)))] * 2])
+    def test_no_rows_rejected(self, blocks):
+        with pytest.raises(AnalysisError, match="empty comparison window"):
+            parity_report(blocks)
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_energy_is_not_zero(self, rng):
-        # channels near 1e-162 square to 0 or to subnormals: against zeros
-        # (0 dB) and against a saturated +-128 (about -3282 dB), beside two
-        # channels whose energies are normal
-        ref = rng.uniform(-1, 1, (240, 4))
-        ref[:, 1:3] *= 1e-162
-        fix = ref + rng.normal(0, 1e-3, ref.shape)
-        fix[:, 1] = 0.0
-        fix[:, 2] = np.where(rng.uniform(size=240) < 0.5, -128.0, 128.0)
-        # channels near 1e160 square past the largest double, with no
-        # overflow warning: against the saturated +-128 (both energies
-        # overflow) and against an error near 1e150 (only the reference's)
-        big = rng.uniform(-1, 1, (240, 2)) * 1e160
-        ref = np.column_stack([ref, big])
-        fix = np.column_stack([fix, fix[:, 2], big[:, 1] + rng.normal(0, 1e150, 240)])
-        report = parity_report(ref, fix)
-        normal = [0, 3]  # keep the bits of the plain formula
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            expect = 10.0 * np.log10((ref * ref).sum(axis=0) / ((ref - fix) ** 2).sum(axis=0))
-        assert np.array_equal(report.snr_db[normal], expect[normal])
-        for ch in (1, 2, 4, 5):
-            energy = sum(Fraction(v) ** 2 for v in ref[:, ch])
-            error = sum((Fraction(r) - Fraction(f)) ** 2 for r, f in zip(ref[:, ch], fix[:, ch]))
-            q = energy / error
-            snr = 10.0 * (math.log10(q.numerator) - math.log10(q.denominator))
+        ref, fix = extreme_channels(rng)
+        report = parity_report([(ref, fix)])
+        for ch in range(6):
+            snr = exact_snr_db(ref[:, ch], fix[:, ch])
             assert report.snr_db[ch] == pytest.approx(snr, rel=1e-12, abs=1e-12)
         assert report.snr_db[1] == 0.0
         assert report.worst_channel == 2 and report.worst_snr_db < -3000
         assert not report.exact.any()
-        assert parity_report(ref[:, 1:2], ref[:, 1:2].copy()).exact.all()
-        # an error that overflows itself keeps the plain formula's nan
-        assert np.isnan(parity_report(np.array([1e308, 1.0]), np.array([-1e308, 1.0])).snr_db[0])
+        assert parity_report([(ref[:, 1:2], ref[:, 1:2].copy())]).exact.all()
+        # an error that overflows itself gives nan, as the plain formula does
+        assert np.isnan(parity_report([(np.array([1e308, 1.0]),
+                                        np.array([-1e308, 1.0]))]).snr_db[0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_block_split_does_not_matter(self, rng):
+        # the extreme channels and one exact channel, in blocks of 1, 7 and
+        # all 240 rows, each split followed by a block of no rows
+        ref, fix = extreme_channels(rng)
+        ref, fix = np.column_stack([ref, ref[:, 0]]), np.column_stack([fix, ref[:, 0]])
+        reports = []
+        for size in (1, 7, 240):
+            blocks = [(ref[i : i + size], fix[i : i + size]) for i in range(0, 240, size)]
+            reports.append(parity_report(iter(blocks + [(ref[:0], fix[:0])])))
+        whole = reports[-1]
+        assert whole.exact.tolist() == [False] * 6 + [True]
+        for report in reports:
+            assert np.array_equal(report.exact, whole.exact)
+            assert report.worst_channel == whole.worst_channel == 2
+            assert report.snr_db[:6] == pytest.approx(whole.snr_db[:6], rel=1e-13)
 
     def test_tiny_error_is_not_exact(self):
         # the error, about 1e-165 per sample, squares to 0 beside a normal
         # reference energy; every value differs, so no channel is exact
         ref = np.full((100, 1), 1e-150)
-        report = parity_report(ref, np.full((100, 1), 1e-150 + 1e-165))
+        report = parity_report([(ref, np.full((100, 1), 1e-150 + 1e-165))])
         assert not report.exact.any()
         err = 1e-150 - (1e-150 + 1e-165)
         assert report.snr_db[0] == pytest.approx(10 * math.log10((1e-150 / err) ** 2), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
-            parity_report(np.zeros((32, 2)), np.zeros((32, 3)))
+            parity_report([(np.zeros((32, 2)), np.zeros((32, 3)))])
+        # between blocks, as well as within one; 1-D blocks are one channel
+        with pytest.raises(ConfigError):
+            parity_report([(np.ones((32, 2)), np.ones((32, 2))), (np.ones(4), np.ones(4))])
+        assert parity_report([(np.ones(4), np.ones(4)), (np.ones((2, 1)), np.ones((2, 1)))]).exact
 
     def test_worst_channel_identified(self, rng):
         ref = rng.uniform(-1, 1, (500, 3))
         fix = ref.copy()
         fix[:, 1] += 1e-3
         fix[:, 2] += 1e-6
-        report = parity_report(ref, fix)
+        report = parity_report([(ref, fix)])
         assert report.worst_channel == 1
 
 

@@ -687,6 +687,21 @@ class TestCliMemory:
         # holding the taps would add 4096 x 64 doubles (2 MB)
         assert peaks[2] - peaks[1] < STREAM_CHUNK_VALUES * 8
 
+    def test_compare_holds_only_the_fixed_rows(self, tmp_path, rng, capsys):
+        # the whole-input fixed result is held; the float reference and the
+        # parity sums stream beside it
+        assert cli_main(["design", "--sections", "100", "--zeta", "0.25",
+                         "-o", str(tmp_path / "c.csv")]) == 0
+        peaks = []
+        for n_samples in (2400, 2400, 9600):  # the first run warms caches up
+            x = np.round(rng.uniform(-0.25, 0.25, n_samples) * 32768) / 32768
+            write_wav(tmp_path / "in.wav", AudioBuffer(48000, x))
+            peaks.append(_traced_peak(["compare", "--coeffs", str(tmp_path / "c.csv"),
+                                       "--wav", str(tmp_path / "in.wav"),
+                                       "-o", str(tmp_path / "p.csv")]))
+        fixed_rows_growth = (9600 - 2400) * 100 * 8  # int64 taps
+        assert peaks[2] - peaks[1] <= fixed_rows_growth + (1 << 20)
+
     def test_binary_write_takes_no_copy_of_a_block(self, tmp_path):
         m = np.ones((512, 512))
         tracemalloc.start()
