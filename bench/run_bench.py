@@ -63,8 +63,11 @@ reference time.
 (12 arrays at 1224 sections) on 0.5 s and 1 s of -12 dBFS noise; and
 compare_<seconds>s: `carmodel compare` of the same noise through the bounded
 1224-section design (COMPARE_DESIGN), on which no register saturates, so
-its parity means something. Each is REPEATS fresh child processes: peak RSS
-(getrusage), the RSS before the command and its wall time. The children of
+its parity means something; and analyze_<order>: `carmodel analyze
+--mls-order <order>` with its 20 default channels through the same bounded
+table, which needs 4 warm-up periods at order 14. Each is REPEATS fresh
+child processes: peak RSS (getrusage), the RSS before the command and its
+wall time. The children of
 PARENT and TREE alternate, the first of each pair switching trees from pair
 to pair, so that both sides' wall times see the same drift of the host's
 speed. Each side is stamped with the Python and numpy versions, nproc and
@@ -99,6 +102,7 @@ SAMPLE_RATE_HZ = 48000
 RUN_SECONDS = (0.5, 1.0)
 RUN_MODES = ("float", "fixed", "pipeline")
 COMPARE_DESIGN = ("--h-policy", "ratio:0.06", "--zeta", "0.2")  # `carmodel design` flags
+ANALYZE_MLS_ORDER = 14  # of the analyze_ children, on COMPARE_DESIGN's table
 REPEATS = 5  # run children per mode and input length
 PAIRS = 31  # alternating calls of the two trees per timed call
 PUSHES = 8  # 48-sample pushes per timed call of block_48_push
@@ -234,10 +238,11 @@ def child_ab(parent: Path, tree: Path) -> dict:
     return times
 
 
-def child_run(tree: Path, coeffs: Path, wav: Path, mode: str) -> dict:
+def child_run(tree: Path, coeffs: Path, wav: Path | None, mode: str) -> dict:
     """Peak RSS and wall time of one `carmodel run --format binary --mode
-    <mode>`, or of one `carmodel compare` with its parity CSV where mode is
-    "compare"."""
+    <mode>`, of one `carmodel compare` with its parity CSV where mode is
+    "compare", or of one `carmodel analyze --mls-order ANALYZE_MLS_ORDER`
+    where it is "analyze"."""
     import resource
 
     sys.path.insert(0, str(tree / "src"))
@@ -245,11 +250,15 @@ def child_run(tree: Path, coeffs: Path, wav: Path, mode: str) -> dict:
 
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["--coeffs", str(coeffs), "--wav", str(wav), "-o", str(Path(tmp) / "out")]
-        if mode == "compare":
-            argv = ["compare", *argv]
+        out = str(Path(tmp) / "out")
+        if mode == "analyze":
+            argv = ["analyze", "--coeffs", str(coeffs), "--mls-order", str(ANALYZE_MLS_ORDER),
+                    "--out-dir", out]
+        elif mode == "compare":
+            argv = ["compare", "--coeffs", str(coeffs), "--wav", str(wav), "-o", out]
         else:
-            argv = ["run", *argv, "--format", "binary", "--mode", mode]
+            argv = ["run", "--coeffs", str(coeffs), "--wav", str(wav), "-o", out,
+                    "--format", "binary", "--mode", mode]
         tracer = Tracer()
         with open(os.devnull, "w") as devnull:
             saved, sys.stdout = sys.stdout, devnull
@@ -327,8 +336,8 @@ def design_table(tree: Path, coeffs: Path, *flags: str) -> None:
 
 
 def run_children(parent: Path, tree: Path) -> tuple[dict, dict]:
-    """The run_binary_ and compare_ entries of PARENT and of TREE, their
-    children alternating pair by pair."""
+    """The run_binary_, compare_ and analyze_ entries of PARENT and of TREE,
+    their children alternating pair by pair."""
     trees = dict(zip(SIDES, (parent, tree)))
     runs = {side: {} for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
@@ -338,17 +347,22 @@ def run_children(parent: Path, tree: Path) -> tuple[dict, dict]:
             default, bounded = tmp / f"coeffs_{side}.csv", tmp / f"bounded_{side}.csv"
             design_table(trees[side], default)
             design_table(trees[side], bounded, *COMPARE_DESIGN)
-            tables[side] = {**dict.fromkeys(RUN_MODES, default), "compare": bounded}
+            tables[side] = {**dict.fromkeys(RUN_MODES, default), "compare": bounded,
+                            "analyze": bounded}
+        jobs = []  # (entry name, mode, the wav flags)
         for seconds in RUN_SECONDS:
             wav = tmp / f"noise_{seconds}s.wav"
             write_wav(wav, noise_samples(random.Random(9), int(seconds * SAMPLE_RATE_HZ)))
-            for mode in (*RUN_MODES, "compare"):
-                name = f"compare_{seconds}s" if mode == "compare" else f"run_binary_{mode}_{seconds}s"
-                for i in range(REPEATS):
-                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                        runs[side].setdefault(name, []).append(in_child(
-                            "--child", "run", "--tree", str(trees[side]), "--coeffs",
-                            str(tables[side][mode]), "--wav", str(wav), "--mode", mode))
+            jobs += [(f"compare_{seconds}s" if mode == "compare" else
+                      f"run_binary_{mode}_{seconds}s", mode, ("--wav", str(wav)))
+                     for mode in (*RUN_MODES, "compare")]
+        jobs.append((f"analyze_{ANALYZE_MLS_ORDER}", "analyze", ()))
+        for name, mode, wav_flags in jobs:
+            for i in range(REPEATS):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    runs[side].setdefault(name, []).append(in_child(
+                        "--child", "run", "--tree", str(trees[side]), "--coeffs",
+                        str(tables[side][mode]), *wav_flags, "--mode", mode))
     return tuple({name: {key: summary([r[key] for r in rs]) for key in rs[0]}
                   for name, rs in runs[side].items()} for side in SIDES)
 
@@ -371,7 +385,7 @@ def main() -> int:
     ap.add_argument("--child", choices=["run", "ab"], help=argparse.SUPPRESS)
     ap.add_argument("--coeffs", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--wav", type=Path, help=argparse.SUPPRESS)
-    ap.add_argument("--mode", choices=(*RUN_MODES, "compare"), help=argparse.SUPPRESS)
+    ap.add_argument("--mode", choices=(*RUN_MODES, "compare", "analyze"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     tree = args.tree.resolve()
 

@@ -28,11 +28,13 @@ class Wavefront:
     """The ticks of one cascade's wavefront, carried across blocks of samples.
 
     lanes are the kernel's section-reversed arrays, of length n on their
-    first axis: lane j is section n-1-j. push and flush call kernel(ticks)
-    once, with an iterator of the ticks of that call, and the kernel runs
-    every one of them. A tick is (x, y, views): views are the lane arrays
-    sliced to the tick's active sections lo:hi, x holds their inputs and y
-    takes their outputs, disjoint views of the buffer.
+    first axis: lane j is section n-1-j. taps, an index array, or None for
+    every section, are the columns that push and flush hand out. push and
+    flush call kernel(ticks) once, with an iterator of the ticks of that
+    call, and the kernel runs every one of them. A tick is (x, y, views):
+    views are the lane arrays sliced to the tick's active sections lo:hi, x
+    holds their inputs and y takes their outputs, disjoint views of the
+    buffer.
 
     Layout: one flat buffer with a row stride W. Cell (t, k), section k's
     output for sample t, sits at t*(W+1) + (k+1)*W and sample t at t*(W+1),
@@ -65,8 +67,8 @@ class Wavefront:
     takes as a prefix of its own needs slicing only when the width changes.
     """
 
-    def __init__(self, n_sections: int, lanes, dtype=np.float64):
-        self.n, self.lanes, self.dtype = n_sections, tuple(lanes), dtype
+    def __init__(self, n_sections: int, lanes, dtype=np.float64, taps=None):
+        self.n, self.lanes, self.dtype, self.taps = n_sections, tuple(lanes), dtype, taps
         self._restart()
 
     def _restart(self) -> None:
@@ -78,25 +80,26 @@ class Wavefront:
 
     def push(self, samples, kernel) -> np.ndarray:
         """Run kernel over one tick per sample of samples (1-D, of the
-        buffer's dtype); returns a copy of the rows those ticks completed,
-        in sample order."""
+        buffer's dtype); returns a copy of the taps' columns of the rows
+        those ticks completed, in sample order. No other column is copied."""
         kernel(self._ticks(samples, drain=False))
         end = max(self.done, self.pushed - self.n + 1)
-        rows = self._rows(end).copy()
+        rows = self._rows(end)
+        rows = rows.copy() if self.taps is None else rows[:, self.taps]
         self.done = end
         return rows
 
     def flush(self, samples, kernel) -> np.ndarray:
         """Run kernel over one tick per sample and the n-1 ticks that
         complete every row in flight; returns every row not handed out, in
-        sample order, as one writable view of the buffer, and leaves a
-        fresh start."""
+        sample order, as one writable view of the buffer (with taps, a new
+        array of their columns), and leaves a fresh start."""
         if not self.pushed:
             self.width = max(1, min(samples.shape[0], self.n))
         kernel(self._ticks(samples, drain=True))
         rows = self._rows(self.pushed)
         self._restart()
-        return rows
+        return rows if self.taps is None else rows[:, self.taps]
 
     def _rows(self, end: int) -> np.ndarray:
         """Rows done..end-1 as one view: row t starts at cell (t, 0)."""

@@ -128,19 +128,20 @@ def mls_generate(config: MlsConfig) -> np.ndarray:
 def mls_warmup_periods(design: CascadeDesign, period: int) -> int:
     """Warm-up periods needed before the cascade's output is periodic.
 
-    The slowest section mode decays as r^n; enough whole periods are run
-    that the leftover transient falls below 1e-14 relative to the response
-    scale. At least one period is always used.
+    The slowest section mode decays as its pole radius to the n,
+    r * sqrt(a0^2 + c0^2); enough whole periods are run that the leftover
+    transient falls below 1e-14 relative to the response scale. At least one
+    period is always used.
     """
-    r_max = max(s.r for s in design.sections)
+    r_max = max(s.r * math.sqrt(s.a0 * s.a0 + s.c0 * s.c0) for s in design.sections)
     if r_max >= 1.0:
-        raise AnalysisError("undamped design (r = 1) never reaches a periodic state")
+        raise AnalysisError("undamped design (pole radius >= 1) never reaches a periodic state")
     need = math.log(1e-14) / (period * math.log(r_max))
     return max(1, int(math.ceil(need)))
 
 
 def impulse_response(
-    system: Callable[[np.ndarray], np.ndarray],
+    system: Callable[[np.ndarray], np.ndarray | Iterable[np.ndarray]],
     n_samples: int,
     method: str = "direct_impulse",
     mls_config: MlsConfig | None = None,
@@ -148,8 +149,10 @@ def impulse_response(
 ) -> np.ndarray:
     """Per-channel impulse responses of a multichannel processing function.
 
-    `system` maps an input vector to an [n, channels] output matrix and must
-    start from its reset state; it is called exactly once.
+    `system` maps an input vector to its [n, channels] output, as one array
+    or as row blocks in order, and must start from its reset state; it is
+    called exactly once. Only the rows analysed are kept, copied into one
+    column-major array, however long the stimulus.
 
     direct_impulse drives a unit impulse. mls drives warmup_periods + 1 full
     periods of the configured sequence and recovers the (period-folded)
@@ -161,9 +164,7 @@ def impulse_response(
     if method == "direct_impulse":
         stim = np.zeros(n_samples, dtype=np.float64)
         stim[0] = 1.0
-        out = np.asarray(system(stim), dtype=np.float64)
-        _check_system_output(out, n_samples)
-        return out
+        return _last_rows(system(stim), n_samples, n_samples)
     if method != "mls":
         raise ConfigError(f"unknown impulse-response method: {method!r}")
 
@@ -177,21 +178,33 @@ def impulse_response(
         raise ConfigError("warmup_periods must be >= 1")
     seq = mls_generate(config)
     stim = np.tile(seq, warmup_periods + 1)
-    out = np.asarray(system(stim), dtype=np.float64)
-    _check_system_output(out, stim.shape[0])
-    y = out[warmup_periods * period :, :]
-
-    seq_f = np.fft.rfft(seq)
-    corr = np.fft.irfft(np.fft.rfft(y, axis=0) * np.conj(seq_f)[:, None], n=period, axis=0)
-    h = (corr + corr.sum(axis=0, keepdims=True)) / (period + 1)
+    spec = np.fft.rfft(_last_rows(system(stim), stim.shape[0], period), axis=0)
+    spec *= np.conj(np.fft.rfft(seq))[:, None]
+    h = np.fft.irfft(spec, n=period, axis=0)
+    h += h.sum(axis=0, keepdims=True)
+    h /= period + 1
     return h[:n_samples, :]
 
 
-def _check_system_output(out: np.ndarray, n_expected: int) -> None:
-    if out.ndim != 2 or out.shape[0] != n_expected:
-        raise ConfigError(
-            f"system must return [n_samples x channels], got shape {out.shape}"
-        )
+def _last_rows(out, n_rows: int, keep: int) -> np.ndarray:
+    """The last keep of a system output's n_rows rows, copied into one
+    column-major array: numpy's FFTs round differently on a C-order one.
+    out is one [n_rows x channels] array or its row blocks in order."""
+    y, row, skip = None, 0, n_rows - keep
+    for block in [out] if isinstance(out, np.ndarray) else out:
+        m = np.asarray(block, dtype=np.float64)
+        if m.ndim != 2 or (y is not None and m.shape[1] != y.shape[1]):
+            raise ConfigError(f"system must return 2-D row blocks of one channel count, "
+                              f"got shape {m.shape}")
+        if y is None:
+            y = np.empty((keep, m.shape[1]), order="F")
+        a, b = max(row, skip), min(row + len(m), n_rows)
+        if a < b:
+            y[a - skip : b - skip] = m[a - row : b - row]
+        row += len(m)
+    if row != n_rows:
+        raise ConfigError(f"system returned {row} rows, expected {n_rows}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -311,8 +324,9 @@ class ParityReport:
 def parity_report(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> ParityReport:
     """SNR per channel over every row of (reference, fixed) row blocks, 1-D
     ones of one channel: 10*log10(sum(ref^2) / sum((ref - fixed)^2)), +inf
-    where every fixed value equals its float value (flagged exact). No rows,
-    or a zero-energy reference channel, is an error, not a 0-dB report.
+    where every fixed value equals its float value (flagged exact), an
+    all-zero channel included. No rows, or a zero-energy reference channel
+    that is not exact, is an error, not a 0-dB report.
 
     One pass keeps each channel's reference and error energies as a running
     scale and a sum of squares relative to it (LAPACK's dlassq): no energy
@@ -338,7 +352,7 @@ def parity_report(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> ParityRepo
         del ref, fix, x  # not held while the next block is made
     if rows == 0:
         raise AnalysisError("empty comparison window")
-    zero = np.flatnonzero(scale[0] == 0.0)
+    zero = np.flatnonzero((scale[0] == 0.0) & ~exact)
     if zero.size:
         raise AnalysisError(f"undefined SNR: reference is all zero in channel {zero[0]}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

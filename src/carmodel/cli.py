@@ -209,15 +209,8 @@ def _cmd_analyze(args) -> int:
     cut = max(channels) + 1
     head = CascadeDesign(design.sections[:cut], design.sample_rate_hz, design.positions[:cut])
 
-    def system(stim: np.ndarray) -> np.ndarray:
-        # Column-major, the layout numpy gives rows[:, channels]: the FFTs of
-        # the analysis round differently on the other one.
-        out = np.empty((stim.size, len(channels)), order="F")
-        row = 0
-        for rows in stream_rows(CascadeStream(head, CascadeState(cut)), stim):
-            out[row : row + rows.shape[0]] = rows[:, channels]
-            row += rows.shape[0]
-        return out
+    def system(stim: np.ndarray):  # row blocks of the channels' taps alone
+        return stream_rows(CascadeStream(head, CascadeState(cut), taps=channels), stim)
 
     if args.method == "mls":
         config = analysis.MlsConfig(order=args.mls_order)

@@ -127,11 +127,21 @@ class CascadeStream:
     bit-identical to process_sample's, however the input is split. The
     stream reads the state when it is made and writes back only (w1, w2) at
     every flush; after a flush it takes new pushes.
+
+    taps, section indices, are the columns its pushes and flushes hand out,
+    in that order; None hands out every section.
     """
 
-    def __init__(self, design: CascadeDesign, state: CascadeState):
+    def __init__(self, design: CascadeDesign, state: CascadeState,
+                 taps: Sequence[int] | np.ndarray | None = None):
         _check_state(design, state)
-        self.state = state
+        if taps is not None:
+            taps = np.asarray(taps)
+            if (taps.ndim != 1 or not taps.size or taps.dtype.kind not in "iu"
+                    or taps.min() < 0 or taps.max() >= design.n_sections):
+                raise ConfigError(f"taps must be section indices in [0, {design.n_sections}), "
+                                  f"at least one")
+        self.state, self.taps = state, taps
         self.n_sections = design.n_sections
         # the state as section-reversed (w1, w2) pairs, one lane array with
         # its two columns
@@ -139,17 +149,18 @@ class CascadeStream:
         lanes = (*design.lane_arrays, self._w, self._w[:, 0], self._w[:, 1])
         scratch = np.empty((2, design.n_sections, 2))
         self._kernel = functools.partial(cascade_ticks, scratch)
-        self._front = Wavefront(design.n_sections, lanes)
+        self._front = Wavefront(design.n_sections, lanes, taps=taps)
 
     def push(self, samples: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Run one tick per sample; returns the [rows x n_sections] outputs
+        """Run one tick per sample; returns the [rows x taps] outputs
         completed by them, a new array."""
         return self._front.push(_checked_samples(samples), self._kernel)
 
     def flush(self, samples: Sequence[float] | np.ndarray = ()) -> np.ndarray:
         """Push samples, the last ones before the flush, complete every row
         in flight, write the state back, and return the rows not yet
-        returned, as one writable strided view of the stream's buffer."""
+        returned, as one writable strided view of the stream's buffer, or
+        with taps a new array of their columns."""
         rows = self._front.flush(_checked_samples(samples), self._kernel)
         self.state.w1[:], self.state.w2[:] = self._w[::-1].T
         return rows

@@ -310,14 +310,20 @@ def validate_channel_coeffs(c: ChannelCoeffs) -> None:
 
 
 def transfer_function(coeffs: ChannelCoeffs) -> RationalTF:
-    """Polynomial coefficients of the section's transfer function."""
+    """Polynomial coefficients of the section's transfer function.
+
+    The coupled-form state matrix r * [[a0, -c0], [c0, a0]] has determinant
+    r^2 * (a0^2 + c0^2), the z^-2 term of the denominator; a quantized
+    section need not keep a0^2 + c0^2 = 1.
+    """
     r = coeffs.r
+    det = r * r * (coeffs.a0 * coeffs.a0 + coeffs.c0 * coeffs.c0)
     return RationalTF(
         b0=coeffs.g,
         b1=coeffs.g * (-2.0 * coeffs.a0 + coeffs.h * coeffs.c0) * r,
-        b2=coeffs.g * r * r,
+        b2=coeffs.g * det,
         a1_den=-2.0 * coeffs.a0 * r,
-        a2_den=r * r,
+        a2_den=det,
     )
 
 

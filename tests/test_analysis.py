@@ -23,9 +23,10 @@ from carmodel.analysis import (
     write_impulse_csv,
     write_response_csv,
 )
-from carmodel.core import CascadeState, process_block
+from carmodel.core import CascadeState, CascadeStream, process_block, stream_rows
 from carmodel.design import CascadeDesign, ChannelCoeffs, DesignParams, design_cascade
 from carmodel.errors import AnalysisError, ConfigError
+from carmodel.fixed import dequantized_design, quantize_design
 
 from oracles import (
     CSV_EDGE_FLOATS,
@@ -151,6 +152,81 @@ class TestImpulseResponse:
         assert mls_warmup_periods(default_design_20, 16383) >= 6
         assert mls_warmup_periods(fast_design, 16383) == 1
 
+    def test_warmup_follows_the_pole_radius(self):
+        # the modes decay as r * sqrt(a0^2 + c0^2), which need not be r
+        def design(scale):
+            c = ChannelCoeffs(cf_hz=1000, theta_r=1.0, r=0.99, a0=math.cos(1.0) * scale,
+                              c0=math.sin(1.0) * scale, h=0.0, g=1.0, section_index=0)
+            return CascadeDesign(sections=(c,), sample_rate_hz=48000.0, positions=(0.5,))
+
+        assert mls_warmup_periods(design(1.0), 255) == 13
+        assert mls_warmup_periods(design(0.5), 255) == 1
+        with pytest.raises(AnalysisError, match="never reaches a periodic state"):
+            mls_warmup_periods(design(1.0 / 0.99), 255)
+
+
+def block_system(design, rows):
+    """cascade_system's output as row blocks of rows rows (None: one block)."""
+    def system(stim):
+        out = cascade_system(design)(stim)
+        step = rows or len(out)
+        return (out[i : i + step] for i in range(0, len(out), step))
+
+    return system
+
+
+class TestImpulseResponseBlocks:
+    MLS = {"method": "mls", "mls_config": MlsConfig(order=8), "warmup_periods": 2}
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("method", ["direct_impulse", "mls"])
+    def test_blocks_give_the_bits_of_one_array(self, fast_design, method, rows):
+        kwargs = self.MLS if method == "mls" else {}
+        whole = impulse_response(cascade_system(fast_design), 200, **kwargs)
+        got = impulse_response(block_system(fast_design, rows), 200, **kwargs)
+        assert got.shape == whole.shape == (200, fast_design.n_sections)
+        assert got.tobytes() == whole.tobytes()
+
+    def test_stream_of_taps_gives_the_bits_of_their_columns(self, fast_design):
+        taps = [0, 4, 9]
+        whole = impulse_response(cascade_system(fast_design), 200, **self.MLS)
+
+        def system(stim):
+            return stream_rows(CascadeStream(fast_design, CascadeState(10), taps=taps), stim)
+
+        got = impulse_response(system, 200, **self.MLS)
+        assert got.tobytes() == np.ascontiguousarray(whole[:, taps]).tobytes()
+
+    @pytest.mark.parametrize("method", ["direct_impulse", "mls"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_row_count_rejected(self, fast_design, method, extra):
+        kwargs = self.MLS if method == "mls" else {}
+
+        def system(stim):
+            blocks = list(block_system(fast_design, 7)(stim))
+            if extra < 0:
+                blocks[-1] = blocks[-1][:-1]
+            else:
+                blocks.append(blocks[-1][:1])
+            return iter(blocks)
+
+        with pytest.raises(ConfigError, match="rows, expected"):
+            impulse_response(system, 200, **kwargs)
+        with pytest.raises(ConfigError, match="rows, expected"):
+            impulse_response(lambda stim: iter(()), 200, **kwargs)
+
+    @pytest.mark.parametrize("method", ["direct_impulse", "mls"])
+    def test_ragged_blocks_rejected(self, fast_design, method):
+        kwargs = self.MLS if method == "mls" else {}
+
+        def ragged(stim):
+            out = cascade_system(fast_design)(stim)
+            return iter([out[:5], out[5:, :-1]])
+
+        for system in (ragged, lambda stim: iter([np.zeros(len(stim))])):
+            with pytest.raises(ConfigError, match="blocks"):
+                impulse_response(system, 200, **kwargs)
+
 
 class TestFrequencyResponse:
     def test_identity_flat_zero_db(self):
@@ -213,6 +289,23 @@ class TestFrequencyResponse:
     def test_nfft_shorter_than_ir_rejected(self):
         with pytest.raises(ConfigError):
             frequency_response_measured(np.zeros((64, 2)), 48000.0, n_fft=32)
+
+    def test_analytic_follows_a_quantized_design(self):
+        # 18/16 coefficients break a0^2 + c0^2 = 1: the analytic response of
+        # compare_fixed's dequantized design must still be the recurrence's
+        design = dequantized_design(quantize_design(
+            design_cascade(DesignParams(48000.0, 100, damping_zeta=0.25))))
+        taps, n = [0, 33, 66, 99], 1 << 16
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        ir = np.concatenate(list(stream_rows(
+            CascadeStream(design, CascadeState(100), taps=taps), impulse)))
+        freqs = np.fft.rfftfreq(n, 1 / 48000.0)[:-1]  # below Nyquist
+        with np.errstate(divide="ignore"):  # far stopband bins that round to 0
+            measured = 20 * np.log10(np.abs(np.fft.rfft(ir, axis=0)[:-1]))
+        analytic = 20 * np.log10(np.abs(frequency_response_analytic(design, freqs)[:, taps]))
+        near = measured >= measured.max(axis=0) - 40  # within 40 dB of each peak
+        assert np.abs(measured - analytic)[near].max() < 1e-6
 
     def test_internal_consistency(self, fast_design):
         ir = impulse_response(cascade_system(fast_design), 512)
@@ -296,6 +389,17 @@ class TestParityReport:
     def test_zero_reference_rejected(self):
         with pytest.raises(AnalysisError, match="undefined SNR"):
             parity_report([(np.zeros((32, 2)), np.ones((32, 2)))])
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_zero_reference_is_exact(self, rng):
+        ref = np.zeros((32, 3))
+        ref[:, 2] = rng.uniform(-1, 1, 32)
+        fix = ref.copy()
+        fix[3, 2] += 1e-6
+        report = parity_report([(ref[:16], fix[:16]), (ref[16:], fix[16:])])
+        assert report.exact.tolist() == [True, True, False]
+        assert np.isinf(report.snr_db[:2]).all() and np.isfinite(report.snr_db[2])
+        assert report.worst_channel == 2
 
     # no blocks, or blocks of no rows, such as a stream's final flush
     @pytest.mark.parametrize("blocks", [[], [(np.zeros((0, 2)), np.zeros((0, 2)))] * 2])

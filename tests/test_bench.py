@@ -54,13 +54,14 @@ def test_ab_entries_ratio_quartiles_and_nominal_times():
 def test_run_children_alternate_trees(monkeypatch, tmp_path):
     # every run child of PARENT has one of TREE next to it, the first of a
     # pair switching trees from pair to pair, so host drift hits both sides;
-    # compare reads the bounded design's table
+    # compare and analyze read the bounded design's table, and analyze no WAV
     calls = []
 
     def in_child(*args):
         tree, mode = args[args.index("--tree") + 1], args[args.index("--mode") + 1]
         table = Path(args[args.index("--coeffs") + 1]).read_text()
         calls.append((Path(tree).name, mode, table))
+        assert ("--wav" in args) == (mode != "analyze")
         return {"peak_rss_mb": float(len(calls)), "wall_s": 0.5 if tree.endswith("a") else 0.25}
 
     monkeypatch.setattr(run_bench, "in_child", in_child)
@@ -71,16 +72,17 @@ def test_run_children_alternate_trees(monkeypatch, tmp_path):
     monkeypatch.setattr(run_bench, "REPEATS", 3)
     before, after = run_bench.run_children(tmp_path / "a", tmp_path / "b")
     bounded = " ".join(run_bench.COMPARE_DESIGN)
-    assert calls == [(tree, mode, bounded if mode == "compare" else "")
-                     for mode in ("float", "fixed", "compare")
+    assert calls == [(tree, mode, bounded if mode in ("compare", "analyze") else "")
+                     for mode in ("float", "fixed", "compare", "analyze")
                      for tree in ("a", "b", "b", "a", "a", "b")]
     assert list(before) == list(after) == ["run_binary_float_0.001s", "run_binary_fixed_0.001s",
-                                           "compare_0.001s"]
+                                           "compare_0.001s", "analyze_14"]
     assert before["run_binary_float_0.001s"]["peak_rss_mb"]["repeats"] == [1.0, 4.0, 5.0]
     assert after["run_binary_fixed_0.001s"]["peak_rss_mb"]["repeats"] == [8.0, 9.0, 12.0]
     assert before["run_binary_fixed_0.001s"]["wall_s"]["median"] == 0.5
     assert after["run_binary_float_0.001s"]["wall_s"]["median"] == 0.25
     assert after["compare_0.001s"]["peak_rss_mb"]["repeats"] == [14.0, 15.0, 18.0]
+    assert before["analyze_14"]["peak_rss_mb"]["repeats"] == [19.0, 22.0, 23.0]
 
 
 def test_ab_children_swap_import_order(monkeypatch, tmp_path):

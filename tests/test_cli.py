@@ -635,7 +635,8 @@ class TestCliAnalyze:
             return stream_rows(stream, samples)
 
         def whole(stream, samples):
-            return stream_rows(CascadeStream(full, CascadeState(full.n_sections)), samples)
+            return stream_rows(CascadeStream(full, CascadeState(full.n_sections),
+                                             taps=stream.taps), samples)
 
         outputs = {}
         for name, wrapper in (("cut", spy), ("full", whole)):
@@ -737,6 +738,24 @@ class TestCliMemory:
         assert peak < 0.5 * stimulus * 64 * 8
 
 
+    def test_analyze_peak_flat_in_warmup_periods(self, tmp_path, capsys):
+        # the warm-up periods' rows are not kept: a table that needs 6 of
+        # them at order 12 peaks less than one period's rows above one that
+        # needs 1 (the 20 default channels of 64 sections, 655 KB)
+        tables = {}
+        for name, flags in (("fast", ["--x-apex", "0.4"]), ("slow", ["--x-apex", "0.1"])):
+            tables[name] = tmp_path / f"{name}.csv"
+            assert cli_main(["design", "--sections", "64", *flags,
+                             "-o", str(tables[name])]) == 0
+        warmups = [mls_warmup_periods(read_coeff_table(t), 4095) for t in tables.values()]
+        assert warmups == [1, 6]
+        peaks = []
+        for table in (tables["fast"], *tables.values()):  # the first run warms caches up
+            peaks.append(_traced_peak(["analyze", "--coeffs", str(table), "--mls-order", "12",
+                                       "--out-dir", str(tmp_path / "a")]))
+        assert peaks[2] - peaks[1] < 4095 * 20 * 8
+
+
 class TestCliScheduleCompare:
     def test_schedule_report(self, tmp_path, capsys):
         rc = cli_main(["schedule", "--sections", "1224",
@@ -776,6 +795,18 @@ class TestCliScheduleCompare:
         assert rc == 0, capsys.readouterr().err
         rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
         assert len(rows) == 1224 and not any(",nan," in row for row in rows)
+
+    def test_compare_silent_wav_is_exact(self, workspace, capsys):
+        # every tap is 0 in both datapaths: exact, not an undefined SNR
+        write_wav(workspace / "silent.wav", AudioBuffer(48000, np.zeros(480)))
+        rc = cli_main(["compare", "--coeffs", str(workspace / "coeffs.csv"),
+                       "--wav", str(workspace / "silent.wav"),
+                       "-o", str(workspace / "p.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert "worst_snr_db: exact (all channels bit-identical)\n" in out
+        rows = (workspace / "p.csv").read_text().splitlines()
+        assert rows[1:] == [f"{ch},inf,1,0" for ch in range(24)]
 
     def test_compare_empty_wav_exits_1(self, workspace, capsys):
         write_wav(workspace / "empty.wav", AudioBuffer(48000, np.zeros(0)))

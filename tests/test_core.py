@@ -361,6 +361,31 @@ class TestCascadeStream:
         assert stream.flush().shape == (0, fast_design.n_sections)
         assert np.all(state.w1 == 0.0)
 
+    # taps repeated and out of order; chunks shorter than, equal to and
+    # longer than the cascade, and one flush of everything
+    @pytest.mark.parametrize("chunk", [1, 15, 16, 17, 200, None])
+    def test_taps_hand_out_those_columns(self, chunk):
+        n, taps = 16, [15, 0, 7, 7]
+        design = _stream_design(n)
+        xs = np.random.default_rng(5).uniform(-1, 1, 300)
+        expect = process_block(design, CascadeState(n), xs)
+        state = CascadeState(n)
+        stream = CascadeStream(design, state, taps=taps)
+        step = chunk or xs.size
+        blocks = [stream.push(xs[i : i + step]) for i in range(0, xs.size - step, step)]
+        blocks.append(stream.flush(xs[len(blocks) * step :]))
+        assert all(b.shape[1] == len(taps) for b in blocks)
+        assert_same_bits(np.concatenate(blocks), expect[:, taps])
+        ref = CascadeState(n)
+        process_block(design, ref, xs)
+        assert_same_bits(state.w1, ref.w1)
+        assert_same_bits(state.w2, ref.w2)
+
+    @pytest.mark.parametrize("taps", [[16], [-1], [], [[0, 1]], [0.5]])
+    def test_bad_taps_rejected(self, taps):
+        with pytest.raises(ConfigError, match="taps must be section indices"):
+            CascadeStream(_stream_design(16), CascadeState(16), taps=taps)
+
     def test_checks_like_process_block(self, fast_design):
         with pytest.raises(ConfigError):
             CascadeStream(fast_design, CascadeState(fast_design.n_sections + 1))

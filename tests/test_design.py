@@ -305,10 +305,12 @@ class TestTransferFunction:
         for _ in range(30):
             c = random_section(rng)
             tf = transfer_function(c)
-            assert tf.a2_den == c.r * c.r
+            # the state matrix's determinant, r^2 on a designed section
+            assert tf.a2_den == c.r * c.r * (c.a0 * c.a0 + c.c0 * c.c0)
+            assert tf.a2_den == pytest.approx(c.r * c.r, rel=1e-12)
             assert tf.a1_den == -2.0 * c.a0 * c.r
             assert tf.b0 == c.g
-            assert tf.b2 == pytest.approx(c.g * c.r * c.r, rel=1e-15)
+            assert tf.b2 == pytest.approx(c.g * c.r * c.r, rel=1e-12)
 
 
 class TestPolesZeros:
