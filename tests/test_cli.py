@@ -737,7 +737,6 @@ class TestCliMemory:
         stimulus = (mls_warmup_periods(design, 4095) + 1) * 4095
         assert peak < 0.5 * stimulus * 64 * 8
 
-
     def test_analyze_peak_flat_in_warmup_periods(self, tmp_path, capsys):
         # the warm-up periods' rows are not kept: a table that needs 6 of
         # them at order 12 peaks less than one period's rows above one that
