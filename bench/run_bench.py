@@ -7,6 +7,10 @@ and perfbench/. To measure one tree alone, pass it as both sides:
     python3 bench/run_bench.py --ab PARENT --tree . --out BENCH_13.json
     python3 bench/run_bench.py --ab . --tree . --out alone.json
 
+perfbench's workloads module, which imports hashlib and so OpenSSL, is
+imported only where its inputs are made, so that a run child's peak RSS
+counts no library that a bare `carmodel` process does not load.
+
 A child process imports PARENT's and TREE's carmodel under two package
 names and alternates their calls on the same inputs, PAIRS pairs per call,
 the first call of each pair switching trees from pair to pair: one child
@@ -51,7 +55,10 @@ children run the pairs: one imports PARENT first, the other TREE first. For
 each call, "ab" stores the ratios TREE / PARENT of both children's pairs
 with their median and quartiles; a ratio below 1 means TREE is faster.
 median_parent_first and median_tree_first are each child's own median, so
-an import-order bias shows as a gap between them. Each entry also has each
+an import-order bias shows as a gap between them. "aa" stores the same
+entries for TREE against a temporary copy of TREE's src/, timed the same
+way in two more children: the harness's own ratios for identical code,
+beside which each "ab" ratio is read. Each entry also has each
 tree's median time at the nominal reference speed, parent_<unit>_nominal
 and tree_<unit>_nominal, in ms per block (block_48) or call (csv_, read_)
 or µs per wavefront tick (tick_): each time times NOMINAL_REF_S over its
@@ -84,6 +91,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -95,7 +103,6 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 from reference import NOMINAL_REF_S, reference_task  # noqa: E402
 from tracing import Tracer  # noqa: E402
-from workloads import BLOCK_SAMPLES, WORKLOADS, noise_samples, write_wav  # noqa: E402
 
 N_SECTIONS = 1224
 SAMPLE_RATE_HZ = 48000
@@ -128,6 +135,7 @@ def timed_calls(core, design, fixed, analysis, audio_io, table: Path) -> dict:
     function of the call's index, the entry's unit, and the blocks,
     wavefront ticks or calls per call that a time in that unit is per)."""
     import numpy as np
+    from workloads import BLOCK_SAMPLES, WORKLOADS, noise_samples
 
     des = design.design_cascade(design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS))
     x = np.array(noise_samples(random.Random(8), 64 * BLOCK_SAMPLES)) / 32768.0
@@ -338,6 +346,8 @@ def design_table(tree: Path, coeffs: Path, *flags: str) -> None:
 def run_children(parent: Path, tree: Path) -> tuple[dict, dict]:
     """The run_binary_, compare_ and analyze_ entries of PARENT and of TREE,
     their children alternating pair by pair."""
+    from workloads import noise_samples, write_wav
+
     trees = dict(zip(SIDES, (parent, tree)))
     runs = {side: {} for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
@@ -400,11 +410,16 @@ def main() -> int:
         return 0
 
     entries = pooled_entries(ab_halves(parent, tree))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        shutil.copytree(tree / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        null = pooled_entries(ab_halves(copy, tree))
     stamps = {"parent": stamp(parent), "tree": stamp(tree)}
     before, after = run_children(parent, tree)
     record = {
         "script": "bench/run_bench.py",
         "ab": {**stamps, "pairs": 2 * PAIRS, **entries},
+        "aa": {"pairs": 2 * PAIRS, **null},
         "before": {"stamp": stamps["parent"], **before},
         "after": {"stamp": stamps["tree"], **after},
     }

@@ -1,45 +1,35 @@
 """CSV rows of float64 values, every field byte-identical to "%.17g" % v.
 
-Digits. Each value is scaled into [1e16, 1e17) in long double,
+Digits. Each value is scaled into [1e16, 1e17) in float64,
 z = |v| * 10^(16-X) with X its decimal exponent, and cut into its integer
 part D and its fraction. X is first taken as floor(log10|v|), which can be
 one off next to a power of ten; the few values whose D falls outside
-[1e16, 1e17) are scaled once more with X moved by one. The table entry
-10^(16-X) and the product each round once, so z = exact * (1 + d) with
-|d| <= u(2+u) = _REL_MARGIN, u being the unit roundoff of the long double,
-and z is within _REL_MARGIN * z / (1 - _REL_MARGIN) of the exact product.
+[1e16, 1e17) are scaled once more with X moved by one. Per X, with
+k = -floor(X log2 10), _pow10_table() holds 10^(16-X) * 2^-k as a
+double-double P_hi + P_lo, each part rounded once from the exact value.
+Whatever X is, s = |v| * 2^k (np.ldexp, exact) lies near 1 and P_hi near
+1e16, so Veltkamp's split by 2^27 + 1 neither overflows nor underflows, and
+Dekker's two-product gives z_hi + r = s * P_hi exactly. Only s * P_lo and
+the sum e = r + s * P_lo round, so z_hi + e is within about 2^-100 z of the
+exact product. z_hi is an integer wherever z >= 2^53; a smaller z lies
+below 1e16, off, and is scaled again. So D = z_hi + floor(e).
 
-Ambiguity. numpy formats every finite value except the few that the two
-tests below leave undecided; Python formats those, and "inf" and "nan".
-The first test runs on every value, in float64 and int64:
+Ambiguity. numpy formats every finite value except the few that these
+tests leave undecided; Python formats those, and "inf" and "nan". With
+h = e - (floor(e) + 1/2), the fraction less one half:
 
-- The fraction z - D is exact in long double; as a double f it is off by at
-  most 2^-54, and f - 0.5 by at most 2^-55 more. The margin m = D * c, with
-  c = _REL_MARGIN * (1 + 2^-40) + 2^-52 / 1e16, rounds twice in float64
-  (D to a double, then the product) and D >= z - 1, so for z >= 1e16 it is
-  at least _REL_MARGIN * z / (1 - _REL_MARGIN) + 2^-53: the factor
-  1 + 2^-40 covers the two roundings and the division. A value is near a
-  tie when |f - 0.5| <= m; otherwise the exact product lies on the same
-  side of D + 0.5 as z, and D + (f > 0.5) are its 17 digits.
-- A value is an edge when D <= 10^16 or D >= 10^17 - 1. As long as
-  _REL_MARGIN * z < 1 this flags every z < 1e16 + 1 (the exact product may
-  lie below 1e16, X one too large) and every z >= 1e17 - 1/2 (the digits
-  would round up to 10^17), which are the values that the tests
-  z - margin < 1e16 and z + 0.5 >= 1e17 flag in long double; it also flags
-  every D that the rescaling left outside [1e16, 1e17). Edges go to Python.
+- Where P_lo = 0 (0 <= 16 - X <= 22), z_hi + e is the exact product. A
+  rounded difference is 0 only where the difference is, so the sign of h
+  is exact: D + (h > 0) are the 17 digits, and h = 0 is a tie, rounded half
+  to even as Python does.
+- Elsewhere h is off by less than 2^-46, and a value with |h| <= 2^-40 is
+  near a tie. Exact ties can occur there at 16 - X = 23 and 24 (3 * 2^-24,
+  say); they are near too.
+- A value is an edge when D <= 10^16 or D >= 10^17 - 1: its exact product
+  may lie below 1e16 (X one too large), or its digits round up to 10^17.
+  This also flags every D that the rescaling left outside [1e16, 1e17).
 
-The second test, _exact_side, takes the values near a tie and not at an
-edge, about 1.4% of run_float's and most of them with a long-double
-fraction of exactly 0.5. It finds the side of D + 1/2 that the exact
-product lies on from z's own rounding error, taken exactly by a Dekker
-two-product in long double, and the table entry's, a second long double
-per entry from _pow10_errors(). Where the entry is exact (10^p for p in
-[0, 27]) it finds exact ties too, which round half to even; elsewhere no
-tie can occur, and a value within the sum's rounding error of one half is
-left to Python.
-
-Where the long double is no wider than a double, the margin is at least one
-half, the second test does not run, and every value takes Python's path.
+Values near a tie and edges go to Python.
 
 Layout. A field is 48 bytes, six aligned 64-bit words: the sign, "0.000",
 the leading digit and a "."; digits 1-16 as four "d.d.d.d." words, each
@@ -60,13 +50,14 @@ lead once per chunk, lays out each column's rows, the lead's field less the
 byte columns that none of the chunk's lead fields keeps, then the value's,
 one column after another, and compacts each column's rows on its own.
 
-The arithmetic sticks to float64, int64 and long double ufuncs, with lookup
+The arithmetic sticks to float64 and int64 ufuncs, with lookup
 tables for the rest: the first call of each new numpy loop in a process
 maps about 64 KB of numpy's code, which counts in the peak memory of a run.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -74,47 +65,37 @@ import numpy as np
 __all__ = ["csv_rows", "csv_pairs"]
 
 # Values per chunk of whole rows (at least one row): three cochleagram rows
-# of 1224 sections. Each value takes 48 bytes of masked field and about 80
-# more of temporaries while it is formatted, so a chunk's memory stays near
-# 0.5 MB; a larger chunk raises the peak memory of a run for little speed.
+# of 1224 sections. Each value takes 48 bytes of masked field and at most
+# 105 more of temporaries while it is formatted (tracemalloc's peak over a
+# _masked call), so a chunk's memory stays near 0.6 MB; a larger chunk
+# raises the peak memory of a run for little speed.
 CHUNK_VALUES = 4096
 
-# 10^(16-X) for X from the largest double (308) to the smallest (-324)
-_P_MIN, _P_MAX = -292, 340
-
-
-def _unit_roundoff() -> float:
-    """The unit roundoff of long double array arithmetic as it runs, which
-    differs from finfo's where an x87 unit works at double precision."""
-    one = np.ones(1, dtype=np.longdouble)
-    u = one * 0.5
-    while (one + u != one)[0]:
-        u *= 0.5
-    return float(u[0])
-
-
-_UNIT = _unit_roundoff()
-_POW10 = np.array([f"1e{p}" for p in range(_P_MIN, _P_MAX + 1)], dtype=np.longdouble)
-_REL_MARGIN = _UNIT * (2.0 + _UNIT)
-# Veltkamp's constant 2^ceil(t/2) + 1 for a t-bit significand, u = 2^-t
-_SPLITTER = np.longdouble(2 ** -(int(np.log2(_UNIT)) // 2) + 1)
+# decimal exponents X of the table rows: the largest double's (308) to the
+# smallest's (-324)
+_P_X_MIN, _P_X_MAX = -324, 308
+_SPLITTER = 2.0**27 + 1  # Veltkamp's constant for a 53-bit significand
 
 
 @cache
-def _pow10_errors() -> np.ndarray:
-    """10^p - _POW10[p] for each p, to two roundings of a long double: the
-    exact rational difference cut to 25 or more significant digits, then
-    parsed. 0 where the entry is exact, for p in [0, 27] on a 64-bit
-    significand. Built on first use, not at import: it takes about 2.5 ms,
-    which commands that format no float would pay for nothing."""
-    text = []
-    for p, entry in zip(range(_P_MIN, _P_MAX + 1), _POW10):
-        n, d = entry.as_integer_ratio()
-        num, den = (10**p * d - n, d) if p >= 0 else (d - n * 10**-p, d * 10**-p)
-        e = 26 + (den.bit_length() - num.bit_length()) * 30103 // 100000  # log10(2)
-        q = abs(num) * 10**e // den if e >= 0 else abs(num) // (den * 10**-e)
-        text.append(f"{'-' if num < 0 else ''}{q}e{-e}")
-    return np.array(text, dtype=np.longdouble)
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """Per decimal exponent X from _P_X_MIN, with k = -floor(X log2 10):
+    P_hi and P_lo, 10^(16-X) * 2^-k as a double-double, each rounded once
+    from the exact value; the two Veltkamp halves of P_hi; and k. Built with
+    Python integers on first use, not at import, so that commands that
+    format no float do not pay for it."""
+    rows = []
+    for x in range(_P_X_MIN, _P_X_MAX + 1):
+        k = -math.floor(x * math.log2(10))
+        num = 10 ** max(16 - x, 0) << max(-k, 0)
+        den = 10 ** max(x - 16, 0) << max(k, 0)
+        hi = num / den  # correctly rounded
+        n, d = hi.as_integer_ratio()
+        c = hi * _SPLITTER
+        hi_1 = c - (c - hi)
+        rows.append((hi, (num * d - n * den) / (den * d), hi_1, hi - hi_1, k))
+    hi, lo, hi_1, hi_2, k = map(np.array, zip(*rows))
+    return hi, lo, hi_1, hi_2, k.astype(np.intc)  # np.ldexp's exponent type
 
 
 def _group_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +184,28 @@ def _python_fields(values: np.ndarray) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint8).reshape(-1, 24)
 
 
+def _scaled(a, row) -> tuple[np.ndarray, np.ndarray]:
+    """z_hi and e of the values a > 0 at the rows of _pow10_table(): z_hi +
+    e is a * 10^(16-X) to within about 2^-100 times it, and exact where
+    P_lo is 0. z_hi = s * P_hi rounded, for s = a * 2^k, and z_hi + r = s * P_hi
+    exactly by Dekker's two-product; then e = r + s * P_lo."""
+    hi, lo, hi_1, hi_2, k = _pow10_table()
+    # every row is in range: "clip" only skips take's buffered bounds check
+    s = np.ldexp(a, k.take(row, mode="clip"))
+    s_1 = s * _SPLITTER
+    s_1 -= s_1 - s
+    s_2 = s - s_1
+    z = s * hi.take(row, mode="clip")
+    p = hi_1.take(row, mode="clip")
+    r = z - s_1 * p
+    r -= s_2 * p
+    p = hi_2.take(row, mode="clip")
+    r -= s_1 * p
+    np.subtract(s_2 * p, r, out=r)
+    r += s * lo.take(row, mode="clip")
+    return z, r
+
+
 def _digits(v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 digits D and the decimal exponent X of each value of v, and
     the indices of the ambiguous values, which Python formats. Its
@@ -212,62 +215,28 @@ def _digits(v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     odd = ~np.isfinite(a)  # "inf" and "nan" come from Python
     a[zero | odd] = 2.0  # any value whose z is clear of the edges
     x = np.floor(np.log10(a)).astype(np.int64)  # X, or one off
-    a = a.astype(np.longdouble)
-    # every index is in range: "clip" only skips take's buffered bounds check
-    z = a * _POW10.take(16 - _P_MIN - x, mode="clip")
-    digits = z.astype(np.int64)  # floor: 0 < z < 2^63
+    z, e = _scaled(a, x - _P_X_MIN)
+    whole = np.floor(e)
+    digits = z.astype(np.int64) + whole.astype(np.int64)  # 0 < z < 2^63
     off = np.subtract(digits, 10**16).view(np.uint64) >= 9 * 10**16
     if off.any():  # D outside [1e16, 1e17): move X by one and scale again
         i = np.flatnonzero(off)
         x[i] -= np.where(digits[i] < 10**16, 1, -1)
-        z[i] = a[i] * _POW10.take(16 - _P_MIN - x[i], mode="clip")
-        digits[i] = z[i].astype(np.int64)
-    frac = (z - digits).astype(np.float64)
-    margin = digits * (_REL_MARGIN * (1 + 2.0**-40) + 2.0**-52 / 1e16)
-    near = abs(frac - 0.5) <= margin
-    up = frac > 0.5
+        z[i], e[i] = _scaled(a[i], x[i] - _P_X_MIN)
+        whole[i] = np.floor(e[i])
+        digits[i] = z[i].astype(np.int64) + whole[i].astype(np.int64)
+    h = e - (whole + 0.5)
+    near = abs(h) <= 2.0**-40
+    if near.any():  # decided where P_lo = 0, 10^(16-X) times 2^-k exact
+        i = np.flatnonzero(near)
+        near[i] = _pow10_table()[1].take(x[i] - _P_X_MIN, mode="clip") != 0
+    up = (h > 0) | ((h == 0) & ((digits & 1) == 1))  # ties to even
     # D <= 10^16 or D >= 10^17 - 1
     edge = np.subtract(digits, 10**16 + 1).view(np.uint64) > 9 * 10**16 - 3
-    if near.any() and _REL_MARGIN < 2.0**-53:  # a long double wider than a double
-        i = np.flatnonzero(near & ~edge)
-        up[i], near[i] = _exact_side(a[i], z[i], digits[i], 16 - _P_MIN - x[i])
     ambiguous = near | edge | odd
     digits += up
     digits[zero] = 0
     return digits, x, np.flatnonzero(ambiguous)
-
-
-def _exact_side(a, z, digits, row) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the exact product t = a * 10^p rounds up from D to 17
-    digits, for long double values a, their products z = a * _POW10[row]
-    and the integer parts D of z; and whether that is undecided. t - D - 1/2
-    = (z - D - 1/2) + e + a * (10^p - _POW10[row]), e the rounding error of
-    z, taken exactly by a Dekker two-product: head, the first two terms,
-    and tail, the last from _pow10_errors(). Where tail is 0 (10^p exact)
-    the sign of head is exact, and head = 0 is a tie, rounded half to even
-    as Python does. Elsewhere head + tail is off by at most u * |head| +
-    5u * |tail| (the table entry is cut and rounded, the product rounded),
-    so a sum within 8u * (|head| + |tail|) of 0 is undecided. No tie lies
-    there: a double's odd part is below 2^53, under the 2 * 10^16 that one
-    needs for p < 0 and under the 5^p that one holds for p > 27."""
-    p = _POW10.take(row, mode="clip")
-    a_hi, a_lo = _split(a)
-    p_hi, p_lo = _split(p)
-    e = a_lo * p_lo - (((z - a_hi * p_hi) - a_lo * p_hi) - a_hi * p_lo)
-    head = (z - digits - 0.5) + e  # z - D - 1/2 is exact
-    tail = a * _pow10_errors().take(row, mode="clip")
-    s = head + tail
-    exact = tail == 0
-    up = (s > 0) | ((s == 0) & exact & ((digits & 1) == 1))
-    return up, ~exact & (abs(s) <= (abs(head) + abs(tail)) * (8 * _UNIT))
-
-
-def _split(v) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of long doubles v into v_hi + v_lo, each at most
-    half the significand wide, so that products of parts are exact."""
-    c = v * _SPLITTER
-    hi = c - (c - v)
-    return hi, v - hi
 
 
 def _divmod(n, d: int, q, r) -> None:

@@ -4,12 +4,15 @@ library names that perfbench/child.py reaches."""
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "run_bench", Path(__file__).resolve().parents[1] / "bench" / "run_bench.py")
+RUN_BENCH = Path(__file__).resolve().parents[1] / "bench" / "run_bench.py"
+_spec = importlib.util.spec_from_file_location("run_bench", RUN_BENCH)
 run_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(run_bench)
 NOMINAL = run_bench.NOMINAL_REF_S
@@ -110,6 +113,55 @@ def test_ab_children_swap_import_order(monkeypatch, tmp_path):
     assert entry["median_tree_first"] == pytest.approx(0.9 * 2)
     assert entry["parent_ms_nominal"] == pytest.approx(9.5)
     assert entry["tree_ms_nominal"] == pytest.approx(19.0)
+
+
+def test_main_runs_an_aa_beside_the_ab(monkeypatch, tmp_path):
+    # the A/A children time TREE against a copy of TREE's src/, in both
+    # import orders, and every A/B call has an A/A entry beside it
+    parent, tree, out = tmp_path / "a", tmp_path / "b", tmp_path / "bench.json"
+    (tree / "src" / "carmodel").mkdir(parents=True)
+    (tree / "src" / "carmodel" / "core.py").write_text("TREE = 1\n")
+    calls = []
+
+    def in_child(*args):
+        first, second = Path(args[args.index("--ab") + 1]), Path(args[args.index("--tree") + 1])
+        copy = next((p for p in (first, second) if p not in (parent, tree)), None)
+        calls.append((first, second))
+        if copy is not None:
+            assert (copy / "src" / "carmodel" / "core.py").read_text() == "TREE = 1\n"
+        # TREE takes 1.1 times PARENT's time, and twice the copy's
+        seconds = {parent: 0.010, tree: 0.011, copy: 0.0055}
+        times = {"unit": "ms", "per": 1, "ref_s": [NOMINAL] * 3,
+                 "parent": [seconds[first]] * 3, "tree": [seconds[second]] * 3}
+        return {"block": times, "tick": {**times, "unit": "us"}}
+
+    monkeypatch.setattr(run_bench, "in_child", in_child)
+    monkeypatch.setattr(run_bench, "run_children", lambda parent, tree: ({}, {}))
+    monkeypatch.setattr(run_bench, "stamp", lambda tree: {"revision": tree.name})
+    monkeypatch.setattr(sys, "argv", ["run_bench.py", "--ab", str(parent), "--tree", str(tree),
+                                      "--out", str(out)])
+    assert run_bench.main() == 0
+    assert calls[:2] == [(parent, tree), (tree, parent)]
+    copy = calls[2][0]
+    assert copy not in (parent, tree) and calls[2:] == [(copy, tree), (tree, copy)]
+    record = json.loads(out.read_text())
+    assert record["aa"]["pairs"] == record["ab"]["pairs"] == 2 * run_bench.PAIRS
+    for name in ("block", "tick"):
+        assert record["ab"][name]["median"] == pytest.approx(1.1)
+        assert record["aa"][name]["median"] == pytest.approx(2.0)
+        assert set(record["aa"][name]) == set(record["ab"][name])
+
+
+def test_loading_leaves_hashlib_out():
+    # perfbench's workloads imports hashlib (OpenSSL), which a run child's
+    # peak RSS would count above a bare carmodel process's
+    code = ("import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('run_bench', {str(RUN_BENCH)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip() == "[]"
 
 
 def perfbench_library_names():

@@ -40,34 +40,23 @@ def expected_text(m) -> str:
 @example(2.5)
 @example(123456789012345.625)  # an exact tie at 17 digits
 @example(1234567890123456.75)  # another, rounded up to even
-# long-double fractions of exactly 0.5 where the exact product lies below
-# and above one half: decided by the two-product error, in numpy
+# scaled, fractions 4e-20 z to 1.5e-17 z below and above one half (a 64-bit
+# significand rounds the first two to exactly 0.5): decided in numpy
 @example(924054841002.1371)
 @example(-1171477.2935763747)
 @example(2.2250738585072014e-308)
-# scaled, fractions 2.1u-2.9u times z from one half, u the unit roundoff of
-# an 80-bit long double: numpy's path, as the derived margin allows
+# scaled, fractions 0.9e-19 z to 1.7e-19 z from one half: numpy's path
 @example(127.31140689622409)
 @example(0.0005925057029139637)
 @example(9.816095571139052e24)
 @example(6.865265516443868e-10)
+@example(3 * 2.0**-24)  # an exact tie at 16 - X = 23, where P_lo is not 0
+# 2^-55 above one half at 16 - X = 25, below float64's error: Python's path
+@example(4.974148370910348e-09)
 @settings(max_examples=1000, deadline=None)
 def test_matches_percent_g(value):
     m = np.array([[value]])
     assert rows_text(m) == expected_text(m)
-
-
-@pytest.mark.skipif(_csvfmt._unit_roundoff() != 2.0**-64, reason="needs an 80-bit long double")
-def test_margin_is_the_derived_bound(monkeypatch):
-    assert _csvfmt._REL_MARGIN == 2.0**-64 * (2 + 2.0**-64)
-    near_half = [127.31140689622409, 0.0005925057029139637, 9.816095571139052e24,
-                 6.865265516443868e-10]
-    seen = []
-    python_fields = _csvfmt._python_fields
-    monkeypatch.setattr(_csvfmt, "_python_fields", lambda v: seen.extend(v) or python_fields(v))
-    m = np.array([near_half])
-    assert rows_text(m) == expected_text(m)
-    assert not seen
 
 
 def test_random_bit_patterns():
@@ -93,20 +82,14 @@ def test_python_path_gives_the_same_bytes(monkeypatch, rng):
         return python_fields(values)
 
     monkeypatch.setattr(_csvfmt, "_python_fields", counted)
-    fast = rows_text(m)
+    assert rows_text(m) == expected_text(m)
     assert seen == [1e16]  # D = 10^16 is an edge; numpy formats every other value
-    seen.clear()
-    # at a double's unit roundoff the margin exceeds one half
-    monkeypatch.setattr(_csvfmt, "_REL_MARGIN", 3 * 2.0**-53)
-    assert rows_text(m) == fast == expected_text(m)
-    assert len(seen) == m.size
 
 
 def test_run_float_taps_rarely_reach_python(monkeypatch):
     # run_float's 240 samples of -12 dBFS noise through the default
     # 1224-section design: its taps reach 1e15, where many doubles are exact
-    # ties at 17 digits and many more products have a long-double fraction
-    # of exactly 0.5; numpy decides both
+    # ties at 17 digits; numpy decides them
     design = design_cascade(DesignParams(48000.0, 1224))
     x = np.random.default_rng(8).uniform(-0.25, 0.25, 240)
     m = process_block(design, CascadeState(1224), x)
@@ -117,18 +100,33 @@ def test_run_float_taps_rarely_reach_python(monkeypatch):
     assert len(seen) < 0.001 * m.size
 
 
-def test_power_table_within_half_ulp():
-    for p, entry in zip(range(_csvfmt._P_MIN, _csvfmt._P_MAX + 1), _csvfmt._POW10):
-        error = abs(Fraction(*entry.as_integer_ratio()) - Fraction(10) ** p)
-        assert error <= Fraction(*np.spacing(entry).as_integer_ratio()) / 2, p
+def significant_bits(f) -> int:
+    n = abs(Fraction(f).numerator)
+    return (n // (n & -n)).bit_length() if n else 0
 
 
-def test_power_errors_within_two_roundings():
-    for p, entry, error in zip(range(_csvfmt._P_MIN, _csvfmt._P_MAX + 1), _csvfmt._POW10,
-                               _csvfmt._pow10_errors()):
-        exact = Fraction(10) ** p - Fraction(*entry.as_integer_ratio())
-        bound = 2 * Fraction(_csvfmt._UNIT) * abs(exact)  # two roundings
-        assert abs(Fraction(*error.as_integer_ratio()) - exact) <= bound, p
+def test_power_table_is_a_double_double_of_the_exact_power():
+    hi, lo, hi_1, hi_2, k = _csvfmt._pow10_table()
+    for i, x in enumerate(range(_csvfmt._P_X_MIN, _csvfmt._P_X_MAX + 1)):
+        exact = Fraction(10) ** (16 - x) * Fraction(2) ** -int(k[i])
+        assert 2**52 < exact <= 10**16, x  # scaled near 1e16
+        error = abs(Fraction(hi[i]) + Fraction(lo[i]) - exact)
+        assert error <= Fraction(np.spacing(abs(lo[i]))) / 2, x
+        assert (lo[i] == 0) == (Fraction(hi[i]) == exact) == (0 <= 16 - x <= 22), x
+        # Veltkamp's halves: exact products with the halves of a scaled value
+        assert hi_1[i] + hi_2[i] == hi[i], x
+        assert significant_bits(hi_1[i]) <= 26 and significant_bits(hi_2[i]) <= 26, x
+
+
+def test_exact_products_stay_in_numpy(monkeypatch):
+    # 0 <= 16 - X <= 22: the products are exact, so their ties (the last
+    # two, rounded down and up to even) are decided in numpy
+    seen = []
+    python_fields = _csvfmt._python_fields
+    monkeypatch.setattr(_csvfmt, "_python_fields", lambda v: seen.extend(v) or python_fields(v))
+    m = np.array([[2.5, 0.125, 123456789012345.625, 1234567890123456.75]])
+    assert rows_text(m) == expected_text(m)
+    assert not seen
 
 
 def test_group_tables_match_percent_04d():
