@@ -413,13 +413,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         shutil.copytree(tree / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        null = pooled_entries(ab_halves(copy, tree))
+        aa = pooled_entries(ab_halves(copy, tree))
     stamps = {"parent": stamp(parent), "tree": stamp(tree)}
     before, after = run_children(parent, tree)
     record = {
         "script": "bench/run_bench.py",
         "ab": {**stamps, "pairs": 2 * PAIRS, **entries},
-        "aa": {"pairs": 2 * PAIRS, **null},
+        "aa": {"pairs": 2 * PAIRS, **aa},
         "before": {"stamp": stamps["parent"], **before},
         "after": {"stamp": stamps["tree"], **after},
     }

@@ -40,8 +40,8 @@ def expected_text(m) -> str:
 @example(2.5)
 @example(123456789012345.625)  # an exact tie at 17 digits
 @example(1234567890123456.75)  # another, rounded up to even
-# scaled, fractions 4e-20 z to 1.5e-17 z below and above one half (a 64-bit
-# significand rounds the first two to exactly 0.5): decided in numpy
+# scaled, fractions 1.3e-21 z to 1.5e-17 z below and above one half:
+# decided in numpy
 @example(924054841002.1371)
 @example(-1171477.2935763747)
 @example(2.2250738585072014e-308)
