@@ -30,6 +30,11 @@ up by one call first:
   full, so every tick is full-width; the fixed kernel is one
   fixed_process_block call of 2400 samples through compare_fixed's
   100-section design, its 99 drain ticks included.
+- tick_fixed_1224: PUSHES FixedStream.push calls of 53 samples of -12 dBFS
+  noise (about +-0.25) at the default 32/24 state through the bounded
+  1224-section design (BOUNDED_DESIGN, F = 0.06 and zeta = 0.2) once the
+  stream holds 1223 samples, so every tick is full-width. Set-up checks that
+  the input gives 0 saturations, so the kernel's one-limb form is what runs.
 - wide_fixed_48x1224: one fixed_process_block call of 48 samples through
   the 1224-section design with a 64/56 state, outside the int64 envelope:
   the fixed kernel on object lanes of Python ints, state carried from call
@@ -39,13 +44,16 @@ up by one call first:
   call, in ms per call. It counts 169,319 saturations, so most of its
   register writes take the kernel's exact form.
 - csv_cochleagram_240x1224, csv_analyze_20ch: the CSV writers on what
-  run_float and analyze_mls write, into os.devnull so that no file rename
-  or truncation is timed. The first is write_cochleagram of the 240 x 1224
-  taps of run_float's design and signal; the second writes both files of
-  each of analyze_mls's 20 default channels (MLS order 12, 4095 samples)
-  from a fresh copy of its ResponseResult, as one `carmodel analyze` does,
-  through each tree's own writer signature: one call per file, or one
-  call per kind of file with every channel's path.
+  run_float and analyze_mls write, into os.devnull so that the formatter
+  alone is timed, no file system. The first is write_cochleagram of the
+  240 x 1224 taps of run_float's design and signal; the second writes both
+  files of each of analyze_mls's 20 default channels (MLS order 12, 4095
+  samples) from a fresh copy of its ResponseResult, as one `carmodel
+  analyze` does.
+- files_analyze_20ch: the same, and peaks.csv, into a directory of each
+  tree's own, as the 41 files of one `carmodel analyze`. Every call but the
+  warm-up overwrites the tree's files of the call before it, as each timed
+  pass of analyze_mls does.
 - read_coeff_1224: read_coeff_table of the 1224-section table, which each
   tree writes once with its own write_coeff_table, in ms per call.
 
@@ -60,9 +68,9 @@ entries for TREE against a temporary copy of TREE's src/, timed the same
 way in two more children: the harness's own ratios for identical code,
 beside which each "ab" ratio is read. Each entry also has each
 tree's median time at the nominal reference speed, parent_<unit>_nominal
-and tree_<unit>_nominal, in ms per block (block_48) or call (csv_, read_)
-or µs per wavefront tick (tick_): each time times NOMINAL_REF_S over its
-pair's reference time, as perfbench's wall_ref does. ref_s is the median
+and tree_<unit>_nominal, in ms per block (block_48) or call (csv_, files_,
+read_) or µs per wavefront tick (tick_): each time times NOMINAL_REF_S over
+its pair's reference time, as perfbench's wall_ref does. ref_s is the median
 reference time.
 
 "before" (PARENT) and "after" (TREE) store run_binary_<mode>_<seconds>s:
@@ -73,12 +81,13 @@ compare_<seconds>s: `carmodel compare` of the same noise through the bounded
 its parity means something; and analyze_<order>: `carmodel analyze
 --mls-order <order>` with its 20 default channels through the same bounded
 table, which needs 4 warm-up periods at order 14. Each is REPEATS fresh
-child processes: peak RSS (getrusage), the RSS before the command and its
-wall time. The children of
-PARENT and TREE alternate, the first of each pair switching trees from pair
-to pair, so that both sides' wall times see the same drift of the host's
-speed. Each side is stamped with the Python and numpy versions, nproc and
-its git revision. --out is overwritten.
+child processes: its peak RSS, the peak before the command, both read as
+VmHWM (getrusage's ru_maxrss starts at the spawning process's peak on
+Linux), and its wall time. The children of PARENT and TREE alternate, the
+first of each pair switching trees from pair to pair, so that both sides'
+wall times see the same drift of the host's speed. Each side is stamped
+with the Python and numpy versions, nproc and its git revision. --out is
+overwritten.
 """
 
 from __future__ import annotations
@@ -108,7 +117,9 @@ N_SECTIONS = 1224
 SAMPLE_RATE_HZ = 48000
 RUN_SECONDS = (0.5, 1.0)
 RUN_MODES = ("float", "fixed", "pipeline")
-COMPARE_DESIGN = ("--h-policy", "ratio:0.06", "--zeta", "0.2")  # `carmodel design` flags
+BOUNDED_DESIGN = {"zero_ratio": 0.06, "damping_zeta": 0.2}  # F and zeta: no saturation at -12 dBFS
+COMPARE_DESIGN = ("--h-policy", f"ratio:{BOUNDED_DESIGN['zero_ratio']}",
+                  "--zeta", str(BOUNDED_DESIGN["damping_zeta"]))  # `carmodel design` flags
 ANALYZE_MLS_ORDER = 14  # of the analyze_ children, on COMPARE_DESIGN's table
 REPEATS = 5  # run children per mode and input length
 PAIRS = 31  # alternating calls of the two trees per timed call
@@ -116,6 +127,7 @@ PUSHES = 8  # 48-sample pushes per timed call of block_48_push
 SIDES = ("parent", "tree")
 FLOAT_TICK_SIZE = (64, 8200)  # sections, samples: analyze_mls's stream
 FIXED_TICK_SIZE = (100, 2400)  # compare_fixed's fixed_process_block call
+FIXED_PUSH = 53  # samples per FixedStream push of tick_fixed_1224
 WIDE_STATE = (64, 56)  # total and fraction bits of a state outside the int64 envelope
 SAT_SAMPLES = 480  # samples of sat_fixed_480x1224
 THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -129,9 +141,9 @@ def summary(values: list[float]) -> dict:
 # child side
 
 
-def timed_calls(core, design, fixed, analysis, audio_io, table: Path) -> dict:
-    """The block_, tick_, csv_ and read_ calls, set up on one tree's modules,
-    which write their coefficient table to the path table: name -> (a
+def timed_calls(core, design, fixed, analysis, audio_io, work: Path) -> dict:
+    """The block_, tick_, csv_, files_ and read_ calls, set up on one tree's
+    modules, which write their files into the directory work: name -> (a
     function of the call's index, the entry's unit, and the blocks,
     wavefront ticks or calls per call that a time in that unit is per)."""
     import numpy as np
@@ -173,6 +185,25 @@ def timed_calls(core, design, fixed, analysis, audio_io, table: Path) -> dict:
     calls[f"tick_fixed_{n}x{samples}"] = (
         lambda i: fixed.fixed_process_block(qd, fstate, raw), "us", samples + n - 1)
 
+    bounded = design.design_cascade(
+        design.DesignParams(float(SAMPLE_RATE_HZ), N_SECTIONS, **BOUNDED_DESIGN))
+    qd_bounded = fixed.quantize_design(bounded)
+    raw = fixed.quantize_block(
+        np.array(noise_samples(random.Random(12), N_SECTIONS - 1 + 64 * FIXED_PUSH)) / 32768.0,
+        qd_bounded.io_format)
+    _, stats = fixed.fixed_process_block(qd_bounded, fixed.FixedCascadeState(N_SECTIONS), raw)
+    if stats.total:
+        raise SystemExit(f"tick_fixed_{N_SECTIONS}: {stats.total} saturations, expected 0")
+    fixed_stream = fixed.FixedStream(qd_bounded, fixed.FixedCascadeState(N_SECTIONS))
+    fixed_stream.push(raw[: N_SECTIONS - 1])  # fill the cascade: every later tick is full-width
+    pushes = raw[N_SECTIONS - 1 :].reshape(64, FIXED_PUSH)
+
+    def push_fixed(i):
+        for j in range(i * PUSHES, (i + 1) * PUSHES):
+            fixed_stream.push(pushes[j % 64])
+
+    calls[f"tick_fixed_{N_SECTIONS}"] = (push_fixed, "us", PUSHES * FIXED_PUSH)
+
     qd_wide = fixed.quantize_design(des, state_format=fixed.FixedFormat(*WIDE_STATE))
     raw48 = fixed.quantize_block(blocks[0], qd_wide.io_format)
     wstate = fixed.FixedCascadeState(N_SECTIONS)
@@ -207,9 +238,32 @@ def timed_calls(core, design, fixed, analysis, audio_io, table: Path) -> dict:
 
     calls[f"csv_analyze_{len(channels)}ch"] = (write_analyze, "ms", 1)
 
+    out = work / "analyze"
+    out.mkdir()
+    files = {kind: [out / f"channel_{c:04d}_{kind}.csv" for c in channels]
+             for kind in ("freq", "impulse")}
+    write_peaks = getattr(analysis, "write_peaks_csv", _write_peaks_inline)
+
+    def write_files(i):
+        result = dataclasses.replace(response)
+        analysis.write_response_csv(result, files["freq"])
+        analysis.write_impulse_csv(result, files["impulse"])
+        write_peaks(result, channels, out / "peaks.csv")
+
+    calls[f"files_analyze_{len(channels)}ch"] = (write_files, "ms", 1)
+
+    table = work / "coeffs.csv"
     design.write_coeff_table(des, table)
     calls[f"read_coeff_{N_SECTIONS}"] = (lambda i: design.read_coeff_table(table), "ms", 1)
     return calls
+
+
+def _write_peaks_inline(result, sections, path) -> None:
+    """peaks.csv as `carmodel analyze` wrote it before analysis.write_peaks_csv."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("section,peak_hz,peak_db,flat\n")
+        for section, hz, db, flat in zip(sections, result.peak_hz, result.peak_db, result.flat):
+            f.write(f"{section},{hz:.6g},{db:.6g},{int(flat)}\n")
 
 
 def _import_as(tree: Path, name: str):
@@ -228,9 +282,11 @@ def child_ab(parent: Path, tree: Path) -> dict:
     pairs, with the reference time taken before each pair and the call's
     unit and count, as timed_calls gives them. PARENT is imported first."""
     with tempfile.TemporaryDirectory() as tmp:
-        both = {side: timed_calls(*_import_as(path, f"carmodel_{side}"),
-                                  Path(tmp) / f"coeffs_{side}.csv")
-                for side, path in zip(SIDES, (parent, tree))}
+        both = {}
+        for side, path in zip(SIDES, (parent, tree)):
+            work = Path(tmp) / side
+            work.mkdir()
+            both[side] = timed_calls(*_import_as(path, f"carmodel_{side}"), work)
         tracer = Tracer()
         times = {}
         for name, (_, unit, per) in both["parent"].items():
@@ -246,17 +302,26 @@ def child_ab(parent: Path, tree: Path) -> dict:
     return times
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size in MB, VmHWM: it belongs to the
+    process's own address space, where getrusage's ru_maxrss carries the
+    spawning process's peak across exec."""
+    with open("/proc/self/status", encoding="ascii") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise SystemExit("no VmHWM in /proc/self/status")
+
+
 def child_run(tree: Path, coeffs: Path, wav: Path | None, mode: str) -> dict:
     """Peak RSS and wall time of one `carmodel run --format binary --mode
     <mode>`, of one `carmodel compare` with its parity CSV where mode is
     "compare", or of one `carmodel analyze --mls-order ANALYZE_MLS_ORDER`
     where it is "analyze"."""
-    import resource
-
     sys.path.insert(0, str(tree / "src"))
     from carmodel import cli
 
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    before = peak_rss_mb()
     with tempfile.TemporaryDirectory() as tmp:
         out = str(Path(tmp) / "out")
         if mode == "analyze":
@@ -278,7 +343,7 @@ def child_run(tree: Path, coeffs: Path, wav: Path | None, mode: str) -> dict:
         raise SystemExit(f"carmodel {argv[0]} exited with {rc}")
     _, s, e, _, _ = tracer.spans[0]
     return {"rss_before_mb": before,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_mb": peak_rss_mb(),
             "wall_s": e - s}
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._csvfmt import csv_pairs
+from ._outfile import open_out
 from .design import CascadeDesign, transfer_function
 from .errors import AnalysisError, ConfigError
 
@@ -41,6 +42,7 @@ __all__ = [
     "peak_trajectory",
     "write_response_csv",
     "write_impulse_csv",
+    "write_peaks_csv",
     "DB_FLOOR",
 ]
 
@@ -385,6 +387,15 @@ def write_impulse_csv(result: ResponseResult, paths: Sequence) -> None:
                     ir, paths)
 
 
+def write_peaks_csv(result: ResponseResult, sections: Sequence[int], path) -> None:
+    """`section,peak_hz,peak_db,flat` rows, one per channel, sections[k]
+    naming channel k."""
+    with open_out(path, encoding="utf-8") as f:
+        f.write("section,peak_hz,peak_db,flat\n")
+        for section, hz, db, flat in zip(sections, result.peak_hz, result.peak_db, result.flat):
+            f.write(f"{section},{hz:.6g},{db:.6g},{int(flat)}\n")
+
+
 def _write_channels(header: bytes, lead: np.ndarray, m: np.ndarray, paths: Sequence) -> None:
     """The CSV file of each column of m, its rows lead's value and the
     column's, written MAX_OPEN_FILES files at a time."""
@@ -392,7 +403,7 @@ def _write_channels(header: bytes, lead: np.ndarray, m: np.ndarray, paths: Seque
         raise ConfigError(f"{len(paths)} paths for {m.shape[1]} channels")
     for c0 in range(0, len(paths), MAX_OPEN_FILES):
         with ExitStack() as stack:
-            files = [stack.enter_context(open(path, "wb"))
+            files = [stack.enter_context(open_out(path))
                      for path in paths[c0 : c0 + MAX_OPEN_FILES]]
             for f in files:
                 f.write(header)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfmt import csv_rows
+from ._outfile import open_out
 from .core import STREAM_CHUNK_VALUES
 from .errors import AudioFormatError, ConfigError
 
@@ -144,7 +145,7 @@ def write_wav(path, buffer: AudioBuffer) -> None:
     header = b"RIFF" + struct.pack("<I", 36 + n) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, fs, fs * 2, 2, 16)
     header += b"data" + struct.pack("<I", n)
-    with open(path, "wb") as f:
+    with open_out(path) as f:
         f.write(header + payload)
 
 
@@ -180,13 +181,13 @@ def write_cochleagram(
         if n_samples is None and m.ndim == 2:
             n_samples = m.shape[0]
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as f:
+        with open_out(path) as f:
             _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
         return
     target = os.path.realpath(path)
     part = f"{target}.part"
     try:
-        with open(part, "wb") as f:
+        with open_out(part) as f:
             _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
         if os.path.exists(target):
             shutil.copymode(target, part)

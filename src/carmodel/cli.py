@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, audio_io, fixed, schedule
+from ._outfile import open_out
 # No command calls process_block, but perfbench's traced runs wrap cli.process_block.
 from .core import CascadeState, CascadeStream, process_block, stream_rows  # noqa: F401
 from .design import (
@@ -177,7 +178,7 @@ def _cmd_run(args) -> int:
         print(f"saturations: {stats.total + clipped} (input {stats.input_saturations + clipped}, "
               f"sections {int(stats.section_saturations.sum())})")
         if args.stats:
-            with open(args.stats, "w", encoding="utf-8") as f:
+            with open_out(args.stats, encoding="utf-8") as f:
                 f.write("section,saturations\n")
                 for k, c in enumerate(stats.section_saturations):
                     f.write(f"{k},{int(c)}\n")
@@ -232,10 +233,7 @@ def _cmd_analyze(args) -> int:
         result, [out_dir / f"channel_{section:04d}_freq.csv" for section in channels])
     analysis.write_impulse_csv(
         result, [out_dir / f"channel_{section:04d}_impulse.csv" for section in channels])
-    with open(out_dir / "peaks.csv", "w", encoding="utf-8") as f:
-        f.write("section,peak_hz,peak_db,flat\n")
-        for section, hz, db, flat in zip(channels, result.peak_hz, result.peak_db, result.flat):
-            f.write(f"{section},{hz:.6g},{db:.6g},{int(flat)}\n")
+    analysis.write_peaks_csv(result, channels, out_dir / "peaks.csv")
     print(f"analyzed {len(channels)} channels ({args.method}) -> {out_dir}")
     return 0
 
@@ -244,7 +242,7 @@ def _cmd_schedule(args) -> int:
     report = schedule.plan(_hardware(args, args.fs), args.sections)
     print(schedule.report_text(report))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
+        with open_out(args.csv, encoding="utf-8") as f:
             f.write(schedule.report_csv(report))
     return 0
 
@@ -275,7 +273,7 @@ def _cmd_compare(args) -> int:
     else:
         print("worst_snr_db: exact (all channels bit-identical)")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
+        with open_out(args.output, encoding="utf-8") as f:
             f.write("channel,snr_db,exact,saturations\n")
             for ch in range(design.n_sections):
                 snr = report.snr_db[ch]

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvfmt import csv_rows
+from ._outfile import open_out
 from .errors import DesignError
 
 __all__ = [
@@ -348,7 +349,7 @@ def write_coeff_table(design: CascadeDesign, path) -> None:
          for x, s in zip(design.positions, design.sections)],
         dtype=np.float64,
     ).reshape(-1, len(COEFF_TABLE_HEADER))
-    with open(path, "wb") as f:
+    with open_out(path) as f:
         f.write((",".join(COEFF_TABLE_HEADER) + "\r\n").encode("ascii"))
         f.writelines(csv_rows(m))
 

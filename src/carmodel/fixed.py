@@ -48,6 +48,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
+from ._outfile import open_out
 from .design import CascadeDesign, ChannelCoeffs
 from .errors import ConfigError, DesignError, FixedPointError
 
@@ -736,7 +737,7 @@ QUANTIZED_TABLE_HEADER = ("section", "coeff_name", "raw_int", "total_bits", "fra
 def write_quantized_table(qdesign: QuantizedDesign, path) -> None:
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_out(path, encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(QUANTIZED_TABLE_HEADER)
         fmt = qdesign.coeff_format

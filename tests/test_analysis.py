@@ -8,6 +8,7 @@ import pytest
 
 from carmodel import analysis
 from carmodel._csvfmt import CHUNK_VALUES
+from carmodel._outfile import open_out
 from carmodel.analysis import (
     DB_FLOOR,
     DEFAULT_MLS_TAPS,
@@ -535,12 +536,12 @@ class TestResponseExport:
         monkeypatch.setattr(analysis, "MAX_OPEN_FILES", 3)
         opened = []
 
-        def counted_open(path, mode):
-            opened.append(open(path, mode))
+        def counted_open(path):
+            opened.append(open_out(path))
             assert sum(not f.closed for f in opened) <= 3
             return opened[-1]
 
-        monkeypatch.setattr(analysis, "open", counted_open, raising=False)
+        monkeypatch.setattr(analysis, "open_out", counted_open)
         self.write_and_check(self.edge_result(rng, CHUNK_VALUES // 4 + 5, 8), tmp_path)
         assert len(opened) == 16 and all(f.closed for f in opened)
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RUN_BENCH = Path(__file__).resolve().parents[1] / "bench" / "run_bench.py"
@@ -162,6 +163,50 @@ def test_loading_leaves_hashlib_out():
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_files_analyze_overwrites_the_files_of_carmodel_analyze(tmp_path):
+    # csv_analyze_20ch times the formatter into os.devnull; files_analyze_20ch
+    # writes `carmodel analyze`'s 41 files, over those of the call before
+    from carmodel import analysis, audio_io, cli, core, design, fixed
+
+    calls = run_bench.timed_calls(core, design, fixed, analysis, audio_io, tmp_path)
+    out = tmp_path / "analyze"
+    calls["csv_analyze_20ch"][0](0)
+    assert list(out.iterdir()) == []
+    write_files, unit, per = calls["files_analyze_20ch"]
+    assert (unit, per) == ("ms", 1)
+    write_files(0)
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+    assert set(first) == {"peaks.csv"} | {f"channel_{c:04d}_{kind}.csv"
+                                          for c in cli._default_channels(64)
+                                          for kind in ("freq", "impulse")}
+    assert len(first) == 41
+    write_files(1)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
+    # a tree without analysis.write_peaks_csv writes peaks.csv as cli did
+    result = analysis.ResponseResult(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(4),
+                                     np.array([1234.5678, 2e4]), np.array([-3.25, 41.0]),
+                                     np.array([True, False]))
+    analysis.write_peaks_csv(result, [3, 60], tmp_path / "tree.csv")
+    run_bench._write_peaks_inline(result, [3, 60], tmp_path / "inline.csv")
+    assert (tmp_path / "tree.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+    assert calls["tick_fixed_1224"][1:] == ("us", run_bench.PUSHES * run_bench.FIXED_PUSH)
+
+
+def test_run_child_peak_rss_is_its_own(tmp_path):
+    # Linux carries getrusage's ru_maxrss across exec, so a child read its
+    # spawner's peak: here over 128 MB, for a child that needs about 40
+    from carmodel.design import DesignParams, design_cascade, write_coeff_table
+
+    write_coeff_table(design_cascade(DesignParams(48000.0, 8)), tmp_path / "coeffs.csv")
+    held = bytearray(b"\1") * (128 << 20)
+    run = run_bench.in_child("--child", "run", "--tree", str(RUN_BENCH.parents[1]),
+                             "--coeffs", str(tmp_path / "coeffs.csv"), "--mode", "analyze")
+    del held
+    assert 0 < run["rss_before_mb"] <= run["peak_rss_mb"] < 128
 
 
 def perfbench_library_names():
