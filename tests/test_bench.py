@@ -1,5 +1,6 @@
-"""bench/run_bench.py's A/B summary: pair times to BENCH entries; and the
-library names that perfbench/child.py reaches."""
+"""bench/run_bench.py's A/B summary: pair times to BENCH entries; the files
+its analyze calls write and a run child's own peak RSS; and the library
+names that perfbench/child.py reaches."""
 
 import ast
 import importlib

@@ -114,12 +114,12 @@ def test_every_write_but_the_last_covers_whole_pages(tmp_path, rng, monkeypatch)
     write_response_csv(result, paths[:channels])
     write_impulse_csv(result, paths[channels:])
     write_in_chunks(tmp_path / "odd", rng.bytes(10 * PAGE + 1), 333)
-    files = {}  # (fd, number of the file on that fd) -> its writes
+    files, opened = {}, {}  # (fd, its file's number on that fd) -> writes; fd -> files
     for fd, offset, size in writes:
         if offset == 0:
-            files[fd] = files.get(fd, -1) + 1
-        files.setdefault((fd, files[fd]), []).append((offset, size))
-    runs = [w for key, w in files.items() if isinstance(key, tuple)]
+            opened[fd] = opened.get(fd, -1) + 1
+        files.setdefault((fd, opened[fd]), []).append((offset, size))
+    runs = list(files.values())
     assert len(runs) == 2 * channels + 1
     assert min(len(w) for w in runs) > 2
     for w in runs:
