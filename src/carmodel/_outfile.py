@@ -1,5 +1,6 @@
-"""The one way this package writes an output file: over the old file's
-bytes, in whole pages, cut to its length at close.
+"""The one way this package writes an output file: bytes, over the old
+file's bytes, in whole pages, cut to its length at close. A writer builds
+its text as ASCII bytes; there is no text mode.
 
 open(path, "w") truncates an existing file first (O_TRUNC). On ext4 that
 frees the old file's blocks, and closing a file truncated that way forces
@@ -83,9 +84,3 @@ class OutFile(io.RawIOBase):
                 self._fd = -1
                 super().close()
 
-
-def open_out(path, encoding: str | None = None, newline: str | None = None):
-    """An OutFile on path; a text file over it, as open() makes one from
-    encoding and newline, where an encoding is given."""
-    f = OutFile(path)
-    return f if encoding is None else io.TextIOWrapper(f, encoding=encoding, newline=newline)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._csvfmt import csv_pairs
-from ._outfile import open_out
+from ._outfile import OutFile
 from .design import CascadeDesign, transfer_function
 from .errors import AnalysisError, ConfigError
 
@@ -390,10 +390,10 @@ def write_impulse_csv(result: ResponseResult, paths: Sequence) -> None:
 def write_peaks_csv(result: ResponseResult, sections: Sequence[int], path) -> None:
     """`section,peak_hz,peak_db,flat` rows, one per channel, sections[k]
     naming channel k."""
-    with open_out(path, encoding="utf-8") as f:
-        f.write("section,peak_hz,peak_db,flat\n")
-        for section, hz, db, flat in zip(sections, result.peak_hz, result.peak_db, result.flat):
-            f.write(f"{section},{hz:.6g},{db:.6g},{int(flat)}\n")
+    rows = [f"{section},{hz:.6g},{db:.6g},{int(flat)}\n" for section, hz, db, flat
+            in zip(sections, result.peak_hz, result.peak_db, result.flat)]
+    with OutFile(path) as f:
+        f.write(("section,peak_hz,peak_db,flat\n" + "".join(rows)).encode("ascii"))
 
 
 def _write_channels(header: bytes, lead: np.ndarray, m: np.ndarray, paths: Sequence) -> None:
@@ -403,7 +403,7 @@ def _write_channels(header: bytes, lead: np.ndarray, m: np.ndarray, paths: Seque
         raise ConfigError(f"{len(paths)} paths for {m.shape[1]} channels")
     for c0 in range(0, len(paths), MAX_OPEN_FILES):
         with ExitStack() as stack:
-            files = [stack.enter_context(open_out(path))
+            files = [stack.enter_context(OutFile(path))
                      for path in paths[c0 : c0 + MAX_OPEN_FILES]]
             for f in files:
                 f.write(header)

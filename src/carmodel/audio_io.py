@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfmt import csv_rows
-from ._outfile import open_out
+from ._outfile import OutFile
 from .core import STREAM_CHUNK_VALUES
 from .errors import AudioFormatError, ConfigError
 
@@ -145,7 +145,7 @@ def write_wav(path, buffer: AudioBuffer) -> None:
     header = b"RIFF" + struct.pack("<I", 36 + n) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, fs, fs * 2, 2, 16)
     header += b"data" + struct.pack("<I", n)
-    with open_out(path) as f:
+    with OutFile(path) as f:
         f.write(header + payload)
 
 
@@ -181,13 +181,13 @@ def write_cochleagram(
         if n_samples is None and m.ndim == 2:
             n_samples = m.shape[0]
     if os.path.exists(path) and not os.path.isfile(path):
-        with open_out(path) as f:
+        with OutFile(path) as f:
             _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
         return
     target = os.path.realpath(path)
     part = f"{target}.part"
     try:
-        with open_out(part) as f:
+        with OutFile(part) as f:
             _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
         if os.path.exists(target):
             shutil.copymode(target, part)
@@ -237,23 +237,15 @@ def read_cochleagram(path) -> tuple[np.ndarray, float | None]:
     The CSV format does not carry the sample rate, so it comes back None.
     """
     with open(path, "rb") as f:
-        head = f.read(4)
-    if head == COCHLEAGRAM_MAGIC:
-        return _read_cochleagram_binary(path)
-    return _read_cochleagram_csv(path), None
-
-
-def _read_cochleagram_binary(path) -> tuple[np.ndarray, float]:
-    with open(path, "rb") as f:
         header = f.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ConfigError(f"truncated cochleagram header in {path}")
-        magic, version, n_sections, n_samples, fs = _HEADER.unpack(header)
-        if magic != COCHLEAGRAM_MAGIC:
-            raise ConfigError(f"bad cochleagram magic in {path}")
-        if version != COCHLEAGRAM_VERSION:
-            raise ConfigError(f"unsupported cochleagram version {version}")
-        body = f.read()
+        body = f.read() if header[:4] == COCHLEAGRAM_MAGIC else None
+    if body is None:
+        return _read_cochleagram_csv(path), None
+    if len(header) < _HEADER.size:
+        raise ConfigError(f"truncated cochleagram header in {path}")
+    _, version, n_sections, n_samples, fs = _HEADER.unpack(header)
+    if version != COCHLEAGRAM_VERSION:
+        raise ConfigError(f"unsupported cochleagram version {version}")
     expected = n_sections * n_samples * 8
     if len(body) != expected:
         raise ConfigError(

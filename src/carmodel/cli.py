@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, audio_io, fixed, schedule
-from ._outfile import open_out
+from ._outfile import OutFile
 # No command calls process_block, but perfbench's traced runs wrap cli.process_block.
 from .core import CascadeState, CascadeStream, process_block, stream_rows  # noqa: F401
 from .design import (
@@ -178,10 +178,9 @@ def _cmd_run(args) -> int:
         print(f"saturations: {stats.total + clipped} (input {stats.input_saturations + clipped}, "
               f"sections {int(stats.section_saturations.sum())})")
         if args.stats:
-            with open_out(args.stats, encoding="utf-8") as f:
-                f.write("section,saturations\n")
-                for k, c in enumerate(stats.section_saturations):
-                    f.write(f"{k},{int(c)}\n")
+            rows = [f"{k},{int(c)}\n" for k, c in enumerate(stats.section_saturations)]
+            with OutFile(args.stats) as f:
+                f.write(("section,saturations\n" + "".join(rows)).encode("ascii"))
     print(f"cochleagram {wav.samples.size} x {design.n_sections} -> {args.output}")
     return 0
 
@@ -242,8 +241,8 @@ def _cmd_schedule(args) -> int:
     report = schedule.plan(_hardware(args, args.fs), args.sections)
     print(schedule.report_text(report))
     if args.csv:
-        with open_out(args.csv, encoding="utf-8") as f:
-            f.write(schedule.report_csv(report))
+        with OutFile(args.csv) as f:
+            f.write(schedule.report_csv(report).encode("ascii"))
     return 0
 
 
@@ -273,14 +272,11 @@ def _cmd_compare(args) -> int:
     else:
         print("worst_snr_db: exact (all channels bit-identical)")
     if args.output:
-        with open_out(args.output, encoding="utf-8") as f:
-            f.write("channel,snr_db,exact,saturations\n")
-            for ch in range(design.n_sections):
-                snr = report.snr_db[ch]
-                f.write(
-                    f"{ch},{'inf' if math.isinf(snr) else format(snr, '.6g')},"
-                    f"{int(report.exact[ch])},{int(stats.section_saturations[ch])}\n"
-                )
+        rows = [f"{ch},{'inf' if math.isinf(snr) else format(snr, '.6g')},"
+                f"{int(report.exact[ch])},{int(stats.section_saturations[ch])}\n"
+                for ch, snr in enumerate(report.snr_db)]
+        with OutFile(args.output) as f:
+            f.write(("channel,snr_db,exact,saturations\n" + "".join(rows)).encode("ascii"))
         print(f"parity report -> {args.output}")
     return 0
 

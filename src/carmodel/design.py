@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._csvfmt import csv_rows
-from ._outfile import open_out
+from ._outfile import OutFile
 from .errors import DesignError
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "dc_gain_coeff",
     "design_cascade",
     "transfer_function",
-    "validate_channel_coeffs",
     "write_coeff_table",
     "read_coeff_table",
     "COEFF_TABLE_HEADER",
@@ -278,36 +277,11 @@ def design_cascade(params: DesignParams) -> CascadeDesign:
                 cf_hz=cf, theta_r=theta, r=r, a0=a0, c0=c0, h=h, g=g, section_index=i
             )
         )
-    design = CascadeDesign(
+    return CascadeDesign(
         sections=tuple(sections),
         sample_rate_hz=float(params.sample_rate_hz),
         positions=tuple(positions),
     )
-    for s in design.sections:
-        validate_channel_coeffs(s)
-    return design
-
-
-# The structural invariants of a section, in the order they are checked: a
-# message, and a test that is true where a section, or a ChannelCoeffs of
-# coefficient columns, breaks the invariant. The coefficients are finite.
-_SECTION_CHECKS = (
-    ("a0^2 + c0^2 != 1", lambda c: abs(c.a0 * c.a0 + c.c0 * c.c0 - 1.0) > 1e-12),
-    ("theta_r out of (0, pi)", lambda c: (c.theta_r <= 0.0) | (c.theta_r >= math.pi)),
-    ("c0 must be positive", lambda c: c.c0 <= 0),
-    ("r out of (0, 1]", lambda c: (c.r <= 0.0) | (c.r > 1.0)),
-    ("g must be positive", lambda c: c.g <= 0),
-)
-
-
-def validate_channel_coeffs(c: ChannelCoeffs) -> None:
-    """Check the structural invariants of a designed section."""
-    values = (c.cf_hz, c.theta_r, c.r, c.a0, c.c0, c.h, c.g)
-    if not all(map(math.isfinite, values)):
-        raise DesignError(f"section {c.section_index}: non-finite coefficient in {values}")
-    for message, broken in _SECTION_CHECKS:
-        if broken(c):
-            raise DesignError(f"section {c.section_index}: {message}")
 
 
 def transfer_function(coeffs: ChannelCoeffs) -> RationalTF:
@@ -349,7 +323,7 @@ def write_coeff_table(design: CascadeDesign, path) -> None:
          for x, s in zip(design.positions, design.sections)],
         dtype=np.float64,
     ).reshape(-1, len(COEFF_TABLE_HEADER))
-    with open_out(path) as f:
+    with OutFile(path) as f:
         f.write((",".join(COEFF_TABLE_HEADER) + "\r\n").encode("ascii"))
         f.writelines(csv_rows(m))
 
@@ -405,6 +379,19 @@ def _parse_coeff_row(row: list[str]) -> tuple[int, list[float]]:
     if not all(map(math.isfinite, values)):
         raise DesignError(f"section {idx}: non-finite field in {row!r}")
     return idx, values
+
+
+# The structural invariants of a section, in the order they are checked: a
+# message, and a test that is true in the rows of a ChannelCoeffs of finite
+# coefficient columns that break the invariant. design_cascade's own checks
+# keep every section it designs within them.
+_SECTION_CHECKS = (
+    ("a0^2 + c0^2 != 1", lambda c: abs(c.a0 * c.a0 + c.c0 * c.c0 - 1.0) > 1e-12),
+    ("theta_r out of (0, pi)", lambda c: (c.theta_r <= 0.0) | (c.theta_r >= math.pi)),
+    ("c0 must be positive", lambda c: c.c0 <= 0),
+    ("r out of (0, 1]", lambda c: (c.r <= 0.0) | (c.r > 1.0)),
+    ("g must be positive", lambda c: c.g <= 0),
+)
 
 
 def _check_coeff_columns(numbers: array, indices: list[int]) -> float | None:

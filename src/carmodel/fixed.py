@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from ._outfile import open_out
+from ._outfile import OutFile
 from .design import CascadeDesign, ChannelCoeffs
 from .errors import ConfigError, DesignError, FixedPointError
 
@@ -735,15 +735,12 @@ QUANTIZED_TABLE_HEADER = ("section", "coeff_name", "raw_int", "total_bits", "fra
 
 
 def write_quantized_table(qdesign: QuantizedDesign, path) -> None:
-    import csv
-
-    with open_out(path, encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(QUANTIZED_TABLE_HEADER)
-        fmt = qdesign.coeff_format
-        for i, q in enumerate(qdesign.coeffs_raw):
-            for name, raw in zip(_COEFF_NAMES, q):
-                w.writerow([i, name, raw, fmt.total_bits, fmt.frac_bits])
+    # the rows csv.writer gives: no field needs quoting
+    fmt = qdesign.coeff_format
+    rows = [f"{i},{name},{raw},{fmt.total_bits},{fmt.frac_bits}\r\n"
+            for i, q in enumerate(qdesign.coeffs_raw) for name, raw in zip(_COEFF_NAMES, q)]
+    with OutFile(path) as f:
+        f.write((",".join(QUANTIZED_TABLE_HEADER) + "\r\n" + "".join(rows)).encode("ascii"))
 
 
 def read_quantized_table(path) -> tuple[FixedFormat, dict[int, dict[str, int]]]:

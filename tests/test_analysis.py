@@ -8,7 +8,7 @@ import pytest
 
 from carmodel import analysis
 from carmodel._csvfmt import CHUNK_VALUES
-from carmodel._outfile import open_out
+from carmodel._outfile import OutFile
 from carmodel.analysis import (
     DB_FLOOR,
     DEFAULT_MLS_TAPS,
@@ -22,6 +22,7 @@ from carmodel.analysis import (
     parity_report,
     peak_trajectory,
     write_impulse_csv,
+    write_peaks_csv,
     write_response_csv,
 )
 from carmodel.core import CascadeState, CascadeStream, process_block, stream_rows
@@ -537,13 +538,24 @@ class TestResponseExport:
         opened = []
 
         def counted_open(path):
-            opened.append(open_out(path))
+            opened.append(OutFile(path))
             assert sum(not f.closed for f in opened) <= 3
             return opened[-1]
 
-        monkeypatch.setattr(analysis, "open_out", counted_open)
+        monkeypatch.setattr(analysis, "OutFile", counted_open)
         self.write_and_check(self.edge_result(rng, CHUNK_VALUES // 4 + 5, 8), tmp_path)
         assert len(opened) == 16 and all(f.closed for f in opened)
+
+    def test_peaks_csv_bytes(self, tmp_path):
+        # `%.6g` fields and LF line ends, written over a longer file
+        result = ResponseResult(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(4),
+                                np.array([1234.5678, 2e4]), np.array([-3.25, 41.0]),
+                                np.array([True, False]))
+        path = tmp_path / "peaks.csv"
+        path.write_bytes(b"x" * 10000)
+        write_peaks_csv(result, [3, 60], path)
+        assert path.read_bytes() == (b"section,peak_hz,peak_db,flat\n"
+                                     b"3,1234.57,-3.25,1\n60,20000,41,0\n")
 
     def test_one_path_per_channel(self, rng, tmp_path):
         result = self.edge_result(rng, CHUNK_VALUES // 4 + 37, 3)

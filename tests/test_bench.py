@@ -10,7 +10,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 RUN_BENCH = Path(__file__).resolve().parents[1] / "bench" / "run_bench.py"
@@ -117,18 +116,38 @@ def test_ab_children_swap_import_order(monkeypatch, tmp_path):
     assert entry["tree_ms_nominal"] == pytest.approx(19.0)
 
 
+def cache_is_current(source: Path) -> bool:
+    """Whether the import system would load source's __pycache__ file as it
+    stands, without compiling source again."""
+    pyc = Path(importlib.util.cache_from_source(source))
+    if not pyc.exists():
+        return False
+    head, data = pyc.read_bytes()[:16], source.read_bytes()
+    if head[:4] != importlib.util.MAGIC_NUMBER:
+        return False
+    if int.from_bytes(head[4:8], "little"):  # hash-based
+        return head[8:16] == importlib.util.source_hash(data)
+    st = source.stat()
+    return head[8:16] == ((int(st.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                          + (st.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
 def test_main_runs_an_aa_beside_the_ab(monkeypatch, tmp_path):
     # the A/A children time TREE against a copy of TREE's src/, in both
-    # import orders, and every A/B call has an A/A entry beside it
+    # import orders, and every A/B call has an A/A entry beside it; every
+    # tree a child is given has a current bytecode cache already
     parent, tree, out = tmp_path / "a", tmp_path / "b", tmp_path / "bench.json"
-    (tree / "src" / "carmodel").mkdir(parents=True)
-    (tree / "src" / "carmodel" / "core.py").write_text("TREE = 1\n")
+    for side, text in ((parent, "PARENT = 1\n"), (tree, "TREE = 1\n")):
+        (side / "src" / "carmodel").mkdir(parents=True)
+        (side / "src" / "carmodel" / "core.py").write_text(text)
     calls = []
 
     def in_child(*args):
         first, second = Path(args[args.index("--ab") + 1]), Path(args[args.index("--tree") + 1])
         copy = next((p for p in (first, second) if p not in (parent, tree)), None)
         calls.append((first, second))
+        assert all(cache_is_current(side / "src" / "carmodel" / "core.py")
+                   for side in (first, second))
         if copy is not None:
             assert (copy / "src" / "carmodel" / "core.py").read_text() == "TREE = 1\n"
         # TREE takes 1.1 times PARENT's time, and twice the copy's
@@ -187,13 +206,6 @@ def test_files_analyze_overwrites_the_files_of_carmodel_analyze(tmp_path):
     write_files(1)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
     assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
-    # a tree without analysis.write_peaks_csv writes peaks.csv as cli did
-    result = analysis.ResponseResult(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(4),
-                                     np.array([1234.5678, 2e4]), np.array([-3.25, 41.0]),
-                                     np.array([True, False]))
-    analysis.write_peaks_csv(result, [3, 60], tmp_path / "tree.csv")
-    run_bench._write_peaks_inline(result, [3, 60], tmp_path / "inline.csv")
-    assert (tmp_path / "tree.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
     assert calls["tick_fixed_1224"][1:] == ("us", run_bench.PUSHES * run_bench.FIXED_PUSH)
 
 

@@ -1,5 +1,7 @@
 """Fixed-point arithmetic and the quantized cascade datapath."""
 
+import csv
+import io
 import math
 import re
 
@@ -860,6 +862,21 @@ class TestQuantizedTable:
         path = tmp_path / "quantized.csv"
         write_quantized_table(qd, path)
         assert path.read_text().splitlines()[0] == "section,coeff_name,raw_int,total_bits,frac_bits"
+
+    @pytest.mark.parametrize("bits", [(18, 16), (64, 62)])
+    def test_bytes_match_csv_writer(self, tmp_path, bits):
+        # the bytes csv.writer gives these rows, CRLF line ends and all
+        fmt = FixedFormat(*bits)
+        qd = quantize_design(design_cascade(DesignParams(48000.0, 3)), coeff_format=fmt)
+        path = tmp_path / "quantized.csv"
+        path.write_bytes(b"x" * 10000)  # longer than the table
+        write_quantized_table(qd, path)
+        text = io.StringIO()
+        w = csv.writer(text)
+        w.writerow(["section", "coeff_name", "raw_int", "total_bits", "frac_bits"])
+        w.writerows([i, name, raw, *bits] for i, q in enumerate(qd.coeffs_raw)
+                    for name, raw in zip(("r", "a0", "c0", "h", "g"), q))
+        assert path.read_bytes() == text.getvalue().encode("ascii")
 
     def test_missing_section_rejected(self, tmp_path):
         design = design_cascade(DesignParams(48000.0, 3))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from carmodel import analysis
-from carmodel._outfile import PAGE, OutFile, open_out
+from carmodel._outfile import PAGE, OutFile
 from carmodel.analysis import ResponseResult, write_impulse_csv, write_response_csv
 
 SIZES = (0, 1, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 5)
@@ -32,16 +32,6 @@ def test_overwrite_gives_the_bytes_of_a_fresh_write(tmp_path, rng, size, chunk):
         (tmp_path / "old").write_bytes(rng.bytes(old))
         write_in_chunks(tmp_path / "old", data, chunk)
         assert (tmp_path / "old").read_bytes() == data
-
-
-def test_text_files_translate_as_open_does(tmp_path):
-    (tmp_path / "t").write_bytes(b"x" * 3 * PAGE)
-    with open_out(tmp_path / "t", encoding="utf-8") as f:
-        f.write("a\nb\n")
-    with open_out(tmp_path / "n", encoding="utf-8", newline="") as f:
-        f.write("a\r\nb\n")
-    assert (tmp_path / "t").read_bytes() == f"a{os.linesep}b{os.linesep}".encode()
-    assert (tmp_path / "n").read_bytes() == b"a\r\nb\n"
 
 
 def test_error_keeps_what_was_written(tmp_path):
