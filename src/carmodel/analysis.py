@@ -232,8 +232,8 @@ def frequency_response_measured(
     (responses are never truncated, only zero-padded).
     """
     ir = np.asarray(impulse_responses, dtype=np.float64)
-    if ir.ndim == 1:
-        ir = ir[:, None]
+    if ir.ndim != 2:
+        raise ConfigError(f"impulse responses must be 2-D, got shape {ir.shape}")
     n = ir.shape[0]
     if n_fft is None:
         n_fft = n
@@ -324,8 +324,8 @@ class ParityReport:
 
 
 def parity_report(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> ParityReport:
-    """SNR per channel over every row of (reference, fixed) row blocks, 1-D
-    ones of one channel: 10*log10(sum(ref^2) / sum((ref - fixed)^2)), +inf
+    """SNR per channel over every row of (reference, fixed) row blocks, each
+    [rows x channels]: 10*log10(sum(ref^2) / sum((ref - fixed)^2)), +inf
     where every fixed value equals its float value (flagged exact), an
     all-zero channel included. No rows, or a zero-energy reference channel
     that is not exact, is an error, not a 0-dB report.
@@ -336,9 +336,7 @@ def parity_report(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> ParityRepo
     rows, exact, scale, ssq = 0, True, 0.0, 0.0  # scale, ssq: (reference, error) x channels
     for ref, fix in blocks:
         ref, fix = np.asarray(ref, dtype=np.float64), np.asarray(fix, dtype=np.float64)
-        if ref.ndim == 1:
-            ref, fix = ref[:, None], fix[:, None]
-        if ref.shape != fix.shape or np.shape(exact) not in ((), ref.shape[1:]):
+        if ref.ndim != 2 or ref.shape != fix.shape or np.shape(exact) not in ((), ref.shape[1:]):
             raise ConfigError(f"shape mismatch: {ref.shape} vs {fix.shape}, "
                               f"channels of earlier blocks {np.shape(exact) or 'none'}")
         exact &= (ref == fix).all(axis=0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import os
 import shutil
 import struct
@@ -237,10 +238,10 @@ def read_cochleagram(path) -> tuple[np.ndarray, float | None]:
     The CSV format does not carry the sample rate, so it comes back None.
     """
     with open(path, "rb") as f:
-        header = f.read(_HEADER.size)
-        body = f.read() if header[:4] == COCHLEAGRAM_MAGIC else None
-    if body is None:
-        return _read_cochleagram_csv(path), None
+        data = f.read()
+    if data[:4] != COCHLEAGRAM_MAGIC:
+        return _read_cochleagram_csv(data, path), None
+    header, body = data[: _HEADER.size], memoryview(data)[_HEADER.size :]
     if len(header) < _HEADER.size:
         raise ConfigError(f"truncated cochleagram header in {path}")
     _, version, n_sections, n_samples, fs = _HEADER.unpack(header)
@@ -255,18 +256,19 @@ def read_cochleagram(path) -> tuple[np.ndarray, float | None]:
     return m, fs
 
 
-def _read_cochleagram_csv(path) -> np.ndarray:
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or not header or header[0] != "t":
-            raise ConfigError(f"bad cochleagram CSV header in {path}")
-        n_sections = len(header) - 1
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != n_sections + 1:
-                raise ConfigError(f"cochleagram row has {len(row)} fields, expected {n_sections + 1}")
-            rows.append([float(v) for v in row[1:]])
+def _read_cochleagram_csv(data: bytes, path) -> np.ndarray:
+    # decoded a chunk at a time, as open(path, "r") decodes: io.StringIO
+    # would hold a copy of the text at 4 bytes a character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    header = next(reader, None)
+    if header is None or not header or header[0] != "t":
+        raise ConfigError(f"bad cochleagram CSV header in {path}")
+    n_sections = len(header) - 1
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != n_sections + 1:
+            raise ConfigError(f"cochleagram row has {len(row)} fields, expected {n_sections + 1}")
+        rows.append([float(v) for v in row[1:]])
     return np.array(rows, dtype=np.float64).reshape(len(rows), n_sections)

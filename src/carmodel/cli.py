@@ -161,8 +161,7 @@ def _cmd_run(args) -> int:
     else:
         coeff_fmt, state_fmt, io_fmt = _fixed_formats(args)
         if args.quantized:
-            fmt, rows = fixed.read_quantized_table(args.quantized)
-            qd = fixed.apply_quantized_table(design, fmt, rows, state_fmt, io_fmt)
+            qd = fixed.read_quantized_table(args.quantized, design, state_fmt, io_fmt)
         else:
             qd = fixed.quantize_design(design, coeff_fmt, state_fmt, io_fmt)
         stream = fixed.FixedStream(qd, fixed.FixedCascadeState(qd.n_sections))

@@ -39,9 +39,10 @@ coefficients have magnitude below 2).
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import _kernels
 from ._outfile import OutFile
-from .design import CascadeDesign, ChannelCoeffs
+from .design import CascadeDesign
 from .errors import ConfigError, DesignError, FixedPointError
 
 log = logging.getLogger(__name__)
@@ -76,7 +77,6 @@ __all__ = [
     "to_real_block",
     "write_quantized_table",
     "read_quantized_table",
-    "apply_quantized_table",
     "QUANTIZED_TABLE_HEADER",
 ]
 
@@ -251,25 +251,13 @@ def dequantized_design(qdesign: QuantizedDesign) -> CascadeDesign:
     effects from the (separate) coefficient quantization.
     """
     frac = qdesign.coeff_format.frac_bits
-    sections = []
-    for s, q in zip(qdesign.design.sections, qdesign.coeffs_raw):
-        sections.append(
-            ChannelCoeffs(
-                cf_hz=s.cf_hz,
-                theta_r=s.theta_r,
-                r=math.ldexp(q.r_raw, -frac),
-                a0=math.ldexp(q.a0_raw, -frac),
-                c0=math.ldexp(q.c0_raw, -frac),
-                h=math.ldexp(q.h_raw, -frac),
-                g=math.ldexp(q.g_raw, -frac),
-                section_index=s.section_index,
-            )
-        )
-    return CascadeDesign(
-        sections=tuple(sections),
-        sample_rate_hz=qdesign.design.sample_rate_hz,
-        positions=qdesign.design.positions,
+    sections = tuple(
+        s._replace(r=math.ldexp(q.r_raw, -frac), a0=math.ldexp(q.a0_raw, -frac),
+                   c0=math.ldexp(q.c0_raw, -frac), h=math.ldexp(q.h_raw, -frac),
+                   g=math.ldexp(q.g_raw, -frac))
+        for s, q in zip(qdesign.design.sections, qdesign.coeffs_raw)
     )
+    return replace(qdesign.design, sections=sections)
 
 
 class FixedSectionState(NamedTuple):
@@ -743,10 +731,25 @@ def write_quantized_table(qdesign: QuantizedDesign, path) -> None:
         f.write((",".join(QUANTIZED_TABLE_HEADER) + "\r\n" + "".join(rows)).encode("ascii"))
 
 
-def read_quantized_table(path) -> tuple[FixedFormat, dict[int, dict[str, int]]]:
-    """Read raw coefficient rows; returns (coeff format, {section: {name: raw}})."""
-    import csv
+def _ranges(numbers: list[int]) -> str:
+    """Sorted integers as runs: [0, 1, 2, 5, 7, 8] -> "0-2, 5, 7-8"."""
+    runs: list[list[int]] = []
+    for k in numbers:
+        if runs and k == runs[-1][1] + 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
 
+
+def read_quantized_table(
+    path,
+    design: CascadeDesign,
+    state_format: FixedFormat = DEFAULT_STATE_FORMAT,
+    io_format: FixedFormat = DEFAULT_IO_FORMAT,
+) -> QuantizedDesign:
+    """Build a QuantizedDesign of design from a file of raw coefficient rows,
+    one row per (section, coefficient) of every section."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -781,30 +784,8 @@ def read_quantized_table(path) -> tuple[FixedFormat, dict[int, dict[str, int]]]:
             if name in coeffs:
                 raise DesignError(f"{where} coefficient {name} repeated")
             coeffs[name] = raw
-        if fmt is None:
-            raise DesignError("quantized table has no data rows")
-        return fmt, rows
-
-
-def _ranges(numbers: list[int]) -> str:
-    """Sorted integers as runs: [0, 1, 2, 5, 7, 8] -> "0-2, 5, 7-8"."""
-    runs: list[list[int]] = []
-    for k in numbers:
-        if runs and k == runs[-1][1] + 1:
-            runs[-1][1] = k
-        else:
-            runs.append([k, k])
-    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
-
-
-def apply_quantized_table(
-    design: CascadeDesign,
-    coeff_format: FixedFormat,
-    rows: dict[int, dict[str, int]],
-    state_format: FixedFormat = DEFAULT_STATE_FORMAT,
-    io_format: FixedFormat = DEFAULT_IO_FORMAT,
-) -> QuantizedDesign:
-    """Build a QuantizedDesign from externally supplied raw integers."""
+    if fmt is None:
+        raise DesignError("quantized table has no data rows")
     expected = set(range(design.n_sections))
     if rows.keys() != expected:
         gaps = [f"{what} sections {_ranges(sorted(which))}"
@@ -820,4 +801,4 @@ def apply_quantized_table(
         if missing:
             raise DesignError(f"section {i}: missing coefficients {missing}")
         packed.append(QuantizedSectionCoeffs(*(row[n] for n in _COEFF_NAMES)))
-    return QuantizedDesign(design, coeff_format, state_format, io_format, tuple(packed))
+    return QuantizedDesign(design, fmt, state_format, io_format, tuple(packed))

@@ -10,7 +10,6 @@ tap rows of any stream, float or fixed, as the arrays would emit them.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import astuple, dataclass, fields
 
@@ -161,11 +160,7 @@ def report_text(report: ScheduleReport) -> str:
 
 
 def report_csv(report: ScheduleReport) -> str:
-    """Single-row CSV rendering of a ScheduleReport."""
-    import csv
-
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow([f.name for f in fields(report)])
-    w.writerow(astuple(report))
-    return buf.getvalue()
+    """Single-row CSV rendering of a ScheduleReport, the text csv.writer
+    gives: no field needs quoting."""
+    rows = ([f.name for f in fields(report)], astuple(report))
+    return "".join(",".join(map(str, row)) + "\r\n" for row in rows)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from carmodel.design import DesignParams, design_cascade
+
+# A failing example found by a random search prints the blob that replays it
+# through @reproduce_failure; every other setting keeps Hypothesis's default.
+settings.register_profile("carmodel", print_blob=True)
+settings.load_profile("carmodel")
 
 
 @pytest.fixture(scope="session")

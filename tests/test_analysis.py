@@ -292,6 +292,10 @@ class TestFrequencyResponse:
         with pytest.raises(ConfigError):
             frequency_response_measured(np.zeros((64, 2)), 48000.0, n_fft=32)
 
+    def test_one_dimensional_ir_rejected(self):
+        with pytest.raises(ConfigError, match=r"must be 2-D, got shape \(64,\)"):
+            frequency_response_measured(np.zeros(64), 48000.0)
+
     def test_analytic_follows_a_quantized_design(self):
         # 18/16 coefficients break a0^2 + c0^2 = 1: the analytic response of
         # compare_fixed's dequantized design must still be the recurrence's
@@ -421,8 +425,8 @@ class TestParityReport:
         assert not report.exact.any()
         assert parity_report([(ref[:, 1:2], ref[:, 1:2].copy())]).exact.all()
         # an error that overflows itself gives nan, as the plain formula does
-        assert np.isnan(parity_report([(np.array([1e308, 1.0]),
-                                        np.array([-1e308, 1.0]))]).snr_db[0])
+        assert np.isnan(parity_report([(np.array([1e308, 1.0])[:, None],
+                                        np.array([-1e308, 1.0])[:, None])]).snr_db[0])
 
     @pytest.mark.filterwarnings("error")
     def test_block_split_does_not_matter(self, rng):
@@ -453,10 +457,11 @@ class TestParityReport:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             parity_report([(np.zeros((32, 2)), np.zeros((32, 3)))])
-        # between blocks, as well as within one; 1-D blocks are one channel
+        # between blocks, as well as within one; a block is [rows x channels]
         with pytest.raises(ConfigError):
             parity_report([(np.ones((32, 2)), np.ones((32, 2))), (np.ones(4), np.ones(4))])
-        assert parity_report([(np.ones(4), np.ones(4)), (np.ones((2, 1)), np.ones((2, 1)))]).exact
+        with pytest.raises(ConfigError, match=r"shape mismatch: \(4,\) vs \(4,\)"):
+            parity_report([(np.ones(4), np.ones(4)), (np.ones((2, 1)), np.ones((2, 1)))])
 
     def test_worst_channel_identified(self, rng):
         ref = rng.uniform(-1, 1, (500, 3))

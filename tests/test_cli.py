@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import carmodel
-from carmodel import fixed
+from carmodel import audio_io, fixed
 from carmodel._csvfmt import CHUNK_VALUES
 from carmodel.analysis import mls_warmup_periods
 from carmodel.audio_io import (
@@ -120,6 +120,32 @@ class TestReadWav:
         with pytest.raises(AudioFormatError, match="RIFF"):
             read_wav(p)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"RIFF", "truncated WAV: 4 bytes, need at least 12"),
+        (b"RIFF\0\0\0\0WAVX", "RIFF file is not WAVE"),
+        (b"RIFF\0\0\0\0WAVE" + b"fmt " + struct.pack("<I", 14) + bytes(14),
+         r"fmt chunk at byte 20 too short \(14 bytes\)"),
+        (build_wav(b"")[:12] + build_wav(b"")[36:], "missing fmt chunk"),  # the data chunk alone
+        (build_wav(b"")[:36], "missing data chunk"),
+        (build_wav(b"\0\0")[:32] + struct.pack("<H", 4) + build_wav(b"\0\0")[34:],
+         "BlockAlign=4 inconsistent with mono 16-bit PCM"),
+        (build_wav(b"\0\0\0"), "data chunk size 3 at byte 44 is not a whole number of samples"),
+    ], ids=["short", "not_wave", "short_fmt", "no_fmt", "no_data", "block_align", "part_sample"])
+    def test_malformed_file_rejected(self, tmp_path, data, message):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(data)
+        with pytest.raises(AudioFormatError, match=f"^{message}$"):
+            read_wav(p)
+
+    @pytest.mark.parametrize("samples, message", [
+        (np.zeros((2, 1)), r"samples must be mono 1-D, got shape \(2, 1\)"),
+        (np.array([0.5, -1.5]), r"samples must be finite and within \[-1, 1\]"),
+        (np.array([np.nan]), r"samples must be finite and within \[-1, 1\]"),
+    ], ids=["not_1d", "out_of_range", "nan"])
+    def test_buffer_rejects_bad_samples(self, samples, message):
+        with pytest.raises(AudioFormatError, match=f"^{message}$"):
+            AudioBuffer(48000, samples)
+
     def test_extra_chunks_skipped(self, tmp_path):
         # LIST metadata between fmt and data must not confuse the parser
         fmt = struct.pack("<HHIIHH", 1, 1, 48000, 96000, 2, 16)
@@ -205,6 +231,21 @@ class TestCochleagram:
         (tmp_path / "bad").write_bytes(corrupt((tmp_path / "good.bin").read_bytes()))
         with pytest.raises(ConfigError, match=message):
             read_cochleagram(tmp_path / "bad")
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_read_opens_the_file_once(self, tmp_path, monkeypatch, fmt):
+        m = np.arange(12.0).reshape(4, 3)
+        write_cochleagram(m, tmp_path / "c", format=fmt, sample_rate_hz=8000.0)
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(audio_io, "open", counting_open, raising=False)
+        back, _ = read_cochleagram(tmp_path / "c")
+        assert np.array_equal(back, m)
+        assert opened == [tmp_path / "c"]
 
     def test_single_cell(self, tmp_path):
         write_cochleagram(np.array([[0.5]]), tmp_path / "s.csv", format="csv")

@@ -267,6 +267,18 @@ class TestDesignCascade:
         with pytest.raises(DesignError, match="section 0"):
             design_cascade(DesignParams(30000.0, 10))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sample_rate_hz": 0.0}, "sample_rate_hz must be positive, got 0.0"),
+        ({"n_sections": 0}, "n_sections must be >= 1, got 0"),
+        ({"x_apex": 0.5, "x_base": 0.4}, "need 0 <= x_apex < x_base <= 1, got x_apex=0.5, x_base=0.4"),
+        ({"x_apex": -0.1}, "need 0 <= x_apex < x_base <= 1, got x_apex=-0.1, x_base=1.0"),
+        ({"damping_zeta": -0.1}, "damping_zeta must be >= 0, got -0.1"),
+    ], ids=["rate", "sections", "x_order", "x_below_0", "zeta"])
+    def test_bad_params_rejected(self, kwargs, message):
+        with pytest.raises(DesignError) as info:
+            DesignParams(**{"sample_rate_hz": 48000.0, "n_sections": 3, **kwargs})
+        assert str(info.value) == message
+
     def test_r_override_global(self):
         d = design_cascade(DesignParams(48000.0, 5, r_override=0.9))
         assert all(s.r == 0.9 for s in d.sections)
@@ -538,3 +550,18 @@ class TestCoeffTable:
         path.write_text("section,x,cf_hz,theta_r,r,a0,c0,h,g\n")
         with pytest.raises(DesignError):
             read_coeff_table(path)
+        path.write_text("")
+        with pytest.raises(DesignError, match="^coefficient table is empty$"):
+            read_coeff_table(path)
+
+    @pytest.mark.parametrize("change", [lambda cols: cols[:-1], lambda cols: cols + ["0"]],
+                             ids=["short", "long"])
+    def test_rejects_wrong_field_count(self, tmp_path, change):
+        path = tmp_path / "coeffs.csv"
+        write_coeff_table(design_cascade(DesignParams(48000.0, 2)), path)
+        rows = path.read_text().splitlines()
+        cols = change(rows[2].split(","))
+        path.write_text("\n".join([rows[0], rows[1], ",".join(cols)]) + "\n")
+        with pytest.raises(DesignError) as info:
+            read_coeff_table(path)
+        assert str(info.value) == f"coefficient row has {len(cols)} fields: {cols!r}"

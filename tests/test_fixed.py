@@ -22,8 +22,9 @@ from carmodel.fixed import (
     FixedSectionState,
     FixedStream,
     FixedValue,
+    QUANTIZED_TABLE_HEADER,
     QuantizedDesign,
-    apply_quantized_table,
+    QuantizedSectionCoeffs,
     dequantized_design,
     fixed_process_block,
     fixed_step_section,
@@ -40,6 +41,15 @@ from carmodel.fixed import _requantize
 from oracles import fixed_process_block_py
 
 Q15 = FixedFormat(16, 15)
+
+
+def table_file(path, rows, fmt=DEFAULT_COEFF_FORMAT):
+    """path, written as a quantized table of {section: {name: raw}} rows."""
+    lines = [",".join(QUANTIZED_TABLE_HEADER)]
+    lines += [f"{i},{name},{raw},{fmt.total_bits},{fmt.frac_bits}"
+              for i, coeffs in rows.items() for name, raw in coeffs.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def mls_signal(order, amplitude):
@@ -220,7 +230,7 @@ class TestQuantizeDesign:
         with pytest.raises(DesignError, match=r"section \d+: coefficient"):
             quantize_design(design, coeff_format=tight)
 
-    def test_every_constructor_checks_raw_range(self):
+    def test_every_constructor_checks_raw_range(self, tmp_path):
         design = design_cascade(DesignParams(48000.0, 2))
         qd = quantize_design(design)
         fmt = qd.coeff_format
@@ -230,7 +240,7 @@ class TestQuantizeDesign:
             QuantizedDesign(design, fmt, qd.state_format, qd.io_format, tuple(rows))
         table = {i: dict(zip(("r", "a0", "c0", "h", "g"), q)) for i, q in enumerate(rows)}
         with pytest.raises(DesignError, match=r"section 1: coefficient g \(raw"):
-            apply_quantized_table(design, fmt, table)
+            read_quantized_table(table_file(tmp_path / "q.csv", table, fmt), design)
 
     def test_zero_quantizes_to_zero(self):
         assert quantize(0.0, DEFAULT_COEFF_FORMAT).raw == 0
@@ -418,9 +428,9 @@ class TestFixedProcessBlock:
         # integer formats, one hand-set section: w1 = 3*100 + 83 = 383 is
         # past raw_max = 127 and saturates onto it
         design = design_cascade(DesignParams(48000.0, 1))
-        rows = {0: {"r": 1, "a0": 3, "c0": 0, "h": 0, "g": 1}}
+        rows = (QuantizedSectionCoeffs(r_raw=1, a0_raw=3, c0_raw=0, h_raw=0, g_raw=1),)
         state_fmt = FixedFormat(8, 0)
-        qd = apply_quantized_table(design, FixedFormat(4, 0), rows, state_fmt, FixedFormat(8, 0))
+        qd = QuantizedDesign(design, FixedFormat(4, 0), state_fmt, FixedFormat(8, 0), rows)
         state = FixedCascadeState(1)
         out, stats = fixed_process_block(qd, state, [100, 83])
         assert out[:, 0].tolist() == [100, 83]
@@ -436,9 +446,9 @@ class TestFixedProcessBlock:
         # w1 = 3*(-40) - 8 = -128 are raw_min itself, in range and no event;
         # one LSB lower is one event, onto raw_min
         design = design_cascade(DesignParams(48000.0, 1))
-        rows = {0: {"r": 1, "a0": 3, "c0": 0, "h": 0, "g": 1}}
+        rows = (QuantizedSectionCoeffs(r_raw=1, a0_raw=3, c0_raw=0, h_raw=0, g_raw=1),)
         state_fmt = FixedFormat(8, 0)
-        qd = apply_quantized_table(design, FixedFormat(4, 0), rows, state_fmt, FixedFormat(8, 0))
+        qd = QuantizedDesign(design, FixedFormat(4, 0), state_fmt, FixedFormat(8, 0), rows)
         for xs, w1, events in (([-128], -128, 0), ([-40, -8], -128, 0), ([-40, -9], -128, 1)):
             state = FixedCascadeState(1)
             out, stats = fixed_process_block(qd, state, xs)
@@ -548,8 +558,8 @@ class TestFixedProcessBlock:
 def hand_set(coeffs, coeff_fmt=DEFAULT_COEFF_FORMAT, state_fmt=DEFAULT_STATE_FORMAT):
     """A quantized design of one section per (r, a0, c0, h, g) raw row."""
     design = design_cascade(DesignParams(48000.0, len(coeffs)))
-    rows = {i: dict(zip(("r", "a0", "c0", "h", "g"), c)) for i, c in enumerate(coeffs)}
-    return apply_quantized_table(design, coeff_fmt, rows, state_fmt, DEFAULT_IO_FORMAT)
+    rows = tuple(QuantizedSectionCoeffs(*c) for c in coeffs)
+    return QuantizedDesign(design, coeff_fmt, state_fmt, DEFAULT_IO_FORMAT, rows)
 
 
 def run_like_oracle(qd, w1, w2, calls):
@@ -851,9 +861,8 @@ class TestQuantizedTable:
         qd = quantize_design(design)
         path = tmp_path / "quantized.csv"
         write_quantized_table(qd, path)
-        fmt, rows = read_quantized_table(path)
-        assert fmt == qd.coeff_format
-        rebuilt = apply_quantized_table(design, fmt, rows)
+        rebuilt = read_quantized_table(path, design)
+        assert rebuilt.coeff_format == qd.coeff_format
         assert rebuilt.coeffs_raw == qd.coeffs_raw
 
     def test_header(self, tmp_path):
@@ -885,9 +894,8 @@ class TestQuantizedTable:
         write_quantized_table(qd, path)
         rows_text = [l for l in path.read_text().splitlines() if not l.startswith("2,")]
         path.write_text("\n".join(rows_text) + "\n")
-        fmt, rows = read_quantized_table(path)
         with pytest.raises(DesignError):
-            apply_quantized_table(design, fmt, rows)
+            read_quantized_table(path, design)
 
     def test_repeated_coefficient_rejected(self, tmp_path):
         # a repeated (section, coefficient) row would otherwise win silently
@@ -897,11 +905,12 @@ class TestQuantizedTable:
         with open(path, "a", newline="") as f:
             f.write("0,r,1,18,16\r\n")
         with pytest.raises(DesignError, match=r"^quantized-table line 12: section 0 coefficient r "):
-            read_quantized_table(path)
+            read_quantized_table(path, qd.design)
 
     @pytest.mark.parametrize("row, message", [
         ("0,r,1,99,16", "total_bits must be in [2, 64], got 99"),
         ("0,zz,1,18,16", "unknown coefficient 'zz'"),
+        ("0,r,1,18,15", "inconsistent coefficient format"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         qd = quantize_design(design_cascade(DesignParams(48000.0, 2)))
@@ -910,27 +919,42 @@ class TestQuantizedTable:
         with open(path, "a", newline="") as f:
             f.write(row + "\r\n")
         with pytest.raises(DesignError) as info:
-            read_quantized_table(path)
+            read_quantized_table(path, qd.design)
         assert str(info.value) == f"quantized-table line 12: section 0: {message}"
 
-    def test_missing_section_named_briefly(self):
+    @pytest.mark.parametrize("text, message", [
+        ("section,coeff,raw_int,total_bits,frac_bits\n0,r,1,18,16\n",
+         "bad quantized-table header: expected section,coeff_name,raw_int,total_bits,frac_bits"),
+        ("", "bad quantized-table header: expected "),
+        ("section,coeff_name,raw_int,total_bits,frac_bits\n\n", "quantized table has no data rows"),
+        ("section,coeff_name,raw_int,total_bits,frac_bits\n0,r,1,18,16\n0,a0,1,18,16\n",
+         "section 0: missing coefficients ['c0', 'h', 'g']"),
+    ], ids=["header", "empty", "no_rows", "missing_coefficient"])
+    def test_bad_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "quantized.csv"
+        path.write_text(text)
+        with pytest.raises(DesignError) as info:
+            read_quantized_table(path, design_cascade(DesignParams(48000.0, 1)))
+        assert str(info.value).startswith(message)
+
+    def test_missing_section_named_briefly(self, tmp_path):
         # names the missing and extra sections, not the 1223 others
         design = design_cascade(DesignParams(48000.0, 1224))
-        rows = {i: {} for i in range(1224) if i != 3}
+        rows = {i: {"r": 0} for i in range(1224) if i != 3}
         with pytest.raises(DesignError) as info:
-            apply_quantized_table(design, DEFAULT_COEFF_FORMAT, rows)
+            read_quantized_table(table_file(tmp_path / "q.csv", rows), design)
         assert str(info.value) == "quantized table for a 1224-section design: missing sections 3"
-        rows.update({3: {}, 1224: {}, 1225: {}, 1300: {}})
+        rows.update({3: {"r": 0}, 1224: {"r": 0}, 1225: {"r": 0}, 1300: {"r": 0}})
         del rows[7], rows[8]
         with pytest.raises(DesignError, match=r"missing sections 7-8; extra sections 1224-1225, 1300$"):
-            apply_quantized_table(design, DEFAULT_COEFF_FORMAT, rows)
+            read_quantized_table(table_file(tmp_path / "q.csv", rows), design)
 
-    def test_raw_integers_are_truth(self):
+    def test_raw_integers_are_truth(self, tmp_path):
         # hand-edited raw survives a round trip untouched
         design = design_cascade(DesignParams(48000.0, 2))
         qd = quantize_design(design)
         fmt = qd.coeff_format
         rows = {i: dict(zip(("r", "a0", "c0", "h", "g"), q)) for i, q in enumerate(qd.coeffs_raw)}
         rows[1]["h"] += 3
-        rebuilt = apply_quantized_table(design, fmt, rows)
+        rebuilt = read_quantized_table(table_file(tmp_path / "q.csv", rows, fmt), design)
         assert rebuilt.coeffs_raw[1].h_raw == qd.coeffs_raw[1].h_raw + 3
