@@ -50,10 +50,11 @@ up by one call first:
   files of each of analyze_mls's 20 default channels (MLS order 12, 4095
   samples) from a fresh copy of its ResponseResult, as one `carmodel
   analyze` does.
-- files_analyze_20ch: the same, and peaks.csv, into a directory of each
-  tree's own, as the 41 files of one `carmodel analyze`. Every call but the
-  warm-up overwrites the tree's files of the call before it, as each timed
-  pass of analyze_mls does.
+- files_cochleagram_240x1224, files_analyze_20ch: the same, and
+  peaks.csv, into a directory of each tree's own: the cochleagram of one
+  `carmodel run`, and the 41 files of one `carmodel analyze`. Every call
+  but the warm-up overwrites the tree's files of the call before it, as
+  each timed pass of run_float and analyze_mls does.
 - read_coeff_1224: read_coeff_table of the 1224-section table, which each
   tree writes once with its own write_coeff_table, in ms per call.
 
@@ -225,6 +226,8 @@ def timed_calls(core, design, fixed, analysis, audio_io, work: Path) -> dict:
     taps = core.process_block(des, core.CascadeState(N_SECTIONS), x[:samples])
     calls[f"csv_cochleagram_{samples}x{N_SECTIONS}"] = (
         lambda i: audio_io.write_cochleagram(taps, os.devnull), "ms", 1)
+    calls[f"files_cochleagram_{samples}x{N_SECTIONS}"] = (
+        lambda i: audio_io.write_cochleagram(taps, work / "cochleagram.csv"), "ms", 1)
 
     # cli._default_channels of 64 sections: 20 evenly spaced ones
     channels = sorted({int(round(p)) for p in np.linspace(0, 63, 20)})

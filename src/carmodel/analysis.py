@@ -336,7 +336,9 @@ def parity_report(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> ParityRepo
     rows, exact, scale, ssq = 0, True, 0.0, 0.0  # scale, ssq: (reference, error) x channels
     for ref, fix in blocks:
         ref, fix = np.asarray(ref, dtype=np.float64), np.asarray(fix, dtype=np.float64)
-        if ref.ndim != 2 or ref.shape != fix.shape or np.shape(exact) not in ((), ref.shape[1:]):
+        if ref.ndim != 2:
+            raise ConfigError(f"a block must be [rows x channels], got shape {ref.shape}")
+        if ref.shape != fix.shape or np.shape(exact) not in ((), ref.shape[1:]):
             raise ConfigError(f"shape mismatch: {ref.shape} vs {fix.shape}, "
                               f"channels of earlier blocks {np.shape(exact) or 'none'}")
         exact &= (ref == fix).all(axis=0)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import errno
 import io
 import os
 import shutil
@@ -45,6 +47,18 @@ COCHLEAGRAM_MAGIC = b"CARC"
 COCHLEAGRAM_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIQd")
+
+# renameat2(2) from the process's C library, or None where it has none
+try:
+    _renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
+    _renameat2.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
+                           ctypes.c_uint]
+except (AttributeError, OSError, TypeError):
+    _renameat2 = None
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2
+# errnos of a kernel or file system without the exchange, or of a target gone
+_NO_EXCHANGE = (errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOENT)
 
 
 @dataclass(frozen=True)
@@ -165,10 +179,19 @@ def write_cochleagram(
     that format needs n_samples; when given, it must match the rows written.
 
     Where path is, through any symlinks, a regular file or nothing yet, the
-    file is written next to it under a ".part" name and moved onto it when
+    file is written next to it under a ".part" name and put in its place when
     complete, with the mode of the file it replaces: an error, such as a
     non-finite value, leaves it as it was. Anything else, such as a FIFO, a
     pipe or a device, is written straight through.
+
+    An existing file is replaced by an atomic exchange of the two names
+    (renameat2 with RENAME_EXCHANGE), after which the old file, now under
+    the ".part" name, is deleted. A rename over an existing name makes ext4
+    start writing out the new file's delayed blocks and wait for them
+    (auto_da_alloc), which can take longer than making the file; an
+    exchange does not. Where the C library, kernel or file system has no
+    exchange, or the old file is gone by then, the file is renamed into
+    place, as it is where there was nothing to replace.
     """
     if format not in ("csv", "binary"):
         raise ConfigError(f"unknown cochleagram format: {format!r}")
@@ -192,11 +215,29 @@ def write_cochleagram(
             _write_blocks(f, blocks, format, sample_rate_hz, n_samples)
         if os.path.exists(target):
             shutil.copymode(target, part)
+            if _exchange(part, target):
+                os.remove(part)  # the old file, since the exchange
+                return
         os.replace(part, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(part)
         raise
+
+
+def _exchange(part: str, target: str) -> bool:
+    """Swap the names part and target atomically; False, and nothing done,
+    where there is no exchange or target is gone. Any other error raises
+    OSError, as os.replace would."""
+    if _renameat2 is None:
+        return False
+    if _renameat2(_AT_FDCWD, os.fsencode(part), _AT_FDCWD, os.fsencode(target),
+                  _RENAME_EXCHANGE) == 0:
+        return True
+    err = ctypes.get_errno()
+    if err in _NO_EXCHANGE:
+        return False
+    raise OSError(err, os.strerror(err), part, None, target)
 
 
 def _write_blocks(f, blocks, format: str, sample_rate_hz: float, n_samples: int | None) -> None:

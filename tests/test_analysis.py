@@ -460,7 +460,7 @@ class TestParityReport:
         # between blocks, as well as within one; a block is [rows x channels]
         with pytest.raises(ConfigError):
             parity_report([(np.ones((32, 2)), np.ones((32, 2))), (np.ones(4), np.ones(4))])
-        with pytest.raises(ConfigError, match=r"shape mismatch: \(4,\) vs \(4,\)"):
+        with pytest.raises(ConfigError, match=r"must be \[rows x channels\], got shape \(4,\)"):
             parity_report([(np.ones(4), np.ones(4)), (np.ones((2, 1)), np.ones((2, 1)))])
 
     def test_worst_channel_identified(self, rng):

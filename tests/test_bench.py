@@ -209,6 +209,25 @@ def test_files_analyze_overwrites_the_files_of_carmodel_analyze(tmp_path):
     assert calls["tick_fixed_1224"][1:] == ("us", run_bench.PUSHES * run_bench.FIXED_PUSH)
 
 
+def test_files_cochleagram_overwrites_the_file_of_carmodel_run(tmp_path):
+    # csv_cochleagram_240x1224 times the formatter into os.devnull;
+    # files_cochleagram_240x1224 writes the same bytes over the file of the
+    # call before, as each timed pass of run_float does
+    from carmodel import analysis, audio_io, core, design, fixed
+
+    calls = run_bench.timed_calls(core, design, fixed, analysis, audio_io, tmp_path)
+    write_file, unit, per = calls["files_cochleagram_240x1224"]
+    assert (unit, per) == ("ms", 1)
+    write_file(0)
+    out = tmp_path / "cochleagram.csv"
+    first = out.read_bytes()
+    assert first.startswith(b"t,y_0,") and first.count(b"\r\n") == 241
+    write_file(1)
+    assert out.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["analyze", "cochleagram.csv",
+                                                         "coeffs.csv"]
+
+
 def test_run_child_peak_rss_is_its_own(tmp_path):
     # Linux carries getrusage's ru_maxrss across exec, so a child read its
     # spawner's peak: here over 128 MB, for a child that needs about 40

@@ -1,5 +1,7 @@
 """File I/O and the command-line front end."""
 
+import ctypes
+import errno
 import os
 import stat
 import struct
@@ -305,6 +307,73 @@ class TestCochleagram:
         assert target.read_bytes() == (tmp_path / "expect").read_bytes()
         assert target.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["expect", "link", "target"]
+
+    def test_overwrite_exchanges_names(self, tmp_path, rng, monkeypatch):
+        probe = [tmp_path / "probe_a", tmp_path / "probe_b"]
+        for q in probe:
+            q.write_bytes(q.name.encode())
+        if not audio_io._exchange(str(probe[0]), str(probe[1])):
+            pytest.skip("no renameat2 RENAME_EXCHANGE on this platform or file system")
+        assert probe[1].read_bytes() == b"probe_a"
+        for q in probe:
+            q.unlink()
+        m = rng.normal(0, 1, (5, 3))
+        write_cochleagram(m, tmp_path / "expect")
+        out = tmp_path / "out"
+        out.write_bytes(b"before")
+
+        def refuse(*args):
+            raise AssertionError("os.replace onto an existing cochleagram")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        write_cochleagram(m, out)
+        assert out.read_bytes() == (tmp_path / "expect").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expect", "out"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_overwrite_falls_back_to_rename(self, tmp_path, rng, monkeypatch, fmt):
+        def no_exchange(*args):
+            ctypes.set_errno(errno.EINVAL)
+            return -1
+
+        m = rng.normal(0, 1, (5, 3))
+        write_cochleagram(m, tmp_path / "expect", format=fmt)
+        out = tmp_path / "out"
+        out.write_bytes(b"before")
+        out.chmod(0o640)
+        monkeypatch.setattr(audio_io, "_renameat2", no_exchange)
+        write_cochleagram(m, out, format=fmt)
+        assert out.read_bytes() == (tmp_path / "expect").read_bytes()
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expect", "out"]
+        monkeypatch.setattr(audio_io, "_renameat2", None)  # no such symbol
+        write_cochleagram(m[:2], out, format=fmt)
+        assert read_cochleagram(out)[0].shape == (2, 3)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expect", "out"]
+
+    def test_exchange_error_raises_and_leaves_path(self, tmp_path, monkeypatch):
+        def denied(*args):
+            ctypes.set_errno(errno.EACCES)
+            return -1
+
+        out = tmp_path / "out"
+        out.write_bytes(b"before")
+        monkeypatch.setattr(audio_io, "_renameat2", denied)
+        with pytest.raises(PermissionError):
+            write_cochleagram(np.ones((2, 2)), out)
+        assert out.read_bytes() == b"before"
+        assert [q.name for q in tmp_path.iterdir()] == ["out"]
+
+    def test_hard_link_keeps_old_bytes(self, tmp_path, rng):
+        m = rng.normal(0, 1, (5, 3))
+        write_cochleagram(m, tmp_path / "expect")
+        out = tmp_path / "out"
+        out.write_bytes(b"before")
+        os.link(out, tmp_path / "link")
+        write_cochleagram(m, out)
+        assert (tmp_path / "link").read_bytes() == b"before"
+        assert out.read_bytes() == (tmp_path / "expect").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expect", "link", "out"]
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_fifo_written_through(self, tmp_path, rng, fmt):
